@@ -57,9 +57,7 @@ from .model import (
     SaturationLimits,
     TermModel,
     build_term_model,
-    canonical_label,
     check_consistency,
-    decide_equal,
 )
 from .mappings import (
     InstanceMorphism,

@@ -314,6 +314,40 @@ def _resolve_position(f_map: Mapping, t_ent: Sort, index: list[tuple[Sort, Term]
         f"path {render_term(comp)} missing from the enumerated index at {t_ent.name}")
 
 
+def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, Term]],
+              cons: list[tuple[int, FunctionSymbol, int]],
+              limits: SaturationLimits) -> list[tuple[int, ...]]:
+    """Every tuple x over the carriers of idx with x[j] == q(x[i]) for (i, q, j) in cons.
+
+    A depth-first search in lexicographic order: each constraint is checked
+    as soon as both of its positions are filled.
+    """
+    if not idx:
+        return [()]
+    carriers = [i_model.carrier(s) for s, _ in idx]
+    checks = [[(i, q, j) for (i, q, j) in cons if max(i, j) == pos] for pos in range(len(idx))]
+    out: list[tuple[int, ...]] = []
+    acc: list[int] = []
+    stack = [iter(carriers[0])]
+    while stack:
+        pos = len(stack) - 1
+        del acc[pos:]
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            continue
+        acc.append(c)
+        if not all(acc[j] == i_model.op(q, acc[i]) for (i, q, j) in checks[pos]):
+            continue
+        if len(out) > limits.max_classes_per_sort:
+            raise ResourceLimit(f"family carrier at {t_ent.name} exceeded limits")
+        if pos + 1 == len(idx):
+            out.append(tuple(acc))
+        else:
+            stack.append(iter(carriers[pos + 1]))
+    return out
+
+
 def pi(f_map: Mapping, i_model: TermModel,
        limits: SaturationLimits = DEFAULT_LIMITS,
        caps: PathCaps = DEFAULT_CAPS) -> PiResult:
@@ -350,29 +384,8 @@ def pi(f_map: Mapping, i_model: TermModel,
                 cons.append((i, q, j))
         constraints[t.name] = cons
 
-    families: dict[str, list[tuple[int, ...]]] = {}
-    for t in tgt.entities:
-        idx = index[t.name]
-        cons = constraints[t.name]
-        out: list[tuple[int, ...]] = []
-
-        def extend(pos: int, acc: list[int]):
-            if len(out) > limits.max_classes_per_sort:
-                raise ResourceLimit(f"family carrier at {t.name} exceeded limits")
-            if pos == len(idx):
-                out.append(tuple(acc))
-                return
-            s, _ = idx[pos]
-            for c in i_model.carrier(s):
-                acc.append(c)
-                ok = all(acc[j] == i_model.op(q, acc[i])
-                         for (i, q, j) in cons if i <= pos and j <= pos)
-                if ok:
-                    extend(pos + 1, acc)
-                acc.pop()
-
-        extend(0, [])
-        families[t.name] = out
+    families = {t.name: _families(i_model, t, index[t.name], constraints[t.name], limits)
+                for t in tgt.entities}
 
     # attribute factorizations through the mapping
     fact: dict[tuple[str, str], list[tuple[int, Term]]] = {}

@@ -1,24 +1,37 @@
 """Saturation of instance presentations into term models (initial algebras).
 
-The engine maintains a union-find over ground terms with congruence
-propagation.  Each saturation round (a) closes every entity class under
-all applicable attributes and foreign keys, (b) keeps the instance and
-typeside equations asserted, and (c) instantiates every schema
-constraint at every entity class, repeating to fixpoint or until the
-configured limits trip.  Finiteness of the term model is undecidable in
-general, so the limits turn potential divergence into an explicit
-ResourceLimit error.
+The engine maintains a union-find over ground terms with hash-consing and
+congruence propagation.  Saturation seeds it with the typeside constants,
+the generators and the sides of every typeside and instance equation, then
+runs worklist generations.  A generation takes the nodes created by the
+previous one (the seeding counts as generation zero) and, for each of them
+that is still the root of its class, (a) applies every attribute and
+foreign key on its sort and (b) instantiates every schema constraint of
+its sort.  Nothing else needs revisiting: congruence carries both the
+closure and the constraint instances of a class across a merge.  One
+generation is one round for `SaturationLimits.max_rounds`, and per-sort
+class counts are kept as nodes are added and merged.  Finiteness of the
+term model is undecidable in general, so the limits turn potential
+divergence into an explicit ResourceLimit error.
+
+Freezing turns the saturated engine into a `TermModel`.  It flattens the
+union-find into a root table once, then resolves classes level by level
+in the depth of their least term: a node becomes a candidate when the
+last of its child classes is resolved, each class takes its least
+candidate under (symbol name, child ranks), and the classes of a level
+get integer ranks in that order.  Ranks order classes exactly as
+`terms.term_key` orders their canonical terms, which fixes the carrier
+order and the entity ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from .errors import ResourceLimit, SortMismatch, UnknownSymbol
 from .schema import InstancePresentation, Schema
 from .terms import (
-    GENERATOR,
     LITERAL,
     App,
     FunctionSymbol,
@@ -26,7 +39,6 @@ from .terms import (
     Term,
     Var,
     render_term,
-    term_key,
 )
 
 
@@ -57,7 +69,11 @@ class Collision:
 
 
 class _Engine:
-    """Union-find with hash-consing and congruence propagation."""
+    """Union-find with hash-consing and congruence propagation.
+
+    The root of a class is always its least node id, so `parent[x] <= x`
+    holds for every node.
+    """
 
     def __init__(self):
         self.parent: list[int] = []
@@ -67,6 +83,8 @@ class _Engine:
         self.hashcons: dict[tuple, int] = {}
         self.members: dict[int, list[int]] = {}
         self.class_uses: dict[int, list[int]] = {}
+        self.class_count: dict[Sort, int] = {}
+        self.created: list[int] = []  # nodes added since the worklist last took them
 
     def find(self, x: int) -> int:
         while self.parent[x] != x:
@@ -88,7 +106,16 @@ class _Engine:
         self.members[n] = [n]
         for c in key[1]:
             self.class_uses.setdefault(c, []).append(n)
+        self.class_count[sym.out_sort] = self.class_count.get(sym.out_sort, 0) + 1
+        self.created.append(n)
         return n
+
+    def add_term(self, t: Term, var_cls: Optional[int] = None) -> int:
+        """Class of t, adding its missing subterms; a variable denotes var_cls."""
+        if isinstance(t, Var):
+            assert var_cls is not None
+            return var_cls
+        return self.add(t.sym, tuple(self.add_term(a, var_cls) for a in t.args))
 
     def lookup(self, sym: FunctionSymbol, children: tuple[int, ...]) -> Optional[int]:
         hit = self.hashcons.get((sym, tuple(self.find(c) for c in children)))
@@ -107,6 +134,7 @@ class _Engine:
                 raise SortMismatch(
                     f"cannot merge classes of sorts {self.sort_of[rx].name} and {self.sort_of[ry].name}")
             self.parent[ry] = rx
+            self.class_count[self.sort_of[rx]] -= 1
             self.members[rx].extend(self.members.pop(ry))
             uses = self.class_uses.pop(ry, [])
             self.class_uses.setdefault(rx, []).extend(uses)
@@ -119,20 +147,22 @@ class _Engine:
                 elif self.find(q) != self.find(p):
                     work.append((p, q))
 
-    def roots(self) -> list[int]:
-        return [i for i in range(len(self.parent)) if self.find(i) == i]
-
 
 class TermModel:
     """The computed initial algebra of an instance presentation.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; safe to share across threads.  Queries
+    read the root table flattened at freeze time and never write to the
+    engine.
     """
 
     def __init__(self, instance: InstancePresentation, engine: _Engine):
         self.instance = instance
         self.schema: Schema = instance.schema
         self._eng = engine
+        self._root: list[int] = []
+        # per class: the symbol and child classes of its canonical term
+        self._chosen: dict[int, tuple[FunctionSymbol, tuple[int, ...]]] = {}
         self.carriers: dict[Sort, list[int]] = {}
         self.canonical: dict[int, Term] = {}
         self.id_label: dict[int, int] = {}
@@ -144,29 +174,54 @@ class TermModel:
 
     def _freeze(self) -> None:
         eng = self._eng
-        roots = eng.roots()
-        # minimal canonical term per class under (depth, name, args)
-        keys: dict[int, tuple] = {}
-        changed = True
-        while changed:
-            changed = False
-            for r in roots:
-                for n in eng.members[r]:
-                    children = tuple(eng.find(c) for c in eng.node_children[n])
-                    if any(c not in self.canonical for c in children):
-                        continue
-                    t = App(eng.node_sym[n], tuple(self.canonical[c] for c in children))
-                    k = term_key(t)
-                    if r not in self.canonical or k < keys[r]:
-                        self.canonical[r] = t
-                        keys[r] = k
-                        changed = True
+        # flatten the union-find in one pass: parent[i] <= i, so its root is known
+        root = self._root = list(eng.parent)
+        for i in range(len(root)):
+            root[i] = root[root[i]]
+        syms = eng.node_sym
+        kids = [tuple(root[c] for c in ch) for ch in eng.node_children]
+        pending = [len(ch) for ch in kids]
+        uses: dict[int, list[int]] = {}
+        for n, ch in enumerate(kids):
+            for c in ch:
+                uses.setdefault(c, []).append(n)
+
+        # level d resolves the classes whose least term has depth d; the
+        # candidates of level d are the nodes whose last child resolved at d - 1
+        rank: dict[int, int] = {}
+        level = [n for n, ch in enumerate(kids) if not ch]
+        next_rank = 0
+        while level:
+            best: dict[int, tuple[tuple, int]] = {}
+            for n in level:
+                r = root[n]
+                if r in rank:
+                    continue
+                key = (syms[n].name, tuple(rank[c] for c in kids[n]))
+                b = best.get(r)
+                if b is None or key < b[0]:
+                    best[r] = (key, n)
+            level = []
+            prev = None
+            for r, (key, n) in sorted(best.items(), key=lambda kv: kv[1][0]):
+                if key != prev:
+                    next_rank += 1
+                    prev = key
+                rank[r] = next_rank
+                self._chosen[r] = (syms[n], kids[n])
+                self.canonical[r] = App(syms[n], tuple(self.canonical[c] for c in kids[n]))
+                for u in uses.get(r, ()):
+                    pending[u] -= 1
+                    if not pending[u]:
+                        level.append(u)
+
+        roots = [i for i, r in enumerate(root) if i == r]
         by_sort: dict[Sort, list[int]] = {}
         for r in roots:
             by_sort.setdefault(eng.sort_of[r], []).append(r)
         sorts = list(self.schema.entities) + list(self.schema.typeside.types)
         for s in sorts:
-            cs = sorted(by_sort.get(s, []), key=lambda r: keys[r])
+            cs = sorted(by_sort.get(s, []), key=rank.__getitem__)
             self.carriers[s] = cs
             if s.is_entity:
                 for i, r in enumerate(cs):
@@ -174,12 +229,12 @@ class TermModel:
         for r in roots:
             lits = []
             for n in eng.members[r]:
-                if eng.node_sym[n].flavor == LITERAL:
-                    t = App(eng.node_sym[n])
+                if syms[n].flavor == LITERAL:
+                    t = App(syms[n])
                     if t not in lits:
                         lits.append(t)
             if lits:
-                self.literal_of[r] = min(lits, key=term_key)
+                self.literal_of[r] = min(lits, key=lambda t: t.sym.name)
                 for other in lits:
                     if other != self.literal_of[r]:
                         self.collisions.append(Collision(
@@ -188,7 +243,7 @@ class TermModel:
     # -- queries -------------------------------------------------------
 
     def find(self, c: int) -> int:
-        return self._eng.find(c)
+        return self._root[c]
 
     def carrier(self, sort: Sort) -> list[int]:
         return self.carriers.get(sort, [])
@@ -200,11 +255,15 @@ class TermModel:
         return out
 
     def sort_of(self, c: int) -> Sort:
-        return self._eng.sort_of[self.find(c)]
+        return self._eng.sort_of[c]
+
+    def _lookup(self, sym: FunctionSymbol, children: tuple[int, ...]) -> Optional[int]:
+        hit = self._eng.hashcons.get((sym, children))
+        return None if hit is None else self._root[hit]
 
     def op(self, sym: FunctionSymbol, c: int) -> int:
         """Apply a unary symbol's operation table to a class."""
-        hit = self._eng.lookup(sym, (c,))
+        hit = self._lookup(sym, (self._root[c],))
         if hit is None:
             raise UnknownSymbol(f"no {sym.name} application on class {c}")
         return hit
@@ -229,12 +288,13 @@ class TermModel:
             if c is None:
                 return None
             args.append(c)
-        hit = self._eng.lookup(t.sym, tuple(args))
+        hit = self._lookup(t.sym, tuple(args))
         if hit is None and t.sym.flavor != LITERAL:
             raise UnknownSymbol(f"term {render_term(t)} does not denote in this model")
         return hit
 
     def decide_equal(self, t1: Term, t2: Term) -> bool:
+        """True iff the instance theory proves t1 = t2."""
         if t1.sort != t2.sort:
             raise SortMismatch(
                 f"cannot compare {render_term(t1)} : {t1.sort.name} with {render_term(t2)} : {t2.sort.name}")
@@ -254,22 +314,19 @@ class TermModel:
 
     def label(self, c: int) -> str:
         """Display string: entity id, literal value, or labeled-null term."""
-        c = self.find(c)
-        s = self.sort_of(c)
-        if s.is_entity:
-            return str(self.id_label[c])
+        c = self._root[c]
         if c in self.literal_of:
             return self.literal_of[c].sym.name
-        return self._render_with_ids(self.canonical[c])
+        return self._render(c)
 
-    def _render_with_ids(self, t: Term) -> str:
-        if isinstance(t, App) and t.sort.is_entity:
-            return str(self.id_label[self.eval(t)])
-        if isinstance(t, Var):
-            return t.name
-        if not t.args:
-            return t.sym.name
-        return f"{t.sym.name}({', '.join(self._render_with_ids(a) for a in t.args)})"
+    def _render(self, c: int) -> str:
+        """The canonical term of a class, with entity subterms shown as ids."""
+        if self._eng.sort_of[c].is_entity:
+            return str(self.id_label[c])
+        sym, kids = self._chosen[c]
+        if not kids:
+            return sym.name
+        return f"{sym.name}({', '.join(self._render(k) for k in kids)})"
 
     def __repr__(self) -> str:
         sizes = ", ".join(f"{s.name}:{len(cs)}" for s, cs in self.carriers.items() if cs)
@@ -287,46 +344,37 @@ def build_term_model(inst: InstancePresentation, schema: Optional[Schema] = None
         eng.add(c, ())
     for g in inst.generators:
         eng.add(g, ())
-
-    def add_term(t: Term, var_cls: Optional[int] = None) -> int:
-        if isinstance(t, Var):
-            assert var_cls is not None
-            return var_cls
-        return eng.add(t.sym, tuple(add_term(a, var_cls) for a in t.args))
-
     for eq in list(schema.typeside.equations) + list(inst.equations):
-        eng.merge(add_term(eq.lhs), add_term(eq.rhs))
+        eng.merge(eng.add_term(eq.lhs), eng.add_term(eq.rhs))
 
+    closure = {s: schema.symbols_on(s) for s in schema.entities}
     rounds = 0
     while True:
         rounds += 1
         if rounds > limits.max_rounds:
             raise ResourceLimit(
                 f"saturation of {inst.name} exceeded {limits.max_rounds} rounds")
+        # the nodes the previous generation created, in creation order
+        frontier, eng.created = eng.created, []
         changed = False
-        snapshot = eng.roots()
-        for r in snapshot:
-            s = eng.sort_of[r]
-            if not s.is_entity:
+        for r in frontier:
+            if eng.find(r) != r:
                 continue
-            for f in schema.symbols_on(s):
+            for f in closure.get(eng.sort_of[r], ()):
                 if eng.lookup(f, (r,)) is None:
                     eng.add(f, (r,))
                     changed = True
         for con in schema.constraints:
             s = con.free[0].sort
-            for r in snapshot:
+            for r in frontier:
                 if eng.find(r) != r or eng.sort_of[r] != s:
                     continue
-                lhs = add_term(con.lhs, r)
-                rhs = add_term(con.rhs, r)
+                lhs = eng.add_term(con.lhs, r)
+                rhs = eng.add_term(con.rhs, r)
                 if eng.find(lhs) != eng.find(rhs):
                     eng.merge(lhs, rhs)
                     changed = True
-        counts: dict[Sort, int] = {}
-        for r in eng.roots():
-            counts[eng.sort_of[r]] = counts.get(eng.sort_of[r], 0) + 1
-        for s, n in counts.items():
+        for s, n in eng.class_count.items():
             if n > limits.max_classes_per_sort:
                 raise ResourceLimit(
                     f"carrier of {s.name} in {inst.name} exceeded {limits.max_classes_per_sort} classes"
@@ -334,15 +382,6 @@ def build_term_model(inst: InstancePresentation, schema: Optional[Schema] = None
         if not changed:
             break
     return TermModel(inst, eng)
-
-
-def decide_equal(m: TermModel, t1: Term, t2: Term) -> bool:
-    """True iff the instance theory proves t1 = t2."""
-    return m.decide_equal(t1, t2)
-
-
-def canonical_label(m: TermModel, c: int) -> str:
-    return m.label(c)
 
 
 def check_consistency(m: TermModel) -> Optional[Collision]:

@@ -92,16 +92,14 @@ def term_sort(t: Term) -> Sort:
 def free_vars(t: Term) -> list[Var]:
     """Variables of t in left-to-right occurrence order, deduplicated."""
     out: list[Var] = []
-
-    def walk(u: Term):
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
             if u not in out:
                 out.append(u)
         else:
-            for a in u.args:
-                walk(a)
-
-    walk(t)
+            stack.extend(reversed(u.args))
     return out
 
 

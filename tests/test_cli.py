@@ -29,6 +29,47 @@ schema L = literal : Ty {
 instance W = literal : L { generators a : E }
 """
 
+CHAIN = """\
+typeside Ty = literal { }
+schema D = literal : Ty {
+    entities
+        E0 E1 E2
+    foreign_keys
+        h1 : E0 -> E1
+        h2 : E1 -> E2
+    attributes
+        a0 : E0 -> Int
+        a1 : E1 -> Int
+        a2 : E2 -> Int
+}
+instance I = literal : D {
+    generators
+        y x : E0
+}
+"""
+
+CHAIN_MARKDOWN = """\
+# instance I
+## E0
+| ID | a0 | h1 |
+|---|---|---|
+| 1 | a0(1) | 1 |
+| 2 | a0(2) | 2 |
+
+## E1
+| ID | a1 | h2 |
+|---|---|---|
+| 1 | a1(1) | 1 |
+| 2 | a1(2) | 2 |
+
+## E2
+| ID | a2 |
+|---|---|
+| 1 | a2(1) |
+| 2 | a2(2) |
+
+"""
+
 
 @pytest.fixture()
 def example_file(tmp_path):
@@ -112,6 +153,11 @@ def test_eval_json_format(example_file, capsys):
     payload = out.split("# instance J\n", 1)[1].rsplit("check I", 1)[0]
     blob = json.loads(payload)
     assert {r["age"] for r in blob["entities"]["N"]} == {"20", "30"}
+
+
+def test_eval_renders_labeled_nulls(tmp_path, capsys):
+    assert main(["eval", write(tmp_path, CHAIN), "--format", "markdown"]) == 0
+    assert capsys.readouterr().out == CHAIN_MARKDOWN
 
 
 def test_eval_is_deterministic(example_file, capsys):

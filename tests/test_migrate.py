@@ -1,5 +1,6 @@
 """Data migration functors, adjunctions, coproducts, and inversion."""
 
+import gc
 from collections import Counter
 
 import pytest
@@ -110,6 +111,21 @@ def test_pi_joins_along_the_foreign_key(mapping_f, model_i):
     res = pi(mapping_f, model_i)
     assert row_labels(res.model, N, ["name", "salary", "age"]) == [
         ("Alice", "100", "20"), ("Bob", "250", "20"), ("Sue", "300", "30")]
+
+
+def test_pi_and_saturation_leave_no_reference_cycles(mapping_f, model_i):
+    # garbage that only the cyclic collector can free piles up between collections
+    pi(mapping_f, model_i)  # warm the probe cache
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        pi(mapping_f, model_i)
+        gc.collect()
+        cyclic = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert cyclic == []
 
 
 def test_delta_projects_and_populates_the_foreign_key(mapping_f, model_j, model_i):

@@ -22,9 +22,10 @@ from catq import (
     generator,
     ground_eq,
     int_literal,
+    render_model,
     string_literal,
 )
-from catq.terms import ENTITY
+from catq.terms import ENTITY, term_key
 
 from conftest import N1, N2, ap, attr, fkey
 from oracle import deductive_closure, oracle_equal, term_universe
@@ -88,6 +89,52 @@ def test_resource_limit_on_infinite_model():
     inst = InstancePresentation("W", sch, [generator("a", e)], [])
     with pytest.raises(ResourceLimit):
         build_term_model(inst, limits=SaturationLimits(max_classes_per_sort=40))
+
+
+def chain_instance(k: int, gens: int) -> InstancePresentation:
+    """E0 -> E1 -> ... -> Ek, one Int attribute per entity, free generators at E0."""
+    ts = builtin_typeside()
+    ents = [Sort(f"E{i}", ENTITY) for i in range(k + 1)]
+    fks = [fkey(f"h{i + 1}", ents[i], ents[i + 1]) for i in range(k)]
+    atts = [attr(f"a{i}", e, INT) for i, e in enumerate(ents)]
+    sch = Schema("D", ts, ents, atts, fks)
+    return InstancePresentation("I", sch, [generator(f"g{n}", ents[0]) for n in range(gens)], [])
+
+
+def test_round_limit_counts_worklist_generations():
+    # one round per chain link, one for the attributes of E10, one that finds nothing new
+    inst = chain_instance(10, 2)
+    with pytest.raises(ResourceLimit, match="exceeded 11 rounds"):
+        build_term_model(inst, limits=SaturationLimits(max_rounds=11))
+    m = build_term_model(inst, limits=SaturationLimits(max_rounds=12))
+    assert [len(m.carrier(e)) for e in inst.schema.entities] == [2] * 11
+    assert len(m.carrier(INT)) == 22
+
+
+def test_queries_never_write_the_engine(schema_s):
+    gens = [generator(f"e{i}", N1) for i in range(6)]
+    eqs = [ground_eq(App(a), App(b)) for a, b in zip(gens, gens[1:])]
+    m = build_term_model(InstancePresentation("chain", schema_s, gens, eqs))
+    # re-point each class's members into one chain (same partition), so
+    # that path compression by any query would change the array
+    eng = m._eng
+    for members in eng.members.values():
+        ordered = sorted(members)
+        for prev, n in zip(ordered, ordered[1:]):
+            eng.parent[n] = prev
+    parent = list(eng.parent)
+    assert any(parent[parent[i]] != parent[i] for i in range(len(parent)))
+    f, name = schema_s.symbol_named("f"), schema_s.symbol_named("name")
+    for g in gens:
+        c = m.find(m.class_of(g))
+        assert m.label(c) == "1"
+        assert m.label(m.op(name, c)) == "name(1)"
+        assert m.eval(ap(name, g)) == m.op(name, c)
+        assert m.decide_equal(ap(f, g), ap(f, gens[0]))
+    assert [m.find(i) for i in range(len(parent))] == [m.find(p) for p in parent]
+    render_model(m, "markdown")
+    render_model(m, "json")
+    assert eng.parent == parent
 
 
 def test_constraint_saturation_collapses_classes():
@@ -179,3 +226,33 @@ def test_oracle_on_running_example(inst_i, model_i, schema_s):
         for t2 in universe[i:]:
             if t1.sort == t2.sort:
                 assert model_i.decide_equal(t1, t2) == oracle_equal(partition, t1, t2)
+
+
+def _class_minima(inst, m):
+    """Per class, the term_key-least term of the oracle universe."""
+    least: dict = {}
+    for t in term_universe(inst):
+        c = m.eval(t)
+        if c not in least or term_key(t) < term_key(least[c]):
+            least[c] = t
+    return least
+
+
+def _assert_canonical_terms_are_least(inst, m):
+    least = _class_minima(inst, m)
+    assert set(least) == set(m.all_classes())
+    for c, t in least.items():
+        assert m.canonical[c] == t, (c, m.canonical[c], t)
+    for s, cs in m.carriers.items():
+        keys = [term_key(m.canonical[c]) for c in cs]
+        assert keys == sorted(keys), s
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_canonical_terms_match_brute_force(seed):
+    inst = random_instance(seed)
+    _assert_canonical_terms_are_least(inst, build_term_model(inst))
+
+
+def test_canonical_terms_on_running_example(inst_i, model_i):
+    _assert_canonical_terms_are_least(inst_i, model_i)

@@ -10,6 +10,7 @@ adjunction structure (units, counits and mates).
 from .errors import (
     CatqError,
     EqualityNotPreserved,
+    InvariantViolation,
     NoMorphismExists,
     NoPathForSymbol,
     ResourceLimit,

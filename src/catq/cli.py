@@ -1,18 +1,20 @@
 """Command-line entry point.
 
 Pipeline: parse -> elaborate -> evaluate -> render.  Exit codes:
-0 success, 1 diagnostics, 2 resource limit, 3 inconsistent instance.
+0 success, 1 diagnostics or a failed internal invariant, 2 resource
+limit, 3 inconsistent instance.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
 
 from .elaborate import Environment, elaborate
-from .errors import NoPathForSymbol, ResourceLimit
+from .errors import InvariantViolation, NoPathForSymbol, ResourceLimit
 from .matcher import SimilarityConfig, match_mapping, match_span
 from .migrate import InversionBounds, invert_mapping
 from .model import DEFAULT_LIMITS, SaturationLimits, check_consistency
@@ -194,7 +196,13 @@ def cmd_export(args) -> int:
     return _inconsistency(env)
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every `main` call.
+
+    argparse's objects hold reference cycles, so a parser per call would
+    leave garbage for the cyclic collector on every run.
+    """
     p = argparse.ArgumentParser(prog="catq",
                                 description="algebraic model management: schemas, "
                                             "instances and data migration")
@@ -239,6 +247,9 @@ def main(argv=None) -> int:
     except ResourceLimit as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InvariantViolation as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
 
 
 if __name__ == "__main__":

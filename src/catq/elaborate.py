@@ -91,14 +91,14 @@ class _Elaborator:
     # -- term resolution -------------------------------------------------
 
     def resolve_term(self, raw: RawTerm, schema: Schema,
-                     inst: Optional[InstancePresentation],
+                     gens: dict[str, FunctionSymbol],
                      bound: dict[str, Sort],
                      expected: Optional[Sort]) -> Optional[Term]:
         """Resolve a raw application tree against a schema context.
 
-        A leaf resolves, in order, to a bound variable, a declared
-        generator, a typeside constant, and finally a literal of the
-        expected built-in type.
+        A leaf resolves, in order, to a bound variable, a generator of
+        `gens` (by name), a typeside constant, and finally a literal of
+        the expected built-in type.
         """
         name = raw.name
         if raw.args:
@@ -109,7 +109,7 @@ class _Elaborator:
             if len(raw.args) != 1:
                 self.error("SortMismatch", f"{name} takes one argument", raw.span)
                 return None
-            arg = self.resolve_term(raw.args[0], schema, inst, bound, sym.arg_sorts[0])
+            arg = self.resolve_term(raw.args[0], schema, gens, bound, sym.arg_sorts[0])
             if arg is None:
                 return None
             if arg.sort != sym.arg_sorts[0]:
@@ -121,10 +121,9 @@ class _Elaborator:
         if not raw.quoted:
             if name in bound:
                 return Var(name, bound[name])
-            if inst is not None:
-                g = inst.generator_named(name)
-                if g is not None:
-                    return App(g)
+            g = gens.get(name)
+            if g is not None:
+                return App(g)
             const = schema.typeside.constant_named(name)
             if const is not None:
                 return App(const)
@@ -145,12 +144,12 @@ class _Elaborator:
         return None
 
     def resolve_equation(self, raw: RawEquation, schema: Schema,
-                         inst: Optional[InstancePresentation],
+                         gens: dict[str, FunctionSymbol],
                          bound: dict[str, Sort]) -> Optional[Equation]:
-        lhs = self.resolve_term(raw.lhs, schema, inst, bound, None)
+        lhs = self.resolve_term(raw.lhs, schema, gens, bound, None)
         if lhs is None:
             return None
-        rhs = self.resolve_term(raw.rhs, schema, inst, bound, lhs.sort)
+        rhs = self.resolve_term(raw.rhs, schema, gens, bound, lhs.sort)
         if rhs is None:
             return None
         if lhs.sort != rhs.sort:
@@ -183,7 +182,7 @@ class _Elaborator:
         # typeside equations are resolved against a symbol-free schema shell
         shell = Schema(f"_{d.name}", ts)
         for raw in d.equations:
-            eq = self.resolve_equation(raw, shell, None, {})
+            eq = self.resolve_equation(raw, shell, {}, {})
             if eq is not None:
                 ts.equations.append(eq)
         if not self.issues_to_diags(validate_typeside(ts), d.span):
@@ -221,7 +220,7 @@ class _Elaborator:
             if vs is None:
                 self.error("UnknownSort", f"unknown entity {raw.var_sort}", raw.span)
                 continue
-            eq = self.resolve_equation(raw, sch, None, {raw.var: vs})
+            eq = self.resolve_equation(raw, sch, {}, {raw.var: vs})
             if eq is not None:
                 sch.constraints.append(eq)
         if not self.issues_to_diags(validate_schema(sch), d.span):
@@ -252,8 +251,11 @@ class _Elaborator:
                 self.error("UnknownSort", f"unknown sort {sort_name}", d.span)
                 continue
             pres.generators.extend(generator(n, sort) for n in names)
+        gens: dict[str, FunctionSymbol] = {}
+        for g in pres.generators:
+            gens.setdefault(g.name, g)  # the first declaration wins
         for raw in d.equations:
-            eq = self.resolve_equation(raw, sch, pres, {})
+            eq = self.resolve_equation(raw, sch, gens, {})
             if eq is not None:
                 pres.equations.append(eq)
         if self.issues_to_diags(validate_instance(pres), d.span):
@@ -274,7 +276,7 @@ class _Elaborator:
                 self.error("SortMismatch",
                            f"lambda variable must have sort {arg_sort.name}", img.span)
                 return None
-            return self.resolve_term(img.body, tgt, None, {img.var: arg_sort}, None)
+            return self.resolve_term(img.body, tgt, {}, {img.var: arg_sort}, None)
 
         # shorthand: find the variable leaf (the one unknown identifier)
         leaves: set[str] = set()
@@ -303,8 +305,8 @@ class _Elaborator:
         if img.body.args:
             head = tgt.symbol_named(img.body.name)
             if head is not None:
-                return self.resolve_term(img.body, tgt, None, bound, None)
-        return self.resolve_term(img.body, tgt, None, bound, None)
+                return self.resolve_term(img.body, tgt, {}, bound, None)
+        return self.resolve_term(img.body, tgt, {}, bound, None)
 
     def do_mapping(self, d: MappingDecl):
         src = self.env.schemas.get(d.source_ref)

@@ -21,6 +21,10 @@ class ResourceLimit(CatqError):
     """A saturation or enumeration exceeded its configured limits."""
 
 
+class InvariantViolation(CatqError):
+    """An internal invariant of an engine failed: a bug, not a property of the input."""
+
+
 class SchemaMismatch(CatqError):
     """Two objects that must live over the same schema (or composable schemas) do not."""
 

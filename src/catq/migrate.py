@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import NoMorphismExists, ResourceLimit, SchemaMismatch
+from .errors import InvariantViolation, NoMorphismExists, ResourceLimit, SchemaMismatch
 from .mappings import (
     InstanceMorphism,
     Mapping,
@@ -431,7 +431,7 @@ def pi(f_map: Mapping, i_model: TermModel,
             for x in families[t.name]:
                 y = tuple(x[i] for i in posmap)
                 if (t2.name, y) not in fam_gen:
-                    raise ResourceLimit(
+                    raise InvariantViolation(
                         f"family image under {h.name} not natural; enumeration incomplete")
                 eqs.append(ground_eq(App(h, (App(fam_gen[(t.name, x)]),)),
                                      App(fam_gen[(t2.name, y)])))
@@ -447,7 +447,7 @@ def pi(f_map: Mapping, i_model: TermModel,
                 for i1, q1 in cands[1:]:
                     other = i_model.eval(q1, varmap={free_vars(q1)[0].name: x[i1]})
                     if other != val:
-                        raise ResourceLimit(
+                        raise InvariantViolation(
                             f"attribute {att.name} is not well-defined across factorizations")
                 eqs.append(ground_eq(App(att, (App(fam_gen[(t.name, x)]),)), ty_term[val]))
 

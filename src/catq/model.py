@@ -122,6 +122,15 @@ class _Engine:
         return None if hit is None else self.find(hit)
 
     def merge(self, a: int, b: int) -> None:
+        """Union the classes of a and b and repair congruence.
+
+        The root with the larger id is absorbed.  Only applications over
+        the absorbed class change their hashcons key, and `class_uses[ry]`
+        already holds every one of them: `add` files each node under the
+        roots of its children, and every union concatenates the absorbed
+        class's uses onto the survivor's.  The survivor's own uses keep
+        their key, so each union costs the size of the absorbed use list.
+        """
         work = [(a, b)]
         while work:
             x, y = work.pop()
@@ -137,15 +146,14 @@ class _Engine:
             self.class_count[self.sort_of[rx]] -= 1
             self.members[rx].extend(self.members.pop(ry))
             uses = self.class_uses.pop(ry, [])
-            self.class_uses.setdefault(rx, []).extend(uses)
-            # re-canonicalize every application over the merged class
-            for p in list(self.class_uses.get(rx, ())):
+            for p in uses:
                 key = (self.node_sym[p], tuple(self.find(c) for c in self.node_children[p]))
                 q = self.hashcons.get(key)
                 if q is None:
                     self.hashcons[key] = p
                 elif self.find(q) != self.find(p):
                     work.append((p, q))
+            self.class_uses.setdefault(rx, []).extend(uses)
 
 
 class TermModel:

@@ -91,13 +91,15 @@ def lex(text: str, filename: str = "<input>") -> tuple[list[Token], list[Diagnos
             while j < n and text[j] != '"' and text[j] != "\n":
                 buf.append(text[j])
                 j += 1
-            if j >= n or text[j] != '"':
+            closed = j < n and text[j] == '"'
+            if not closed:
                 diags.append(Diagnostic("error", "SyntaxError", "unterminated string literal",
                                         span(start_l, start_c, line, col + (j - i))))
-            width = j - i + 1
+            # an unterminated literal stops before the newline, which the main loop counts
+            width = j - i + 1 if closed else j - i
             tokens.append(Token(STRING, "".join(buf), span(start_l, start_c, line, start_c + width)))
             col += width
-            i = j + 1
+            i += width
             continue
         if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
             j = i + 1

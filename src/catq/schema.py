@@ -9,7 +9,7 @@ these issues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import AbstractSet, Optional
 
 from .terms import (
     ATTRIBUTE,
@@ -165,8 +165,8 @@ def validate_schema(s: Schema) -> list[Issue]:
                 f"constraint must have exactly one entity-sorted variable: {eq}"))
         elif eq.free[0].sort not in s.entities:
             issues.append(Issue("UnknownSort", f"constraint variable has unknown entity {eq.free[0].sort.name}"))
-        issues.extend(_check_symbols(s, None, eq.lhs))
-        issues.extend(_check_symbols(s, None, eq.rhs))
+        issues.extend(_check_symbols(s, frozenset(), eq.lhs))
+        issues.extend(_check_symbols(s, frozenset(), eq.rhs))
     return issues
 
 
@@ -190,16 +190,16 @@ def generator(name: str, sort: Sort) -> FunctionSymbol:
     return FunctionSymbol(name, (), sort, GENERATOR)
 
 
-def _check_symbols(s: Schema, inst: Optional[InstancePresentation], t: Term) -> list[Issue]:
+def _check_symbols(s: Schema, gens: AbstractSet[FunctionSymbol], t: Term) -> list[Issue]:
+    """Issues for the symbols of t that neither the schema nor `gens` declares."""
     issues: list[Issue] = []
     if isinstance(t, Var):
         return issues
     sym = t.sym
-    known = s.owns_symbol(sym) or (inst is not None and sym in inst.generators)
-    if not known:
+    if not (s.owns_symbol(sym) or sym in gens):
         issues.append(Issue("UnknownSymbol", f"unknown symbol {sym.name} in {render_term(t)}"))
     for a in t.args:
-        issues.extend(_check_symbols(s, inst, a))
+        issues.extend(_check_symbols(s, gens, a))
     return issues
 
 
@@ -214,11 +214,12 @@ def validate_instance(i: InstancePresentation) -> list[Issue]:
         if g.name in names:
             issues.append(Issue("DuplicateName", f"generator {g.name} shadows another declaration"))
         names.add(g.name)
+    gens = set(i.generators)
     for eq in i.equations:
         if not eq.is_ground:
             issues.append(Issue("NonGroundEquation", f"instance equation must be ground: {eq}"))
-        issues.extend(_check_symbols(i.schema, i, eq.lhs))
-        issues.extend(_check_symbols(i.schema, i, eq.rhs))
+        issues.extend(_check_symbols(i.schema, gens, eq.lhs))
+        issues.extend(_check_symbols(i.schema, gens, eq.rhs))
     return issues
 
 

@@ -6,6 +6,8 @@ The mapping F collapses N1 and N2 onto N, sending f to the identity.
 S0/F0 are the foreign-key-free variants; S2/R is a pure renaming.
 """
 
+import random
+
 import pytest
 
 from catq import (
@@ -28,6 +30,7 @@ from catq import (
     int_literal,
     string_literal,
 )
+from catq import migrate
 
 N1 = Sort("N1", ENTITY)
 N2 = Sort("N2", ENTITY)
@@ -139,6 +142,55 @@ def joined_instance(schema, name="J"):
                 ground_eq(ap(sal, g), int_literal(pay)),
                 ground_eq(ap(age, g), int_literal(yrs))]
     return InstancePresentation(name, schema, [u, v, w], eqs)
+
+
+def merge_chain_instance(m, seed):
+    """m records of N1 with equal attributes, declared equal along a shuffled chain.
+
+    The attribute equations come first, so every union of the chain repairs
+    congruence over existing applications; the shuffle makes the absorbed
+    class (the one with the larger root) sometimes the larger class.
+    """
+    rng = random.Random(seed)
+    f, nm, age = fkey("f", N1, N2), attr("name", N1, STRING), attr("age", N2, INT)
+    schema = Schema("C", builtin_typeside(), [N1, N2], [nm, age], [f])
+    gens = [generator(f"r{k}", N1) for k in range(m)]
+    eqs = []
+    for g in gens:
+        eqs += [ground_eq(ap(nm, g), string_literal("p")),
+                ground_eq(ap(age, ap(f, g)), int_literal(30))]
+    chain = gens[:]
+    rng.shuffle(chain)
+    eqs += [ground_eq(App(a), App(b)) for a, b in zip(chain, chain[1:])]
+    return InstancePresentation(f"chain{m}", schema, gens, eqs)
+
+
+def count_calls(monkeypatch, owner, name, run):
+    """Run `run()` and return how often it called `owner.name`."""
+    calls = 0
+    real = getattr(owner, name)
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(owner, name, counting)
+        run()
+    return calls
+
+
+@pytest.fixture()
+def pi_ignores_foreign_keys(monkeypatch):
+    """Make pi enumerate families as if no foreign key constrained them.
+
+    On the running example such families disagree on age through N1 and
+    through N2, which trips pi's well-definedness invariant.
+    """
+    real = migrate._families
+    monkeypatch.setattr(migrate, "_families",
+                        lambda m, t, idx, cons, limits: real(m, t, idx, [], limits))
 
 
 @pytest.fixture(scope="session")

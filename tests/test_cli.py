@@ -1,9 +1,11 @@
 """End-to-end runs of the catq command line."""
 
+import gc
 import json
 
 import pytest
 
+from catq import InvariantViolation, cli
 from catq.cli import main
 
 from test_dsl import EXAMPLE
@@ -120,6 +122,20 @@ def test_bad_env_var_exits_1(tmp_path, capsys, monkeypatch):
     assert e.value.code == 1
 
 
+def test_pi_invariant_violation_exits_1(tmp_path, capsys, pi_ignores_foreign_keys):
+    assert main(["eval", write(tmp_path, EXAMPLE + "instance P = pi F I\n")]) == 1
+    assert "InvariantViolation: attribute age is not well-defined" in capsys.readouterr().err
+
+
+def test_invariant_violation_escaping_a_command_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(path):
+        raise InvariantViolation("enumeration incomplete")
+
+    monkeypatch.setattr(cli, "_load", broken)
+    assert main(["check", write(tmp_path, "")]) == 1
+    assert capsys.readouterr().err == "error: enumeration incomplete\n"
+
+
 def test_inconsistent_instance_exits_3(tmp_path, capsys):
     assert main(["check", write(tmp_path, COLLIDING)]) == 3
     assert "Collision(20, 30) at sort Int" in capsys.readouterr().err
@@ -165,6 +181,18 @@ def test_eval_is_deterministic(example_file, capsys):
     first = capsys.readouterr().out
     main(["eval", example_file])
     assert capsys.readouterr().out == first
+
+
+def test_eval_leaves_no_cyclic_garbage(example_file, capsys):
+    # the first call builds the argument parser, whose objects are cyclic
+    main(["eval", example_file, "--format", "csv"])
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["eval", example_file, "--format", "csv"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

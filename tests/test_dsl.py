@@ -19,6 +19,7 @@ from catq.parser import (
     MappingDecl,
     SchemaDecl,
     TypesideDecl,
+    lex,
 )
 
 from conftest import N, N1
@@ -116,6 +117,13 @@ def test_parse_recovers_with_spans():
     assert d.span is not None and d.span.line == 1
     # recovery still yields the following declaration
     assert any(isinstance(x, SchemaDecl) and x.name == "Q" for x in prog.decls)
+
+
+def test_lex_counts_the_newline_that_ends_an_unterminated_string():
+    tokens, diags = lex('"abc\nfoo')
+    assert [d.message for d in diags] == ["unterminated string literal"]
+    assert [(t.text, t.span.line, t.span.col) for t in tokens] == [
+        ("abc", 1, 1), ("foo", 2, 1), ("", 2, 4)]
 
 
 def test_parse_rejects_external_bindings():

@@ -9,6 +9,7 @@ from catq import (
     App,
     INT,
     InstancePresentation,
+    InvariantViolation,
     InversionBounds,
     Mapping,
     PathCaps,
@@ -126,6 +127,13 @@ def test_pi_and_saturation_leave_no_reference_cycles(mapping_f, model_i):
         gc.set_debug(0)
         gc.garbage.clear()
     assert cyclic == []
+
+
+def test_pi_invariant_failure_is_not_a_resource_limit(mapping_f, model_i,
+                                                      pi_ignores_foreign_keys):
+    with pytest.raises(InvariantViolation, match="attribute age is not well-defined"):
+        pi(mapping_f, model_i)
+    assert not issubclass(InvariantViolation, ResourceLimit)
 
 
 def test_delta_projects_and_populates_the_foreign_key(mapping_f, model_j, model_i):

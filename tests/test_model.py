@@ -1,6 +1,7 @@
 """Saturation engine: carriers, labels, consistency, and oracle equivalence."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -25,9 +26,10 @@ from catq import (
     render_model,
     string_literal,
 )
+from catq.model import _Engine
 from catq.terms import ENTITY, term_key
 
-from conftest import N1, N2, ap, attr, fkey
+from conftest import N1, N2, ap, attr, count_calls, fkey, merge_chain_instance
 from oracle import deductive_closure, oracle_equal, term_universe
 
 
@@ -205,9 +207,16 @@ def random_instance(seed: int) -> InstancePresentation:
     return inst
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_engine_partition_matches_oracle(seed):
-    inst = random_instance(seed)
+ORACLE_INPUTS = [
+    *(pytest.param(partial(random_instance, seed), id=str(seed)) for seed in range(24)),
+    *(pytest.param(partial(merge_chain_instance, m, seed), id=f"chain{m}-{seed}")
+      for m, seed in ((6, 0), (12, 1), (20, 2), (25, 3))),
+]
+
+
+@pytest.mark.parametrize("make", ORACLE_INPUTS)
+def test_engine_partition_matches_oracle(make):
+    inst = make()
     universe = sorted(term_universe(inst), key=repr)
     assert len(universe) <= 120
     partition = deductive_closure(inst)
@@ -217,6 +226,16 @@ def test_engine_partition_matches_oracle(seed):
             if t1.sort != t2.sort:
                 continue
             assert m.decide_equal(t1, t2) == oracle_equal(partition, t1, t2), (t1, t2)
+
+
+def test_merge_chain_work_grows_linearly(monkeypatch):
+    # a union re-keys only the uses of the class it absorbs
+    calls = {}
+    for m in (100, 400):
+        inst = merge_chain_instance(m, 0)
+        calls[m] = count_calls(monkeypatch, _Engine, "find", lambda: build_term_model(inst))
+    # 4x the records: linear work grows 4x (4.9x here), re-keying both classes 15x
+    assert calls[400] < 8 * calls[100]
 
 
 def test_oracle_on_running_example(inst_i, model_i, schema_s):

@@ -20,7 +20,7 @@ from catq import (
 )
 from catq.terms import ATTRIBUTE, ENTITY, TYPE, TYPESIDE
 
-from conftest import N1, N2, ap, attr, fkey
+from conftest import N1, N2, ap, attr, count_calls, fkey, merge_chain_instance
 
 
 def codes(issues):
@@ -81,3 +81,15 @@ def test_instance_validation(schema_s):
 def test_symbols_on_order(schema_s):
     names = [f.name for f in schema_s.symbols_on(N1)]
     assert names == ["f", "name", "salary"]  # foreign keys first, then attributes
+
+
+def test_validate_instance_work_grows_linearly(monkeypatch):
+    # generator symbols are checked against a set, not scanned in a list
+    calls = {}
+    for m in (100, 400):
+        inst = merge_chain_instance(m, 0)
+        calls[m] = count_calls(monkeypatch, FunctionSymbol, "__eq__",
+                               lambda: validate_instance(inst))
+        assert validate_instance(inst) == []
+    # 4x the records: linear work grows 4x, a list scan 15x
+    assert calls[400] < 8 * calls[100]

@@ -9,7 +9,6 @@ adjunction structure (units, counits and mates).
 
 from .errors import (
     CatqError,
-    EqualityNotPreserved,
     InvariantViolation,
     NoMorphismExists,
     NoPathForSymbol,

@@ -29,14 +29,6 @@ class SchemaMismatch(CatqError):
     """Two objects that must live over the same schema (or composable schemas) do not."""
 
 
-class EqualityNotPreserved(CatqError):
-    """A mapping fails to preserve a provable equality of its source."""
-
-    def __init__(self, constraint, message=""):
-        self.constraint = constraint
-        super().__init__(message or f"mapping does not preserve constraint {constraint}")
-
-
 class NoMorphismExists(CatqError):
     """A canonical morphism construction has no valid image for some class."""
 

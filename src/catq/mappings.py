@@ -99,15 +99,11 @@ def probe_model(schema: Schema, entity: Sort,
     return m
 
 
-def probe_generator(m: TermModel) -> FunctionSymbol:
-    return m.instance.generators[0]
-
-
 def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term,
                      limits: SaturationLimits = DEFAULT_LIMITS) -> bool:
     """Provable equality of two one-variable terms rooted at `entity`."""
     m = probe_model(schema, entity, limits)
-    g = App(probe_generator(m))
+    g = App(m.instance.generators[0])
 
     def close(t: Term) -> Term:
         vs = free_vars(t)

@@ -129,12 +129,6 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
     return PathSet(frm, to, terms, truncated)
 
 
-def shortest_path(schema: Schema, frm: Sort, to: Sort,
-                  caps: PathCaps = DEFAULT_CAPS) -> Optional[Term]:
-    ps = enumerate_paths(schema, frm, to, caps)
-    return ps.terms[0] if ps.terms else None
-
-
 # ---------------------------------------------------------------------------
 # Migration results
 
@@ -310,7 +304,7 @@ def _resolve_position(f_map: Mapping, t_ent: Sort, index: list[tuple[Sort, Term]
             continue
         if comp == p or open_terms_equal(f_map.target, t_ent, comp, p, limits):
             return i
-    raise ResourceLimit(
+    raise InvariantViolation(
         f"path {render_term(comp)} missing from the enumerated index at {t_ent.name}")
 
 

@@ -7,8 +7,9 @@ single bad token never hides the rest of the file.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # token kinds
 IDENT = "ident"
@@ -26,8 +27,9 @@ SECTION_KEYWORDS = {"types", "constants", "entities", "foreign_keys", "attribute
                     "equations", "generators", "java_types", "java_constants"}
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
+    """1-based line and column of a lexeme's first character and of the column after it."""
+
     file: str
     line: int
     col: int
@@ -41,8 +43,7 @@ class SourceSpan:
         return SourceSpan(self.file, self.line, self.col, other.end_line, other.end_col)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     span: SourceSpan
@@ -60,80 +61,64 @@ class Diagnostic:
         return f"{where}{self.severity}: {self.code}: {self.message}"
 
 
+# Non-ASCII word characters.  `\d` and `\w` test `str.isdecimal` and
+# `str.isalnum`, but a number starts at a `str.isdigit` character and an
+# identifier at a `str.isalpha` one; they differ on characters such as
+# `²` (a digit, not decimal) and `½` (alphanumeric, not a letter), so the
+# token pattern of a text names those of its characters explicitly.
+_NON_ASCII_WORD = re.compile(r"[^\W\x00-\x7f]")
+
+# NamedTuple's generated __new__ is a Python function; the lexer builds its
+# thousands of tokens and spans with tuple.__new__ directly, fields in order
+_tuple = tuple.__new__
+
+
+def _token_pattern(text: str) -> re.Pattern:
+    """Blanks, then one alternative per lexeme, tried in order; `re` caches the compiled pattern."""
+    odd = set() if text.isascii() else set(_NON_ASCII_WORD.findall(text))
+    digit = r"\d" + re.escape("".join(sorted(c for c in odd if c.isdigit())))
+    non_letter = re.escape("".join(sorted(c for c in odd if not c.isalpha())))
+    punct = "|".join(map(re.escape, PUNCTUATION))
+    # blanks at the end of the text match nothing, which leaves them out as well
+    return re.compile(
+        r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>//[^\n]*)"
+        rf'|(?P<{STRING}>"[^"\n]*"?)'
+        rf"|(?P<{NUMBER}>-?[{digit}][{digit}.]*)"
+        rf"|(?P<{IDENT}>[^\W\d{non_letter}]\w*)"
+        rf"|(?P<{PUNCT}>{punct})|(?P<bad>[^ \t\r]))")
+
+
 def lex(text: str, filename: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def span(l, c, l2, c2):
-        return SourceSpan(filename, l, c, l2, c2)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    comment = -1  # offset of the last comment
+    for m in _token_pattern(text).finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
+            comment = m.start(kind)
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
+        word = m.group(kind)
+        col = m.start(kind) - line_start + 1
+        span = _tuple(SourceSpan, (filename, line, col, line, col + len(word)))
+        if kind == STRING:
+            if len(word) > 1 and word[-1] == '"':
+                word = word[1:-1]
+            else:
+                diags.append(Diagnostic("error", "SyntaxError", "unterminated string literal", span))
+                word = word[1:]
+        elif kind == "bad":
+            diags.append(Diagnostic("error", "SyntaxError", f"unexpected character {word!r}", span))
             continue
-        start_l, start_c = line, col
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"' and text[j] != "\n":
-                buf.append(text[j])
-                j += 1
-            closed = j < n and text[j] == '"'
-            if not closed:
-                diags.append(Diagnostic("error", "SyntaxError", "unterminated string literal",
-                                        span(start_l, start_c, line, col + (j - i))))
-            # an unterminated literal stops before the newline, which the main loop counts
-            width = j - i + 1 if closed else j - i
-            tokens.append(Token(STRING, "".join(buf), span(start_l, start_c, line, start_c + width)))
-            col += width
-            i += width
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token(NUMBER, word, span(start_l, start_c, line, start_c + len(word))))
-            col += len(word)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token(IDENT, word, span(start_l, start_c, line, start_c + len(word))))
-            col += len(word)
-            i = j
-            continue
-        matched = None
-        for p in PUNCTUATION:
-            if text.startswith(p, i):
-                matched = p
-                break
-        if matched:
-            tokens.append(Token(PUNCT, matched, span(start_l, start_c, line, start_c + len(matched))))
-            col += len(matched)
-            i += len(matched)
-            continue
-        diags.append(Diagnostic("error", "SyntaxError", f"unexpected character {ch!r}",
-                                span(start_l, start_c, line, start_c + 1)))
-        i += 1
-        col += 1
-    tokens.append(Token(EOF, "", span(line, col, line, col)))
+        tokens.append(_tuple(Token, (kind, word, span)))
+    # a comment does not advance the column, so EOF after a final comment sits at its start
+    end = comment if comment >= line_start else len(text)
+    col = end - line_start + 1
+    tokens.append(Token(EOF, "", SourceSpan(filename, line, col, line, col)))
     return tokens, diags
 
 
@@ -178,8 +163,14 @@ class RawImage:
     def render(self) -> str:
         if self.var is None:
             return self.body.render()
-        ann = f":{self.var_sort}" if self.var_sort else ""
-        return f"lambda {self.var}{ann}. {self.body.render()}"
+        return f"lambda {_binder(self.var, self.var_sort)} {self.body.render()}"
+
+
+def _binder(var: str, sort: Optional[str]) -> str:
+    """`var.` or `var:sort.`, with a space before the dot after a number, which would absorb it."""
+    last = sort or var
+    dot = "." if last[0].isalpha() or last[0] == "_" else " ."
+    return f"{var}:{sort}{dot}" if sort else f"{var}{dot}"
 
 
 @dataclass
@@ -268,17 +259,20 @@ class _Parser:
 
     # -- primitives ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    # `next` never moves past the EOF token that ends `toks`, so `pos` is always a valid index
+
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != EOF:
             self.pos += 1
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in (PUNCT, IDENT)
+        t = self.toks[self.pos]
+        return t.text == text and (t.kind == PUNCT or t.kind == IDENT)
 
     def error(self, message: str, span: Optional[SourceSpan] = None):
         self.diags.append(Diagnostic("error", "SyntaxError", message,
@@ -322,30 +316,41 @@ class _Parser:
     # -- terms -----------------------------------------------------------
 
     def parse_term(self) -> Optional[RawTerm]:
-        t = self.peek()
-        if t.kind == STRING:
-            self.next()
-            return RawTerm(t.text, t.span, quoted=True)
-        if t.kind not in (IDENT, NUMBER):
-            self.error(f"expected a term, found {t.text!r}")
-            return None
-        self.next()
-        node = RawTerm(t.text, t.span)
-        if self.at("("):
-            self.next()
-            while not self.at(")") and self.peek().kind != EOF:
-                arg = self.parse_term()
-                if arg is None:
-                    break
-                node.args.append(arg)
-                if self.at(","):
+        # open applications sit on an explicit stack, so nesting depth is not
+        # bounded by Python's recursion limit
+        apps: list[RawTerm] = []
+        while True:
+            t = self.peek()
+            if t.kind == STRING:
+                self.next()
+                node = RawTerm(t.text, t.span, quoted=True)
+            elif t.kind == IDENT or t.kind == NUMBER:
+                self.next()
+                node = RawTerm(t.text, t.span)
+                if self.at("("):
                     self.next()
-                else:
-                    break
-            close = self.expect(")")
-            if close:
-                node.span = node.span.to(close.span)
-        return node
+                    apps.append(node)
+                    if not self.at(")") and self.peek().kind != EOF:
+                        continue  # read the first argument
+                    node = None
+            else:
+                self.error(f"expected a term, found {t.text!r}")
+                node = None
+            # `node` is a finished argument, or None after an error or an empty
+            # argument list; either way the innermost open application may close
+            while apps:
+                if node is not None:
+                    apps[-1].args.append(node)
+                    if self.at(","):
+                        self.next()
+                        if not self.at(")") and self.peek().kind != EOF:
+                            break  # read the next argument
+                node = apps.pop()
+                close = self.expect(")")
+                if close:
+                    node.span = node.span.to(close.span)
+            else:
+                return node
 
     def parse_equation(self, quantified: bool = False) -> Optional[RawEquation]:
         var = var_sort = None
@@ -447,7 +452,7 @@ class _Parser:
             if kw.text not in ("instance", "mapping"):
                 self.error(f"{head.text} expression cannot define a {kw.text}", head.span)
                 return None
-            return DerivedDecl(kw.text, name.text, kw.span.to(self.peek(-1).span if self.pos else kw.span),
+            return DerivedDecl(kw.text, name.text, kw.span.to(self.toks[self.pos - 1].span),
                                head.text, args)
         self.error(f"expected 'literal' or a derived expression, found {head.text!r}")
         return None
@@ -663,14 +668,19 @@ class _Parser:
         while self.peek().kind == IDENT and self.peek().text in ("cutoff", "depth"):
             opt = self.next()
             val = self.peek()
-            if val.kind != NUMBER:
+            try:
+                # a number token may still be malformed, such as 1.2.3 or ²
+                value = float(val.text) if opt.text == "cutoff" else int(val.text)
+            except ValueError:
+                value = None
+            if val.kind != NUMBER or value is None:
                 self.error(f"expected a number after {opt.text!r}")
                 return None
             self.next()
             if opt.text == "cutoff":
-                d.cutoff = float(val.text)
+                d.cutoff = value
             else:
-                d.depth = int(val.text)
+                d.depth = value
         return d
 
 
@@ -706,9 +716,17 @@ def _pp_equations(lines: list[str], eqs: list[RawEquation]):
     for eq in eqs:
         q = ""
         if eq.var is not None:
-            ann = f":{eq.var_sort}" if eq.var_sort else ""
-            q = f"forall {eq.var}{ann}. "
+            q = f"forall {_binder(eq.var, eq.var_sort)} "
         lines.append(f"        {q}{eq.lhs.render()} = {eq.rhs.render()}")
+
+
+def _positional(x: float) -> str:
+    """`x` as the `g` format prints it, but with no exponent, which would not lex as one number."""
+    text = f"{x:g}"
+    mantissa, _, exp = text.partition("e")
+    if not exp:
+        return text
+    return f"{x:.{max(len(mantissa.partition('.')[2]) - int(exp), 0)}f}"
 
 
 def pretty_print(prog: Program) -> str:
@@ -760,7 +778,7 @@ def pretty_print(prog: Program) -> str:
                 parts.append("span")
             parts.extend(d.args)
             if d.cutoff is not None:
-                parts.extend(["cutoff", f"{d.cutoff:g}"])
+                parts.extend(["cutoff", _positional(d.cutoff)])
             if d.depth is not None:
                 parts.extend(["depth", str(d.depth)])
             out.append(" ".join(parts))

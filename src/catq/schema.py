@@ -115,7 +115,10 @@ class Schema:
         return self.entity_named(name) or self.typeside.type_named(name)
 
     def symbol_named(self, name: str) -> Optional[FunctionSymbol]:
-        for f in self.symbols:
+        for f in self.foreign_keys:
+            if f.name == name:
+                return f
+        for f in self.attributes:
             if f.name == name:
                 return f
         return None
@@ -129,7 +132,14 @@ class Schema:
             return self.typeside.has_type(sym.out_sort)
         if sym.flavor == TYPESIDE:
             return sym in self.typeside.constants
-        return sym in self.symbols
+        # identity first: the symbols of elaborated terms are the declared objects
+        for f in self.foreign_keys:
+            if f is sym:
+                return True
+        for f in self.attributes:
+            if f is sym:
+                return True
+        return sym in self.foreign_keys or sym in self.attributes
 
 
 def validate_schema(s: Schema) -> list[Issue]:

@@ -193,6 +193,22 @@ def pi_ignores_foreign_keys(monkeypatch):
                         lambda m, t, idx, cons, limits: real(m, t, idx, [], limits))
 
 
+@pytest.fixture()
+def paths_without_composites(monkeypatch):
+    """Make every path enumeration keep only the identity path, if any, untruncated.
+
+    Along the identity mapping of S, pi then finds no position for f(p) in
+    N1's index, which only an incomplete enumeration can cause.
+    """
+    real = migrate.enumerate_paths
+
+    def identity_only(schema, frm, to, *args):
+        ps = real(schema, frm, to, *args)
+        return migrate.PathSet(frm, to, [t for t in ps.terms if isinstance(t, Var)])
+
+    monkeypatch.setattr(migrate, "enumerate_paths", identity_only)
+
+
 @pytest.fixture(scope="session")
 def inst_i(schema_s):
     return employees_instance(schema_s)

@@ -127,6 +127,13 @@ def test_pi_invariant_violation_exits_1(tmp_path, capsys, pi_ignores_foreign_key
     assert "InvariantViolation: attribute age is not well-defined" in capsys.readouterr().err
 
 
+def test_pi_index_miss_exits_1(tmp_path, capsys, paths_without_composites):
+    program = EXAMPLE + "mapping Id = identity S\ninstance P = pi Id I\n"
+    assert main(["eval", write(tmp_path, program)]) == 1
+    assert "InvariantViolation: path f(p) missing from the enumerated index at N1" in \
+        capsys.readouterr().err
+
+
 def test_invariant_violation_escaping_a_command_exits_1(tmp_path, capsys, monkeypatch):
     def broken(path):
         raise InvariantViolation("enumeration incomplete")

@@ -3,6 +3,7 @@
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from catq import (
     build_term_model,
@@ -13,11 +14,20 @@ from catq import (
     render_model,
 )
 from catq.parser import (
+    DECL_KEYWORDS,
+    DIRECTIVE_KEYWORDS,
+    EXPR_KEYWORDS,
+    SECTION_KEYWORDS,
     DerivedDecl,
     Directive,
     InstanceDecl,
     MappingDecl,
+    Program,
+    RawEquation,
+    RawImage,
+    RawTerm,
     SchemaDecl,
+    SourceSpan,
     TypesideDecl,
     lex,
 )
@@ -87,6 +97,75 @@ def parse_ok(text):
 
 
 # ---------------------------------------------------------------------------
+# Generated well-formed programs, as ASTs
+
+
+NOWHERE = SourceSpan("<generated>", 1, 1, 1, 1)
+RESERVED = (DECL_KEYWORDS | DIRECTIVE_KEYWORDS | EXPR_KEYWORDS | SECTION_KEYWORDS
+            | {"forall", "lambda", "span", "cutoff", "depth"})
+
+idents = st.builds(str.__add__, st.sampled_from("Aaz_é"),
+                   st.text("az09_é²", max_size=4)).filter(lambda s: s not in RESERVED)
+numbers = st.builds(str.__add__, st.sampled_from(["", "-"]),
+                    st.from_regex(r"[0-9]+(\.[0-9]+)?", fullmatch=True))
+names = st.one_of(idents, numbers)
+name_lists = st.lists(names, min_size=1, max_size=2)
+
+
+terms = st.recursive(
+    st.one_of(st.builds(lambda n: RawTerm(n, NOWHERE), names),
+              st.builds(lambda n: RawTerm(n, NOWHERE, quoted=True),
+                        st.text(st.characters(blacklist_characters='"\n'), max_size=4))),
+    lambda inner: st.builds(lambda n, args: RawTerm(n, NOWHERE, args), names,
+                            st.lists(inner, min_size=1, max_size=3)),
+    max_leaves=4)
+binders = st.tuples(names, st.one_of(st.none(), names))  # (variable, optional sort)
+no_binder = st.just((None, None))
+
+
+def small(elements):
+    return st.lists(elements, max_size=2)
+
+
+def equations(binder):
+    return small(st.builds(lambda lhs, rhs, v: RawEquation(lhs, rhs, NOWHERE, *v),
+                           terms, terms, binder))
+
+
+name_groups = small(st.tuples(name_lists, names))
+arrow_groups = small(st.tuples(name_lists, names, names))
+assignments = small(st.tuples(names, st.builds(lambda body, v: RawImage(body, NOWHERE, *v),
+                                               terms, st.one_of(no_binder, binders))))
+decls = st.one_of(
+    st.builds(lambda n, ty, cs, eqs: TypesideDecl(n, NOWHERE, ty, cs, eqs),
+              names, small(names), name_groups, equations(no_binder)),
+    st.builds(lambda n, ts, es, fks, atts, eqs: SchemaDecl(n, NOWHERE, ts, es, fks, atts, eqs),
+              names, names, small(names), arrow_groups, arrow_groups,
+              equations(st.one_of(no_binder, binders))),
+    st.builds(lambda n, sch, gens, eqs: InstanceDecl(n, NOWHERE, sch, gens, eqs),
+              names, names, name_groups, equations(no_binder)),
+    st.builds(lambda n, src, tgt, ents, fks, atts: MappingDecl(n, NOWHERE, src, tgt, ents, fks, atts),
+              names, names, names, small(st.tuples(names, names)), assignments, assignments),
+    st.builds(lambda kind, n, op, args: DerivedDecl(kind, n, NOWHERE, op,
+                                                    args[:1] if op == "identity" else args),
+              st.sampled_from(["instance", "mapping"]), names,
+              st.sampled_from(sorted(EXPR_KEYWORDS - {"literal"})), st.lists(names, min_size=2, max_size=2)),
+    st.builds(lambda op, span, args, cutoff, depth: Directive(
+                  op, NOWHERE, args if op == "match" else args[:1], span and op == "match", cutoff, depth),
+              st.sampled_from(sorted(DIRECTIVE_KEYWORDS)), st.booleans(),
+              st.lists(names, min_size=2, max_size=2),
+              st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+              st.one_of(st.none(), st.integers(-1000, 1000))))
+programs = st.builds(Program, st.lists(decls, max_size=3))
+
+
+def damaged(text):
+    """`text` with up to 8 characters at some place replaced by up to 3 others."""
+    return st.builds(lambda at, cut, new: text[:at] + new + text[at + cut:],
+                     st.integers(0, len(text)), st.integers(0, 8), st.text(max_size=3))
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 
 
@@ -139,12 +218,31 @@ def test_parse_empty_blocks_and_comments():
     assert prog.decls[1].entities == []
 
 
-def test_pretty_print_round_trip():
-    prog = parse_ok(EXAMPLE)
+@settings(max_examples=50)
+@given(programs.map(pretty_print))
+@example(EXAMPLE)
+@example("check I cutoff 0.00001\n")
+@example('mapping A = literal : A -> A {\n    attributes\n        A -> lambda 0 . ""\n}\n')
+def test_pretty_print_round_trip(text):
+    prog = parse_ok(text)
     once = pretty_print(prog)
     prog2, diags = parse(once)
     assert diags == []
     assert pretty_print(prog2) == once  # fixed point
+    if text != EXAMPLE:
+        assert once == text  # a generated program is printed already
+
+
+@settings(max_examples=50)
+@given(st.one_of(st.text(), programs.map(pretty_print).flatmap(damaged)))
+@example("check I cutoff 1.2.3")
+@example("invert F depth 1.5")
+@example("match A B cutoff ²")
+@example("instance I = literal : S { equations " + "f(" * 1500 + "x" + ")" * 1500 + " = y }")
+def test_parse_is_total(text):
+    prog, diags = parse(text)
+    assert isinstance(prog, Program)
+    assert all(d.span is not None for d in diags)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,11 @@ def test_pi_invariant_failure_is_not_a_resource_limit(mapping_f, model_i,
     assert not issubclass(InvariantViolation, ResourceLimit)
 
 
+def test_pi_index_miss_is_not_a_resource_limit(schema_s, model_i, paths_without_composites):
+    with pytest.raises(InvariantViolation, match=r"path f\(p\) missing from the enumerated index"):
+        pi(identity_mapping(schema_s), model_i)
+
+
 def test_delta_projects_and_populates_the_foreign_key(mapping_f, model_j, model_i):
     res = delta(mapping_f, model_j)
     assert len(res.model.carrier(N1)) == 3 and len(res.model.carrier(N2)) == 3

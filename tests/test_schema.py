@@ -83,6 +83,26 @@ def test_symbols_on_order(schema_s):
     assert names == ["f", "name", "salary"]  # foreign keys first, then attributes
 
 
+def test_symbol_lookups_neither_copy_nor_compare_declared_symbols(schema_s, monkeypatch):
+    # a declared symbol is found by identity, in the declared lists themselves
+    reads = 0
+    symbols = Schema.symbols.fget
+
+    def counting(self):
+        nonlocal reads
+        reads += 1
+        return symbols(self)
+
+    monkeypatch.setattr(Schema, "symbols", property(counting))
+    declared = schema_s.foreign_keys + schema_s.attributes
+    eqs = count_calls(monkeypatch, FunctionSymbol, "__eq__", lambda: [
+        (schema_s.owns_symbol(f), schema_s.symbol_named(f.name)) for f in declared])
+    assert eqs == 0 and reads == 0
+    assert all(schema_s.symbol_named(f.name) is f and schema_s.owns_symbol(f) for f in declared)
+    assert schema_s.owns_symbol(attr("age", N2, INT))  # equal but not identical
+    assert not schema_s.owns_symbol(attr("age", N1, INT))
+
+
 def test_validate_instance_work_grows_linearly(monkeypatch):
     # generator symbols are checked against a set, not scanned in a list
     calls = {}

@@ -96,28 +96,36 @@ class _Elaborator:
                      expected: Optional[Sort]) -> Optional[Term]:
         """Resolve a raw application tree against a schema context.
 
-        A leaf resolves, in order, to a bound variable, a generator of
-        `gens` (by name), a typeside constant, and finally a literal of
-        the expected built-in type.
+        Every symbol is unary, so an application is a chain: walk down it
+        to the leaf, resolve the leaf, then wrap its term in the symbols on
+        the way back up.  A leaf resolves, in order, to a bound variable, a
+        generator of `gens` (by name), a typeside constant, and finally a
+        literal of the expected built-in type.
         """
-        name = raw.name
         if raw.args:
-            sym = schema.symbol_named(name)
-            if sym is None:
-                self.error("UnknownSymbol", f"unknown symbol {name}", raw.span)
+            chain: list[tuple[RawTerm, FunctionSymbol]] = []
+            while raw.args:
+                sym = schema.symbol_named(raw.name)
+                if sym is None:
+                    self.error("UnknownSymbol", f"unknown symbol {raw.name}", raw.span)
+                    return None
+                if len(raw.args) != 1:
+                    self.error("SortMismatch", f"{raw.name} takes one argument", raw.span)
+                    return None
+                chain.append((raw, sym))
+                raw = raw.args[0]
+            t = self.resolve_term(raw, schema, gens, bound, sym.arg_sorts[0])  # the leaf
+            if t is None:
                 return None
-            if len(raw.args) != 1:
-                self.error("SortMismatch", f"{name} takes one argument", raw.span)
-                return None
-            arg = self.resolve_term(raw.args[0], schema, gens, bound, sym.arg_sorts[0])
-            if arg is None:
-                return None
-            if arg.sort != sym.arg_sorts[0]:
-                self.error("SortMismatch",
-                           f"argument of {name} has sort {arg.sort.name}, "
-                           f"expected {sym.arg_sorts[0].name}", raw.span)
-                return None
-            return App(sym, (arg,))
+            for raw, sym in reversed(chain):
+                if t.sort != sym.arg_sorts[0]:
+                    self.error("SortMismatch",
+                               f"argument of {raw.name} has sort {t.sort.name}, "
+                               f"expected {sym.arg_sorts[0].name}", raw.span)
+                    return None
+                t = App(sym, (t,))
+            return t
+        name = raw.name
         if not raw.quoted:
             if name in bound:
                 return Var(name, bound[name])
@@ -302,10 +310,6 @@ class _Elaborator:
                 return App(g, (Var("x", arg_sort),))
         if not img.body.args and img.body.name in bound:
             return Var(img.body.name, arg_sort)
-        if img.body.args:
-            head = tgt.symbol_named(img.body.name)
-            if head is not None:
-                return self.resolve_term(img.body, tgt, {}, bound, None)
         return self.resolve_term(img.body, tgt, {}, bound, None)
 
     def do_mapping(self, d: MappingDecl):
@@ -357,14 +361,12 @@ class _Elaborator:
                     self.error("NameResolution", f"unknown instance {inst_name}", d.span)
                     return
                 if d.op == "sigma":
-                    res = sigma(f_map, self.env.instances[inst_name], self.limits)
+                    res = sigma(f_map, self.env.instances[inst_name], self.limits, name=d.name)
                 elif d.op == "delta":
-                    res = delta(f_map, self.env.models[inst_name], self.limits)
+                    res = delta(f_map, self.env.models[inst_name], self.limits, name=d.name)
                 else:
-                    res = pi(f_map, self.env.models[inst_name], self.limits)
-                pres = res.presentation
-                pres.name = d.name
-                self.register_instance(d.name, pres, d.span, res.model)
+                    res = pi(f_map, self.env.models[inst_name], self.limits, name=d.name)
+                self.register_instance(d.name, res.presentation, d.span, res.model)
             elif d.op == "coproduct":
                 parts = []
                 for a in d.args:
@@ -380,8 +382,7 @@ class _Elaborator:
                 if any(m is None for m in maps):
                     self.error("NameResolution", f"unknown mapping among {d.args}", d.span)
                     return
-                h = compose_mappings(maps[0], maps[1], self.limits)
-                h.name = d.name
+                h = compose_mappings(maps[0], maps[1], self.limits, name=d.name)
                 self.env.mappings[d.name] = h
                 self.env.order.append(("mapping", d.name))
             elif d.op == "identity":

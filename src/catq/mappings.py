@@ -12,17 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import NoMorphismExists, SchemaMismatch, SortMismatch
+from .errors import NoMorphismExists, SchemaMismatch
 from .model import DEFAULT_LIMITS, SaturationLimits, TermModel, build_term_model
-from .schema import InstancePresentation, Issue, Schema, probe_instance, validate_schema
+from .schema import Issue, Schema, probe_instance
 from .terms import (
-    ATTRIBUTE,
-    FOREIGN_KEY,
     GENERATOR,
     LITERAL,
     TYPESIDE,
     App,
-    Equation,
     FunctionSymbol,
     Sort,
     Term,
@@ -159,14 +156,15 @@ def validate_mapping(f_map: Mapping, limits: SaturationLimits = DEFAULT_LIMITS) 
 
 
 def compose_mappings(f_map: Mapping, g_map: Mapping,
-                     limits: SaturationLimits = DEFAULT_LIMITS) -> Mapping:
+                     limits: SaturationLimits = DEFAULT_LIMITS, *,
+                     name: Optional[str] = None) -> Mapping:
     """First f, then g."""
     if f_map.target != g_map.source:
         raise SchemaMismatch(
             f"cannot compose {f_map.name} : ..->{f_map.target.name} with {g_map.name} : {g_map.source.name}->..")
     ent = {e: g_map.entity_map[t] for e, t in f_map.entity_map.items()}
     sym = {f: apply_mapping_term(g_map, t) for f, t in f_map.symbol_map.items()}
-    out = Mapping(f"{g_map.name}.{f_map.name}", f_map.source, g_map.target, ent, sym)
+    out = Mapping(name or f"{g_map.name}.{f_map.name}", f_map.source, g_map.target, ent, sym)
     bad = validate_mapping(out, limits)
     if bad:
         raise SchemaMismatch(f"composite mapping invalid: {bad[0]}")

@@ -173,7 +173,6 @@ def match_span(src: Schema, tgt: Schema,
             h = FunctionSymbol(f"{f.name}_{g.name}", (frm,), out,
                                FOREIGN_KEY if f.flavor == FOREIGN_KEY else ATTRIBUTE)
             (apex.foreign_keys if f.flavor == FOREIGN_KEY else apex.attributes).append(h)
-            var = Var("x", frm)
             sym_l[h] = App(f, (Var("x", f.arg_sorts[0]),))
             sym_r[h] = App(g, (Var("x", g.arg_sorts[0]),))
             scores[h.name] = sc

@@ -11,6 +11,7 @@ at desk scale.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -135,11 +136,19 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
 
 @dataclass
 class MigrationResult:
+    """What sigma, delta or pi computed.
+
+    A repeated call with the same arguments may hand this same object to
+    another caller, so it and its model are read-only.
+    """
+
     kind: str
     mapping: Mapping
     input_name: str
     presentation: InstancePresentation
     model: TermModel
+    # the mutable inputs as they were when this was computed (see `_results`)
+    _snapshot: tuple = field(init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -177,6 +186,31 @@ class PiResult(MigrationResult):
     ty_class: dict[int, int]
     ty_origin: dict[int, int]
     fresh_nulls: set[int] = field(default_factory=set)
+
+
+# Results of sigma, delta and pi by (functor, id(mapping), id(input), limits,
+# caps, name), kept only while someone holds them.  A result holds its
+# mapping and its input, so neither id is reused while its entry exists.
+# A hit is used only if the mapping (and sigma's input presentation) still
+# match the snapshot taken when the result was computed, compared element
+# by element; any mutation since then recomputes.
+_results: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _mapping_snapshot(f_map: Mapping) -> tuple:
+    return (f_map.source, f_map.target,
+            tuple(f_map.entity_map.items()), tuple(f_map.symbol_map.items()))
+
+
+def _cached(memo_key: tuple, snapshot: tuple) -> Optional[MigrationResult]:
+    hit = _results.get(memo_key)
+    return hit if hit is not None and hit._snapshot == snapshot else None
+
+
+def _remember(memo_key: tuple, snapshot: tuple, res: MigrationResult) -> MigrationResult:
+    res._snapshot = snapshot
+    _results[memo_key] = res
+    return res
 
 
 def _type_anchors(src: TermModel, prefix: str = ""):
@@ -219,12 +253,19 @@ def _type_anchors(src: TermModel, prefix: str = ""):
 
 
 def delta(f_map: Mapping, j: TermModel,
-          limits: SaturationLimits = DEFAULT_LIMITS) -> DeltaResult:
+          limits: SaturationLimits = DEFAULT_LIMITS, *,
+          name: Optional[str] = None) -> DeltaResult:
     """Model reduct: project a target model back along the mapping."""
     if j.schema != f_map.target:
         raise SchemaMismatch(f"{j.instance.name} is not an instance of {f_map.target.name}")
     if j.collisions:
         raise SchemaMismatch(f"input of delta is inconsistent: {j.collisions[0]}")
+    name = name or f"delta_{f_map.name}_{j.instance.name}"
+    memo_key = ("delta", id(f_map), id(j), limits, None, name)
+    snapshot = _mapping_snapshot(f_map)
+    hit = _cached(memo_key, snapshot)
+    if hit is not None:
+        return hit
     src = f_map.source
     gens: list[FunctionSymbol] = []
     eqs: list[Equation] = []
@@ -253,7 +294,7 @@ def delta(f_map: Mapping, j: TermModel,
                 else:
                     rhs = ty_term[img]
                 eqs.append(ground_eq(App(q, (App(g),)), rhs))
-    pres = InstancePresentation(f"delta_{f_map.name}_{j.instance.name}", src, gens, eqs)
+    pres = InstancePresentation(name, src, gens, eqs)
     model = build_term_model(pres, limits=limits)
     ent_class = {key: model.class_of(g) for key, g in ent_gen.items()}
     ty_class = {c: model.eval(t) for c, t in ty_term.items()}
@@ -262,8 +303,9 @@ def delta(f_map: Mapping, j: TermModel,
         to_target[out] = c
     for c, out in ty_class.items():
         to_target[out] = c
-    return DeltaResult("delta", f_map, j.instance.name, pres, model,
-                       j, gen_origin, ent_class, ty_class, to_target)
+    return _remember(memo_key, snapshot,
+                     DeltaResult("delta", f_map, j.instance.name, pres, model,
+                                 j, gen_origin, ent_class, ty_class, to_target))
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +325,22 @@ def translate_presentation(f_map: Mapping, inst: InstancePresentation,
 
 
 def sigma(f_map: Mapping, inst: InstancePresentation,
-          limits: SaturationLimits = DEFAULT_LIMITS) -> SigmaResult:
+          limits: SaturationLimits = DEFAULT_LIMITS, *,
+          name: Optional[str] = None) -> SigmaResult:
     if inst.schema != f_map.source:
         raise SchemaMismatch(f"{inst.name} is not an instance of {f_map.source.name}")
-    pres, gen_map = translate_presentation(f_map, inst)
+    name = name or f"sigma_{f_map.name}_{inst.name}"
+    memo_key = ("sigma", id(f_map), id(inst), limits, None, name)
+    snapshot = (_mapping_snapshot(f_map), inst.name, inst.schema,
+                tuple(inst.generators), tuple(inst.equations))
+    hit = _cached(memo_key, snapshot)
+    if hit is not None:
+        return hit
+    pres, gen_map = translate_presentation(f_map, inst, name)
     model = build_term_model(pres, limits=limits)
-    return SigmaResult("sigma", f_map, inst.name, pres, model,
-                       inst, gen_map, check_consistency(model))
+    return _remember(memo_key, snapshot,
+                     SigmaResult("sigma", f_map, inst.name, pres, model,
+                                 inst, gen_map, check_consistency(model)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +395,19 @@ def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, Term]],
 
 def pi(f_map: Mapping, i_model: TermModel,
        limits: SaturationLimits = DEFAULT_LIMITS,
-       caps: PathCaps = DEFAULT_CAPS) -> PiResult:
+       caps: PathCaps = DEFAULT_CAPS, *,
+       name: Optional[str] = None) -> PiResult:
     """Limit-style migration: path-indexed families over the input model."""
     if i_model.schema != f_map.source:
         raise SchemaMismatch(f"{i_model.instance.name} is not an instance of {f_map.source.name}")
     if i_model.collisions:
         raise SchemaMismatch(f"input of pi is inconsistent: {i_model.collisions[0]}")
+    name = name or f"pi_{f_map.name}_{i_model.instance.name}"
+    memo_key = ("pi", id(f_map), id(i_model), limits, caps, name)
+    snapshot = _mapping_snapshot(f_map)
+    hit = _cached(memo_key, snapshot)
+    if hit is not None:
+        return hit
     src, tgt = f_map.source, f_map.target
 
     index: dict[str, list[tuple[Sort, Term]]] = {}
@@ -445,7 +503,7 @@ def pi(f_map: Mapping, i_model: TermModel,
                             f"attribute {att.name} is not well-defined across factorizations")
                 eqs.append(ground_eq(App(att, (App(fam_gen[(t.name, x)]),)), ty_term[val]))
 
-    pres = InstancePresentation(f"pi_{f_map.name}_{i_model.instance.name}", tgt, gens, eqs)
+    pres = InstancePresentation(name, tgt, gens, eqs)
     model = build_term_model(pres, limits=limits)
     fam_class = {key: model.class_of(g) for key, g in fam_gen.items()}
     fam_of = {cls: key for key, cls in fam_class.items()}
@@ -453,9 +511,10 @@ def pi(f_map: Mapping, i_model: TermModel,
     ty_origin = {out: c for c, out in ty_class.items()}
     fresh = {c for tau in tgt.typeside.types for c in model.carrier(tau)
              if c not in ty_origin}
-    return PiResult("pi", f_map, i_model.instance.name, pres, model,
-                    i_model, index, families, fam_class, fam_of,
-                    ty_class, ty_origin, fresh)
+    return _remember(memo_key, snapshot,
+                     PiResult("pi", f_map, i_model.instance.name, pres, model,
+                              i_model, index, families, fam_class, fam_of,
+                              ty_class, ty_origin, fresh))
 
 
 # ---------------------------------------------------------------------------

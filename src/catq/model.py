@@ -111,11 +111,30 @@ class _Engine:
         return n
 
     def add_term(self, t: Term, var_cls: Optional[int] = None) -> int:
-        """Class of t, adding its missing subterms; a variable denotes var_cls."""
+        """Class of t, adding its missing subterms; a variable denotes var_cls.
+
+        Subterms are added left to right, children before parents, from an
+        explicit stack of (application, classes of the arguments done so far).
+        """
         if isinstance(t, Var):
             assert var_cls is not None
             return var_cls
-        return self.add(t.sym, tuple(self.add_term(a, var_cls) for a in t.args))
+        stack: list[tuple[App, list[int]]] = [(t, [])]
+        while True:
+            app, done = stack[-1]
+            if len(done) < len(app.args):
+                a = app.args[len(done)]
+                if isinstance(a, Var):
+                    assert var_cls is not None
+                    done.append(var_cls)
+                else:
+                    stack.append((a, []))
+                continue
+            stack.pop()
+            c = self.add(app.sym, tuple(done))
+            if not stack:
+                return c
+            stack[-1][1].append(c)
 
     def lookup(self, sym: FunctionSymbol, children: tuple[int, ...]) -> Optional[int]:
         hit = self.hashcons.get((sym, tuple(self.find(c) for c in children)))

@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Optional
 
 from .terms import (
-    ATTRIBUTE,
     ENTITY,
-    FOREIGN_KEY,
     GENERATOR,
     INT,
     LITERAL,
@@ -26,8 +24,6 @@ from .terms import (
     FunctionSymbol,
     Sort,
     Term,
-    Var,
-    is_ground,
     render_term,
 )
 
@@ -201,15 +197,23 @@ def generator(name: str, sort: Sort) -> FunctionSymbol:
 
 
 def _check_symbols(s: Schema, gens: AbstractSet[FunctionSymbol], t: Term) -> list[Issue]:
-    """Issues for the symbols of t that neither the schema nor `gens` declares."""
+    """Issues for the symbols of t that neither the schema nor `gens` declares.
+
+    The subterms are visited in pre-order, left to right: the loop follows
+    each first argument down, and a stack holds the later arguments.
+    """
     issues: list[Issue] = []
-    if isinstance(t, Var):
-        return issues
-    sym = t.sym
-    if not (s.owns_symbol(sym) or sym in gens):
-        issues.append(Issue("UnknownSymbol", f"unknown symbol {sym.name} in {render_term(t)}"))
-    for a in t.args:
-        issues.extend(_check_symbols(s, gens, a))
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while isinstance(t, App):
+            sym = t.sym
+            if not (s.owns_symbol(sym) or sym in gens):
+                issues.append(Issue("UnknownSymbol", f"unknown symbol {sym.name} in {render_term(t)}"))
+            if not t.args:
+                break
+            stack += t.args[:0:-1]
+            t = t.args[0]
     return issues
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from catq import InvariantViolation, cli
+from catq import InvariantViolation, cli, elaborate, parse
 from catq.cli import main
 
 from test_dsl import EXAMPLE
@@ -188,6 +188,37 @@ def test_eval_is_deterministic(example_file, capsys):
     first = capsys.readouterr().out
     main(["eval", example_file])
     assert capsys.readouterr().out == first
+
+
+def test_derived_instances_keep_their_own_names(tmp_path, capsys):
+    program = EXAMPLE + "instance J1 = sigma F I\ninstance J2 = sigma F I\ncheck J1\ncheck J2\n"
+    assert main(["eval", write(tmp_path, program)]) == 0
+    out = capsys.readouterr().out
+    first = out.split("# instance J1\n", 1)[1].split("# instance J2\n", 1)[0]
+    second = out.split("# instance J2\n", 1)[1][:len(first)]
+    assert "| Alice | 100 | 20 |" in first and first == second
+    assert "check J1: consistent" in out and "check J2: consistent" in out
+    env, diags = elaborate(parse(program)[0])
+    assert diags == []
+    assert [env.instances[n].name for n in ("J", "J1", "J2")] == ["J", "J1", "J2"]
+    assert [env.models[n].instance.name for n in ("J", "J1", "J2")] == ["J", "J1", "J2"]
+
+
+def nested_equation_program(depth):
+    term = "a"
+    for _ in range(depth):
+        term = f"nxt({term})"
+    return CYCLIC.replace("{ generators a : E }",
+                          f"{{ generators a : E equations {term} = a }}")
+
+
+def test_deeply_nested_terms_check_and_eval(tmp_path, capsys):
+    # resolution, symbol checks and saturation each walk the 1500-deep term
+    path = write(tmp_path, nested_equation_program(1500))
+    assert main(["check", path]) == 0
+    assert main(["eval", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n| ") == 1501  # the header and one row per class
 
 
 def test_eval_leaves_no_cyclic_garbage(example_file, capsys):

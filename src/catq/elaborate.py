@@ -34,7 +34,6 @@ from .schema import (
     InstancePresentation,
     Schema,
     Typeside,
-    builtin_typeside,
     generator,
     validate_instance,
     validate_schema,
@@ -176,23 +175,19 @@ class _Elaborator:
         return True
 
     def do_typeside(self, d: TypesideDecl):
-        ts = builtin_typeside(d.name)
-        for t in d.types:
-            if t not in ("String", "Int"):
-                ts.types.append(Sort(t, TYPE))
+        types = [STRING, INT] + [Sort(t, TYPE) for t in d.types if t not in ("String", "Int")]
+        type_named = {t.name: t for t in reversed(types)}
+        constants: list[FunctionSymbol] = []
         for names, sort_name in d.constants:
-            sort = ts.type_named(sort_name)
+            sort = type_named.get(sort_name)
             if sort is None:
                 self.error("UnknownSort", f"unknown type {sort_name}", d.span)
                 continue
-            for n in names:
-                ts.constants.append(FunctionSymbol(n, (), sort, TYPESIDE))
+            constants.extend(FunctionSymbol(n, (), sort, TYPESIDE) for n in names)
         # typeside equations are resolved against a symbol-free schema shell
-        shell = Schema(f"_{d.name}", ts)
-        for raw in d.equations:
-            eq = self.resolve_equation(raw, shell, {}, {})
-            if eq is not None:
-                ts.equations.append(eq)
+        shell = Schema(f"_{d.name}", Typeside(d.name, types, constants))
+        eqs = [self.resolve_equation(raw, shell, {}, {}) for raw in d.equations]
+        ts = Typeside(d.name, types, constants, [eq for eq in eqs if eq is not None])
         if not self.issues_to_diags(validate_typeside(ts), d.span):
             self.env.typesides[d.name] = ts
             self.env.order.append(("typeside", d.name))
@@ -202,19 +197,25 @@ class _Elaborator:
         if ts is None:
             self.error("NameResolution", f"unknown typeside {d.typeside_ref}", d.span)
             return
-        sch = Schema(d.name, ts, [Sort(e, ENTITY) for e in d.entities])
+        entities = [Sort(e, ENTITY) for e in d.entities]
+        entity_named = {e.name: e for e in reversed(entities)}
+        fks: list[FunctionSymbol] = []
         for names, frm, to in d.foreign_keys:
-            a, b = sch.entity_named(frm), sch.entity_named(to)
+            a, b = entity_named.get(frm), entity_named.get(to)
             if a is None or b is None:
                 self.error("UnknownSort", f"foreign key endpoints {frm} -> {to} must be entities", d.span)
                 continue
-            sch.foreign_keys.extend(FunctionSymbol(n, (a,), b, FOREIGN_KEY) for n in names)
+            fks.extend(FunctionSymbol(n, (a,), b, FOREIGN_KEY) for n in names)
+        atts: list[FunctionSymbol] = []
         for names, frm, to in d.attributes:
-            a, b = sch.entity_named(frm), ts.type_named(to)
+            a, b = entity_named.get(frm), ts.type_named(to)
             if a is None or b is None:
                 self.error("UnknownSort", f"attribute must map an entity to a type: {frm} -> {to}", d.span)
                 continue
-            sch.attributes.extend(FunctionSymbol(n, (a,), b, ATTRIBUTE) for n in names)
+            atts.extend(FunctionSymbol(n, (a,), b, ATTRIBUTE) for n in names)
+        # constraints are resolved against the schema without them
+        shell = Schema(d.name, ts, entities, atts, fks)
+        constraints: list[Equation] = []
         for raw in d.equations:
             if raw.var is None:
                 self.error("BadConstraintShape",
@@ -224,13 +225,14 @@ class _Elaborator:
                 self.error("BadConstraintShape",
                            f"quantified variable {raw.var} needs a sort annotation", raw.span)
                 continue
-            vs = sch.entity_named(raw.var_sort)
+            vs = entity_named.get(raw.var_sort)
             if vs is None:
                 self.error("UnknownSort", f"unknown entity {raw.var_sort}", raw.span)
                 continue
-            eq = self.resolve_equation(raw, sch, {}, {raw.var: vs})
+            eq = self.resolve_equation(raw, shell, {}, {raw.var: vs})
             if eq is not None:
-                sch.constraints.append(eq)
+                constraints.append(eq)
+        sch = Schema(d.name, ts, entities, atts, fks, constraints)
         if not self.issues_to_diags(validate_schema(sch), d.span):
             self.env.schemas[d.name] = sch
             self.env.order.append(("schema", d.name))
@@ -252,33 +254,27 @@ class _Elaborator:
         if sch is None:
             self.error("NameResolution", f"unknown schema {d.schema_ref}", d.span)
             return
-        pres = InstancePresentation(d.name, sch)
+        generators: list[FunctionSymbol] = []
         for names, sort_name in d.generators:
             sort = sch.sort_named(sort_name)
             if sort is None:
                 self.error("UnknownSort", f"unknown sort {sort_name}", d.span)
                 continue
-            pres.generators.extend(generator(n, sort) for n in names)
-        gens: dict[str, FunctionSymbol] = {}
-        for g in pres.generators:
-            gens.setdefault(g.name, g)  # the first declaration wins
-        for raw in d.equations:
-            eq = self.resolve_equation(raw, sch, gens, {})
-            if eq is not None:
-                pres.equations.append(eq)
+            generators.extend(generator(n, sort) for n in names)
+        gens = {g.name: g for g in reversed(generators)}  # the first declaration wins
+        eqs = [self.resolve_equation(raw, sch, gens, {}) for raw in d.equations]
+        pres = InstancePresentation(d.name, sch, generators, [eq for eq in eqs if eq is not None])
         if self.issues_to_diags(validate_instance(pres), d.span):
             return
         self.register_instance(d.name, pres, d.span)
 
-    def resolve_image(self, img: RawImage, sym: FunctionSymbol,
-                      f_map: Mapping) -> Optional[Term]:
-        """Resolve a mapping image, in lambda or shorthand form.
+    def resolve_image(self, img: RawImage, tgt: Schema, arg_sort: Sort) -> Optional[Term]:
+        """Resolve a mapping image over `tgt`, in lambda or shorthand form.
 
-        In shorthand form the whole body is a term whose single
-        unresolved leaf is taken to be the bound variable.
+        The bound variable has sort `arg_sort`.  In shorthand form the
+        whole body is a term whose single unresolved leaf is taken to be
+        the bound variable.
         """
-        tgt = f_map.target
-        arg_sort = f_map.sort_image(sym.arg_sorts[0])
         if img.var is not None:
             if img.var_sort is not None and img.var_sort != arg_sort.name:
                 self.error("SortMismatch",
@@ -319,26 +315,28 @@ class _Elaborator:
             self.error("NameResolution",
                        f"unknown schema in mapping header: {d.source_ref} -> {d.target_ref}", d.span)
             return
-        f_map = Mapping(d.name, src, tgt)
+        ent: dict[Sort, Sort] = {}
         for a, b in d.entities:
             ea, eb = src.entity_named(a), tgt.entity_named(b)
             if ea is None or eb is None:
                 self.error("UnknownSort", f"unknown entity in {a} -> {b}", d.span)
                 continue
-            f_map.entity_map[ea] = eb
+            ent[ea] = eb
+        syms: dict[FunctionSymbol, Term] = {}
         for fname, img in d.foreign_keys + d.attributes:
             sym = src.symbol_named(fname)
             if sym is None:
                 self.error("UnknownSymbol", f"unknown source symbol {fname}", img.span)
                 continue
-            if sym.arg_sorts[0] not in f_map.entity_map:
+            if sym.arg_sorts[0] not in ent:
                 self.error("NameResolution",
                            f"entity {sym.arg_sorts[0].name} has no image yet (declare it first)",
                            img.span)
                 continue
-            t = self.resolve_image(img, sym, f_map)
+            t = self.resolve_image(img, tgt, ent[sym.arg_sorts[0]])
             if t is not None:
-                f_map.symbol_map[sym] = t
+                syms[sym] = t
+        f_map = Mapping(d.name, src, tgt, ent, syms)
         try:
             issues = validate_mapping(f_map, self.limits)
         except ResourceLimit as e:

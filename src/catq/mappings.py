@@ -10,6 +10,7 @@ free one-generator probe instance on the target schema.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import NoMorphismExists, SchemaMismatch
@@ -17,8 +18,6 @@ from .model import DEFAULT_LIMITS, SaturationLimits, TermModel, build_term_model
 from .schema import Issue, Schema, probe_instance
 from .terms import (
     GENERATOR,
-    LITERAL,
-    TYPESIDE,
     App,
     FunctionSymbol,
     Sort,
@@ -30,13 +29,19 @@ from .terms import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mapping:
+    """A frozen value; `entity_map` and `symbol_map` are read-only copies of the dicts given."""
+
     name: str
     source: Schema
     target: Schema
-    entity_map: dict[Sort, Sort] = field(default_factory=dict)
-    symbol_map: dict[FunctionSymbol, Term] = field(default_factory=dict)
+    entity_map: MappingProxyType[Sort, Sort] = field(default_factory=dict)
+    symbol_map: MappingProxyType[FunctionSymbol, Term] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entity_map", MappingProxyType(dict(self.entity_map)))
+        object.__setattr__(self, "symbol_map", MappingProxyType(dict(self.symbol_map)))
 
     def entity_image(self, e: Sort) -> Sort:
         return self.entity_map[e]
@@ -60,23 +65,30 @@ def apply_mapping_term(f_map: Mapping, t: Term,
     """Homomorphic extension of a mapping to terms over its source.
 
     Variables are re-sorted along the entity map; generators are
-    re-routed through `genmap` when translating instance terms.
+    re-routed through `genmap` when translating instance terms.  Every
+    symbol is unary, so a term is a chain: walk down it collecting the
+    image of each symbol, translate the leaf, then wrap it in the images
+    on the way back up.
     """
+    images: list[Term] = []
+    while isinstance(t, App) and t.args:
+        image = f_map.symbol_map.get(t.sym)
+        if image is None:
+            raise SchemaMismatch(f"mapping {f_map.name} has no image for symbol {t.sym.name}")
+        images.append(image)
+        t = t.args[0]
     if isinstance(t, Var):
-        return Var(t.name, f_map.sort_image(t.sort))
-    sym = t.sym
-    if sym.flavor in (LITERAL, TYPESIDE):
-        return App(sym, tuple(apply_mapping_term(f_map, a, genmap) for a in t.args))
-    if sym.flavor == GENERATOR:
-        if genmap is None or sym not in genmap:
-            raise SchemaMismatch(f"no translation for generator {sym.name}")
-        return App(genmap[sym])
-    image = f_map.symbol_map.get(sym)
-    if image is None:
-        raise SchemaMismatch(f"mapping {f_map.name} has no image for symbol {sym.name}")
-    arg = apply_mapping_term(f_map, t.args[0], genmap)
-    (v,) = free_vars(image)
-    return substitute(image, {v.name: arg})
+        out: Term = Var(t.name, f_map.sort_image(t.sort))
+    elif t.sym.flavor == GENERATOR:
+        if genmap is None or t.sym not in genmap:
+            raise SchemaMismatch(f"no translation for generator {t.sym.name}")
+        out = App(genmap[t.sym])
+    else:
+        out = t  # a literal or a typeside constant
+    for image in reversed(images):
+        (v,) = free_vars(image)
+        out = substitute(image, {v.name: out})
+    return out
 
 
 # probe models are rebuilt deterministically, so caching them is safe;
@@ -249,10 +261,6 @@ class InstanceMorphism:
 
     def is_identity(self) -> bool:
         return all(self.apply(c) == self.source.find(c) for c in self.source.all_classes())
-
-    def then(self, other: "InstanceMorphism") -> "InstanceMorphism":
-        return InstanceMorphism(self.source, other.target,
-                                {c: other.apply(self.apply(c)) for c in self.source.all_classes()})
 
 
 def identity_morphism(m: TermModel) -> InstanceMorphism:

@@ -146,9 +146,10 @@ def match_span(src: Schema, tgt: Schema,
                 e = Sort(f"{s.name}_{t.name}", ENTITY)
                 pairs[(s, t)] = e
                 scores[e.name] = sc
-    apex = Schema(f"span_{src.name}_{tgt.name}", src.typeside, list(pairs.values()), [], [])
     ent_l = {e: s for (s, t), e in pairs.items()}
     ent_r = {e: t for (s, t), e in pairs.items()}
+    fks: list[FunctionSymbol] = []
+    atts: list[FunctionSymbol] = []
     sym_l: dict[FunctionSymbol, Term] = {}
     sym_r: dict[FunctionSymbol, Term] = {}
     for f in src.symbols:
@@ -172,10 +173,11 @@ def match_span(src: Schema, tgt: Schema,
                 continue
             h = FunctionSymbol(f"{f.name}_{g.name}", (frm,), out,
                                FOREIGN_KEY if f.flavor == FOREIGN_KEY else ATTRIBUTE)
-            (apex.foreign_keys if f.flavor == FOREIGN_KEY else apex.attributes).append(h)
+            (fks if f.flavor == FOREIGN_KEY else atts).append(h)
             sym_l[h] = App(f, (Var("x", f.arg_sorts[0]),))
             sym_r[h] = App(g, (Var("x", g.arg_sorts[0]),))
             scores[h.name] = sc
+    apex = Schema(f"span_{src.name}_{tgt.name}", src.typeside, list(pairs.values()), atts, fks)
     # projection images must be typed over the apex variable's image sort
     left = Mapping(f"{apex.name}_left", apex, src, ent_l,
                    {h: App(t.sym, (Var("x", ent_l[h.arg_sorts[0]]),)) for h, t in sym_l.items()})

@@ -29,11 +29,9 @@ from .mappings import (
 )
 from .model import (
     DEFAULT_LIMITS,
-    Collision,
     SaturationLimits,
     TermModel,
     build_term_model,
-    check_consistency,
 )
 from .schema import InstancePresentation, Schema, generator
 from .terms import (
@@ -147,8 +145,6 @@ class MigrationResult:
     input_name: str
     presentation: InstancePresentation
     model: TermModel
-    # the mutable inputs as they were when this was computed (see `_results`)
-    _snapshot: tuple = field(init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -168,7 +164,6 @@ class DeltaResult(MigrationResult):
 class SigmaResult(MigrationResult):
     input_presentation: InstancePresentation
     gen_map: dict[FunctionSymbol, FunctionSymbol]
-    collision: Optional[Collision]
 
 
 @dataclass
@@ -190,27 +185,10 @@ class PiResult(MigrationResult):
 
 # Results of sigma, delta and pi by (functor, id(mapping), id(input), limits,
 # caps, name), kept only while someone holds them.  A result holds its
-# mapping and its input, so neither id is reused while its entry exists.
-# A hit is used only if the mapping (and sigma's input presentation) still
-# match the snapshot taken when the result was computed, compared element
-# by element; any mutation since then recomputes.
+# mapping and its input, so neither id is reused while its entry exists;
+# mappings, presentations and term models are immutable, so a hit is
+# always what the call would compute again.
 _results: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _mapping_snapshot(f_map: Mapping) -> tuple:
-    return (f_map.source, f_map.target,
-            tuple(f_map.entity_map.items()), tuple(f_map.symbol_map.items()))
-
-
-def _cached(memo_key: tuple, snapshot: tuple) -> Optional[MigrationResult]:
-    hit = _results.get(memo_key)
-    return hit if hit is not None and hit._snapshot == snapshot else None
-
-
-def _remember(memo_key: tuple, snapshot: tuple, res: MigrationResult) -> MigrationResult:
-    res._snapshot = snapshot
-    _results[memo_key] = res
-    return res
 
 
 def _type_anchors(src: TermModel, prefix: str = ""):
@@ -262,8 +240,7 @@ def delta(f_map: Mapping, j: TermModel,
         raise SchemaMismatch(f"input of delta is inconsistent: {j.collisions[0]}")
     name = name or f"delta_{f_map.name}_{j.instance.name}"
     memo_key = ("delta", id(f_map), id(j), limits, None, name)
-    snapshot = _mapping_snapshot(f_map)
-    hit = _cached(memo_key, snapshot)
+    hit = _results.get(memo_key)
     if hit is not None:
         return hit
     src = f_map.source
@@ -303,9 +280,9 @@ def delta(f_map: Mapping, j: TermModel,
         to_target[out] = c
     for c, out in ty_class.items():
         to_target[out] = c
-    return _remember(memo_key, snapshot,
-                     DeltaResult("delta", f_map, j.instance.name, pres, model,
-                                 j, gen_origin, ent_class, ty_class, to_target))
+    res = _results[memo_key] = DeltaResult("delta", f_map, j.instance.name, pres, model,
+                                           j, gen_origin, ent_class, ty_class, to_target)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +308,13 @@ def sigma(f_map: Mapping, inst: InstancePresentation,
         raise SchemaMismatch(f"{inst.name} is not an instance of {f_map.source.name}")
     name = name or f"sigma_{f_map.name}_{inst.name}"
     memo_key = ("sigma", id(f_map), id(inst), limits, None, name)
-    snapshot = (_mapping_snapshot(f_map), inst.name, inst.schema,
-                tuple(inst.generators), tuple(inst.equations))
-    hit = _cached(memo_key, snapshot)
+    hit = _results.get(memo_key)
     if hit is not None:
         return hit
     pres, gen_map = translate_presentation(f_map, inst, name)
     model = build_term_model(pres, limits=limits)
-    return _remember(memo_key, snapshot,
-                     SigmaResult("sigma", f_map, inst.name, pres, model,
-                                 inst, gen_map, check_consistency(model)))
+    res = _results[memo_key] = SigmaResult("sigma", f_map, inst.name, pres, model, inst, gen_map)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +378,7 @@ def pi(f_map: Mapping, i_model: TermModel,
         raise SchemaMismatch(f"input of pi is inconsistent: {i_model.collisions[0]}")
     name = name or f"pi_{f_map.name}_{i_model.instance.name}"
     memo_key = ("pi", id(f_map), id(i_model), limits, caps, name)
-    snapshot = _mapping_snapshot(f_map)
-    hit = _cached(memo_key, snapshot)
+    hit = _results.get(memo_key)
     if hit is not None:
         return hit
     src, tgt = f_map.source, f_map.target
@@ -511,10 +484,10 @@ def pi(f_map: Mapping, i_model: TermModel,
     ty_origin = {out: c for c, out in ty_class.items()}
     fresh = {c for tau in tgt.typeside.types for c in model.carrier(tau)
              if c not in ty_origin}
-    return _remember(memo_key, snapshot,
-                     PiResult("pi", f_map, i_model.instance.name, pres, model,
-                              i_model, index, families, fam_class, fam_of,
-                              ty_class, ty_origin, fresh))
+    res = _results[memo_key] = PiResult("pi", f_map, i_model.instance.name, pres, model,
+                                        i_model, index, families, fam_class, fam_of,
+                                        ty_class, ty_origin, fresh)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +624,7 @@ def instances_isomorphic(a: TermModel, b: TermModel,
     """A bijective commuting morphism, or None."""
     if a.schema != b.schema:
         raise SchemaMismatch("isomorphism requires a common schema")
-    for s in list(a.schema.entities) + list(a.schema.typeside.types):
+    for s in a.schema.entities + a.schema.typeside.types:
         if len(a.carrier(s)) != len(b.carrier(s)):
             return None
     if sorted(l.sym.name for l in a.literal_of.values()) != \
@@ -665,10 +638,16 @@ def instances_isomorphic(a: TermModel, b: TermModel,
 # Units, counits, mates
 
 
-def _checked(m: InstanceMorphism) -> InstanceMorphism:
+def _checked(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
+    """m, verified, holding `built`: the migration results a unit or counit built it from.
+
+    While m lives the memo keeps those results, so a transpose that
+    needs one of them again gets it instead of rebuilding it.
+    """
     bad = m.violations()
     if bad:
         raise NoMorphismExists(bad[0])
+    m._built = built
     return m
 
 
@@ -686,7 +665,7 @@ def unit_sigma(f_map: Mapping, i_model: TermModel,
             cmap[c] = dres.ent_class[(s.name, j)]
         else:
             cmap[c] = dres.ty_class[j]
-    return _checked(InstanceMorphism(i_model, dres.model, cmap))
+    return _checked(InstanceMorphism(i_model, dres.model, cmap), sres, dres)
 
 
 def counit_sigma(f_map: Mapping, j_model: TermModel,
@@ -695,7 +674,7 @@ def counit_sigma(f_map: Mapping, j_model: TermModel,
     dres = delta(f_map, j_model, limits)
     sres = sigma(f_map, dres.presentation, limits)
     genmap = {sres.gen_map[g]: origin for g, origin in dres.gen_origin.items()}
-    return _checked(morphism_from_genmap(sres.model, j_model, genmap))
+    return _checked(morphism_from_genmap(sres.model, j_model, genmap), dres, sres)
 
 
 def unit_pi(f_map: Mapping, j_model: TermModel,
@@ -715,7 +694,7 @@ def unit_pi(f_map: Mapping, j_model: TermModel,
     for tau in f_map.target.typeside.types:
         for c in j_model.carrier(tau):
             cmap[c] = pires.ty_class[dres.ty_class[c]]
-    return _checked(InstanceMorphism(j_model, pires.model, cmap))
+    return _checked(InstanceMorphism(j_model, pires.model, cmap), dres, pires)
 
 
 def _identity_position(index: list[tuple[Sort, Term]], s: Sort) -> int:
@@ -760,7 +739,7 @@ def counit_pi(f_map: Mapping, i_model: TermModel,
             raise NoMorphismExists(
                 f"no image available for unconstrained class at {dres.model.sort_of(c).name}")
         cmap[c] = carrier[0]
-    return _checked(InstanceMorphism(dres.model, i_model, cmap))
+    return _checked(InstanceMorphism(dres.model, i_model, cmap), pires, dres)
 
 
 def transpose_sigma_down(f_map: Mapping, i_model: TermModel, h: InstanceMorphism,

@@ -19,8 +19,9 @@ union-find into a root table once, then resolves classes level by level
 in the depth of their least term: a node becomes a candidate when the
 last of its child classes is resolved, each class takes its least
 candidate under (symbol name, child ranks), and the classes of a level
-get integer ranks in that order.  Ranks order classes exactly as
-`terms.term_key` orders their canonical terms, which fixes the carrier
+get integer ranks in that order.  Ranks order classes as their canonical
+terms are ordered by depth, then symbol name, then arguments (the order
+`term_key` in the tests' oracle spells out), which fixes the carrier
 order and the entity ids.
 """
 
@@ -246,7 +247,7 @@ class TermModel:
         by_sort: dict[Sort, list[int]] = {}
         for r in roots:
             by_sort.setdefault(eng.sort_of[r], []).append(r)
-        sorts = list(self.schema.entities) + list(self.schema.typeside.types)
+        sorts = self.schema.entities + self.schema.typeside.types
         for s in sorts:
             cs = sorted(by_sort.get(s, []), key=rank.__getitem__)
             self.carriers[s] = cs
@@ -277,7 +278,7 @@ class TermModel:
 
     def all_classes(self) -> list[int]:
         out: list[int] = []
-        for s in list(self.schema.entities) + list(self.schema.typeside.types):
+        for s in self.schema.entities + self.schema.typeside.types:
             out.extend(self.carriers.get(s, []))
         return out
 
@@ -360,18 +361,16 @@ class TermModel:
         return f"TermModel({self.instance.name}; {sizes})"
 
 
-def build_term_model(inst: InstancePresentation, schema: Optional[Schema] = None,
+def build_term_model(inst: InstancePresentation, *,
                      limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
     """Saturate an instance presentation into its term model."""
-    schema = schema or inst.schema
-    if schema is not inst.schema and schema != inst.schema:
-        raise SortMismatch("instance is not presented over the given schema")
+    schema = inst.schema
     eng = _Engine()
     for c in schema.typeside.constants:
         eng.add(c, ())
     for g in inst.generators:
         eng.add(g, ())
-    for eq in list(schema.typeside.equations) + list(inst.equations):
+    for eq in schema.typeside.equations + inst.equations:
         eng.merge(eng.add_term(eq.lhs), eng.add_term(eq.rhs))
 
     closure = {s: schema.symbols_on(s) for s in schema.entities}

@@ -1,14 +1,16 @@
 """The three theory layers: typesides, schemas, and instance presentations.
 
-Each layer extends the previous one with new symbols.  Validation
-returns a list of issues (empty list = ok) so callers can report
-every problem at once; the DSL elaborator attaches source spans to
-these issues.
+Each layer extends the previous one with new symbols.  All three are
+frozen values: their list fields are stored as tuples, and name lookups
+are built once per object, on first use.  Validation returns a list of
+issues (empty list = ok) so callers can report every problem at once;
+the DSL elaborator attaches source spans to these issues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet, Optional
 
 from .terms import (
@@ -37,27 +39,43 @@ class Issue:
         return f"{self.code}: {self.message}"
 
 
-@dataclass
+def _tuples(obj, *names: str) -> None:
+    """Store the named fields of a frozen dataclass as tuples."""
+    for n in names:
+        object.__setattr__(obj, n, tuple(getattr(obj, n)))
+
+
+def _by_name(items) -> dict:
+    """Name -> item, keeping the first item of each name."""
+    return {x.name: x for x in reversed(items)}
+
+
+@dataclass(frozen=True)
 class Typeside:
     name: str
-    types: list[Sort] = field(default_factory=lambda: [STRING, INT])
-    constants: list[FunctionSymbol] = field(default_factory=list)
-    equations: list[Equation] = field(default_factory=list)
+    types: tuple[Sort, ...] = (STRING, INT)
+    constants: tuple[FunctionSymbol, ...] = ()
+    equations: tuple[Equation, ...] = ()
+
+    def __post_init__(self):
+        _tuples(self, "types", "constants", "equations")
+
+    @cached_property
+    def _types(self) -> dict[str, Sort]:
+        return _by_name(self.types)
+
+    @cached_property
+    def _constants(self) -> dict[str, FunctionSymbol]:
+        return _by_name(self.constants)
 
     def has_type(self, sort: Sort) -> bool:
         return sort in self.types
 
     def type_named(self, name: str) -> Optional[Sort]:
-        for t in self.types:
-            if t.name == name:
-                return t
-        return None
+        return self._types.get(name)
 
     def constant_named(self, name: str) -> Optional[FunctionSymbol]:
-        for c in self.constants:
-            if c.name == name:
-                return c
-        return None
+        return self._constants.get(name)
 
 
 def builtin_typeside(name: str = "Ty") -> Typeside:
@@ -88,54 +106,60 @@ def validate_typeside(ts: Typeside) -> list[Issue]:
     return issues
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schema:
     name: str
     typeside: Typeside
-    entities: list[Sort] = field(default_factory=list)
-    attributes: list[FunctionSymbol] = field(default_factory=list)
-    foreign_keys: list[FunctionSymbol] = field(default_factory=list)
-    constraints: list[Equation] = field(default_factory=list)
+    entities: tuple[Sort, ...] = ()
+    attributes: tuple[FunctionSymbol, ...] = ()
+    foreign_keys: tuple[FunctionSymbol, ...] = ()
+    constraints: tuple[Equation, ...] = ()
 
-    @property
-    def symbols(self) -> list[FunctionSymbol]:
+    def __post_init__(self):
+        _tuples(self, "entities", "attributes", "foreign_keys", "constraints")
+
+    @cached_property
+    def symbols(self) -> tuple[FunctionSymbol, ...]:
         return self.foreign_keys + self.attributes
 
+    @cached_property
+    def _entities(self) -> dict[str, Sort]:
+        return _by_name(self.entities)
+
+    @cached_property
+    def _symbols(self) -> dict[str, FunctionSymbol]:
+        return _by_name(self.symbols)
+
+    @cached_property
+    def _symbol_set(self) -> frozenset[FunctionSymbol]:
+        return frozenset(self.symbols)
+
+    @cached_property
+    def _symbols_on(self) -> dict[tuple[Sort, ...], tuple[FunctionSymbol, ...]]:
+        on: dict[tuple[Sort, ...], list[FunctionSymbol]] = {}
+        for f in self.symbols:
+            on.setdefault(f.arg_sorts, []).append(f)
+        return {args: tuple(fs) for args, fs in on.items()}
+
     def entity_named(self, name: str) -> Optional[Sort]:
-        for e in self.entities:
-            if e.name == name:
-                return e
-        return None
+        return self._entities.get(name)
 
     def sort_named(self, name: str) -> Optional[Sort]:
         return self.entity_named(name) or self.typeside.type_named(name)
 
     def symbol_named(self, name: str) -> Optional[FunctionSymbol]:
-        for f in self.foreign_keys:
-            if f.name == name:
-                return f
-        for f in self.attributes:
-            if f.name == name:
-                return f
-        return None
+        return self._symbols.get(name)
 
-    def symbols_on(self, sort: Sort) -> list[FunctionSymbol]:
+    def symbols_on(self, sort: Sort) -> tuple[FunctionSymbol, ...]:
         """Foreign keys then attributes applicable to an entity, in declaration order."""
-        return [f for f in self.symbols if f.arg_sorts == (sort,)]
+        return self._symbols_on.get((sort,), ())
 
     def owns_symbol(self, sym: FunctionSymbol) -> bool:
         if sym.flavor == LITERAL:
             return self.typeside.has_type(sym.out_sort)
         if sym.flavor == TYPESIDE:
             return sym in self.typeside.constants
-        # identity first: the symbols of elaborated terms are the declared objects
-        for f in self.foreign_keys:
-            if f is sym:
-                return True
-        for f in self.attributes:
-            if f is sym:
-                return True
-        return sym in self.foreign_keys or sym in self.attributes
+        return sym in self._symbol_set
 
 
 def validate_schema(s: Schema) -> list[Issue]:
@@ -176,20 +200,24 @@ def validate_schema(s: Schema) -> list[Issue]:
     return issues
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstancePresentation:
     """A schema extended with 0-ary generators and ground equations."""
 
     name: str
     schema: Schema
-    generators: list[FunctionSymbol] = field(default_factory=list)
-    equations: list[Equation] = field(default_factory=list)
+    generators: tuple[FunctionSymbol, ...] = ()
+    equations: tuple[Equation, ...] = ()
+
+    def __post_init__(self):
+        _tuples(self, "generators", "equations")
+
+    @cached_property
+    def _generators(self) -> dict[str, FunctionSymbol]:
+        return _by_name(self.generators)
 
     def generator_named(self, name: str) -> Optional[FunctionSymbol]:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        return None
+        return self._generators.get(name)
 
 
 def generator(name: str, sort: Sort) -> FunctionSymbol:
@@ -241,7 +269,7 @@ def empty_instance(name: str, schema: Schema) -> InstancePresentation:
     return InstancePresentation(name, schema)
 
 
-def probe_instance(schema: Schema, entity: Sort, gen_name: str = "_x") -> InstancePresentation:
+def probe_instance(schema: Schema, entity: Sort) -> InstancePresentation:
     """Free instance on one generator at the given entity.
 
     Used to decide provable equality of open terms with a single
@@ -249,4 +277,4 @@ def probe_instance(schema: Schema, entity: Sort, gen_name: str = "_x") -> Instan
     free probe.
     """
     return InstancePresentation(f"_probe_{schema.name}_{entity.name}", schema,
-                                [generator(gen_name, entity)], [])
+                                [generator("_x", entity)])

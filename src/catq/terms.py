@@ -126,24 +126,6 @@ def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
     return App(t.sym, tuple(substitute(a, binding) for a in t.args))
 
 
-def term_depth(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    if not t.args:
-        return 1
-    return 1 + max(term_depth(a) for a in t.args)
-
-
-def term_key(t: Term):
-    """Total order on terms: depth first, then symbol name, then arguments.
-
-    Constants (generators, literals) therefore come before applications.
-    """
-    if isinstance(t, Var):
-        return (1, 0, t.name, ())
-    return (term_depth(t), 1, t.sym.name, tuple(term_key(a) for a in t.args))
-
-
 def render_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name

@@ -10,8 +10,28 @@ foreign keys).
 
 from __future__ import annotations
 
-from catq import App, InstancePresentation, Term
+from catq import App, InstancePresentation, Term, Var
 from catq.terms import is_ground, substitute, subterms
+
+
+def term_depth(t: Term) -> int:
+    if isinstance(t, Var):
+        return 1
+    if not t.args:
+        return 1
+    return 1 + max(term_depth(a) for a in t.args)
+
+
+def term_key(t: Term):
+    """Total order on terms: depth first, then symbol name, then arguments.
+
+    Constants (generators, literals) therefore come before applications.
+    The term model's canonical terms are the least of their classes in
+    this order.
+    """
+    if isinstance(t, Var):
+        return (1, 0, t.name, ())
+    return (term_depth(t), 1, t.sym.name, tuple(term_key(a) for a in t.args))
 
 
 def term_universe(inst: InstancePresentation) -> set[Term]:

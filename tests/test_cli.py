@@ -221,6 +221,18 @@ def test_deeply_nested_terms_check_and_eval(tmp_path, capsys):
     assert out.count("\n| ") == 1501  # the header and one row per class
 
 
+def test_deeply_nested_terms_migrate(tmp_path, capsys):
+    # sigma translates the 1500-deep equation along the mapping, delta projects it back
+    path = write(tmp_path, nested_equation_program(1500) + (
+        "mapping Id = identity L\n"
+        "instance J = sigma Id W\n"
+        "instance K = delta Id J\n"))
+    assert main(["check", path]) == 0
+    assert main(["eval", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n| ") == 3 * 1501  # W, J and K each have 1500 classes
+
+
 def test_eval_leaves_no_cyclic_garbage(example_file, capsys):
     # the first call builds the argument parser, whose objects are cyclic
     main(["eval", example_file, "--format", "csv"])

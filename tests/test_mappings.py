@@ -1,5 +1,7 @@
 """Schema mappings, composition, equality, and instance morphisms."""
 
+from dataclasses import replace
+
 import pytest
 
 from catq import (
@@ -102,12 +104,12 @@ def test_composition_translates_images(mapping_r, mapping_f, schema_s, schema_s2
 def test_mappings_equal_modulo_provability(mapping_f, schema_s, schema_t):
     # a syntactically different but provably equal image is still equal
     same = Mapping("F2", mapping_f.source, mapping_f.target,
-                   dict(mapping_f.entity_map), dict(mapping_f.symbol_map))
+                   mapping_f.entity_map, mapping_f.symbol_map)
     assert mappings_equal(mapping_f, same)
     x = Var("z", N)
-    same.symbol_map = dict(same.symbol_map)
-    same.symbol_map[schema_s.symbol_named("f")] = x  # alpha-renamed variable
-    assert mappings_equal(mapping_f, same)
+    renamed = replace(same, symbol_map={**same.symbol_map,
+                                        schema_s.symbol_named("f"): x})  # alpha-renamed variable
+    assert mappings_equal(mapping_f, renamed)
 
 
 def test_apply_mapping_term(mapping_f, schema_s, schema_t):

@@ -2,6 +2,7 @@
 
 import gc
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -103,7 +104,7 @@ def test_enumerate_paths_dedups_modulo_constraints():
 
 def test_sigma_joins_along_the_foreign_key(mapping_f, inst_i):
     res = sigma(mapping_f, inst_i)
-    assert res.collision is None
+    assert res.model.collisions == []
     assert row_labels(res.model, N, ["name", "salary", "age"]) == [
         ("Alice", "100", "20"), ("Bob", "250", "20"), ("Sue", "300", "30")]
 
@@ -339,37 +340,71 @@ def test_adjunction_laws_reuse_migration_results(builds, mapping_f, model_i, mod
     assert transpose_sigma_down(f, dres.model, counit_s).is_identity()
     assert transpose_pi_up(f, unit_p, dres.model).is_identity()
     assert transpose_pi_down(f, pires.model, counit_p).is_identity()
-    # seven distinct migrations; the units and the pi counit drop the results
-    # they compute (delta of sigma I, pi of delta J, delta of pi I) when they
-    # return, so the three transposes that need them again rebuild them
-    # (recomputing in every call built 18 + 3 * len(up) models)
-    assert builds["builds"] <= 10
+    # seven distinct migrations: sigma I, delta J and pi I, and the four the
+    # units and counits build (delta of sigma I, sigma of delta J, pi of
+    # delta J, delta of pi I), which the transposes get again from the memo
+    # while the morphisms built from them live (recomputing in every call
+    # built 18 + 3 * len(up) models)
+    assert builds["builds"] == 7
+
+
+def test_migration_inputs_cannot_change(mapping_f, model_i):
+    # the memo serves a held result without comparing its inputs again,
+    # which is sound because mappings and presentations cannot change
+    inst = model_i.instance
+    for obj in (inst.schema.typeside, inst.schema, inst, mapping_f):
+        for f in fields(obj):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, f.name)
+            assert not isinstance(getattr(obj, f.name), (list, dict, set))
+    f_sym = inst.schema.symbol_named("f")
+    with pytest.raises(TypeError):
+        mapping_f.entity_map[N1] = N
+    with pytest.raises(TypeError):
+        mapping_f.symbol_map[f_sym] = Var("x", N)
+    with pytest.raises(TypeError):
+        del mapping_f.entity_map[N1]
+    # a mapping copies the dicts it is built from
+    ent, sym = dict(mapping_f.entity_map), dict(mapping_f.symbol_map)
+    g = Mapping("G", mapping_f.source, mapping_f.target, ent, sym)
+    ent.clear()
+    sym.clear()
+    assert g.entity_map == mapping_f.entity_map and g.symbol_map == mapping_f.symbol_map
 
 
 def test_mutated_mapping_is_migrated_again(builds, mapping_f, model_j, schema_t):
+    # a mapping cannot change in place, so a mutation is a changed copy;
+    # the memo builds that copy's result and keeps the original's
     g = Mapping("G", mapping_f.source, mapping_f.target,
                 dict(mapping_f.entity_map), dict(mapping_f.symbol_map))
     first = delta(g, model_j)
     salary = g.source.symbol_named("salary")
-    g.symbol_map[salary] = ap(schema_t.symbol_named("age"), Var("x", N))
-    second = delta(g, model_j)
+    sym = dict(g.symbol_map)
+    sym[salary] = ap(schema_t.symbol_named("age"), Var("x", N))
+    g2 = Mapping("G", g.source, g.target, dict(g.entity_map), sym)
+    second = delta(g2, model_j)
     assert second is not first and builds["builds"] == 2
     assert row_labels(first.model, N1, ["salary"]) == [("100",), ("250",), ("300",)]
     assert row_labels(second.model, N1, ["salary"]) == [("20",), ("20",), ("30",)]
-    assert delta(g, model_j) is second
+    assert delta(g2, model_j) is second
+    assert delta(g, model_j) is first and builds["builds"] == 2
 
 
 def test_mutated_presentation_is_migrated_again(builds, mapping_f, schema_s):
+    from dataclasses import replace
     from catq import ground_eq
     inst = employees_instance(schema_s)
     first = sigma(mapping_f, inst)
     e1, e2 = inst.generators[:2]
-    inst.equations.append(ground_eq(App(e1), App(e2)))
-    second = sigma(mapping_f, inst)
+    inst2 = replace(inst, equations=inst.equations + (ground_eq(App(e1), App(e2)),))
+    second = sigma(mapping_f, inst2)
     assert second is not first and builds["builds"] == 2
     assert len(first.model.carrier(N)) == 3
-    assert second.collision is not None  # Alice = Bob
-    assert sigma(mapping_f, inst) is second
+    assert second.model.collisions  # Alice = Bob
+    assert sigma(mapping_f, inst2) is second
+    assert sigma(mapping_f, inst) is first and builds["builds"] == 2
 
 
 # ---------------------------------------------------------------------------

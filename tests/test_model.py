@@ -1,6 +1,7 @@
 """Saturation engine: carriers, labels, consistency, and oracle equivalence."""
 
 import random
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -27,10 +28,10 @@ from catq import (
     string_literal,
 )
 from catq.model import _Engine
-from catq.terms import ENTITY, term_key
+from catq.terms import ENTITY
 
 from conftest import N1, N2, ap, attr, count_calls, fkey, merge_chain_instance
-from oracle import deductive_closure, oracle_equal, term_universe
+from oracle import deductive_closure, oracle_equal, term_key, term_universe
 
 
 def test_running_example_carriers(model_i, schema_s):
@@ -153,12 +154,11 @@ def test_constraint_saturation_collapses_classes():
 
 
 def test_typeside_constants_and_equations():
-    ts = builtin_typeside()
     from catq.terms import TYPESIDE
     from catq import FunctionSymbol
     zero = FunctionSymbol("zero", (), INT, TYPESIDE)
-    ts.constants.append(zero)
-    ts.equations.append(ground_eq(App(zero), int_literal(0)))
+    ts = replace(builtin_typeside(), constants=[zero],
+                 equations=[ground_eq(App(zero), int_literal(0))])
     e = Sort("E", ENTITY)
     sch = Schema("K", ts, [e], [attr("n", e, INT)], [])
     g = generator("a", e)
@@ -194,6 +194,7 @@ def random_instance(seed: int) -> InstancePresentation:
     by_sort = {}
     for t in universe:
         by_sort.setdefault(t.sort, []).append(t)
+    eqs = []
     for _ in range(rng.randint(0, 6)):
         sort = rng.choice(list(by_sort))
         pool = by_sort[sort]
@@ -203,8 +204,8 @@ def random_instance(seed: int) -> InstancePresentation:
         else:
             rhs = rng.choice(pool + [int_literal(rng.randint(0, 3)) if sort == INT
                                      else string_literal(rng.choice("pqr"))])
-        inst.equations.append(ground_eq(lhs, rhs))
-    return inst
+        eqs.append(ground_eq(lhs, rhs))
+    return replace(inst, equations=eqs)
 
 
 ORACLE_INPUTS = [

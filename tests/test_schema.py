@@ -1,5 +1,8 @@
 """Validators for typesides, schemas and instance presentations."""
 
+from dataclasses import replace
+from functools import cached_property
+
 from catq import (
     App,
     Equation,
@@ -32,9 +35,9 @@ def test_builtin_typeside_is_valid():
 
 
 def test_typeside_rejects_bad_constants_and_open_equations():
-    ts = builtin_typeside()
-    ts.constants.append(FunctionSymbol("pair", (INT,), INT, TYPESIDE))
-    ts.constants.append(FunctionSymbol("u", (), Sort("Missing", TYPE), TYPESIDE))
+    ts = replace(builtin_typeside(), constants=[
+        FunctionSymbol("pair", (INT,), INT, TYPESIDE),
+        FunctionSymbol("u", (), Sort("Missing", TYPE), TYPESIDE)])
     assert {"BadConstant", "UnknownSort"} <= codes(validate_typeside(ts))
 
 
@@ -59,8 +62,7 @@ def test_schema_constraint_shape(schema_s):
                  list(schema_s.attributes), list(schema_s.foreign_keys), [good])
     assert validate_schema(sch) == []
     two_vars = Equation((x, y), App(f, (x,)), App(f, (y,)))
-    sch.constraints = [two_vars]
-    assert "BadConstraintShape" in codes(validate_schema(sch))
+    assert "BadConstraintShape" in codes(validate_schema(replace(sch, constraints=[two_vars])))
 
 
 def test_instance_validation(schema_s):
@@ -84,32 +86,41 @@ def test_symbols_on_order(schema_s):
 
 
 def test_symbol_lookups_neither_copy_nor_compare_declared_symbols(schema_s, monkeypatch):
-    # a declared symbol is found by identity, in the declared lists themselves
+    # `symbols` is computed once per schema, and the lookups built from it
+    # find a declared symbol by identity
     reads = 0
-    symbols = Schema.symbols.fget
+    symbols = Schema.symbols.func
 
     def counting(self):
         nonlocal reads
         reads += 1
         return symbols(self)
 
-    monkeypatch.setattr(Schema, "symbols", property(counting))
-    declared = schema_s.foreign_keys + schema_s.attributes
+    computed_once = cached_property(counting)
+    computed_once.__set_name__(Schema, "symbols")
+    monkeypatch.setattr(Schema, "symbols", computed_once)
+    sch = replace(schema_s)  # nothing computed yet
+    declared = sch.foreign_keys + sch.attributes
     eqs = count_calls(monkeypatch, FunctionSymbol, "__eq__", lambda: [
-        (schema_s.owns_symbol(f), schema_s.symbol_named(f.name)) for f in declared])
-    assert eqs == 0 and reads == 0
-    assert all(schema_s.symbol_named(f.name) is f and schema_s.owns_symbol(f) for f in declared)
-    assert schema_s.owns_symbol(attr("age", N2, INT))  # equal but not identical
-    assert not schema_s.owns_symbol(attr("age", N1, INT))
+        (sch.owns_symbol(f), sch.symbol_named(f.name), sch.symbols_on(f.arg_sorts[0]), sch.symbols)
+        for f in declared])
+    assert eqs == 0 and reads == 1
+    assert all(sch.symbol_named(f.name) is f and sch.owns_symbol(f) for f in declared)
+    assert sch.owns_symbol(attr("age", N2, INT))  # equal but not identical
+    assert not sch.owns_symbol(attr("age", N1, INT))
+    assert reads == 1
 
 
 def test_validate_instance_work_grows_linearly(monkeypatch):
-    # generator symbols are checked against a set, not scanned in a list
+    # symbols are checked against sets, not scanned in lists; a set lookup
+    # hashes the symbol and compares it at most once, a list scan compares
+    # it with every element
     calls = {}
     for m in (100, 400):
         inst = merge_chain_instance(m, 0)
-        calls[m] = count_calls(monkeypatch, FunctionSymbol, "__eq__",
-                               lambda: validate_instance(inst))
+        calls[m] = sum(count_calls(monkeypatch, FunctionSymbol, name,
+                                   lambda: validate_instance(inst))
+                       for name in ("__eq__", "__hash__"))
         assert validate_instance(inst) == []
     # 4x the records: linear work grows 4x, a list scan 15x
     assert calls[400] < 8 * calls[100]

@@ -15,9 +15,10 @@ from catq import (
     int_literal,
     string_literal,
 )
-from catq.terms import free_vars, is_ground, render_term, substitute, term_depth, term_key
+from catq.terms import free_vars, is_ground, render_term, substitute
 
 from conftest import N1, N2, ap, attr, fkey
+from oracle import term_depth, term_key
 
 f = fkey("f", N1, N2)
 age = attr("age", N2, INT)

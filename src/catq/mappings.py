@@ -269,18 +269,19 @@ def identity_morphism(m: TermModel) -> InstanceMorphism:
 
 def morphism_from_genmap(src: TermModel, tgt: TermModel,
                          genmap: dict[FunctionSymbol, int]) -> InstanceMorphism:
-    """Homomorphic extension of a generator assignment, verified."""
+    """Homomorphic extension of a generator assignment, verified.
+
+    NoMorphismExists when it sends a generator g elsewhere than genmap[g]:
+    the assignment breaks an equation of src.
+    """
     if src.schema != tgt.schema:
         raise SchemaMismatch("morphism endpoints must share a schema")
-    cmap: dict[int, int] = {}
-    for c in src.all_classes():
-        img = tgt.eval(src.canonical[c], genmap=genmap)
-        if img is None:
-            raise NoMorphismExists(
-                f"image of {render_term(src.canonical[c])} does not denote in the target")
-        cmap[c] = img
+    cmap = src.image(tgt, genmap)
+    if cmap is None:
+        raise NoMorphismExists(f"a literal of {src.instance.name} does not denote in the target")
     h = InstanceMorphism(src, tgt, cmap)
-    bad = h.violations()
+    bad = [f"the assignment of {g.name} breaks an equation of {src.instance.name}"
+           for g, d in genmap.items() if h.apply(src.class_of(g)) != tgt.find(d)] or h.violations()
     if bad:
         raise NoMorphismExists(bad[0])
     return h

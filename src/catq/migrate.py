@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvariantViolation, NoMorphismExists, ResourceLimit, SchemaMismatch
@@ -140,16 +140,14 @@ class MigrationResult:
     another caller, so it and its model are read-only.
     """
 
-    kind: str
     mapping: Mapping
-    input_name: str
+    input: InstancePresentation | TermModel  # held: its id is in the memo key
     presentation: InstancePresentation
     model: TermModel
 
 
 @dataclass
 class DeltaResult(MigrationResult):
-    input_model: TermModel
     # generator -> class of the input model it was created for
     gen_origin: dict[FunctionSymbol, int]
     # (source entity name, input class) -> output class
@@ -162,13 +160,11 @@ class DeltaResult(MigrationResult):
 
 @dataclass
 class SigmaResult(MigrationResult):
-    input_presentation: InstancePresentation
     gen_map: dict[FunctionSymbol, FunctionSymbol]
 
 
 @dataclass
 class PiResult(MigrationResult):
-    input_model: TermModel
     # per target entity name: ordered index of (source entity, open path term)
     index: dict[str, list[tuple[Sort, Term]]]
     # per target entity name: ordered list of family tuples
@@ -180,7 +176,6 @@ class PiResult(MigrationResult):
     # input type class <-> output class
     ty_class: dict[int, int]
     ty_origin: dict[int, int]
-    fresh_nulls: set[int] = field(default_factory=set)
 
 
 # Results of sigma, delta and pi by (functor, id(mapping), id(input), limits,
@@ -280,8 +275,8 @@ def delta(f_map: Mapping, j: TermModel,
         to_target[out] = c
     for c, out in ty_class.items():
         to_target[out] = c
-    res = _results[memo_key] = DeltaResult("delta", f_map, j.instance.name, pres, model,
-                                           j, gen_origin, ent_class, ty_class, to_target)
+    res = _results[memo_key] = DeltaResult(f_map, j, pres, model,
+                                           gen_origin, ent_class, ty_class, to_target)
     return res
 
 
@@ -313,7 +308,7 @@ def sigma(f_map: Mapping, inst: InstancePresentation,
         return hit
     pres, gen_map = translate_presentation(f_map, inst, name)
     model = build_term_model(pres, limits=limits)
-    res = _results[memo_key] = SigmaResult("sigma", f_map, inst.name, pres, model, inst, gen_map)
+    res = _results[memo_key] = SigmaResult(f_map, inst, pres, model, gen_map)
     return res
 
 
@@ -482,11 +477,8 @@ def pi(f_map: Mapping, i_model: TermModel,
     fam_of = {cls: key for key, cls in fam_class.items()}
     ty_class = {c: model.eval(t) for c, t in ty_term.items()}
     ty_origin = {out: c for c, out in ty_class.items()}
-    fresh = {c for tau in tgt.typeside.types for c in model.carrier(tau)
-             if c not in ty_origin}
-    res = _results[memo_key] = PiResult("pi", f_map, i_model.instance.name, pres, model,
-                                        i_model, index, families, fam_class, fam_of,
-                                        ty_class, ty_origin, fresh)
+    res = _results[memo_key] = PiResult(f_map, i_model, pres, model, index, families,
+                                        fam_class, fam_of, ty_class, ty_origin)
     return res
 
 
@@ -521,101 +513,92 @@ def coproduct(i1: InstancePresentation, i2: InstancePresentation,
 # Morphism enumeration and isomorphism
 
 
-def _attr_profile(m: TermModel, c: int) -> tuple:
-    """Literal fingerprint of an entity class, used to prune searches."""
-    out = []
-    for f in m.schema.symbols_on(m.sort_of(c)):
-        if f.out_sort.is_entity:
-            continue
-        v = m.op(f, c)
-        out.append(m.literal_of[v].sym.name if v in m.literal_of else None)
-    return tuple(out)
-
-
-def _forced_assignments(a: TermModel, b: TermModel) -> Optional[dict[int, int]]:
-    forced: dict[int, int] = {}
-    for c, lit in a.literal_of.items():
-        img = b.eval(lit)
-        if img is None:
-            return None
-        forced[a.find(c)] = img
-    for const in a.schema.typeside.constants:
-        src_c, tgt_c = a.class_of(const), b.class_of(const)
-        if forced.get(src_c, tgt_c) != tgt_c:
-            return None
-        forced[src_c] = tgt_c
-    return forced
-
-
 def _search_morphisms(a: TermModel, b: TermModel, injective: bool,
                       cap: int, first_only: bool) -> list[InstanceMorphism]:
+    """Morphisms a -> b, by a depth-first search over the generators of a.
+
+    a is initial: an assignment under which b satisfies every equation of
+    a extends to exactly one morphism (`TermModel.image`).  Each equation
+    is checked once its last generator is bound.  With `injective`,
+    generators of distinct classes take distinct images, as do all classes.
+    """
     if a.schema != b.schema:
         raise SchemaMismatch("morphisms require a common schema")
-    forced = _forced_assignments(a, b)
-    if forced is None:
+    if any(b.eval(lit) is None for lit in a.literal_of.values()):
         return []
-    variables = a.all_classes()
-    solutions: list[InstanceMorphism] = []
-    assign: dict[int, int] = dict(forced)
-    used: dict[int, int] = {}
-    for v in assign.values():
-        used[v] = used.get(v, 0) + 1
-    if injective and any(n > 1 for n in used.values()):
-        return []
+    gens = a.instance.generators
+    position = {g: k for k, g in enumerate(gens)}
+    tables: dict[FunctionSymbol, dict[int, int]] = {}
 
-    def try_assign(c: int, d: int, trail: list[int]) -> bool:
-        stack = [(c, d)]
+    def chain(t: Term) -> tuple[int, Optional[int], list[dict[int, int]]]:
+        # t is a leaf under unary symbols: the leaf's generator position or -1,
+        # else its class in b, and the symbols' tables in b, innermost first
+        ops = []
+        while t.args:
+            if t.sym not in tables:
+                tables[t.sym] = {c: b.op(t.sym, c) for c in b.carrier(t.sym.arg_sorts[0])}
+            ops.insert(0, tables[t.sym])
+            t = t.args[0]
+        k = position.get(t.sym, -1)
+        return k, None if k >= 0 else b.eval(t), ops
+
+    def value(acc: list[int], k: int, c: Optional[int], ops: list[dict[int, int]]) -> Optional[int]:
+        c = acc[k] if k >= 0 else c
+        for op in ops:
+            c = op[c]
+        return c
+
+    checks: list[list[tuple]] = [[] for _ in gens]  # by the last generator they mention
+    for eq in a.schema.typeside.equations + a.instance.equations:
+        lhs, rhs = chain(eq.lhs), chain(eq.rhs)
+        if max(lhs[0], rhs[0]) >= 0:
+            checks[max(lhs[0], rhs[0])].append((lhs, rhs))
+        elif value([], *lhs) != value([], *rhs):
+            return []
+    cls = [a.class_of(g) for g in gens] if injective else []
+    apart = [[j for j in range(k) if cls[j] != cls[k]] if injective else [] for k in range(len(gens))]
+
+    def assignments():
+        if not gens:
+            yield []
+        acc: list[int] = []
+        stack = [iter(b.carrier(g.out_sort)) for g in gens[:1]]
         while stack:
-            x, y = stack.pop()
-            x, y = a.find(x), b.find(y)
-            if a.sort_of(x) != b.sort_of(y):
-                return False
-            if x in assign:
-                if assign[x] != y:
-                    return False
+            k = len(stack) - 1
+            del acc[k:]
+            c = next(stack[-1], None)
+            if c is None:
+                stack.pop()
                 continue
-            if injective and used.get(y, 0) > 0:
-                return False
-            assign[x] = y
-            used[y] = used.get(y, 0) + 1
-            trail.append(x)
-            if a.sort_of(x).is_entity:
-                for f in a.schema.symbols_on(a.sort_of(x)):
-                    stack.append((a.op(f, x), b.op(f, y)))
-        return True
-
-    def undo(trail: list[int]):
-        for x in trail:
-            used[assign[x]] -= 1
-            del assign[x]
-
-    def backtrack(i: int) -> bool:
-        if len(solutions) > cap:
-            raise ResourceLimit(f"more than {cap} morphisms")
-        if i == len(variables):
-            solutions.append(InstanceMorphism(a, b, dict(assign)))
-            return first_only
-        x = variables[i]
-        if x in assign:
-            return backtrack(i + 1)
-        prof = _attr_profile(a, x) if a.sort_of(x).is_entity else None
-        for y in b.carrier(a.sort_of(x)):
-            if prof is not None and injective and prof != _attr_profile(b, y):
+            acc.append(c)
+            if any(acc[j] == c for j in apart[k]) or \
+                    not all(value(acc, *lhs) == value(acc, *rhs) for lhs, rhs in checks[k]):
                 continue
-            trail: list[int] = []
-            ok = try_assign(x, y, trail)
-            if ok and backtrack(i + 1):
-                return True
-            undo(trail)
-        return False
+            if k + 1 < len(gens):
+                stack.append(iter(b.carrier(gens[k + 1].out_sort)))
+            else:
+                yield acc
 
-    backtrack(0)
+    solutions: list[InstanceMorphism] = []
+    for acc in assignments():
+        cmap = a.image(b, dict(zip(gens, acc)))
+        if not injective or len(set(cmap.values())) == len(cmap):
+            solutions.append(InstanceMorphism(a, b, cmap))
+            if len(solutions) > cap:
+                raise ResourceLimit(f"more than {cap} morphisms")
+            if first_only:
+                break
     return solutions
 
 
 def enumerate_morphisms(a: TermModel, b: TermModel,
                         cap: int = 100000) -> list[InstanceMorphism]:
-    """All instance morphisms a -> b, in a deterministic order."""
+    """All instance morphisms a -> b, one per generator assignment that b satisfies.
+
+    The order is lexicographic in the generators' images, the generators
+    taken in declaration order and each image by its position in b's
+    carrier.
+    """
     return _search_morphisms(a, b, injective=False, cap=cap, first_only=False)
 
 
@@ -651,21 +634,23 @@ def _checked(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
     return m
 
 
+def _into_delta(i_model: TermModel, dres: DeltaResult, image_in_j,
+                *built: MigrationResult) -> InstanceMorphism:
+    """I -> delta(J) sending each generator g of I to the copy of image_in_j(g), a class of J."""
+    genmap = {g: dres.ent_class[(g.out_sort.name, image_in_j(g))] if g.out_sort.is_entity
+              else dres.ty_class[image_in_j(g)] for g in i_model.instance.generators}
+    cmap = i_model.image(dres.model, genmap)
+    if cmap is None:
+        raise NoMorphismExists(f"a literal of {i_model.instance.name} is missing from delta")
+    return _checked(InstanceMorphism(i_model, dres.model, cmap), *built)
+
+
 def unit_sigma(f_map: Mapping, i_model: TermModel,
                limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
-    """I -> delta(sigma(I)): where each class of I is sent by sigma."""
+    """I -> delta(sigma(I)): each generator of I goes where sigma sends it."""
     sres = sigma(f_map, i_model.instance, limits)
     dres = delta(f_map, sres.model, limits)
-    cmap: dict[int, int] = {}
-    for c in i_model.all_classes():
-        w = apply_mapping_term(f_map, i_model.canonical[c], sres.gen_map)
-        j = sres.model.eval(w)
-        s = i_model.sort_of(c)
-        if s.is_entity:
-            cmap[c] = dres.ent_class[(s.name, j)]
-        else:
-            cmap[c] = dres.ty_class[j]
-    return _checked(InstanceMorphism(i_model, dres.model, cmap), sres, dres)
+    return _into_delta(i_model, dres, lambda g: sres.model.class_of(sres.gen_map[g]), sres, dres)
 
 
 def counit_sigma(f_map: Mapping, j_model: TermModel,
@@ -746,15 +731,8 @@ def transpose_sigma_down(f_map: Mapping, i_model: TermModel, h: InstanceMorphism
                          limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
     """Mate of h : sigma(I) -> J, namely I -> delta(J)."""
     dres = delta(f_map, h.target, limits)
-    gen_map = {g: generator(g.name, f_map.sort_image(g.out_sort))
-               for g in i_model.instance.generators}
-    cmap: dict[int, int] = {}
-    for c in i_model.all_classes():
-        w = apply_mapping_term(f_map, i_model.canonical[c], gen_map)
-        j = h.apply(h.source.eval(w))
-        s = i_model.sort_of(c)
-        cmap[c] = dres.ent_class[(s.name, j)] if s.is_entity else dres.ty_class[j]
-    return _checked(InstanceMorphism(i_model, dres.model, cmap))
+    return _into_delta(i_model, dres, lambda g: h.apply(
+        h.source.class_of(generator(g.name, f_map.sort_image(g.out_sort)))))
 
 
 def transpose_sigma_up(f_map: Mapping, hp: InstanceMorphism, j_model: TermModel,
@@ -765,10 +743,8 @@ def transpose_sigma_up(f_map: Mapping, hp: InstanceMorphism, j_model: TermModel,
     """
     dres = delta(f_map, j_model, limits)
     sres = sigma(f_map, hp.source.instance, limits)
-    genmap = {}
-    for g in hp.source.instance.generators:
-        d = hp.apply(hp.source.class_of(g))
-        genmap[sres.gen_map[g]] = dres.to_target[dres.model.find(d)]
+    genmap = {sres.gen_map[g]: dres.to_target[hp.apply(hp.source.class_of(g))]
+              for g in hp.source.instance.generators}
     return _checked(morphism_from_genmap(sres.model, j_model, genmap))
 
 

@@ -189,7 +189,7 @@ class TermModel:
         self.schema: Schema = instance.schema
         self._eng = engine
         self._root: list[int] = []
-        # per class: the symbol and child classes of its canonical term
+        # per class, children first: the symbol and child classes of its canonical term
         self._chosen: dict[int, tuple[FunctionSymbol, tuple[int, ...]]] = {}
         self.carriers: dict[Sort, list[int]] = {}
         self.canonical: dict[int, Term] = {}
@@ -320,6 +320,28 @@ class TermModel:
         if hit is None and t.sym.flavor != LITERAL:
             raise UnknownSymbol(f"term {render_term(t)} does not denote in this model")
         return hit
+
+    def image(self, tgt: "TermModel",
+              genmap: Mapping[FunctionSymbol, int]) -> Optional[dict[int, int]]:
+        """Class -> `tgt.eval(self.canonical[class], genmap)`, or None if tgt lacks a literal.
+
+        One pass in the order the freeze resolved the classes: children
+        first, so each class costs one lookup in tgt.
+        """
+        out: dict[int, int] = {}
+        root, hashcons = tgt._root, tgt._eng.hashcons
+        for c, (sym, kids) in self._chosen.items():
+            if not kids and sym in genmap:
+                out[c] = root[genmap[sym]]
+                continue
+            hit = hashcons.get((sym, tuple([out[k] for k in kids])))
+            if hit is None:
+                if sym.flavor == LITERAL:
+                    return None
+                raise UnknownSymbol(
+                    f"term {render_term(self.canonical[c])} does not denote in {tgt.instance.name}")
+            out[c] = root[hit]
+        return out
 
     def decide_equal(self, t1: Term, t2: Term) -> bool:
         """True iff the instance theory proves t1 = t2."""

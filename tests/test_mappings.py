@@ -153,6 +153,18 @@ def test_morphism_must_fix_literals(schema_s):
         morphism_from_genmap(ma, mb, {a.generators[0]: mb.class_of(b.generators[0])})
 
 
+def test_morphism_from_genmap_rejects_assignment_breaking_equations(schema_s):
+    # a = b in A, so sending a and b to distinct free rows of B is no morphism
+    a, b = generator("a", N1), generator("b", N1)
+    ma = build_term_model(InstancePresentation("A", schema_s, [a, b], [ground_eq(App(a), App(b))]))
+    x, y = generator("x", N1), generator("y", N1)
+    mb = build_term_model(InstancePresentation("B", schema_s, [x, y], []))
+    with pytest.raises(NoMorphismExists):
+        morphism_from_genmap(ma, mb, {a: mb.class_of(x), b: mb.class_of(y)})
+    h = morphism_from_genmap(ma, mb, {a: mb.class_of(y), b: mb.class_of(y)})
+    assert h.apply(ma.class_of(a)) == h.apply(ma.class_of(b)) == mb.class_of(y)
+
+
 def test_enumerate_morphisms_counts(schema_s):
     # two free rows can each land on either of two free rows: 4 morphisms
     free2 = InstancePresentation("free2", schema_s,

@@ -1,0 +1,153 @@
+"""Differential test of the morphism search against brute force.
+
+The reference tries every assignment of a's generators over b's carriers,
+extends it term by term with `TermModel.eval`, and keeps it when it is a
+verified morphism that sends each generator where it was assigned.  It
+visits assignments in `itertools.product` order, which is the order
+`enumerate_morphisms` promises, so the two lists must agree exactly.
+"""
+
+import itertools
+import math
+import random
+from dataclasses import replace
+
+import pytest
+
+from catq import (
+    App,
+    ENTITY,
+    INT,
+    TYPESIDE,
+    FunctionSymbol,
+    InstanceMorphism,
+    InstancePresentation,
+    Schema,
+    Sort,
+    build_term_model,
+    builtin_typeside,
+    delta,
+    enumerate_morphisms,
+    generator,
+    ground_eq,
+    instances_isomorphic,
+    int_literal,
+    pi,
+    sigma,
+    string_literal,
+)
+
+from conftest import N1, N2, ap, attr
+from test_migrate import adjunction_corpus
+from test_model import random_instance
+
+# the reference's work is the product of the generators' carrier sizes
+MAX_ASSIGNMENTS = 1000
+
+
+def reference_morphisms(a, b) -> list[InstanceMorphism]:
+    gens = a.instance.generators
+    out = []
+    for images in itertools.product(*(b.carrier(g.out_sort) for g in gens)):
+        genmap = dict(zip(gens, images))
+        cmap = {c: b.eval(a.canonical[c], genmap) for c in a.all_classes()}
+        if None in cmap.values():
+            continue
+        h = InstanceMorphism(a, b, cmap)
+        if not h.violations() and all(h.apply(a.class_of(g)) == d for g, d in genmap.items()):
+            out.append(h)
+    return out
+
+
+def quotient(inst, m, seed):
+    """inst with one more equation, between two classes of one entity sort of m."""
+    rng = random.Random(seed)
+    sorts = [s for s in m.schema.entities if len(m.carrier(s)) > 1]
+    if not sorts:
+        return None
+    c1, c2 = rng.sample(m.carrier(rng.choice(sorts)), 2)
+    eq = ground_eq(m.canonical[c1], m.canonical[c2])
+    return build_term_model(replace(inst, name=f"{inst.name}q", equations=inst.equations + (eq,)))
+
+
+def small(a, b) -> bool:
+    return math.prod(len(b.carrier(g.out_sort)) for g in a.instance.generators) <= MAX_ASSIGNMENTS
+
+
+def random_pairs():
+    for seed in range(24):
+        inst = random_instance(seed)
+        m = build_term_model(inst)
+        q = quotient(inst, m, seed)
+        for a, b in ((m, m), (m, q), (q, m)):
+            if a is not None and b is not None and small(a, b):
+                yield pytest.param(a, b, id=f"{seed}-{a.instance.name}-{b.instance.name}")
+
+
+def assert_search_matches_brute_force(a, b):
+    ref = reference_morphisms(a, b)
+    found = enumerate_morphisms(a, b)
+    assert [h.normalized() for h in found] == [h.normalized() for h in ref]
+    iso = instances_isomorphic(a, b)
+    assert (iso is not None) == any(h.is_bijective() for h in ref)
+    if iso is not None:
+        assert iso.is_bijective() and iso in ref
+
+
+@pytest.mark.parametrize("a, b", random_pairs())
+def test_search_matches_brute_force(a, b):
+    assert_search_matches_brute_force(a, b)
+
+
+def test_search_matches_brute_force_on_migrations(
+        schema_s, schema_t, schema_s2, mapping_f, mapping_f0, mapping_r, schema_s0):
+    # the hom-sets of the adjunction laws, whose models carry labeled nulls
+    checked = 0
+    for f_map, inst, jinst in adjunction_corpus(schema_s, schema_t, schema_s2,
+                                                mapping_f, mapping_f0, mapping_r, schema_s0):
+        im, jm = build_term_model(inst), build_term_model(jinst)
+        sm, dm, pm = sigma(f_map, inst).model, delta(f_map, jm).model, pi(f_map, im).model
+        for a, b in ((sm, jm), (im, dm), (dm, im), (jm, pm)):
+            if small(a, b):
+                assert_search_matches_brute_force(a, b)
+                checked += 1
+    assert checked >= 20
+
+
+def test_isomorphism_needs_an_injective_extension(schema_s):
+    # the generators of A can go to distinct generators of B, and the
+    # carriers have the same sizes, but B's f is not injective and A's is
+    f = schema_s.symbol_named("f")
+    g1, g2, h = generator("g1", N1), generator("g2", N1), generator("h", N2)
+    ma = build_term_model(InstancePresentation("A", schema_s, [g1, g2, h], []))
+    x1, x2 = generator("x1", N1), generator("x2", N1)
+    mb = build_term_model(InstancePresentation("B", schema_s, [x1, x2, generator("y1", N2),
+                                                               generator("y2", N2)],
+                                               [ground_eq(ap(f, x1), ap(f, x2))]))
+    assert all(len(ma.carrier(s)) == len(mb.carrier(s)) for s in ma.carriers)
+    assert instances_isomorphic(ma, mb) is None
+    assert_search_matches_brute_force(ma, mb)
+
+
+def test_equations_without_generators_are_checked():
+    # A proves zero = 0; B holds both but keeps them apart, so nothing maps
+    zero = FunctionSymbol("zero", (), INT, TYPESIDE)
+    e = Sort("E", ENTITY)
+    sch = Schema("K", replace(builtin_typeside(), constants=[zero]), [e], [attr("n", e, INT)], [])
+    g = generator("a", e)
+    ma = build_term_model(InstancePresentation("A", sch, [g], [ground_eq(App(zero), int_literal(0))]))
+    n_is_0 = ground_eq(ap(sch.symbol_named("n"), g), int_literal(0))
+    mb = build_term_model(InstancePresentation("B", sch, [g], [n_is_0]))
+    assert enumerate_morphisms(ma, mb) == []
+    assert_search_matches_brute_force(ma, mb)
+
+
+def test_literal_missing_from_target_leaves_no_morphism(schema_s):
+    # delta and pi pin literals with equations `v = v`, which every target satisfies
+    name, e = schema_s.symbol_named("name"), generator("e", N1)
+    alice, zed = string_literal("Alice"), string_literal("Zed")
+    ma = build_term_model(InstancePresentation("A", schema_s, [e], [ground_eq(ap(name, e), alice),
+                                                                   ground_eq(zed, zed)]))
+    mb = build_term_model(InstancePresentation("B", schema_s, [e], [ground_eq(ap(name, e), alice)]))
+    assert enumerate_morphisms(ma, mb) == []
+    assert_search_matches_brute_force(ma, mb)

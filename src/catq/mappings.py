@@ -9,7 +9,7 @@ free one-generator probe instance on the target schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Optional
 
@@ -246,10 +246,14 @@ class InstanceMorphism:
                 for f in src.schema.symbols_on(s):
                     if tgt.find(self.apply(src.op(f, c))) != tgt.find(tgt.op(f, self.apply(c))):
                         out.append(f"does not commute with {f.name} at class {c}")
-        for c, lit in src.literal_of.items():
-            img = tgt.eval(lit)
+        # every literal of a class: the least one, and the others it collides with
+        lits = [(c, lit.sym) for c, lit in src.literal_of.items()]
+        lits += [(k.class_id, replace(src.literal_of[k.class_id].sym, name=k.lit2))
+                 for k in src.collisions]
+        for c, sym in lits:
+            img = tgt.eval(App(sym))
             if img is None or tgt.find(self.apply(c)) != tgt.find(img):
-                out.append(f"does not fix literal {lit.sym.name}")
+                out.append(f"does not fix literal {sym.name}")
         for const in src.schema.typeside.constants:
             if tgt.find(self.apply(src.class_of(const))) != tgt.find(tgt.class_of(const)):
                 out.append(f"does not preserve constant {const.name}")

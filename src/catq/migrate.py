@@ -22,6 +22,7 @@ from .mappings import (
     apply_mapping_term,
     compose_mappings,
     identity_mapping,
+    identity_morphism,
     mappings_equal,
     morphism_from_genmap,
     open_terms_equal,
@@ -313,6 +314,63 @@ def sigma(f_map: Mapping, inst: InstancePresentation,
 
 
 # ---------------------------------------------------------------------------
+# Constraint search
+
+
+def _value(x: list[int], k: int, c: Optional[int], ops) -> int:
+    v = x[k] if k >= 0 else c
+    for op in ops:
+        v = op[v]
+    return v
+
+
+def _search(domains: list[list[int]], checks: list[tuple], apart: list[list[int]] = ()):
+    """Every tuple x with x[k] in domains[k] that passes `checks`, in lexicographic order.
+
+    A check is a pair of chains (k, c, ops) that must agree: x[k], or the
+    class c when k < 0, passed through the tables in ops, innermost first.
+    It runs once the last position it names is bound.  One that equates
+    position k alone with a chain over earlier positions is a functional
+    dependency: x[k] is computed, not enumerated, so that chain's values
+    must lie in domains[k].  x[k] differs from each x[j] with j in apart[k].
+    """
+    n = len(domains)
+    derived: list[Optional[tuple]] = [None] * n
+    by_last: list[list[tuple]] = [[] for _ in range(n + 1)]  # [-1]: checks naming no position
+    for pair in checks:
+        hi, lo = sorted(pair, key=lambda chain: -chain[0])
+        if lo[0] < hi[0] and not hi[2] and derived[hi[0]] is None:
+            derived[hi[0]] = lo
+        else:
+            by_last[hi[0]].append(pair)
+    if any(_value([], *lhs) != _value([], *rhs) for lhs, rhs in by_last[-1]):
+        return
+    x: list[int] = []
+
+    def choices(k: int):
+        return iter(domains[k]) if derived[k] is None else iter((_value(x, *derived[k]),))
+
+    stack = [choices(0)] if n else []
+    if not n:
+        yield ()
+    while stack:
+        k = len(stack) - 1
+        del x[k:]
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        x.append(v)
+        if apart and any(x[j] == v for j in apart[k]) or \
+                any(_value(x, *lhs) != _value(x, *rhs) for lhs, rhs in by_last[k]):
+            continue
+        if k + 1 < n:
+            stack.append(choices(k + 1))
+        else:
+            yield tuple(x)
+
+
+# ---------------------------------------------------------------------------
 # Pi
 
 
@@ -333,32 +391,16 @@ def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, Term]],
               limits: SaturationLimits) -> list[tuple[int, ...]]:
     """Every tuple x over the carriers of idx with x[j] == q(x[i]) for (i, q, j) in cons.
 
-    A depth-first search in lexicographic order: each constraint is checked
-    as soon as both of its positions are filled.
+    In lexicographic order.  With i < j, x[j] is looked up in q's table,
+    not enumerated: pi is a join, not a filtered product.
     """
-    if not idx:
-        return [()]
-    carriers = [i_model.carrier(s) for s, _ in idx]
-    checks = [[(i, q, j) for (i, q, j) in cons if max(i, j) == pos] for pos in range(len(idx))]
-    out: list[tuple[int, ...]] = []
-    acc: list[int] = []
-    stack = [iter(carriers[0])]
-    while stack:
-        pos = len(stack) - 1
-        del acc[pos:]
-        c = next(stack[-1], None)
-        if c is None:
-            stack.pop()
-            continue
-        acc.append(c)
-        if not all(acc[j] == i_model.op(q, acc[i]) for (i, q, j) in checks[pos]):
-            continue
-        if len(out) > limits.max_classes_per_sort:
-            raise ResourceLimit(f"family carrier at {t_ent.name} exceeded limits")
-        if pos + 1 == len(idx):
-            out.append(tuple(acc))
-        else:
-            stack.append(iter(carriers[pos + 1]))
+    tables = {q: {c: i_model.op(q, c) for c in i_model.carrier(q.arg_sorts[0])}
+              for q in dict.fromkeys(q for _, q, _ in cons)}
+    found = _search([i_model.carrier(s) for s, _ in idx],
+                    [((j, None, ()), (i, None, (tables[q],))) for i, q, j in cons])
+    out = list(itertools.islice(found, limits.max_classes_per_sort + 1))
+    if len(out) > limits.max_classes_per_sort:
+        raise ResourceLimit(f"family carrier at {t_ent.name} exceeded limits")
     return out
 
 
@@ -486,14 +528,6 @@ def pi(f_map: Mapping, i_model: TermModel,
 # Coproducts
 
 
-def _rename_generators(t: Term, gm: dict[FunctionSymbol, FunctionSymbol]) -> Term:
-    if isinstance(t, Var):
-        return t
-    if t.sym in gm:
-        return App(gm[t.sym])
-    return App(t.sym, tuple(_rename_generators(a, gm) for a in t.args))
-
-
 def coproduct(i1: InstancePresentation, i2: InstancePresentation,
               name: Optional[str] = None) -> InstancePresentation:
     """Disjoint union of two presentations on the same schema."""
@@ -501,10 +535,9 @@ def coproduct(i1: InstancePresentation, i2: InstancePresentation,
         raise SchemaMismatch("coproduct requires instances on the same schema")
     gm1 = {g: generator(f"l_{g.name}", g.out_sort) for g in i1.generators}
     gm2 = {g: generator(f"r_{g.name}", g.out_sort) for g in i2.generators}
-    eqs = [Equation((), _rename_generators(eq.lhs, gm1), _rename_generators(eq.rhs, gm1))
-           for eq in i1.equations]
-    eqs += [Equation((), _rename_generators(eq.lhs, gm2), _rename_generators(eq.rhs, gm2))
-            for eq in i2.equations]
+    ident = identity_mapping(i1.schema)  # renames the generators of a term along gm, iteratively
+    eqs = [Equation((), apply_mapping_term(ident, eq.lhs, gm), apply_mapping_term(ident, eq.rhs, gm))
+           for inst, gm in ((i1, gm1), (i2, gm2)) for eq in inst.equations]
     return InstancePresentation(name or f"{i1.name}_plus_{i2.name}", i1.schema,
                                 list(gm1.values()) + list(gm2.values()), eqs)
 
@@ -515,11 +548,11 @@ def coproduct(i1: InstancePresentation, i2: InstancePresentation,
 
 def _search_morphisms(a: TermModel, b: TermModel, injective: bool,
                       cap: int, first_only: bool) -> list[InstanceMorphism]:
-    """Morphisms a -> b, by a depth-first search over the generators of a.
+    """Morphisms a -> b, by a `_search` over the generators of a.
 
     a is initial: an assignment under which b satisfies every equation of
     a extends to exactly one morphism (`TermModel.image`).  Each equation
-    is checked once its last generator is bound.  With `injective`,
+    is a check; one like g2 = f(g1) computes g2's image.  With `injective`,
     generators of distinct classes take distinct images, as do all classes.
     """
     if a.schema != b.schema:
@@ -542,45 +575,13 @@ def _search_morphisms(a: TermModel, b: TermModel, injective: bool,
         k = position.get(t.sym, -1)
         return k, None if k >= 0 else b.eval(t), ops
 
-    def value(acc: list[int], k: int, c: Optional[int], ops: list[dict[int, int]]) -> Optional[int]:
-        c = acc[k] if k >= 0 else c
-        for op in ops:
-            c = op[c]
-        return c
-
-    checks: list[list[tuple]] = [[] for _ in gens]  # by the last generator they mention
-    for eq in a.schema.typeside.equations + a.instance.equations:
-        lhs, rhs = chain(eq.lhs), chain(eq.rhs)
-        if max(lhs[0], rhs[0]) >= 0:
-            checks[max(lhs[0], rhs[0])].append((lhs, rhs))
-        elif value([], *lhs) != value([], *rhs):
-            return []
+    checks = [(chain(eq.lhs), chain(eq.rhs))
+              for eq in a.schema.typeside.equations + a.instance.equations]
     cls = [a.class_of(g) for g in gens] if injective else []
-    apart = [[j for j in range(k) if cls[j] != cls[k]] if injective else [] for k in range(len(gens))]
-
-    def assignments():
-        if not gens:
-            yield []
-        acc: list[int] = []
-        stack = [iter(b.carrier(g.out_sort)) for g in gens[:1]]
-        while stack:
-            k = len(stack) - 1
-            del acc[k:]
-            c = next(stack[-1], None)
-            if c is None:
-                stack.pop()
-                continue
-            acc.append(c)
-            if any(acc[j] == c for j in apart[k]) or \
-                    not all(value(acc, *lhs) == value(acc, *rhs) for lhs, rhs in checks[k]):
-                continue
-            if k + 1 < len(gens):
-                stack.append(iter(b.carrier(gens[k + 1].out_sort)))
-            else:
-                yield acc
+    apart = [[j for j in range(k) if cls[j] != cls[k]] for k in range(len(cls))]
 
     solutions: list[InstanceMorphism] = []
-    for acc in assignments():
+    for acc in _search([b.carrier(g.out_sort) for g in gens], checks, apart):
         cmap = a.image(b, dict(zip(gens, acc)))
         if not injective or len(set(cmap.values())) == len(cmap):
             solutions.append(InstanceMorphism(a, b, cmap))
@@ -659,27 +660,17 @@ def counit_sigma(f_map: Mapping, j_model: TermModel,
     dres = delta(f_map, j_model, limits)
     sres = sigma(f_map, dres.presentation, limits)
     genmap = {sres.gen_map[g]: origin for g, origin in dres.gen_origin.items()}
-    return _checked(morphism_from_genmap(sres.model, j_model, genmap), dres, sres)
+    h = morphism_from_genmap(sres.model, j_model, genmap)  # verified there; hold as `_checked` does
+    h._built = (dres, sres)
+    return h
 
 
 def unit_pi(f_map: Mapping, j_model: TermModel,
             limits: SaturationLimits = DEFAULT_LIMITS,
             caps: PathCaps = DEFAULT_CAPS) -> InstanceMorphism:
-    """J -> pi(delta(J))."""
+    """J -> pi(delta(J)): the mate of the identity on delta(J)."""
     dres = delta(f_map, j_model, limits)
-    pires = pi(f_map, dres.model, limits, caps)
-    cmap: dict[int, int] = {}
-    for t in f_map.target.entities:
-        for c in j_model.carrier(t):
-            x = []
-            for (s, p) in pires.index[t.name]:
-                cj = j_model.eval(p, varmap={free_vars(p)[0].name: c})
-                x.append(dres.ent_class[(s.name, cj)])
-            cmap[c] = pires.fam_class[(t.name, tuple(x))]
-    for tau in f_map.target.typeside.types:
-        for c in j_model.carrier(tau):
-            cmap[c] = pires.ty_class[dres.ty_class[c]]
-    return _checked(InstanceMorphism(j_model, pires.model, cmap), dres, pires)
+    return transpose_pi_down(f_map, j_model, identity_morphism(dres.model), limits, caps)
 
 
 def _identity_position(index: list[tuple[Sort, Term]], s: Sort) -> int:
@@ -745,7 +736,7 @@ def transpose_sigma_up(f_map: Mapping, hp: InstanceMorphism, j_model: TermModel,
     sres = sigma(f_map, hp.source.instance, limits)
     genmap = {sres.gen_map[g]: dres.to_target[hp.apply(hp.source.class_of(g))]
               for g in hp.source.instance.generators}
-    return _checked(morphism_from_genmap(sres.model, j_model, genmap))
+    return morphism_from_genmap(sres.model, j_model, genmap)
 
 
 def transpose_pi_down(f_map: Mapping, j_model: TermModel, h: InstanceMorphism,
@@ -768,7 +759,7 @@ def transpose_pi_down(f_map: Mapping, j_model: TermModel, h: InstanceMorphism,
     for tau in f_map.target.typeside.types:
         for c in j_model.carrier(tau):
             cmap[c] = pires.ty_class[h.apply(dres.ty_class[c])]
-    return _checked(InstanceMorphism(j_model, pires.model, cmap))
+    return _checked(InstanceMorphism(j_model, pires.model, cmap), dres, pires)
 
 
 def transpose_pi_up(f_map: Mapping, g: InstanceMorphism, i_model: TermModel,
@@ -810,39 +801,34 @@ class InversionBounds:
 
 def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds(),
                    limits: SaturationLimits = DEFAULT_LIMITS) -> Optional[Mapping]:
-    """Exhaustive search for a two-sided inverse mapping.
+    """A two-sided inverse mapping, or None when there is none.
 
-    Returns None when the (finite) candidate space contains no inverse;
-    raises ResourceLimit when the space was truncated by the bounds, so
-    absence cannot be concluded.
+    `mappings_equal` compares entity maps exactly, so an inverse's entity
+    map is forced: f_map's must be a bijection, and the inverse's is its
+    inverse.  The symbol images are searched over paths up to the bounds;
+    ResourceLimit when the bounds truncated that space, so absence cannot
+    be concluded.
     """
     src, tgt = f_map.source, f_map.target
+    back = {t: s for s, t in f_map.entity_map.items()}
+    if len(back) != len(src.entities) or set(back) != set(tgt.entities):
+        return None
+    ent = {t: back[t] for t in tgt.entities}
     caps = PathCaps(max_depth=bounds.depth, max_paths=bounds.max_candidates)
-    id_src = identity_mapping(src)
-    id_tgt = identity_mapping(tgt)
+    id_src, id_tgt = identity_mapping(src), identity_mapping(tgt)
     truncated = False
-    count = 0
-    for images in itertools.product(src.entities, repeat=len(tgt.entities)):
-        ent = dict(zip(tgt.entities, images))
-        candidate_terms: list[list[Term]] = []
-        feasible = True
-        for f in tgt.symbols:
-            frm = ent[f.arg_sorts[0]]
-            to = ent[f.out_sort] if f.out_sort.is_entity else f.out_sort
-            ps = enumerate_paths(src, frm, to, caps, limits)
-            truncated = truncated or ps.truncated
-            if not ps.terms:
-                feasible = False
-                break
-            candidate_terms.append(ps.terms)
-        if not feasible:
-            continue
-        for combo in itertools.product(*candidate_terms):
-            count += 1
+    candidate_terms: list[list[Term]] = []
+    for f in tgt.symbols:
+        ps = enumerate_paths(src, ent[f.arg_sorts[0]], ent.get(f.out_sort, f.out_sort), caps, limits)
+        truncated = truncated or ps.truncated
+        if not ps.terms:
+            break
+        candidate_terms.append(ps.terms)
+    else:
+        for count, combo in enumerate(itertools.product(*candidate_terms), 1):
             if count > bounds.max_candidates:
                 raise ResourceLimit("inversion search exceeded the candidate cap")
-            g_map = Mapping(f"{f_map.name}_inv", tgt, src, ent,
-                            dict(zip(tgt.symbols, combo)))
+            g_map = Mapping(f"{f_map.name}_inv", tgt, src, ent, dict(zip(tgt.symbols, combo)))
             if validate_mapping(g_map, limits):
                 continue
             try:

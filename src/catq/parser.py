@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+from .terms import render_tree
+
 # token kinds
 IDENT = "ident"
 NUMBER = "number"
@@ -136,10 +138,7 @@ class RawTerm:
     quoted: bool = False  # came from a double-quoted string
 
     def render(self) -> str:
-        head = f'"{self.name}"' if self.quoted else self.name
-        if not self.args:
-            return head
-        return f"{head}({', '.join(a.render() for a in self.args)})"
+        return render_tree(self, lambda u: (f'"{u.name}"' if u.quoted else u.name, u.args))
 
 
 @dataclass

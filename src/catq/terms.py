@@ -126,12 +126,23 @@ def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
     return App(t.sym, tuple(substitute(a, binding) for a in t.args))
 
 
+def render_tree(root, split) -> str:
+    """`head(kid, ...)`, or `head` for a leaf, where split(node) = (head, kids); no recursion."""
+    out: list[str] = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        head, kids = (n, ()) if isinstance(n, str) else split(n)  # a str is punctuation
+        out.append(f"{head}(" if kids else head)
+        if kids:
+            stack.append(")")
+            for i, kid in enumerate(reversed(kids)):
+                stack += (", ", kid) if i else (kid,)
+    return "".join(out)
+
+
 def render_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.sym.name
-    return f"{t.sym.name}({', '.join(render_term(a) for a in t.args)})"
+    return render_tree(t, lambda u: (u.name, ()) if isinstance(u, Var) else (u.sym.name, u.args))
 
 
 def subterms(t: Term) -> Iterable[Term]:

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from catq import InvariantViolation, cli, elaborate, parse
+from catq import InvariantViolation, cli, elaborate, parse, pretty_print
 from catq.cli import main
+from catq.terms import render_term
 
 from test_dsl import EXAMPLE
 
@@ -219,6 +220,17 @@ def test_deeply_nested_terms_check_and_eval(tmp_path, capsys):
     assert main(["eval", path]) == 0
     out = capsys.readouterr().out
     assert out.count("\n| ") == 1501  # the header and one row per class
+
+
+def test_deeply_nested_terms_render():
+    # terms are rendered from an explicit stack, parsed and elaborated alike
+    term = "nxt(" * 1500 + "a" + ")" * 1500
+    prog = parse(nested_equation_program(1500))[0]
+    assert f"{term} = a" in pretty_print(prog)
+    env, diags = elaborate(prog)
+    assert not diags
+    (eq,) = env.instances["W"].equations
+    assert render_term(eq.lhs) == term
 
 
 def test_deeply_nested_terms_migrate(tmp_path, capsys):

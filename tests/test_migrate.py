@@ -9,6 +9,7 @@ import pytest
 from catq import (
     App,
     INT,
+    InstanceMorphism,
     InstancePresentation,
     InvariantViolation,
     InversionBounds,
@@ -41,12 +42,14 @@ from catq import (
     unit_sigma,
     validate_mapping,
 )
+from catq import migrate
 
 from conftest import (
     N,
     N1,
     N2,
     ap,
+    count_calls,
     employees_instance,
     joined_instance,
     split_instance,
@@ -524,6 +527,41 @@ def test_collapse_mapping_has_no_inverse(mapping_f):
     assert invert_mapping(mapping_f, InversionBounds(depth=3)) is None
 
 
-def test_invert_raises_when_truncated(mapping_r):
+def test_invert_tries_only_the_inverse_entity_map(mapping_r, schema_s):
+    # the entity map is forced, so R's inverse is the first candidate and a
+    # cap of two candidates is not reached
+    inv = invert_mapping(mapping_r, InversionBounds(depth=3, max_candidates=2))
+    assert inv is not None
+    assert mappings_equal(compose_mappings(mapping_r, inv), identity_mapping(schema_s))
+
+
+def test_non_bijective_mapping_has_no_inverse_without_search(mapping_f, monkeypatch):
+    # F sends N1 and N2 to N; at depth 1 the old search over all entity
+    # maps was truncated and could not conclude
+    monkeypatch.setattr(migrate, "enumerate_paths", None)
+    assert invert_mapping(mapping_f, InversionBounds(depth=1)) is None
+
+
+def lossy_mapping(schema_s):
+    """S -> S, the identity on entities, but salary goes to age(f(x)): no inverse exists."""
+    ident = identity_mapping(schema_s)
+    f, salary, age = (schema_s.symbol_named(n) for n in ("f", "salary", "age"))
+    return Mapping("L", schema_s, schema_s, ident.entity_map,
+                   {**ident.symbol_map, salary: ap(age, ap(f, Var("x", N1)))})
+
+
+def test_invert_raises_when_truncated(schema_s):
+    lossy = lossy_mapping(schema_s)
+    assert validate_mapping(lossy) == []
+    assert invert_mapping(lossy) is None
     with pytest.raises(ResourceLimit):
-        invert_mapping(mapping_r, InversionBounds(depth=3, max_candidates=2))
+        invert_mapping(lossy, InversionBounds(depth=3, max_candidates=1))
+
+
+def test_sigma_counit_and_transpose_verify_their_morphism_once(monkeypatch, mapping_f,
+                                                              model_i, model_j):
+    sm = sigma(mapping_f, model_i.instance).model
+    unit = unit_sigma(mapping_f, model_i)
+    for run in (lambda: counit_sigma(mapping_f, model_j),
+                lambda: transpose_sigma_up(mapping_f, unit, sm)):
+        assert count_calls(monkeypatch, InstanceMorphism, "violations", run) == 1

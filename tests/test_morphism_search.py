@@ -22,6 +22,7 @@ from catq import (
     FunctionSymbol,
     InstanceMorphism,
     InstancePresentation,
+    NoMorphismExists,
     Schema,
     Sort,
     build_term_model,
@@ -32,6 +33,7 @@ from catq import (
     ground_eq,
     instances_isomorphic,
     int_literal,
+    morphism_from_genmap,
     pi,
     sigma,
     string_literal,
@@ -149,5 +151,19 @@ def test_literal_missing_from_target_leaves_no_morphism(schema_s):
     ma = build_term_model(InstancePresentation("A", schema_s, [e], [ground_eq(ap(name, e), alice),
                                                                    ground_eq(zed, zed)]))
     mb = build_term_model(InstancePresentation("B", schema_s, [e], [ground_eq(ap(name, e), alice)]))
+    assert enumerate_morphisms(ma, mb) == []
+    assert_search_matches_brute_force(ma, mb)
+
+
+def test_verifier_checks_every_literal_of_a_class(schema_s):
+    # A proves "p" = "q" through name(e); B keeps them apart, so A's "q" has nowhere to go
+    name, e = schema_s.symbol_named("name"), generator("e", N1)
+    p, q = string_literal("p"), string_literal("q")
+    ma = build_term_model(InstancePresentation("A", schema_s, [e], [ground_eq(ap(name, e), p),
+                                                                   ground_eq(ap(name, e), q)]))
+    mb = build_term_model(InstancePresentation("B", schema_s, [e], [ground_eq(ap(name, e), p),
+                                                                   ground_eq(q, q)]))
+    with pytest.raises(NoMorphismExists, match='does not fix literal q'):
+        morphism_from_genmap(ma, mb, {e: mb.class_of(e)})
     assert enumerate_morphisms(ma, mb) == []
     assert_search_matches_brute_force(ma, mb)

@@ -22,12 +22,16 @@ candidate under (symbol name, child ranks), and the classes of a level
 get integer ranks in that order.  Ranks order classes as their canonical
 terms are ordered by depth, then symbol name, then arguments (the order
 `term_key` in the tests' oracle spells out), which fixes the carrier
-order and the entity ids.
+order and the entity ids.  The freeze records only the symbol and child
+classes of each class's canonical term; `TermModel.canonical` builds the
+terms themselves the first time it is read.  Rendering, labels, `eval`
+and `image` work from the recorded symbols and never read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import ResourceLimit, SortMismatch, UnknownSymbol
@@ -82,7 +86,6 @@ class _Engine:
         self.node_children: list[tuple[int, ...]] = []
         self.sort_of: list[Sort] = []
         self.hashcons: dict[tuple, int] = {}
-        self.members: dict[int, list[int]] = {}
         self.class_uses: dict[int, list[int]] = {}
         self.class_count: dict[Sort, int] = {}
         self.created: list[int] = []  # nodes added since the worklist last took them
@@ -94,18 +97,19 @@ class _Engine:
         return x
 
     def add(self, sym: FunctionSymbol, children: tuple[int, ...]) -> int:
-        key = (sym, tuple(self.find(c) for c in children))
+        """Class of sym(children), adding the node (filed in `created`) if it is new."""
+        kids = tuple(map(self.find, children))
+        key = (sym, kids)
         hit = self.hashcons.get(key)
         if hit is not None:
             return self.find(hit)
         n = len(self.parent)
         self.parent.append(n)
         self.node_sym.append(sym)
-        self.node_children.append(key[1])
+        self.node_children.append(kids)
         self.sort_of.append(sym.out_sort)
         self.hashcons[key] = n
-        self.members[n] = [n]
-        for c in key[1]:
+        for c in kids:
             self.class_uses.setdefault(c, []).append(n)
         self.class_count[sym.out_sort] = self.class_count.get(sym.out_sort, 0) + 1
         self.created.append(n)
@@ -137,10 +141,6 @@ class _Engine:
                 return c
             stack[-1][1].append(c)
 
-    def lookup(self, sym: FunctionSymbol, children: tuple[int, ...]) -> Optional[int]:
-        hit = self.hashcons.get((sym, tuple(self.find(c) for c in children)))
-        return None if hit is None else self.find(hit)
-
     def merge(self, a: int, b: int) -> None:
         """Union the classes of a and b and repair congruence.
 
@@ -164,10 +164,9 @@ class _Engine:
                     f"cannot merge classes of sorts {self.sort_of[rx].name} and {self.sort_of[ry].name}")
             self.parent[ry] = rx
             self.class_count[self.sort_of[rx]] -= 1
-            self.members[rx].extend(self.members.pop(ry))
             uses = self.class_uses.pop(ry, [])
             for p in uses:
-                key = (self.node_sym[p], tuple(self.find(c) for c in self.node_children[p]))
+                key = (self.node_sym[p], tuple(map(self.find, self.node_children[p])))
                 q = self.hashcons.get(key)
                 if q is None:
                     self.hashcons[key] = p
@@ -181,7 +180,8 @@ class TermModel:
 
     Immutable after construction; safe to share across threads.  Queries
     read the root table flattened at freeze time and never write to the
-    engine.
+    engine.  `canonical` is computed on first read and cached; two threads
+    reading it first at once build equal dicts.
     """
 
     def __init__(self, instance: InstancePresentation, engine: _Engine):
@@ -192,7 +192,6 @@ class TermModel:
         # per class, children first: the symbol and child classes of its canonical term
         self._chosen: dict[int, tuple[FunctionSymbol, tuple[int, ...]]] = {}
         self.carriers: dict[Sort, list[int]] = {}
-        self.canonical: dict[int, Term] = {}
         self.id_label: dict[int, int] = {}
         self.literal_of: dict[int, App] = {}
         self.collisions: list[Collision] = []
@@ -207,7 +206,7 @@ class TermModel:
         for i in range(len(root)):
             root[i] = root[root[i]]
         syms = eng.node_sym
-        kids = [tuple(root[c] for c in ch) for ch in eng.node_children]
+        kids = [tuple([root[c] for c in ch]) for ch in eng.node_children]
         pending = [len(ch) for ch in kids]
         uses: dict[int, list[int]] = {}
         for n, ch in enumerate(kids):
@@ -225,7 +224,7 @@ class TermModel:
                 r = root[n]
                 if r in rank:
                     continue
-                key = (syms[n].name, tuple(rank[c] for c in kids[n]))
+                key = (syms[n].name, tuple([rank[c] for c in kids[n]]))
                 b = best.get(r)
                 if b is None or key < b[0]:
                     best[r] = (key, n)
@@ -237,7 +236,6 @@ class TermModel:
                     prev = key
                 rank[r] = next_rank
                 self._chosen[r] = (syms[n], kids[n])
-                self.canonical[r] = App(syms[n], tuple(self.canonical[c] for c in kids[n]))
                 for u in uses.get(r, ()):
                     pending[u] -= 1
                     if not pending[u]:
@@ -254,19 +252,24 @@ class TermModel:
             if s.is_entity:
                 for i, r in enumerate(cs):
                     self.id_label[r] = i + 1
-        for r in roots:
-            lits = []
-            for n in eng.members[r]:
-                if syms[n].flavor == LITERAL:
-                    t = App(syms[n])
-                    if t not in lits:
-                        lits.append(t)
-            if lits:
-                self.literal_of[r] = min(lits, key=lambda t: t.sym.name)
-                for other in lits:
-                    if other != self.literal_of[r]:
-                        self.collisions.append(Collision(
-                            eng.sort_of[r], self.literal_of[r].sym.name, other.sym.name, r))
+        # a literal is one node (hash-consed), so a class's literal nodes are its distinct literals
+        lits: dict[int, list[FunctionSymbol]] = {}
+        for n, sym in enumerate(syms):
+            if sym.flavor == LITERAL:
+                lits.setdefault(root[n], []).append(sym)
+        for r, group in sorted(lits.items()):
+            least, *others = sorted(group, key=lambda sym: sym.name)
+            self.literal_of[r] = App(least)
+            for other in others:
+                self.collisions.append(Collision(eng.sort_of[r], least.name, other.name, r))
+
+    @cached_property
+    def canonical(self) -> dict[int, Term]:
+        """Class -> its canonical term, the least term of the class."""
+        out: dict[int, Term] = {}
+        for c, (sym, kids) in self._chosen.items():
+            out[c] = App(sym, tuple([out[k] for k in kids]))
+        return out
 
     # -- queries -------------------------------------------------------
 
@@ -404,14 +407,12 @@ def build_term_model(inst: InstancePresentation, *,
                 f"saturation of {inst.name} exceeded {limits.max_rounds} rounds")
         # the nodes the previous generation created, in creation order
         frontier, eng.created = eng.created, []
-        changed = False
         for r in frontier:
             if eng.find(r) != r:
                 continue
             for f in closure.get(eng.sort_of[r], ()):
-                if eng.lookup(f, (r,)) is None:
-                    eng.add(f, (r,))
-                    changed = True
+                eng.add(f, (r,))
+        merged = False
         for con in schema.constraints:
             s = con.free[0].sort
             for r in frontier:
@@ -421,13 +422,13 @@ def build_term_model(inst: InstancePresentation, *,
                 rhs = eng.add_term(con.rhs, r)
                 if eng.find(lhs) != eng.find(rhs):
                     eng.merge(lhs, rhs)
-                    changed = True
+                    merged = True
         for s, n in eng.class_count.items():
             if n > limits.max_classes_per_sort:
                 raise ResourceLimit(
                     f"carrier of {s.name} in {inst.name} exceeded {limits.max_classes_per_sort} classes"
                     " (the term model may be infinite)")
-        if not changed:
+        if not (eng.created or merged):
             break
     return TermModel(inst, eng)
 

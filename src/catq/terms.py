@@ -1,9 +1,12 @@
 """Sorts, function symbols, terms, equations and substitution.
 
-Terms are immutable and hashable.  All schema-level symbols are unary
-(attributes, foreign keys) or 0-ary (generators, literals, typeside
-constants), so most code in this package only ever builds chains of
-unary applications over constants.
+Terms are immutable and hashable.  Sorts, symbols and applications
+compute their hash once, at construction, so hashing a symbol or a term
+of any depth takes constant time; `dataclasses.replace` constructs anew
+and so hashes anew.  Equality of applications walks an explicit stack.
+All schema-level symbols are unary (attributes, foreign keys) or 0-ary
+(generators, literals, typeside constants), so most code in this
+package only ever builds chains of unary applications over constants.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ class Sort:
     name: str
     kind: str  # TYPE or ENTITY
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def is_entity(self) -> bool:
         return self.kind == ENTITY
@@ -43,6 +52,12 @@ class FunctionSymbol:
     arg_sorts: tuple[Sort, ...]
     out_sort: Sort
     flavor: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.arg_sorts, self.out_sort, self.flavor)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def arity(self) -> int:
@@ -73,6 +88,28 @@ class App:
         for a, s in zip(self.args, self.sym.arg_sorts):
             if term_sort(a) != s:
                 raise SortMismatch(f"argument of {self.sym.name} has sort {term_sort(a).name}, expected {s.name}")
+        object.__setattr__(self, "_hash", hash((self.sym, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        """Structural equality from an explicit stack; unequal hashes decide at once."""
+        if not isinstance(other, App):
+            return NotImplemented
+        stack: list[tuple[Term, Term]] = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if not (isinstance(a, App) and isinstance(b, App)):
+                if a != b:
+                    return False
+            elif a._hash != b._hash or a.sym != b.sym:
+                return False
+            else:
+                stack.extend(zip(a.args, b.args))
+        return True
 
     @property
     def sort(self) -> Sort:

@@ -233,6 +233,16 @@ def test_deeply_nested_terms_render():
     assert render_term(eq.lhs) == term
 
 
+def test_deeply_nested_terms_hash_and_compare():
+    # hashes are cached at construction and equality walks an explicit stack
+    (eq,) = elaborate(parse(nested_equation_program(1500))[0])[0].instances["W"].equations
+    (again,) = elaborate(parse(nested_equation_program(1500))[0])[0].instances["W"].equations
+    assert hash(eq.lhs) == hash(again.lhs)
+    assert eq.lhs is not again.lhs and eq.lhs == again.lhs
+    assert (eq.lhs == eq.lhs.args[0]) is False
+    assert {eq.lhs: 1}[again.lhs] == 1
+
+
 def test_deeply_nested_terms_migrate(tmp_path, capsys):
     # sigma translates the 1500-deep equation along the mapping, delta projects it back
     path = write(tmp_path, nested_equation_program(1500) + (

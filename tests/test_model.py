@@ -84,6 +84,18 @@ def test_collision_detection(schema_s):
     assert str(collision) == "Collision(20, 30) at sort Int"
 
 
+@pytest.mark.parametrize("order", [(30, 20, 25), (25, 30, 20)])
+def test_three_colliding_literals_report_the_two_least(schema_s, order):
+    # lit1 and lit2 are the least and next-least literal by name, whatever the declaration order
+    g = generator("e", N1)
+    age, f = schema_s.symbol_named("age"), schema_s.symbol_named("f")
+    inst = InstancePresentation("bad", schema_s, [g], [
+        ground_eq(App(age, (ap(f, g),)), int_literal(v)) for v in order])
+    m = build_term_model(inst)
+    assert str(check_consistency(m)) == "Collision(20, 25) at sort Int"
+    assert [(k.lit1, k.lit2) for k in m.collisions] == [("20", "25"), ("20", "30")]
+
+
 def test_resource_limit_on_infinite_model():
     ts = builtin_typeside()
     e = Sort("E", ENTITY)
@@ -114,16 +126,31 @@ def test_round_limit_counts_worklist_generations():
     assert len(m.carrier(INT)) == 22
 
 
+def test_saturation_builds_no_terms(monkeypatch):
+    # the freeze records symbols and child classes; canonical terms are built on first read
+    inst = chain_instance(10, 50)
+    models = []
+    built = count_calls(monkeypatch, App, "__post_init__",
+                        lambda: models.append(build_term_model(inst)))
+    assert built == 0
+    (m,) = models
+    read = count_calls(monkeypatch, App, "__post_init__", lambda: m.canonical)
+    assert read == len(m.all_classes()) > 0
+    assert count_calls(monkeypatch, App, "__post_init__", lambda: m.canonical) == 0
+
+
 def test_queries_never_write_the_engine(schema_s):
     gens = [generator(f"e{i}", N1) for i in range(6)]
     eqs = [ground_eq(App(a), App(b)) for a, b in zip(gens, gens[1:])]
     m = build_term_model(InstancePresentation("chain", schema_s, gens, eqs))
-    # re-point each class's members into one chain (same partition), so
+    # re-point each class's nodes into one chain (same partition), so
     # that path compression by any query would change the array
     eng = m._eng
-    for members in eng.members.values():
-        ordered = sorted(members)
-        for prev, n in zip(ordered, ordered[1:]):
+    classes: dict[int, list[int]] = {}
+    for n in range(len(eng.parent)):
+        classes.setdefault(m.find(n), []).append(n)
+    for nodes in classes.values():
+        for prev, n in zip(nodes, nodes[1:]):
             eng.parent[n] = prev
     parent = list(eng.parent)
     assert any(parent[parent[i]] != parent[i] for i in range(len(parent)))

@@ -1,13 +1,17 @@
 """Terms, sorts, substitution and equations."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from catq import (
     App,
     Equation,
+    FunctionSymbol,
     INT,
     STRING,
+    Sort,
     SortMismatch,
     UnboundVariable,
     Var,
@@ -31,6 +35,16 @@ def test_application_is_sort_checked():
         App(f, (Var("y", N2),))
     with pytest.raises(SortMismatch):
         App(f, ())
+
+
+def test_replace_hashes_anew():
+    # hashes are cached at construction; replace constructs, so it hashes the new fields
+    g = replace(f, name="g")
+    fresh = FunctionSymbol("g", f.arg_sorts, f.out_sort, f.flavor)
+    assert hash(g) == hash(fresh) and g == fresh
+    assert hash(replace(N1, name="N2")) == hash(N2) == hash(Sort("N2", N1.kind))
+    t = App(age, (App(f, (x,)),))
+    assert hash(t) == hash(App(age, (App(replace(g, name="f"), (x,)),)))
 
 
 def test_free_vars_in_occurrence_order():

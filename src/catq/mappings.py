@@ -3,19 +3,21 @@
 A mapping F : S -> T sends each entity to an entity and each attribute
 or foreign key f : s -> s' to an open term over T with one free
 variable of sort F(s).  It must respect provable equality; that proof
-obligation is decided by asserting each translated constraint over a
-free one-generator probe instance on the target schema.
+obligation is decided by `open_terms_equal` for each translated
+constraint, on a free one-generator probe instance of the target schema
+when its theory has equations to apply.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Optional
 
-from .errors import NoMorphismExists, SchemaMismatch
+from .errors import NoMorphismExists, SchemaMismatch, SortMismatch
 from .model import DEFAULT_LIMITS, SaturationLimits, TermModel, build_term_model
-from .schema import Issue, Schema, probe_instance
+from .schema import InstancePresentation, Issue, Schema, generator
 from .terms import (
     GENERATOR,
     App,
@@ -91,36 +93,39 @@ def apply_mapping_term(f_map: Mapping, t: Term,
     return out
 
 
-# probe models are rebuilt deterministically, so caching them is safe;
-# the schema reference in the value keeps ids stable
-_probe_cache: dict[tuple, tuple[Schema, TermModel]] = {}
-
-
+@functools.cache
 def probe_model(schema: Schema, entity: Sort,
                 limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
-    """Term model of the free one-generator instance at `entity`."""
-    key = (id(schema), entity.name, limits)
-    hit = _probe_cache.get(key)
-    if hit is not None and hit[0] is schema:
-        return hit[1]
-    m = build_term_model(probe_instance(schema, entity), limits=limits)
-    _probe_cache[key] = (schema, m)
-    return m
+    """Term model of the free instance on one generator `_x` at `entity`.
+
+    Two one-variable terms are provably equal iff they agree on it.
+    Cached by value: schemas are frozen, so equal schemas share one probe.
+    """
+    probe = InstancePresentation(f"_probe_{schema.name}_{entity.name}", schema, [generator("_x", entity)])
+    return build_term_model(probe, limits=limits)
 
 
 def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term,
                      limits: SaturationLimits = DEFAULT_LIMITS) -> bool:
-    """Provable equality of two one-variable terms rooted at `entity`."""
-    m = probe_model(schema, entity, limits)
-    g = App(m.instance.generators[0])
+    """Provable equality of two one-variable terms rooted at `entity`.
+
+    Each term's variable, whatever its name, is replaced by the probe
+    generator `_x`.  A theory with no schema constraints and no typeside
+    equations proves only syntactic equalities, so the closed terms are
+    compared as they are; otherwise they are compared on the probe model.
+    """
+    if t1.sort != t2.sort:
+        raise SortMismatch(
+            f"cannot compare {render_term(t1)} : {t1.sort.name} with {render_term(t2)} : {t2.sort.name}")
+    g = App(generator("_x", entity))
 
     def close(t: Term) -> Term:
         vs = free_vars(t)
-        if not vs:
-            return t
-        return substitute(t, {vs[0].name: g})
+        return substitute(t, {vs[0].name: g}) if vs else t
 
-    return m.decide_equal(close(t1), close(t2))
+    if not schema.constraints and not schema.typeside.equations:
+        return close(t1) == close(t2)
+    return probe_model(schema, entity, limits).decide_equal(close(t1), close(t2))
 
 
 def validate_mapping(f_map: Mapping, limits: SaturationLimits = DEFAULT_LIMITS) -> list[Issue]:
@@ -190,13 +195,9 @@ def mappings_equal(f_map: Mapping, g_map: Mapping,
         return False
     if f_map.entity_map != g_map.entity_map:
         return False
-    for f in f_map.source.symbols:
-        t1, t2 = f_map.symbol_map[f], g_map.symbol_map[f]
-        if t1 == t2:
-            continue
-        if not open_terms_equal(f_map.target, f_map.entity_image(f.arg_sorts[0]), t1, t2, limits):
-            return False
-    return True
+    return all(open_terms_equal(f_map.target, f_map.entity_image(f.arg_sorts[0]),
+                                f_map.symbol_map[f], g_map.symbol_map[f], limits)
+               for f in f_map.source.symbols)
 
 
 def render_open_term(t: Term) -> str:

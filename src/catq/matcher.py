@@ -13,7 +13,7 @@ from typing import Union
 
 from .errors import NoPathForSymbol
 from .mappings import Mapping, validate_mapping
-from .migrate import DEFAULT_CAPS, PathCaps, enumerate_paths
+from .migrate import enumerate_paths
 from .schema import Issue, Schema
 from .terms import ATTRIBUTE, ENTITY, FOREIGN_KEY, App, FunctionSymbol, Sort, Term, Var
 
@@ -87,8 +87,7 @@ def _argmax(candidates, score):
 
 
 def match_mapping(src: Schema, tgt: Schema,
-                  cfg: SimilarityConfig = DEFAULT_SIMILARITY,
-                  caps: PathCaps = DEFAULT_CAPS) -> CandidateMapping:
+                  cfg: SimilarityConfig = DEFAULT_SIMILARITY) -> CandidateMapping:
     """Infer a candidate mapping by name similarity.
 
     Entities go to their most similar target entity.  A symbol goes to
@@ -116,7 +115,7 @@ def match_mapping(src: Schema, tgt: Schema,
             sym_map[f] = App(g, (var,))
             scores[f.name] = sc
         else:
-            ps = enumerate_paths(tgt, frm, to, caps)
+            ps = enumerate_paths(tgt, frm, to)
             if not ps.terms:
                 raise NoPathForSymbol(
                     f"no symbol or path from {frm.name} to {to.name} for {f.name}")

@@ -3,9 +3,10 @@
 delta projects a target model back along a mapping (model reduct),
 sigma pushes an instance presentation forward by substitution, and pi
 builds the limit-style migration from path-indexed families.  The
-units, counits and mates of the adjunctions sigma -| delta -| pi are
-constructed explicitly, which is what makes round-tripping checkable
-at desk scale.
+adjunctions sigma -| delta -| pi are constructed explicitly as their
+hom-set bijections (the transposes, or mates), and each unit and counit
+is the mate of an identity, which is what makes round-tripping
+checkable at desk scale.
 """
 
 from __future__ import annotations
@@ -79,19 +80,10 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
     """All one-variable terms from `frm` to `to`, modulo schema constraints.
 
     Breadth-first over foreign keys, optionally terminated by a single
-    attribute when `to` is a type.  Paths provably equal under the
-    schema constraints are deduplicated via a free probe model; the
-    truncated flag is set when the caps cut the search short.
+    attribute when `to` is a type.  A path provably equal to a kept one
+    of its sort (`open_terms_equal`) is dropped; the truncated flag is
+    set when the caps cut the search short.
     """
-    use_probe = bool(schema.constraints)
-
-    def equivalent(a: Term, b: Term) -> bool:
-        if a == b:
-            return True
-        if not use_probe:
-            return False
-        return open_terms_equal(schema, frm, a, b, limits)
-
     start: Term = Var("p", frm)
     entity_reps: list[Term] = [start]
     frontier: list[Term] = [start]
@@ -108,7 +100,8 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
                 if fk.arg_sorts != (u.sort,):
                     continue
                 w = App(fk, (u,))
-                if not any(equivalent(w, r) for r in entity_reps):
+                if not any(r.sort == w.sort and open_terms_equal(schema, frm, w, r, limits)
+                           for r in entity_reps):
                     entity_reps.append(w)
                     fresh.append(w)
         frontier = fresh
@@ -121,7 +114,7 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
             for att in schema.attributes:
                 if att.arg_sorts == (u.sort,) and att.out_sort == to:
                     w = App(att, (u,))
-                    if not any(equivalent(w, r) for r in terms):
+                    if not any(open_terms_equal(schema, frm, w, r, limits) for r in terms):
                         terms.append(w)
     if len(terms) > caps.max_paths:
         terms = terms[: caps.max_paths]
@@ -149,8 +142,6 @@ class MigrationResult:
 
 @dataclass
 class DeltaResult(MigrationResult):
-    # generator -> class of the input model it was created for
-    gen_origin: dict[FunctionSymbol, int]
     # (source entity name, input class) -> output class
     ent_class: dict[tuple[str, int], int]
     # input type class -> output class
@@ -180,7 +171,7 @@ class PiResult(MigrationResult):
 
 
 # Results of sigma, delta and pi by (functor, id(mapping), id(input), limits,
-# caps, name), kept only while someone holds them.  A result holds its
+# name), kept only while someone holds them.  A result holds its
 # mapping and its input, so neither id is reused while its entry exists;
 # mappings, presentations and term models are immutable, so a hit is
 # always what the call would compute again.
@@ -235,27 +226,22 @@ def delta(f_map: Mapping, j: TermModel,
     if j.collisions:
         raise SchemaMismatch(f"input of delta is inconsistent: {j.collisions[0]}")
     name = name or f"delta_{f_map.name}_{j.instance.name}"
-    memo_key = ("delta", id(f_map), id(j), limits, None, name)
+    memo_key = ("delta", id(f_map), id(j), limits, name)
     hit = _results.get(memo_key)
     if hit is not None:
         return hit
     src = f_map.source
     gens: list[FunctionSymbol] = []
     eqs: list[Equation] = []
-    gen_origin: dict[FunctionSymbol, int] = {}
     ent_gen: dict[tuple[str, int], FunctionSymbol] = {}
     for e in src.entities:
         for c in j.carrier(f_map.entity_image(e)):
             g = generator(f"{e.name}_{j.id_label[c]}", e)
             gens.append(g)
-            gen_origin[g] = c
             ent_gen[(e.name, c)] = g
     ty_term, ty_gens, ty_eqs = _type_anchors(j)
     gens.extend(ty_gens)
     eqs.extend(ty_eqs)
-    for c, t in ty_term.items():
-        if isinstance(t, App) and t.sym in ty_gens:
-            gen_origin[t.sym] = c
     for e in src.entities:
         for c in j.carrier(f_map.entity_image(e)):
             g = ent_gen[(e.name, c)]
@@ -276,8 +262,7 @@ def delta(f_map: Mapping, j: TermModel,
         to_target[out] = c
     for c, out in ty_class.items():
         to_target[out] = c
-    res = _results[memo_key] = DeltaResult(f_map, j, pres, model,
-                                           gen_origin, ent_class, ty_class, to_target)
+    res = _results[memo_key] = DeltaResult(f_map, j, pres, model, ent_class, ty_class, to_target)
     return res
 
 
@@ -303,7 +288,7 @@ def sigma(f_map: Mapping, inst: InstancePresentation,
     if inst.schema != f_map.source:
         raise SchemaMismatch(f"{inst.name} is not an instance of {f_map.source.name}")
     name = name or f"sigma_{f_map.name}_{inst.name}"
-    memo_key = ("sigma", id(f_map), id(inst), limits, None, name)
+    memo_key = ("sigma", id(f_map), id(inst), limits, name)
     hit = _results.get(memo_key)
     if hit is not None:
         return hit
@@ -380,7 +365,7 @@ def _resolve_position(f_map: Mapping, t_ent: Sort, index: list[tuple[Sort, Term]
     for i, (s, p) in enumerate(index):
         if s != s_ent:
             continue
-        if comp == p or open_terms_equal(f_map.target, t_ent, comp, p, limits):
+        if open_terms_equal(f_map.target, t_ent, comp, p, limits):
             return i
     raise InvariantViolation(
         f"path {render_term(comp)} missing from the enumerated index at {t_ent.name}")
@@ -405,8 +390,7 @@ def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, Term]],
 
 
 def pi(f_map: Mapping, i_model: TermModel,
-       limits: SaturationLimits = DEFAULT_LIMITS,
-       caps: PathCaps = DEFAULT_CAPS, *,
+       limits: SaturationLimits = DEFAULT_LIMITS, *,
        name: Optional[str] = None) -> PiResult:
     """Limit-style migration: path-indexed families over the input model."""
     if i_model.schema != f_map.source:
@@ -414,7 +398,7 @@ def pi(f_map: Mapping, i_model: TermModel,
     if i_model.collisions:
         raise SchemaMismatch(f"input of pi is inconsistent: {i_model.collisions[0]}")
     name = name or f"pi_{f_map.name}_{i_model.instance.name}"
-    memo_key = ("pi", id(f_map), id(i_model), limits, caps, name)
+    memo_key = ("pi", id(f_map), id(i_model), limits, name)
     hit = _results.get(memo_key)
     if hit is not None:
         return hit
@@ -424,7 +408,7 @@ def pi(f_map: Mapping, i_model: TermModel,
     for t in tgt.entities:
         idx: list[tuple[Sort, Term]] = []
         for s in src.entities:
-            ps = enumerate_paths(tgt, t, f_map.entity_image(s), caps, limits)
+            ps = enumerate_paths(tgt, t, f_map.entity_image(s), DEFAULT_CAPS, limits)
             if ps.truncated:
                 raise ResourceLimit(
                     f"path set {t.name} -> {f_map.entity_image(s).name} truncated; "
@@ -458,7 +442,7 @@ def pi(f_map: Mapping, i_model: TermModel,
             att_term = App(att, (Var("p", t),))
             cands: list[tuple[int, Term]] = []
             for i, (s, p) in enumerate(index[t.name]):
-                qs = enumerate_paths(src, s, att.out_sort, caps, limits)
+                qs = enumerate_paths(src, s, att.out_sort, DEFAULT_CAPS, limits)
                 if qs.truncated:
                     raise ResourceLimit(f"source path set {s.name} -> {att.out_sort.name} truncated")
                 for q in qs.terms:
@@ -620,57 +604,56 @@ def instances_isomorphic(a: TermModel, b: TermModel,
 
 # ---------------------------------------------------------------------------
 # Units, counits, mates
+#
+# An adjunction is its hom-set bijection, the four transposes below, and
+# its unit and counit are the transposes of identities (Mac Lane,
+# "Categories for the Working Mathematician", IV.1).
 
 
-def _checked(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
-    """m, verified, holding `built`: the migration results a unit or counit built it from.
+def _held(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
+    """m, holding `built`: the migration results the transpose that made m used.
 
-    While m lives the memo keeps those results, so a transpose that
-    needs one of them again gets it instead of rebuilding it.
+    While m lives the memo keeps those results, so a transpose of m (a
+    triangle identity, say) gets them instead of rebuilding them.
     """
-    bad = m.violations()
-    if bad:
-        raise NoMorphismExists(bad[0])
     m._built = built
     return m
 
 
-def _into_delta(i_model: TermModel, dres: DeltaResult, image_in_j,
-                *built: MigrationResult) -> InstanceMorphism:
-    """I -> delta(J) sending each generator g of I to the copy of image_in_j(g), a class of J."""
-    genmap = {g: dres.ent_class[(g.out_sort.name, image_in_j(g))] if g.out_sort.is_entity
-              else dres.ty_class[image_in_j(g)] for g in i_model.instance.generators}
-    cmap = i_model.image(dres.model, genmap)
-    if cmap is None:
-        raise NoMorphismExists(f"a literal of {i_model.instance.name} is missing from delta")
-    return _checked(InstanceMorphism(i_model, dres.model, cmap), *built)
+def _checked(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
+    """m, verified and `_held`."""
+    bad = m.violations()
+    if bad:
+        raise NoMorphismExists(bad[0])
+    return _held(m, *built)
 
 
 def unit_sigma(f_map: Mapping, i_model: TermModel,
                limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
-    """I -> delta(sigma(I)): each generator of I goes where sigma sends it."""
+    """I -> delta(sigma(I)): the mate of the identity on sigma(I)."""
     sres = sigma(f_map, i_model.instance, limits)
-    dres = delta(f_map, sres.model, limits)
-    return _into_delta(i_model, dres, lambda g: sres.model.class_of(sres.gen_map[g]), sres, dres)
+    return transpose_sigma_down(f_map, i_model, identity_morphism(sres.model), limits)
 
 
 def counit_sigma(f_map: Mapping, j_model: TermModel,
                  limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
-    """sigma(delta(J)) -> J: where the projected classes originate."""
+    """sigma(delta(J)) -> J: the mate of the identity on delta(J)."""
     dres = delta(f_map, j_model, limits)
-    sres = sigma(f_map, dres.presentation, limits)
-    genmap = {sres.gen_map[g]: origin for g, origin in dres.gen_origin.items()}
-    h = morphism_from_genmap(sres.model, j_model, genmap)  # verified there; hold as `_checked` does
-    h._built = (dres, sres)
-    return h
+    return transpose_sigma_up(f_map, identity_morphism(dres.model), j_model, limits)
 
 
 def unit_pi(f_map: Mapping, j_model: TermModel,
-            limits: SaturationLimits = DEFAULT_LIMITS,
-            caps: PathCaps = DEFAULT_CAPS) -> InstanceMorphism:
+            limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
     """J -> pi(delta(J)): the mate of the identity on delta(J)."""
     dres = delta(f_map, j_model, limits)
-    return transpose_pi_down(f_map, j_model, identity_morphism(dres.model), limits, caps)
+    return transpose_pi_down(f_map, j_model, identity_morphism(dres.model), limits)
+
+
+def counit_pi(f_map: Mapping, i_model: TermModel,
+              limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
+    """delta(pi(I)) -> I: the mate of the identity on pi(I)."""
+    pires = pi(f_map, i_model, limits)
+    return transpose_pi_up(f_map, identity_morphism(pires.model), i_model, limits)
 
 
 def _identity_position(index: list[tuple[Sort, Term]], s: Sort) -> int:
@@ -680,50 +663,21 @@ def _identity_position(index: list[tuple[Sort, Term]], s: Sort) -> int:
     raise NoMorphismExists(f"no identity path for {s.name} in the family index")
 
 
-def counit_pi(f_map: Mapping, i_model: TermModel,
-              limits: SaturationLimits = DEFAULT_LIMITS,
-              caps: PathCaps = DEFAULT_CAPS) -> InstanceMorphism:
-    """delta(pi(I)) -> I."""
-    pires = pi(f_map, i_model, limits, caps)
-    dres = delta(f_map, pires.model, limits)
-    cmap: dict[int, int] = {}
-    for s in f_map.source.entities:
-        pos = _identity_position(pires.index[f_map.entity_image(s).name], s)
-        for c in pires.model.carrier(f_map.entity_image(s)):
-            t_name, x = pires.fam_of[c]
-            cmap[dres.ent_class[(s.name, c)]] = x[pos]
-    for k, out in dres.ty_class.items():
-        if k in pires.ty_origin:
-            cmap[out] = pires.ty_origin[k]
-    # classes reachable through source attributes are forced by commutation
-    for s in f_map.source.entities:
-        for d in dres.model.carrier(s):
-            for att in f_map.source.attributes:
-                if att.arg_sorts != (s,):
-                    continue
-                v = dres.model.op(att, d)
-                want = i_model.op(att, cmap[d])
-                if cmap.get(v, want) != want:
-                    raise NoMorphismExists(
-                        f"counit of pi is inconsistent at attribute {att.name}")
-                cmap[v] = want
-    for c in dres.model.all_classes():
-        if c in cmap:
-            continue
-        carrier = i_model.carrier(dres.model.sort_of(c))
-        if not carrier:
-            raise NoMorphismExists(
-                f"no image available for unconstrained class at {dres.model.sort_of(c).name}")
-        cmap[c] = carrier[0]
-    return _checked(InstanceMorphism(dres.model, i_model, cmap), pires, dres)
-
-
 def transpose_sigma_down(f_map: Mapping, i_model: TermModel, h: InstanceMorphism,
                          limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
-    """Mate of h : sigma(I) -> J, namely I -> delta(J)."""
+    """Mate of h : sigma(I) -> J, namely I -> delta(J).
+
+    h's source must be the model produced by sigma(f_map, i_model.instance).
+    Each generator of I goes to the copy, in delta(J), of where h sends
+    the generator's image in sigma(I).
+    """
     dres = delta(f_map, h.target, limits)
-    return _into_delta(i_model, dres, lambda g: h.apply(
-        h.source.class_of(generator(g.name, f_map.sort_image(g.out_sort)))))
+    sres = sigma(f_map, i_model.instance, limits)
+    genmap: dict[FunctionSymbol, int] = {}
+    for g in i_model.instance.generators:
+        c = h.apply(h.source.class_of(sres.gen_map[g]))
+        genmap[g] = dres.ent_class[(g.out_sort.name, c)] if g.out_sort.is_entity else dres.ty_class[c]
+    return _held(morphism_from_genmap(i_model, dres.model, genmap), dres, sres)
 
 
 def transpose_sigma_up(f_map: Mapping, hp: InstanceMorphism, j_model: TermModel,
@@ -736,15 +690,14 @@ def transpose_sigma_up(f_map: Mapping, hp: InstanceMorphism, j_model: TermModel,
     sres = sigma(f_map, hp.source.instance, limits)
     genmap = {sres.gen_map[g]: dres.to_target[hp.apply(hp.source.class_of(g))]
               for g in hp.source.instance.generators}
-    return morphism_from_genmap(sres.model, j_model, genmap)
+    return _held(morphism_from_genmap(sres.model, j_model, genmap), dres, sres)
 
 
 def transpose_pi_down(f_map: Mapping, j_model: TermModel, h: InstanceMorphism,
-                      limits: SaturationLimits = DEFAULT_LIMITS,
-                      caps: PathCaps = DEFAULT_CAPS) -> InstanceMorphism:
+                      limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
     """Mate of h : delta(J) -> I, namely J -> pi(I)."""
     dres = delta(f_map, j_model, limits)
-    pires = pi(f_map, h.target, limits, caps)
+    pires = pi(f_map, h.target, limits)
     cmap: dict[int, int] = {}
     for t in f_map.target.entities:
         for c in j_model.carrier(t):
@@ -763,14 +716,13 @@ def transpose_pi_down(f_map: Mapping, j_model: TermModel, h: InstanceMorphism,
 
 
 def transpose_pi_up(f_map: Mapping, g: InstanceMorphism, i_model: TermModel,
-                    limits: SaturationLimits = DEFAULT_LIMITS,
-                    caps: PathCaps = DEFAULT_CAPS) -> InstanceMorphism:
+                    limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
     """Mate of g : J -> pi(I), namely delta(J) -> I.
 
     g's target must be the model produced by pi(f_map, i_model).
     """
     dres = delta(f_map, g.source, limits)
-    pires = pi(f_map, i_model, limits, caps)
+    pires = pi(f_map, i_model, limits)
     cmap: dict[int, int] = {}
     for s in f_map.source.entities:
         t = f_map.entity_image(s)
@@ -786,7 +738,7 @@ def transpose_pi_up(f_map: Mapping, g: InstanceMorphism, i_model: TermModel,
         if img not in pires.ty_origin:
             raise NoMorphismExists("image hits a fresh null of pi; no mate exists")
         cmap[d] = pires.ty_origin[img]
-    return _checked(InstanceMorphism(dres.model, i_model, cmap))
+    return _checked(InstanceMorphism(dres.model, i_model, cmap), dres, pires)
 
 
 # ---------------------------------------------------------------------------

@@ -208,10 +208,6 @@ class TermModel:
         syms = eng.node_sym
         kids = [tuple([root[c] for c in ch]) for ch in eng.node_children]
         pending = [len(ch) for ch in kids]
-        uses: dict[int, list[int]] = {}
-        for n, ch in enumerate(kids):
-            for c in ch:
-                uses.setdefault(c, []).append(n)
 
         # level d resolves the classes whose least term has depth d; the
         # candidates of level d are the nodes whose last child resolved at d - 1
@@ -236,7 +232,7 @@ class TermModel:
                     prev = key
                 rank[r] = next_rank
                 self._chosen[r] = (syms[n], kids[n])
-                for u in uses.get(r, ()):
+                for u in eng.class_uses.get(r, ()):  # the nodes over r, once per child
                     pending[u] -= 1
                     if not pending[u]:
                         level.append(u)

@@ -268,13 +268,3 @@ def validate_instance(i: InstancePresentation) -> list[Issue]:
 def empty_instance(name: str, schema: Schema) -> InstancePresentation:
     return InstancePresentation(name, schema)
 
-
-def probe_instance(schema: Schema, entity: Sort) -> InstancePresentation:
-    """Free instance on one generator at the given entity.
-
-    Used to decide provable equality of open terms with a single
-    variable: the terms are equal in every model iff they agree on the
-    free probe.
-    """
-    return InstancePresentation(f"_probe_{schema.name}_{entity.name}", schema,
-                                [generator("_x", entity)])

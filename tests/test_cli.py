@@ -32,6 +32,18 @@ schema L = literal : Ty {
 instance W = literal : L { generators a : E }
 """
 
+IDEMPOTENT = """\
+typeside Ty = literal { }
+schema S = literal : Ty {
+    entities A B
+    foreign_keys f : A -> B  g : B -> B
+    equations forall x:B. g(g(x)) = g(x)
+}
+instance I = literal : S { generators a : A }
+mapping Id = identity S
+instance P = pi Id I
+"""
+
 CHAIN = """\
 typeside Ty = literal { }
 schema D = literal : Ty {
@@ -179,6 +191,14 @@ def test_eval_json_format(example_file, capsys):
     assert {r["age"] for r in blob["entities"]["N"]} == {"20", "30"}
 
 
+def test_eval_pi_along_the_identity_of_a_constrained_schema(tmp_path, capsys):
+    # pi's paths from A reach B, where g(g(x)) = g(x) holds: each new path
+    # is compared with the kept paths of its own sort only
+    assert main(["eval", write(tmp_path, IDEMPOTENT), "--show", "P", "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out.split("# instance P\n", 1)[1])
+    assert [len(blob["entities"][e]) for e in ("A", "B")] == [1, 2]
+
+
 def test_eval_renders_labeled_nulls(tmp_path, capsys):
     assert main(["eval", write(tmp_path, CHAIN), "--format", "markdown"]) == 0
     assert capsys.readouterr().out == CHAIN_MARKDOWN
@@ -319,6 +339,16 @@ mapping R = literal : S -> S2 {
     assert "invert R:" in out and "entity M1 -> N1" in out
     assert main(["invert", path, "--mapping", "F", "--depth", "2"]) == 0
     assert "no inverse exists" in capsys.readouterr().out
+
+
+def test_invert_finds_the_identity_its_own_inverse_on_a_cyclic_schema(tmp_path, capsys):
+    # L has no constraints, so images are compared as terms, up to their
+    # variable's name, and no (infinite) probe model of L is built
+    path = write(tmp_path, nested_equation_program(2) + "mapping Id = identity L\n")
+    assert main(["invert", path, "--mapping", "Id"]) == 0
+    out = capsys.readouterr().out
+    assert "invert Id:\nmapping Id_inv : L -> L" in out
+    assert "nxt -> lambda p:E. nxt(p)" in out
 
 
 def test_export_writes_files(example_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Schema mappings, composition, equality, and instance morphisms."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,7 @@ from catq import (
     Mapping,
     Schema,
     SchemaMismatch,
+    SortMismatch,
     Var,
     build_term_model,
     builtin_typeside,
@@ -78,6 +80,43 @@ def test_open_terms_equal_uses_schema_constraints():
                         [Equation((x,), App(nxt, (App(nxt, (x,)),)), x)])
     assert open_terms_equal(involutive, e, App(nxt, (App(nxt, (x,)),)), x)
     assert not open_terms_equal(involutive, e, App(nxt, (x,)), x)
+
+
+def test_open_terms_equal_without_constraints_builds_no_probe(monkeypatch):
+    # with no constraints and no typeside equations only syntactic equality
+    # is provable: the terms are compared up to their variable's name
+    import catq.mappings
+    from catq.terms import ENTITY, Sort
+    e = Sort("E", ENTITY)
+    nxt = fkey("nxt", e, e)
+    free = Schema("L", builtin_typeside(), [e], [], [nxt])
+    x, p = Var("x", e), Var("p", e)
+    monkeypatch.setattr(catq.mappings, "build_term_model", None)
+    assert open_terms_equal(free, e, App(nxt, (x,)), App(nxt, (p,)))
+    assert not open_terms_equal(free, e, App(nxt, (x,)), App(nxt, (App(nxt, (p,)),)))
+    with pytest.raises(SortMismatch):
+        open_terms_equal(free, e, App(nxt, (x,)), int_literal(1))
+
+
+def test_probe_models_are_shared_by_equal_schemas(monkeypatch):
+    # every elaboration makes a new but equal schema; they share one probe per entity
+    import catq.mappings
+    from catq import elaborate, parse
+    from test_cli import IDEMPOTENT
+    builds = Counter()
+    real = catq.mappings.build_term_model
+
+    def counting(inst, **kwargs):
+        builds[inst.name] += 1
+        return real(inst, **kwargs)
+
+    catq.mappings.probe_model.cache_clear()
+    monkeypatch.setattr(catq.mappings, "build_term_model", counting)
+    for _ in range(20):
+        env, diags = elaborate(parse(IDEMPOTENT)[0])
+        assert not diags
+    assert builds == {"_probe_S_A": 1, "_probe_S_B": 1}
+    assert catq.mappings.probe_model.cache_info().currsize == 2
 
 
 def test_compose_and_identity(mapping_f, mapping_r, schema_s):

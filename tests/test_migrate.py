@@ -14,6 +14,7 @@ from catq import (
     InvariantViolation,
     InversionBounds,
     Mapping,
+    NoMorphismExists,
     PathCaps,
     ResourceLimit,
     STRING,
@@ -24,6 +25,7 @@ from catq import (
     counit_pi,
     counit_sigma,
     delta,
+    elaborate,
     empty_instance,
     enumerate_morphisms,
     enumerate_paths,
@@ -32,6 +34,7 @@ from catq import (
     instances_isomorphic,
     invert_mapping,
     mappings_equal,
+    parse,
     pi,
     sigma,
     transpose_pi_down,
@@ -43,6 +46,7 @@ from catq import (
     validate_mapping,
 )
 from catq import migrate
+from catq.terms import render_term
 
 from conftest import (
     N,
@@ -54,6 +58,7 @@ from conftest import (
     joined_instance,
     split_instance,
 )
+from test_cli import IDEMPOTENT
 
 
 def row_labels(m, entity, cols):
@@ -74,6 +79,14 @@ def test_enumerate_paths_includes_identity_and_composites(schema_s):
     ints = enumerate_paths(schema_s, N1, INT)
     assert {render_term(t) for t in ints.terms} == {"salary(p)", "age(f(p))"}
     assert not ints.truncated
+
+
+def test_enumerate_paths_compares_paths_of_one_sort():
+    # the constraint makes the probe decide equality; paths of other sorts are skipped
+    sch = elaborate(parse(IDEMPOTENT)[0])[0].schemas["S"]
+    a, b = sch.entity_named("A"), sch.entity_named("B")
+    assert [render_term(t) for t in enumerate_paths(sch, a, b).terms] == ["f(p)", "g(f(p))"]
+    assert [render_term(t) for t in enumerate_paths(sch, b, b).terms] == ["p", "g(p)"]
 
 
 def test_enumerate_paths_truncates_on_cycles():
@@ -298,6 +311,28 @@ def test_triangle_identities(corpus):
         assert transpose_pi_down(f_map, pires.model, counit_pi(f_map, im)).is_identity()
 
 
+FRESH_NULL = """\
+typeside Ty = literal { }
+schema S = literal : Ty { entities A  attributes a : A -> Int }
+schema T = literal : Ty { entities B  attributes b c : B -> Int }
+mapping F = literal : S -> T { entities A -> B  attributes a -> lambda x:B. b(x) }
+instance I = literal : S { generators r : A  equations a(r) = 1 }
+"""
+
+
+def test_counit_pi_has_no_mate_through_a_fresh_null():
+    # c factors through no source attribute, so pi(I) holds a fresh null at
+    # c(1): the identity on pi(I) has no mate, hence there is no counit
+    env, diags = elaborate(parse(FRESH_NULL)[0])
+    assert not diags
+    f, im = env.mappings["F"], env.models["I"]
+    pm = pi(f, im).model
+    (row,) = pm.carrier(f.target.entity_named("B"))
+    assert pm.label(pm.op(f.target.symbol_named("c"), row)) == "c(1)"
+    with pytest.raises(NoMorphismExists, match="fresh null"):
+        counit_pi(f, im)
+
+
 # ---------------------------------------------------------------------------
 # Shared migration results
 
@@ -349,6 +384,24 @@ def test_adjunction_laws_reuse_migration_results(builds, mapping_f, model_i, mod
     # while the morphisms built from them live (recomputing in every call
     # built 18 + 3 * len(up) models)
     assert builds["builds"] == 7
+
+
+def test_units_and_counits_hold_what_their_triangle_identities_need(builds, mapping_f,
+                                                                    model_i, model_j):
+    # the caller holds no migration result: each unit or counit holds the
+    # ones it was built from, so its triangle identity builds nothing
+    f, im, jm = mapping_f, model_i, model_j
+    triangles = [
+        (lambda: unit_sigma(f, im), lambda u: transpose_sigma_up(f, u, sigma(f, im.instance).model)),
+        (lambda: counit_sigma(f, jm), lambda c: transpose_sigma_down(f, delta(f, jm).model, c)),
+        (lambda: unit_pi(f, jm), lambda u: transpose_pi_up(f, u, delta(f, jm).model)),
+        (lambda: counit_pi(f, im), lambda c: transpose_pi_down(f, pi(f, im).model, c)),
+    ]
+    for make, mate in triangles:
+        m = make()
+        before = builds["builds"]
+        assert mate(m).is_identity()
+        assert builds["builds"] == before
 
 
 def test_migration_inputs_cannot_change(mapping_f, model_i):

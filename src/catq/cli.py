@@ -39,6 +39,17 @@ def _limits() -> SaturationLimits:
         raise SystemExit(EXIT_DIAGNOSTICS)
 
 
+def _option(config, value):
+    """`config(value)`, or `config()` when the option is not given; exit 1 when it is out of range."""
+    if value is None:
+        return config()
+    try:
+        return config(value)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(EXIT_DIAGNOSTICS)
+
+
 def _load(path: str) -> tuple[Environment, list[Diagnostic]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -85,14 +96,14 @@ def _run_directives(env: Environment) -> int:
                 print(f"check {name}: inconsistent: {collision}", file=sys.stderr)
                 code = max(code, EXIT_INCONSISTENT)
         elif d.op == "invert":
-            code = max(code, _do_invert(env, d.args[0], d.depth))
+            code = max(code, _do_invert(env, d.args[0], _option(InversionBounds, d.depth)))
         elif d.op == "match":
-            code = max(code, _do_match(env, d.args[0], d.args[1], d.span_match, d.cutoff))
+            code = max(code, _do_match(env, d.args[0], d.args[1], d.span_match,
+                                       _option(SimilarityConfig, d.cutoff)))
     return code
 
 
-def _do_invert(env: Environment, name: str, depth) -> int:
-    bounds = InversionBounds(depth=depth) if depth else InversionBounds()
+def _do_invert(env: Environment, name: str, bounds: InversionBounds) -> int:
     try:
         inv = invert_mapping(env.mappings[name], bounds, _limits())
     except ResourceLimit as e:
@@ -106,8 +117,7 @@ def _do_invert(env: Environment, name: str, depth) -> int:
     return EXIT_OK
 
 
-def _do_match(env: Environment, src: str, tgt: str, span: bool, cutoff) -> int:
-    cfg = SimilarityConfig(cutoff=cutoff) if cutoff is not None else SimilarityConfig()
+def _do_match(env: Environment, src: str, tgt: str, span: bool, cfg: SimilarityConfig) -> int:
     s, t = env.schemas[src], env.schemas[tgt]
     if span:
         res = match_span(s, t, cfg)
@@ -158,6 +168,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_match(args) -> int:
+    cfg = _option(SimilarityConfig, args.cutoff)
     env, diags = _load(args.file)
     code = _report(diags)
     if code:
@@ -166,10 +177,11 @@ def cmd_match(args) -> int:
         if name not in env.schemas:
             print(f"error: no schema named {name}", file=sys.stderr)
             return EXIT_DIAGNOSTICS
-    return _do_match(env, args.source, args.target, args.span, args.cutoff)
+    return _do_match(env, args.source, args.target, args.span, cfg)
 
 
 def cmd_invert(args) -> int:
+    bounds = _option(InversionBounds, args.depth)
     env, diags = _load(args.file)
     code = _report(diags)
     if code:
@@ -177,7 +189,7 @@ def cmd_invert(args) -> int:
     if args.mapping not in env.mappings:
         print(f"error: no mapping named {args.mapping}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    return _do_invert(env, args.mapping, args.depth)
+    return _do_invert(env, args.mapping, bounds)
 
 
 def cmd_export(args) -> int:

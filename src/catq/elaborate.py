@@ -14,7 +14,8 @@ from typing import Optional
 
 from .errors import CatqError, ResourceLimit
 from .mappings import Mapping, compose_mappings, identity_mapping, validate_mapping
-from .migrate import delta, pi, sigma, coproduct
+from .matcher import SimilarityConfig
+from .migrate import InversionBounds, coproduct, delta, pi, sigma
 from .model import DEFAULT_LIMITS, SaturationLimits, TermModel, build_term_model
 from .parser import (
     Diagnostic,
@@ -271,9 +272,9 @@ class _Elaborator:
     def resolve_image(self, img: RawImage, tgt: Schema, arg_sort: Sort) -> Optional[Term]:
         """Resolve a mapping image over `tgt`, in lambda or shorthand form.
 
-        The bound variable has sort `arg_sort`.  In shorthand form the
-        whole body is a term whose single unresolved leaf is taken to be
-        the bound variable.
+        The bound variable has sort `arg_sort`.  In shorthand form a bare
+        target symbol `g` stands for `g(x)`; any other body is a term whose
+        single unresolved leaf is taken to be the bound variable.
         """
         if img.var is not None:
             if img.var_sort is not None and img.var_sort != arg_sort.name:
@@ -281,6 +282,10 @@ class _Elaborator:
                            f"lambda variable must have sort {arg_sort.name}", img.span)
                 return None
             return self.resolve_term(img.body, tgt, {}, {img.var: arg_sort}, None)
+        body = img.body
+        if not body.args and not body.quoted and tgt.symbol_named(body.name) is not None:
+            body = RawTerm(body.name, body.span, [RawTerm("x", body.span)])
+            return self.resolve_term(body, tgt, {}, {"x": arg_sort}, None)
 
         # shorthand: find the variable leaf (the one unknown identifier)
         leaves: set[str] = set()
@@ -293,20 +298,12 @@ class _Elaborator:
                     and parse_int_literal(r.name) is None:
                 leaves.add(r.name)
 
-        scan(img.body)
+        scan(body)
         if len(leaves) > 1:
             self.error("NameResolution",
                        f"mapping image has several candidate variables: {sorted(leaves)}", img.span)
             return None
-        bound = {name: arg_sort for name in leaves}
-        if not img.body.args and not leaves:
-            # a bare known name: a target symbol applied to the variable
-            g = tgt.symbol_named(img.body.name)
-            if g is not None:
-                return App(g, (Var("x", arg_sort),))
-        if not img.body.args and img.body.name in bound:
-            return Var(img.body.name, arg_sort)
-        return self.resolve_term(img.body, tgt, {}, bound, None)
+        return self.resolve_term(body, tgt, {}, {name: arg_sort for name in leaves}, None)
 
     def do_mapping(self, d: MappingDecl):
         src = self.env.schemas.get(d.source_ref)
@@ -405,12 +402,26 @@ class _Elaborator:
             if d.args[0] not in self.env.mappings:
                 self.error("NameResolution", f"unknown mapping {d.args[0]}", d.span)
                 return
+            if not self.option_in_range(InversionBounds, d.depth, d.span):
+                return
         elif d.op == "match":
             for a in d.args:
                 if a not in self.env.schemas:
                     self.error("NameResolution", f"unknown schema {a}", d.span)
                     return
+            if not self.option_in_range(SimilarityConfig, d.cutoff, d.span):
+                return
         self.env.directives.append(d)
+
+    def option_in_range(self, config, value, span: SourceSpan) -> bool:
+        """Whether a directive's search option is not given or is one that `config` accepts."""
+        if value is not None:
+            try:
+                config(value)
+            except ValueError as e:
+                self.error("BadOption", str(e), span)
+                return False
+        return True
 
     def run(self, prog: Program) -> Environment:
         for d in prog.decls:

@@ -110,9 +110,11 @@ def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term,
     """Provable equality of two one-variable terms rooted at `entity`.
 
     Each term's variable, whatever its name, is replaced by the probe
-    generator `_x`.  A theory with no schema constraints and no typeside
-    equations proves only syntactic equalities, so the closed terms are
-    compared as they are; otherwise they are compared on the probe model.
+    generator `_x`.  Such terms only reach the entities that foreign keys
+    reach from `entity`.  With no typeside equations and no constraint on
+    one of those entities, the theory proves only syntactic equalities
+    between them, so the closed terms are compared as they are; otherwise
+    they are compared on the probe model.
     """
     if t1.sort != t2.sort:
         raise SortMismatch(
@@ -123,9 +125,20 @@ def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term,
         vs = free_vars(t)
         return substitute(t, {vs[0].name: g}) if vs else t
 
-    if not schema.constraints and not schema.typeside.equations:
-        return close(t1) == close(t2)
-    return probe_model(schema, entity, limits).decide_equal(close(t1), close(t2))
+    if schema.typeside.equations or (schema.constraints and _constrained_from(schema, entity)):
+        return probe_model(schema, entity, limits).decide_equal(close(t1), close(t2))
+    return close(t1) == close(t2)
+
+
+def _constrained_from(schema: Schema, entity: Sort) -> bool:
+    """Whether a constraint of `schema` is on an entity that foreign keys reach from `entity`."""
+    reached, todo = {entity}, [entity]
+    while todo:
+        for f in schema.symbols_on(todo.pop()):
+            if f.out_sort.is_entity and f.out_sort not in reached:
+                reached.add(f.out_sort)
+                todo.append(f.out_sort)
+    return any(v.sort in reached for con in schema.constraints for v in con.free)
 
 
 def validate_mapping(f_map: Mapping, limits: SaturationLimits = DEFAULT_LIMITS) -> list[Issue]:

@@ -25,7 +25,7 @@ class SimilarityConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.cutoff <= 1.0:
-            raise ValueError("cutoff must lie in [0, 1]")
+            raise ValueError(f"cutoff must lie in [0, 1], got {self.cutoff}")
 
 
 DEFAULT_SIMILARITY = SimilarityConfig()

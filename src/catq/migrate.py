@@ -750,6 +750,10 @@ class InversionBounds:
     depth: int = 3
     max_candidates: int = 10 ** 6
 
+    def __post_init__(self):
+        if self.depth <= 0:
+            raise ValueError(f"depth must be a positive integer, got {self.depth}")
+
 
 def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds(),
                    limits: SaturationLimits = DEFAULT_LIMITS) -> Optional[Mapping]:

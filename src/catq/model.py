@@ -303,22 +303,29 @@ class TermModel:
         when extending morphisms homomorphically); `varmap` binds
         variables of open terms to classes.
         """
-        if isinstance(t, Var):
-            if varmap is None or t.name not in varmap:
-                raise UnknownSymbol(f"unbound variable {t.name}")
-            return self.find(varmap[t.name])
-        if genmap is not None and t.sym in genmap:
-            return self.find(genmap[t.sym])
-        args = []
-        for a in t.args:
-            c = self.eval(a, genmap, varmap)
+        # every symbol is unary or 0-ary: walk down the chain to a variable,
+        # a re-routed generator or a leaf, then look each application up
+        chain: list[App] = []
+        while True:
+            if isinstance(t, Var):
+                if varmap is None or t.name not in varmap:
+                    raise UnknownSymbol(f"unbound variable {t.name}")
+                c = self.find(varmap[t.name])
+                break
+            if genmap is not None and t.sym in genmap:
+                c = self.find(genmap[t.sym])
+                break
+            chain.append(t)
+            if not t.args:
+                break
+            t = t.args[0]
+        for u in reversed(chain):
+            c = self._lookup(u.sym, (c,) if u.args else ())
             if c is None:
-                return None
-            args.append(c)
-        hit = self._lookup(t.sym, tuple(args))
-        if hit is None and t.sym.flavor != LITERAL:
-            raise UnknownSymbol(f"term {render_term(t)} does not denote in this model")
-        return hit
+                if u.sym.flavor == LITERAL:
+                    return None
+                raise UnknownSymbol(f"term {render_term(u)} does not denote in this model")
+        return c
 
     def image(self, tgt: "TermModel",
               genmap: Mapping[FunctionSymbol, int]) -> Optional[dict[int, int]]:

@@ -1,5 +1,9 @@
 """Lexer, AST and recursive-descent parser for .catq programs.
 
+The body of every literal declaration, `{ section items ... }`, is
+described once, in `BODIES`: the parser reads it and the pretty printer
+writes it from that table.
+
 Parsing is total: syntax errors become diagnostics with source spans
 and the parser resynchronizes at the next section or declaration, so a
 single bad token never hides the rest of the file.
@@ -7,6 +11,7 @@ single bad token never hides the rest of the file.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -22,11 +27,31 @@ EOF = "eof"
 
 PUNCTUATION = ("->", "{", "}", "(", ")", ":", ",", "=", ".")
 
-DECL_KEYWORDS = {"typeside", "schema", "instance", "mapping"}
+# item kinds of a declaration body's sections
+NAMES = "names"  # a b c
+NAME_GROUP = "name group"  # a b : S
+ARROW_GROUP = "arrow group"  # f g : A -> B
+EQUATION = "equation"  # lhs = rhs
+QUANTIFIED = "quantified equation"  # forall x:E. lhs = rhs
+ENTITY_PAIR = "entity pair"  # A -> B
+SYMBOL_IMAGE = "symbol image"  # f -> lambda x:B. g(x)
+
+# Each declaration kind's section keywords, in printing order, with the kind
+# of item each holds.  A section keyword is also the name of the
+# declaration's field that collects its items.
+BODIES = {
+    "typeside": {"types": NAMES, "constants": NAME_GROUP, "equations": EQUATION},
+    "schema": {"entities": NAMES, "foreign_keys": ARROW_GROUP, "attributes": ARROW_GROUP,
+               "equations": QUANTIFIED},
+    "instance": {"generators": NAME_GROUP, "equations": EQUATION},
+    "mapping": {"entities": ENTITY_PAIR, "foreign_keys": SYMBOL_IMAGE, "attributes": SYMBOL_IMAGE},
+}
+JAVA_SECTIONS = ("java_types", "java_constants")  # recognised in typesides only, to be rejected
+
+DECL_KEYWORDS = set(BODIES)
 DIRECTIVE_KEYWORDS = {"check", "invert", "match"}
 EXPR_KEYWORDS = {"literal", "sigma", "delta", "pi", "coproduct", "compose", "identity"}
-SECTION_KEYWORDS = {"types", "constants", "entities", "foreign_keys", "attributes",
-                    "equations", "generators", "java_types", "java_constants"}
+SECTION_KEYWORDS = {kw for sections in BODIES.values() for kw in sections} | set(JAVA_SECTIONS)
 
 
 class SourceSpan(NamedTuple):
@@ -351,35 +376,43 @@ class _Parser:
             else:
                 return node
 
-    def parse_equation(self, quantified: bool = False) -> Optional[RawEquation]:
-        var = var_sort = None
-        start = self.peek().span
-        if quantified and self.at("forall"):
+    def parse_binder(self, keyword: str) -> Optional[tuple[Optional[str], Optional[str]]]:
+        """`keyword var.` or `keyword var:sort.` as (var, sort or None), if at `keyword`.
+
+        (None, None) when not at `keyword`; None after a syntax error.
+        """
+        if not self.at(keyword):
+            return None, None
+        self.next()
+        v = self.expect_name("variable")
+        if v is None:
+            return None
+        sort = None
+        if self.at(":"):
             self.next()
-            v = self.expect_name("variable")
-            if v is None:
+            s = self.expect_name("sort")
+            if s is None:
                 return None
-            var = v.text
-            if self.at(":"):
-                self.next()
-                s = self.expect_name("sort")
-                if s is None:
-                    return None
-                var_sort = s.text
-            if self.expect(".") is None:
-                return None
+            sort = s.text
+        return None if self.expect(".") is None else (v.text, sort)
+
+    def parse_equation(self, quantified: bool = False) -> Optional[RawEquation]:
+        start = self.peek().span
+        binder = self.parse_binder("forall") if quantified else (None, None)
+        if binder is None:
+            return None
         lhs = self.parse_term()
         if lhs is None or self.expect("=") is None:
             return None
         rhs = self.parse_term()
         if rhs is None:
             return None
-        return RawEquation(lhs, rhs, start.to(rhs.span), var, var_sort)
+        return RawEquation(lhs, rhs, start.to(rhs.span), *binder)
 
-    # -- sections --------------------------------------------------------
+    # -- section items -----------------------------------------------------
 
-    def parse_name_group(self) -> Optional[tuple[list[str], Token]]:
-        """`a b c : X` — names up to a colon, then the sort token."""
+    def parse_name_group(self) -> Optional[tuple[list[str], str]]:
+        """`a b c : X` — names up to a colon, then the sort."""
         names: list[str] = []
         while self.peek().kind in (IDENT, NUMBER) and not self.at_boundary():
             names.append(self.next().text)
@@ -391,12 +424,44 @@ class _Parser:
         if self.expect(":") is None:
             return None
         sort = self.expect_name("sort")
-        if sort is None:
+        return None if sort is None else (names, sort.text)
+
+    def parse_arrow_group(self) -> Optional[tuple[list[str], str, str]]:
+        """`f g : A -> B`."""
+        grp = self.parse_name_group()
+        if grp is None or self.expect("->") is None:
             return None
-        return names, sort
+        to = self.expect_name("sort")
+        return None if to is None else (*grp, to.text)
+
+    def parse_entity_pair(self) -> Optional[tuple[str, str]]:
+        """`A -> B`."""
+        a = self.expect_name("entity")
+        if a is None or self.expect("->") is None:
+            return None
+        b = self.expect_name("entity")
+        return None if b is None else (a.text, b.text)
+
+    def parse_symbol_image(self) -> Optional[tuple[str, RawImage]]:
+        """`f -> image`."""
+        f = self.expect_name("symbol")
+        if f is None or self.expect("->") is None:
+            return None
+        img = self.parse_image()
+        return None if img is None else (f.text, img)
+
+    def parse_image(self) -> Optional[RawImage]:
+        start = self.peek().span
+        binder = self.parse_binder("lambda")
+        if binder is None:
+            return None
+        body = self.parse_term()
+        if body is None:
+            return None
+        return RawImage(body, start.to(body.span), *binder)
 
     def skip_section(self):
-        while not self.at_boundary() and self.peek().kind != EOF:
+        while not self.at_boundary():
             self.next()
 
     # -- declarations ------------------------------------------------------
@@ -405,14 +470,8 @@ class _Parser:
         prog = Program()
         while self.peek().kind != EOF:
             t = self.peek()
-            if t.text in DECL_KEYWORDS:
-                d = self.parse_decl()
-                if d is not None:
-                    prog.decls.append(d)
-                else:
-                    self.sync_top()
-            elif t.text in DIRECTIVE_KEYWORDS:
-                d = self.parse_directive()
+            if t.text in DECL_KEYWORDS or t.text in DIRECTIVE_KEYWORDS:
+                d = self.parse_decl() if t.text in DECL_KEYWORDS else self.parse_directive()
                 if d is not None:
                     prog.decls.append(d)
                 else:
@@ -432,13 +491,14 @@ class _Parser:
         if head.text == "literal":
             self.next()
             if kw.text == "typeside":
-                return self.parse_typeside_body(name.text, kw.span)
-            if kw.text == "schema":
-                return self.parse_schema_body(name.text, kw.span)
-            if kw.text == "instance":
-                return self.parse_instance_body(name.text, kw.span)
+                return self.parse_body(TypesideDecl(name.text, kw.span))
             if kw.text == "mapping":
-                return self.parse_mapping_body(name.text, kw.span)
+                return self.parse_mapping_header(name.text, kw.span)
+            ref = self.parse_header_ref()
+            if ref is None:
+                return None
+            cls = SchemaDecl if kw.text == "schema" else InstanceDecl
+            return self.parse_body(cls(name.text, kw.span, ref))
         if head.text in EXPR_KEYWORDS:
             self.next()
             nargs = 1 if head.text == "identity" else 2
@@ -462,154 +522,7 @@ class _Parser:
         r = self.expect_name("reference")
         return None if r is None else r.text
 
-    def reject_java_section(self, section: Token):
-        self.diags.append(Diagnostic(
-            "error", "UnsupportedFeature",
-            f"{section.text}: external bindings unsupported; use builtin String/Int",
-            section.span))
-        self.skip_section()
-
-    def parse_typeside_body(self, name: str, start: SourceSpan):
-        decl = TypesideDecl(name, start)
-        if self.expect("{") is None:
-            return None
-        while not self.at("}") and self.peek().kind != EOF:
-            section = self.next()
-            if section.text in ("java_types", "java_constants"):
-                self.reject_java_section(section)
-            elif section.text == "types":
-                while self.peek().kind in (IDENT, NUMBER) and not self.at_boundary():
-                    decl.types.append(self.next().text)
-            elif section.text == "constants":
-                while not self.at_boundary():
-                    grp = self.parse_name_group()
-                    if grp is None:
-                        self.skip_section()
-                        break
-                    decl.constants.append((grp[0], grp[1].text))
-            elif section.text == "equations":
-                while not self.at_boundary():
-                    eq = self.parse_equation()
-                    if eq is None:
-                        self.skip_section()
-                        break
-                    decl.equations.append(eq)
-            else:
-                self.error(f"unknown typeside section {section.text!r}", section.span)
-                self.skip_section()
-        self.expect("}")
-        return decl
-
-    def parse_arrow_group(self) -> Optional[tuple[list[str], str, str]]:
-        """`f g : A -> B`."""
-        grp = self.parse_name_group()
-        if grp is None:
-            return None
-        names, frm = grp
-        if self.expect("->") is None:
-            return None
-        to = self.expect_name("sort")
-        if to is None:
-            return None
-        return names, frm.text, to.text
-
-    def parse_schema_body(self, name: str, start: SourceSpan):
-        decl = SchemaDecl(name, start)
-        ref = self.parse_header_ref()
-        if ref is None:
-            return None
-        decl.typeside_ref = ref
-        if self.expect("{") is None:
-            return None
-        while not self.at("}") and self.peek().kind != EOF:
-            section = self.next()
-            if section.text == "entities":
-                while self.peek().kind in (IDENT, NUMBER) and not self.at_boundary():
-                    decl.entities.append(self.next().text)
-            elif section.text == "foreign_keys":
-                while not self.at_boundary():
-                    grp = self.parse_arrow_group()
-                    if grp is None:
-                        self.skip_section()
-                        break
-                    decl.foreign_keys.append(grp)
-            elif section.text == "attributes":
-                while not self.at_boundary():
-                    grp = self.parse_arrow_group()
-                    if grp is None:
-                        self.skip_section()
-                        break
-                    decl.attributes.append(grp)
-            elif section.text == "equations":
-                while not self.at_boundary():
-                    eq = self.parse_equation(quantified=True)
-                    if eq is None:
-                        self.skip_section()
-                        break
-                    decl.equations.append(eq)
-            else:
-                self.error(f"unknown schema section {section.text!r}", section.span)
-                self.skip_section()
-        self.expect("}")
-        return decl
-
-    def parse_instance_body(self, name: str, start: SourceSpan):
-        decl = InstanceDecl(name, start)
-        ref = self.parse_header_ref()
-        if ref is None:
-            return None
-        decl.schema_ref = ref
-        if self.expect("{") is None:
-            return None
-        while not self.at("}") and self.peek().kind != EOF:
-            section = self.next()
-            if section.text == "generators":
-                while not self.at_boundary():
-                    grp = self.parse_name_group()
-                    if grp is None:
-                        self.skip_section()
-                        break
-                    decl.generators.append((grp[0], grp[1].text))
-            elif section.text == "equations":
-                while not self.at_boundary():
-                    eq = self.parse_equation()
-                    if eq is None:
-                        self.skip_section()
-                        break
-                    decl.equations.append(eq)
-            else:
-                self.error(f"unknown instance section {section.text!r}", section.span)
-                self.skip_section()
-        self.expect("}")
-        return decl
-
-    def parse_image(self) -> Optional[RawImage]:
-        start = self.peek().span
-        if self.at("lambda"):
-            self.next()
-            v = self.expect_name("variable")
-            if v is None:
-                return None
-            var_sort = None
-            if self.at(":"):
-                self.next()
-                s = self.expect_name("sort")
-                if s is None:
-                    return None
-                var_sort = s.text
-            if self.expect(".") is None:
-                return None
-            body = self.parse_term()
-            if body is None:
-                return None
-            return RawImage(body, start.to(body.span), v.text, var_sort)
-        body = self.parse_term()
-        if body is None:
-            return None
-        return RawImage(body, start.to(body.span))
-
-    def parse_mapping_body(self, name: str, start: SourceSpan):
-        decl = MappingDecl(name, start)
+    def parse_mapping_header(self, name: str, start: SourceSpan):
         if self.expect(":") is None:
             return None
         src = self.expect_name("source schema")
@@ -618,37 +531,41 @@ class _Parser:
         tgt = self.expect_name("target schema")
         if tgt is None:
             return None
-        decl.source_ref, decl.target_ref = src.text, tgt.text
+        return self.parse_body(MappingDecl(name, start, src.text, tgt.text))
+
+    def parse_body(self, decl):
+        """`{ section items ... }`, each item appended to the section's field of `decl`.
+
+        A bad item ends its section, which is skipped; so is an unknown one.
+        """
         if self.expect("{") is None:
             return None
+        sections = BODIES[decl.kind]
         while not self.at("}") and self.peek().kind != EOF:
             section = self.next()
-            if section.text == "entities":
-                while not self.at_boundary():
-                    a = self.expect_name("entity")
-                    if a is None or self.expect("->") is None:
-                        self.skip_section()
-                        break
-                    b = self.expect_name("entity")
-                    if b is None:
-                        self.skip_section()
-                        break
-                    decl.entities.append((a.text, b.text))
-            elif section.text in ("foreign_keys", "attributes"):
-                bucket = decl.foreign_keys if section.text == "foreign_keys" else decl.attributes
-                while not self.at_boundary():
-                    f = self.expect_name("symbol")
-                    if f is None or self.expect("->") is None:
-                        self.skip_section()
-                        break
-                    img = self.parse_image()
-                    if img is None:
-                        self.skip_section()
-                        break
-                    bucket.append((f.text, img))
-            else:
-                self.error(f"unknown mapping section {section.text!r}", section.span)
+            kind = sections.get(section.text)
+            if kind is None:
+                if decl.kind == "typeside" and section.text in JAVA_SECTIONS:
+                    self.diags.append(Diagnostic(
+                        "error", "UnsupportedFeature",
+                        f"{section.text}: external bindings unsupported; use builtin String/Int",
+                        section.span))
+                else:
+                    self.error(f"unknown {decl.kind} section {section.text!r}", section.span)
                 self.skip_section()
+                continue
+            items = getattr(decl, section.text)
+            if kind == NAMES:  # a run of names, which ends at anything else
+                while self.peek().kind in (IDENT, NUMBER) and not self.at_boundary():
+                    items.append(self.next().text)
+                continue
+            read = _READERS[kind]
+            while not self.at_boundary():
+                item = read(self)
+                if item is None:
+                    self.skip_section()
+                    break
+                items.append(item)
         self.expect("}")
         return decl
 
@@ -683,6 +600,17 @@ class _Parser:
         return d
 
 
+# the reader of one item of each kind but NAMES; None after a syntax error
+_READERS = {
+    NAME_GROUP: _Parser.parse_name_group,
+    ARROW_GROUP: _Parser.parse_arrow_group,
+    EQUATION: _Parser.parse_equation,
+    QUANTIFIED: functools.partial(_Parser.parse_equation, quantified=True),
+    ENTITY_PAIR: _Parser.parse_entity_pair,
+    SYMBOL_IMAGE: _Parser.parse_symbol_image,
+}
+
+
 def parse(text: str, filename: str = "<input>") -> tuple[Program, list[Diagnostic]]:
     """Parse a .catq program; always returns an AST plus diagnostics."""
     tokens, diags = lex(text, filename)
@@ -695,28 +623,24 @@ def parse(text: str, filename: str = "<input>") -> tuple[Program, list[Diagnosti
 # Pretty printer (inverse of parse up to layout)
 
 
-def _pp_groups(lines: list[str], section: str, groups, arrow: bool):
-    if not groups:
-        return
-    lines.append(f"    {section}")
-    for g in groups:
-        if arrow:
-            names, frm, to = g
-            lines.append(f"        {' '.join(names)} : {frm} -> {to}")
-        else:
-            names, sort = g
-            lines.append(f"        {' '.join(names)} : {sort}")
+def _pp_equation(eq: RawEquation) -> str:
+    q = "" if eq.var is None else f"forall {_binder(eq.var, eq.var_sort)} "
+    return f"{q}{eq.lhs.render()} = {eq.rhs.render()}"
 
 
-def _pp_equations(lines: list[str], eqs: list[RawEquation]):
-    if not eqs:
-        return
-    lines.append("    equations")
-    for eq in eqs:
-        q = ""
-        if eq.var is not None:
-            q = f"forall {_binder(eq.var, eq.var_sort)} "
-        lines.append(f"        {q}{eq.lhs.render()} = {eq.rhs.render()}")
+# the printer of one item of each kind but NAMES, which share one line
+_PRINTERS = {
+    NAME_GROUP: lambda g: f"{' '.join(g[0])} : {g[1]}",
+    ARROW_GROUP: lambda g: f"{' '.join(g[0])} : {g[1]} -> {g[2]}",
+    EQUATION: _pp_equation,
+    QUANTIFIED: _pp_equation,
+    ENTITY_PAIR: lambda p: f"{p[0]} -> {p[1]}",
+    SYMBOL_IMAGE: lambda p: f"{p[0]} -> {p[1].render()}",
+}
+
+# each literal declaration's header between `literal` and `{`, from its fields
+_HEADERS = {"typeside": "", "schema": ": {typeside_ref} ", "instance": ": {schema_ref} ",
+            "mapping": ": {source_ref} -> {target_ref} "}
 
 
 def _positional(x: float) -> str:
@@ -731,45 +655,7 @@ def _positional(x: float) -> str:
 def pretty_print(prog: Program) -> str:
     out: list[str] = []
     for d in prog.decls:
-        if isinstance(d, TypesideDecl):
-            lines = [f"typeside {d.name} = literal {{"]
-            if d.types:
-                lines.append("    types")
-                lines.append(f"        {' '.join(d.types)}")
-            _pp_groups(lines, "constants", d.constants, arrow=False)
-            _pp_equations(lines, d.equations)
-            lines.append("}")
-            out.append("\n".join(lines))
-        elif isinstance(d, SchemaDecl):
-            lines = [f"schema {d.name} = literal : {d.typeside_ref} {{"]
-            if d.entities:
-                lines.append("    entities")
-                lines.append(f"        {' '.join(d.entities)}")
-            _pp_groups(lines, "foreign_keys", d.foreign_keys, arrow=True)
-            _pp_groups(lines, "attributes", d.attributes, arrow=True)
-            _pp_equations(lines, d.equations)
-            lines.append("}")
-            out.append("\n".join(lines))
-        elif isinstance(d, InstanceDecl):
-            lines = [f"instance {d.name} = literal : {d.schema_ref} {{"]
-            _pp_groups(lines, "generators", d.generators, arrow=False)
-            _pp_equations(lines, d.equations)
-            lines.append("}")
-            out.append("\n".join(lines))
-        elif isinstance(d, MappingDecl):
-            lines = [f"mapping {d.name} = literal : {d.source_ref} -> {d.target_ref} {{"]
-            if d.entities:
-                lines.append("    entities")
-                for a, b in d.entities:
-                    lines.append(f"        {a} -> {b}")
-            for sec, items in (("foreign_keys", d.foreign_keys), ("attributes", d.attributes)):
-                if items:
-                    lines.append(f"    {sec}")
-                    for f, img in items:
-                        lines.append(f"        {f} -> {img.render()}")
-            lines.append("}")
-            out.append("\n".join(lines))
-        elif isinstance(d, DerivedDecl):
+        if isinstance(d, DerivedDecl):
             out.append(f"{d.kind} {d.name} = {d.op} {' '.join(d.args)}")
         elif isinstance(d, Directive):
             parts = [d.op]
@@ -781,4 +667,18 @@ def pretty_print(prog: Program) -> str:
             if d.depth is not None:
                 parts.extend(["depth", str(d.depth)])
             out.append(" ".join(parts))
+        else:
+            lines = [f"{d.kind} {d.name} = literal {_HEADERS[d.kind].format_map(vars(d))}{{"]
+            for section, kind in BODIES[d.kind].items():
+                items = getattr(d, section)
+                if not items:
+                    continue
+                lines.append(f"    {section}")
+                if kind == NAMES:
+                    lines.append(f"        {' '.join(items)}")
+                else:
+                    show = _PRINTERS[kind]
+                    lines.extend(f"        {show(item)}" for item in items)
+            lines.append("}")
+            out.append("\n".join(lines))
     return "\n\n".join(out) + ("\n" if out else "")

@@ -148,19 +148,26 @@ def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
     """Replace every variable of t by its binding.
 
     Every free variable must be bound, and each binding must match the
-    variable's sort.
+    variable's sort.  Every symbol is unary or 0-ary, so a term is a
+    chain: walk down it to the leaf, replace the leaf if it is a
+    variable, then rebuild the chain on the way back up.
     """
-    if isinstance(t, Var):
-        if t.name not in binding:
-            raise UnboundVariable(f"variable {t.name} has no binding")
-        repl = binding[t.name]
-        if term_sort(repl) != t.sort:
-            raise SortMismatch(
-                f"binding for {t.name} has sort {term_sort(repl).name}, expected {t.sort.name}")
-        return repl
-    if not t.args:
-        return t
-    return App(t.sym, tuple(substitute(a, binding) for a in t.args))
+    root = t
+    syms: list[FunctionSymbol] = []
+    while isinstance(t, App) and t.args:
+        syms.append(t.sym)
+        t = t.args[0]
+    if not isinstance(t, Var):
+        return root  # closed
+    if t.name not in binding:
+        raise UnboundVariable(f"variable {t.name} has no binding")
+    out = binding[t.name]
+    if term_sort(out) != t.sort:
+        raise SortMismatch(
+            f"binding for {t.name} has sort {term_sort(out).name}, expected {t.sort.name}")
+    for sym in reversed(syms):
+        out = App(sym, (out,))
+    return out
 
 
 def render_tree(root, split) -> str:

@@ -263,6 +263,19 @@ def test_deeply_nested_terms_hash_and_compare():
     assert {eq.lhs: 1}[again.lhs] == 1
 
 
+def test_deeply_nested_terms_evaluate_and_substitute():
+    # evaluation and substitution walk the 1500-deep chain without recursion
+    from catq.terms import substitute
+    env, diags = elaborate(parse(nested_equation_program(1500))[0])
+    assert not diags
+    (eq,) = env.instances["W"].equations
+    (a,) = env.instances["W"].generators
+    m = env.models["W"]
+    assert m.eval(eq.lhs) == m.class_of(a)
+    assert m.eval(eq.lhs.args[0]) != m.class_of(a)
+    assert substitute(eq.lhs, {}) == eq.lhs
+
+
 def test_deeply_nested_terms_migrate(tmp_path, capsys):
     # sigma translates the 1500-deep equation along the mapping, delta projects it back
     path = write(tmp_path, nested_equation_program(1500) + (
@@ -349,6 +362,43 @@ def test_invert_finds_the_identity_its_own_inverse_on_a_cyclic_schema(tmp_path, 
     out = capsys.readouterr().out
     assert "invert Id:\nmapping Id_inv : L -> L" in out
     assert "nxt -> lambda p:E. nxt(p)" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["invert", "--mapping", "F", "--depth", "-1"], "depth must be a positive integer, got -1"),
+    (["invert", "--mapping", "F", "--depth", "0"], "depth must be a positive integer, got 0"),
+    (["match", "--source", "S", "--target", "T", "--cutoff", "2"], "cutoff must lie in [0, 1], got 2.0"),
+])
+def test_out_of_range_search_flags_exit_1(example_file, capsys, argv, message):
+    with pytest.raises(SystemExit) as e:
+        main([argv[0], example_file, *argv[1:]])
+    assert e.value.code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_out_of_range_search_directives_are_diagnostics(tmp_path, capsys):
+    path = write(tmp_path, EXAMPLE + "invert F depth -2\nmatch S T cutoff 1.5\n")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}:52:1: error: BadOption: depth must be a positive integer, got -2",
+        f"{path}:53:1: error: BadOption: cutoff must lie in [0, 1], got 1.5"]
+
+
+def test_invert_ignores_constraints_that_its_symbols_cannot_reach(tmp_path, capsys):
+    # the constraint on F proves nothing about paths from E, so the infinite
+    # probe model at E is never built
+    path = write(tmp_path, """\
+typeside Ty = literal { }
+schema L = literal : Ty {
+    entities E F
+    foreign_keys nxt : E -> E  k : F -> F
+    equations forall x:F. k(k(x)) = x
+}
+mapping Id = identity L
+""")
+    assert main(["invert", path, "--mapping", "Id"]) == 0
+    out = capsys.readouterr().out
+    assert "nxt -> lambda p:E. nxt(p)" in out and "k -> lambda p:F. k(p)" in out
 
 
 def test_export_writes_files(example_file, tmp_path, capsys):

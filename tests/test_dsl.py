@@ -198,6 +198,101 @@ def test_parse_recovers_with_spans():
     assert any(isinstance(x, SchemaDecl) and x.name == "Q" for x in prog.decls)
 
 
+# A bad item skips the rest of its section; an unknown section is reported
+# and skipped.  Either way the sections after it are still read.  Each case
+# is (text, [(code, message, (line, col, end_line, end_col))], printed AST).
+RECOVERY = [
+    ("typeside Ty = literal { types a ( b constants c : a }",
+     [("SyntaxError", "unknown typeside section '('", (1, 33, 1, 34))],
+     "typeside Ty = literal {\n    types\n        a\n    constants\n        c : a\n}\n"),
+    ("typeside Ty = literal { constants a b Int equations x = y }",
+     [("SyntaxError", "expected ':', found 'equations'", (1, 43, 1, 52))],
+     "typeside Ty = literal {\n    equations\n        x = y\n}\n"),
+    ("typeside Ty = literal { equations a = types b }",
+     [("SyntaxError", "expected '=', found '}'", (1, 47, 1, 48))],
+     "typeside Ty = literal {\n    equations\n        a = types\n}\n"),
+    ("typeside Ty = literal { foreign_keys f : A -> B types a }",
+     [("SyntaxError", "unknown typeside section 'foreign_keys'", (1, 25, 1, 37))],
+     "typeside Ty = literal {\n    types\n        a\n}\n"),
+    ('typeside Ty = literal { java_constants x = "y" types T }',
+     [("UnsupportedFeature",
+       "java_constants: external bindings unsupported; use builtin String/Int", (1, 25, 1, 39))],
+     "typeside Ty = literal {\n    types\n        T\n}\n"),
+    ("typeside Ty = literal { types a",
+     [("SyntaxError", "expected '}', found ''", (1, 32, 1, 32))],
+     "typeside Ty = literal {\n    types\n        a\n}\n"),
+    ("schema S = literal : Ty { entities A , B foreign_keys f : A -> B }",
+     [("SyntaxError", "unknown schema section ','", (1, 38, 1, 39))],
+     "schema S = literal : Ty {\n    entities\n        A\n    foreign_keys\n        f : A -> B\n}\n"),
+    ("schema S = literal : Ty { foreign_keys f : A B attributes a : A -> Int }",
+     [("SyntaxError", "expected '->', found 'B'", (1, 46, 1, 47))],
+     "schema S = literal : Ty {\n    attributes\n        a : A -> Int\n}\n"),
+    ("schema S = literal : Ty { attributes a : A -> entities A }",
+     [("SyntaxError", "expected ':', found '}'", (1, 58, 1, 59))],
+     "schema S = literal : Ty {\n    attributes\n        a : A -> entities\n}\n"),
+    ("schema S = literal : Ty { equations forall x:A k(x) = x entities A }",
+     [("SyntaxError", "expected '.', found 'k'", (1, 48, 1, 49))],
+     "schema S = literal : Ty {\n    entities\n        A\n}\n"),
+    ("schema S = literal : Ty { equations forall . x = y entities A }",
+     [("SyntaxError", "expected variable, found '.'", (1, 44, 1, 45))],
+     "schema S = literal : Ty {\n    entities\n        A\n}\n"),
+    ("schema S = literal : Ty { equations forall x: . x = y entities A }",
+     [("SyntaxError", "expected sort, found '.'", (1, 47, 1, 48))],
+     "schema S = literal : Ty {\n    entities\n        A\n}\n"),
+    ("schema S = literal : Ty { generators a : A entities A }",
+     [("SyntaxError", "unknown schema section 'generators'", (1, 27, 1, 37))],
+     "schema S = literal : Ty {\n    entities\n        A\n}\n"),
+    ("instance I = literal : S { generators : A equations a = b }",
+     [("SyntaxError", "expected at least one name", (1, 39, 1, 40))],
+     "instance I = literal : S {\n    equations\n        a = b\n}\n"),
+    ("instance I = literal : S { equations f(a) a generators a : A }",
+     [("SyntaxError", "expected '=', found 'a'", (1, 43, 1, 44))],
+     "instance I = literal : S {\n    generators\n        a : A\n}\n"),
+    ("instance I = literal : S { entities A generators a : A }",
+     [("SyntaxError", "unknown instance section 'entities'", (1, 28, 1, 36))],
+     "instance I = literal : S {\n    generators\n        a : A\n}\n"),
+    ("mapping F = literal : S -> T { entities A B foreign_keys f -> g }",
+     [("SyntaxError", "expected '->', found 'B'", (1, 43, 1, 44))],
+     "mapping F = literal : S -> T {\n    foreign_keys\n        f -> g\n}\n"),
+    ("mapping F = literal : S -> T { entities A -> , foreign_keys f -> g }",
+     [("SyntaxError", "expected entity, found ','", (1, 46, 1, 47))],
+     "mapping F = literal : S -> T {\n    foreign_keys\n        f -> g\n}\n"),
+    # an entity name is any name, even a section keyword
+    ("mapping F = literal : S -> T { entities A -> attributes a -> b }",
+     [],
+     "mapping F = literal : S -> T {\n    entities\n        A -> attributes\n        a -> b\n}\n"),
+    ("mapping F = literal : S -> T { foreign_keys -> x entities A -> B }",
+     [("SyntaxError", "expected symbol, found '->'", (1, 45, 1, 47))],
+     "mapping F = literal : S -> T {\n    entities\n        A -> B\n}\n"),
+    ("mapping F = literal : S -> T { foreign_keys f x attributes a -> b }",
+     [("SyntaxError", "expected '->', found 'x'", (1, 47, 1, 48))],
+     "mapping F = literal : S -> T {\n    attributes\n        a -> b\n}\n"),
+    ("mapping F = literal : S -> T { attributes a -> lambda . x entities A -> B }",
+     [("SyntaxError", "expected variable, found '.'", (1, 55, 1, 56))],
+     "mapping F = literal : S -> T {\n    entities\n        A -> B\n}\n"),
+    ("mapping F = literal : S -> T { attributes a -> lambda x: . y entities A -> B }",
+     [("SyntaxError", "expected sort, found '.'", (1, 58, 1, 59))],
+     "mapping F = literal : S -> T {\n    entities\n        A -> B\n}\n"),
+    ("mapping F = literal : S -> T { attributes a -> lambda x:B x foreign_keys f -> g }",
+     [("SyntaxError", "expected '.', found 'x'", (1, 59, 1, 60))],
+     "mapping F = literal : S -> T {\n    foreign_keys\n        f -> g\n}\n"),
+    ("mapping F = literal : S -> T { attributes a -> , entities A -> B }",
+     [("SyntaxError", "expected a term, found ','", (1, 48, 1, 49))],
+     "mapping F = literal : S -> T {\n    entities\n        A -> B\n}\n"),
+    ("mapping F = literal : S -> T { equations x = y entities A -> B }",
+     [("SyntaxError", "unknown mapping section 'equations'", (1, 32, 1, 41))],
+     "mapping F = literal : S -> T {\n    entities\n        A -> B\n}\n"),
+]
+
+
+@pytest.mark.parametrize("text,expected,printed", RECOVERY)
+def test_parse_recovers_within_a_declaration(text, expected, printed):
+    prog, diags = parse(text)
+    assert [(d.code, d.message, tuple(d.span)[1:]) for d in diags] == expected
+    assert all(d.span.file == "<input>" for d in diags)
+    assert pretty_print(prog) == printed
+
+
 def test_lex_counts_the_newline_that_ends_an_unterminated_string():
     tokens, diags = lex('"abc\nfoo')
     assert [d.message for d in diags] == ["unterminated string literal"]
@@ -285,6 +380,61 @@ def test_derived_instances_match_library_calls(example_env):
     mk = example_env.models["K"]
     sch_s = example_env.schemas["S"]
     assert len(mk.carrier(sch_s.entity_named("N1"))) == 3
+
+
+def test_elaborate_coproduct_and_compose():
+    from catq.mappings import mappings_equal
+    env, diags = elaborate(parse_ok(EXAMPLE + textwrap.dedent("""
+        instance C = coproduct I K
+        instance C2 = coproduct I Nope
+        instance C3 = coproduct I J
+        mapping IdT = identity T
+        mapping H = compose F IdT
+        mapping H2 = compose F Nope
+        mapping H3 = compose F F
+        """)))
+    assert [(d.code, d.message, d.span.line) for d in diags] == [
+        ("NameResolution", "unknown instance Nope", 54),
+        ("SchemaMismatch", "coproduct requires instances on the same schema", 55),
+        ("NameResolution", "unknown mapping among ['F', 'Nope']", 58),
+        ("SchemaMismatch", "cannot compose F : ..->T with F : S->..", 59)]
+    assert env.order[-3:] == [("instance", "C"), ("mapping", "IdT"), ("mapping", "H")]
+    m, s = env.models["C"], env.schemas["S"]
+    assert [len(m.carrier(e)) for e in s.entities] == [6, 6]
+    assert [g.name for g in env.instances["C"].generators][:4] == ["l_e1", "l_e2", "l_e3", "r_N1_1"]
+    assert env.mappings["H"].name == "H" and mappings_equal(env.mappings["H"], env.mappings["F"])
+
+
+def test_elaborate_shorthand_images():
+    # a bare target symbol g stands for g(x); another lone unknown name is the variable
+    from catq.mappings import mappings_equal
+    env, diags = elaborate(parse_ok(EXAMPLE + textwrap.dedent("""
+        mapping G = literal : S -> T {
+            entities N1 -> N  N2 -> N
+            foreign_keys f -> x
+            attributes name -> name  salary -> salary(y)  age -> age
+        }
+        schema L = literal : Ty {
+            entities E F
+            foreign_keys nxt : E -> E  k : F -> F
+        }
+        mapping M = literal : L -> L {
+            entities E -> E  F -> F
+            foreign_keys nxt -> nxt  k -> nxt
+        }
+        """)))
+    assert [(d.code, d.message, d.span.line) for d in diags] == [
+        ("SortMismatch", "argument of nxt has sort F, expected E", 64),
+        ("MissingImage", "symbol k has no image", 62)]
+    assert mappings_equal(env.mappings["G"], env.mappings["F"])
+    assert render_mapping(env.mappings["G"]).splitlines()[3:] == [
+        "  f -> lambda x:N. x", "  name -> lambda x:N. name(x)",
+        "  salary -> lambda y:N. salary(y)", "  age -> lambda x:N. age(x)"]
+    nxt = elaborate(parse_ok(
+        "typeside Ty = literal { }\n"
+        "schema L = literal : Ty { entities E  foreign_keys nxt : E -> E }\n"
+        "mapping M = literal : L -> L { entities E -> E  foreign_keys nxt -> nxt }\n"))[0]
+    assert render_mapping(nxt.mappings["M"]).splitlines()[2:] == ["  nxt -> lambda x:E. nxt(x)"]
 
 
 def test_elaborate_reports_name_resolution():

@@ -3,12 +3,17 @@
 Declarations are validated in order; instance declarations are
 saturated into term models immediately, and derived declarations
 (sigma/delta/pi/coproduct/compose/identity) are evaluated with the
-migration engine.  Directives are resolved but not executed here;
-the CLI runs them against the returned environment.
+migration engine.  The environment keeps each instance's term model;
+`Environment.instances` reads the presentations from the models, so the
+presentation of a sigma, delta or pi instance is built only if something
+reads it (a later sigma or coproduct of it does).  Directives are
+resolved but not executed here; the CLI runs them against the returned
+environment.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,19 +64,42 @@ from .terms import (
 )
 
 
+class _Presentations(abc.Mapping):
+    """Instance name -> presentation, read from each model when it is looked up."""
+
+    def __init__(self, models: dict[str, TermModel]):
+        self._models = models
+
+    def __getitem__(self, name: str) -> InstancePresentation:
+        return self._models[name].instance
+
+    def __contains__(self, name) -> bool:  # without building the presentation, as Mapping's would
+        return name in self._models
+
+    def __iter__(self):
+        return iter(self._models)
+
+    def __len__(self) -> int:
+        return len(self._models)
+
+
 @dataclass
 class Environment:
     typesides: dict[str, Typeside] = field(default_factory=dict)
     schemas: dict[str, Schema] = field(default_factory=dict)
-    instances: dict[str, InstancePresentation] = field(default_factory=dict)
     models: dict[str, TermModel] = field(default_factory=dict)
     mappings: dict[str, Mapping] = field(default_factory=dict)
     order: list[tuple[str, str]] = field(default_factory=list)  # (kind, name)
     directives: list[Directive] = field(default_factory=list)
 
+    @property
+    def instances(self) -> abc.Mapping[str, InstancePresentation]:
+        """The presentation of every instance; a derived one is built when first read."""
+        return _Presentations(self.models)
+
     def defined(self, name: str) -> bool:
         return any(name in d for d in (self.typesides, self.schemas,
-                                       self.instances, self.mappings))
+                                       self.models, self.mappings))
 
 
 class _Elaborator:
@@ -238,17 +266,9 @@ class _Elaborator:
             self.env.schemas[d.name] = sch
             self.env.order.append(("schema", d.name))
 
-    def register_instance(self, name: str, pres: InstancePresentation,
-                          span: Optional[SourceSpan], model: Optional[TermModel] = None) -> bool:
-        try:
-            m = model if model is not None else build_term_model(pres, limits=self.limits)
-        except ResourceLimit as e:
-            self.error("ResourceLimit", str(e), span)
-            return False
-        self.env.instances[name] = pres
-        self.env.models[name] = m
+    def register_instance(self, name: str, model: TermModel) -> None:
+        self.env.models[name] = model
         self.env.order.append(("instance", name))
-        return True
 
     def do_instance(self, d: InstanceDecl):
         sch = self.env.schemas.get(d.schema_ref)
@@ -267,7 +287,12 @@ class _Elaborator:
         pres = InstancePresentation(d.name, sch, generators, [eq for eq in eqs if eq is not None])
         if self.issues_to_diags(validate_instance(pres), d.span):
             return
-        self.register_instance(d.name, pres, d.span)
+        try:
+            model = build_term_model(pres, limits=self.limits)
+        except ResourceLimit as e:
+            self.error("ResourceLimit", str(e), d.span)
+            return
+        self.register_instance(d.name, model)
 
     def resolve_image(self, img: RawImage, tgt: Schema, arg_sort: Sort) -> Optional[Term]:
         """Resolve a mapping image over `tgt`, in lambda or shorthand form.
@@ -352,25 +377,25 @@ class _Elaborator:
                 if f_map is None:
                     self.error("NameResolution", f"unknown mapping {d.args[0]}", d.span)
                     return
-                if inst_name not in self.env.instances:
+                if inst_name not in self.env.models:
                     self.error("NameResolution", f"unknown instance {inst_name}", d.span)
                     return
                 if d.op == "sigma":
-                    res = sigma(f_map, self.env.instances[inst_name], self.limits, name=d.name)
+                    res = sigma(f_map, self.env.models[inst_name].instance, self.limits, name=d.name)
                 elif d.op == "delta":
                     res = delta(f_map, self.env.models[inst_name], self.limits, name=d.name)
                 else:
                     res = pi(f_map, self.env.models[inst_name], self.limits, name=d.name)
-                self.register_instance(d.name, res.presentation, d.span, res.model)
+                self.register_instance(d.name, res.model)
             elif d.op == "coproduct":
                 parts = []
                 for a in d.args:
-                    if a not in self.env.instances:
+                    if a not in self.env.models:
                         self.error("NameResolution", f"unknown instance {a}", d.span)
                         return
-                    parts.append(self.env.instances[a])
+                    parts.append(self.env.models[a].instance)
                 pres = coproduct(parts[0], parts[1], name=d.name)
-                self.register_instance(d.name, pres, d.span)
+                self.register_instance(d.name, build_term_model(pres, limits=self.limits))
             elif d.op == "compose":
                 # `compose F G` is the pipeline: first F, then G
                 maps = [self.env.mappings.get(a) for a in d.args]
@@ -395,7 +420,7 @@ class _Elaborator:
 
     def do_directive(self, d: Directive):
         if d.op == "check":
-            if d.args[0] not in self.env.instances:
+            if d.args[0] not in self.env.models:
                 self.error("NameResolution", f"unknown instance {d.args[0]}", d.span)
                 return
         elif d.op == "invert":

@@ -62,15 +62,15 @@ def identity_mapping(s: Schema, name: Optional[str] = None) -> Mapping:
     return Mapping(name or f"id_{s.name}", s, s, ent, sym)
 
 
-def apply_mapping_term(f_map: Mapping, t: Term,
-                       genmap: Optional[dict[FunctionSymbol, FunctionSymbol]] = None) -> Term:
-    """Homomorphic extension of a mapping to terms over its source.
+def mapping_chain(f_map: Mapping, t: Term,
+                  genmap: Optional[dict[FunctionSymbol, FunctionSymbol]] = None
+                  ) -> tuple[Term, list[Term]]:
+    """The translated leaf of a term over the mapping's source, and its symbols' images.
 
     Variables are re-sorted along the entity map; generators are
     re-routed through `genmap` when translating instance terms.  Every
-    symbol is unary, so a term is a chain: walk down it collecting the
-    image of each symbol, translate the leaf, then wrap it in the images
-    on the way back up.
+    symbol is unary, so a term is a chain; the images come outermost
+    first, as the walk down the chain meets them.
     """
     images: list[Term] = []
     while isinstance(t, App) and t.args:
@@ -80,13 +80,22 @@ def apply_mapping_term(f_map: Mapping, t: Term,
         images.append(image)
         t = t.args[0]
     if isinstance(t, Var):
-        out: Term = Var(t.name, f_map.sort_image(t.sort))
-    elif t.sym.flavor == GENERATOR:
+        return Var(t.name, f_map.sort_image(t.sort)), images
+    if t.sym.flavor == GENERATOR:
         if genmap is None or t.sym not in genmap:
             raise SchemaMismatch(f"no translation for generator {t.sym.name}")
-        out = App(genmap[t.sym])
-    else:
-        out = t  # a literal or a typeside constant
+        return App(genmap[t.sym]), images
+    return t, images  # a literal or a typeside constant
+
+
+def apply_mapping_term(f_map: Mapping, t: Term,
+                       genmap: Optional[dict[FunctionSymbol, FunctionSymbol]] = None) -> Term:
+    """Homomorphic extension of a mapping to terms over its source.
+
+    The translated leaf of `mapping_chain`, wrapped in the images of
+    the symbols above it on the way back up.
+    """
+    out, images = mapping_chain(f_map, t, genmap)
     for image in reversed(images):
         (v,) = free_vars(image)
         out = substitute(image, {v.name: out})
@@ -296,9 +305,9 @@ def morphism_from_genmap(src: TermModel, tgt: TermModel,
         raise SchemaMismatch("morphism endpoints must share a schema")
     cmap = src.image(tgt, genmap)
     if cmap is None:
-        raise NoMorphismExists(f"a literal of {src.instance.name} does not denote in the target")
+        raise NoMorphismExists(f"a literal of {src.name} does not denote in the target")
     h = InstanceMorphism(src, tgt, cmap)
-    bad = [f"the assignment of {g.name} breaks an equation of {src.instance.name}"
+    bad = [f"the assignment of {g.name} breaks an equation of {src.name}"
            for g, d in genmap.items() if h.apply(src.class_of(g)) != tgt.find(d)] or h.violations()
     if bad:
         raise NoMorphismExists(bad[0])

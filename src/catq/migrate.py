@@ -7,6 +7,15 @@ adjunctions sigma -| delta -| pi are constructed explicitly as their
 hom-set bijections (the transposes, or mates), and each unit and counit
 is the mate of an identity, which is what makes round-tripping
 checkable at desk scale.
+
+No functor saturates a presentation of its output.  delta and pi compute
+their output's operation tables, a row per class or family and each
+symbol's value on it, and write them into the saturation engine as adds
+and merges (`_write`); sigma adds each input equation through the
+mapping's symbol images.  Either way the engine ends up as saturating
+the equivalent presentation would leave it, class ids included.  That
+presentation is built the first time a result's `presentation` (its
+model's `instance`) is read.
 """
 
 from __future__ import annotations
@@ -24,16 +33,18 @@ from .mappings import (
     compose_mappings,
     identity_mapping,
     identity_morphism,
+    mapping_chain,
     mappings_equal,
     morphism_from_genmap,
     open_terms_equal,
     validate_mapping,
 )
-from .model import (
+from .model import (  # build_term_model stays a name of this module: bench/spans.py wraps it here
     DEFAULT_LIMITS,
     SaturationLimits,
     TermModel,
     build_term_model,
+    saturate,
 )
 from .schema import InstancePresentation, Schema, generator
 from .terms import (
@@ -136,8 +147,12 @@ class MigrationResult:
 
     mapping: Mapping
     input: InstancePresentation | TermModel  # held: its id is in the memo key
-    presentation: InstancePresentation
     model: TermModel
+
+    @property
+    def presentation(self) -> InstancePresentation:
+        """The output's presentation, built the first time it is read."""
+        return self.model.instance
 
 
 @dataclass
@@ -178,17 +193,17 @@ class PiResult(MigrationResult):
 _results: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _type_anchors(src: TermModel, prefix: str = ""):
-    """Ground terms anchoring every type class of `src` in a new presentation.
+def _type_anchors(src: TermModel):
+    """A 0-ary symbol anchoring every type class of `src` in a new instance.
 
     Literal and constant classes are anchored by their own symbols;
     every other class (a labeled null) gets a fresh generator.  The
-    returned pinning equations force all anchors to be present (and
-    correctly merged) in the saturated output.
+    returned pins, pairs of symbols to equate, make every anchored
+    literal present and each constant equal to its class's anchor.
     """
     gens: list[FunctionSymbol] = []
-    eqs: list[Equation] = []
-    term_of: dict[int, Term] = {}
+    pins: list[tuple[FunctionSymbol, FunctionSymbol]] = []
+    anchor: dict[int, FunctionSymbol] = {}
     const_class: dict[int, FunctionSymbol] = {}
     for const in src.schema.typeside.constants:
         const_class.setdefault(src.class_of(const), const)
@@ -196,21 +211,45 @@ def _type_anchors(src: TermModel, prefix: str = ""):
         n = 0
         for c in src.carrier(tau):
             if c in src.literal_of:
-                t: Term = src.literal_of[c]
-                eqs.append(ground_eq(t, t))
+                sym = src.literal_of[c].sym
+                pins.append((sym, sym))
             elif c in const_class:
-                t = App(const_class[c])
+                sym = const_class[c]
             else:
                 n += 1
-                g = generator(f"{prefix}{tau.name}_null{n}", tau)
-                gens.append(g)
-                t = App(g)
-            term_of[c] = t
+                sym = generator(f"{tau.name}_null{n}", tau)
+                gens.append(sym)
+            anchor[c] = sym
     for const in src.schema.typeside.constants:
-        anchor = term_of[src.class_of(const)]
-        if anchor != App(const):
-            eqs.append(ground_eq(App(const), anchor))
-    return term_of, gens, eqs
+        sym = anchor[src.class_of(const)]
+        if sym != const:
+            pins.append((const, sym))
+    return anchor, gens, pins
+
+
+def _write(schema: Schema, name: str, gens: list[FunctionSymbol],
+           pins: list[tuple[FunctionSymbol, FunctionSymbol]],
+           rows: list[tuple[FunctionSymbol, FunctionSymbol, FunctionSymbol]],
+           limits: SaturationLimits) -> TermModel:
+    """The term model on `gens` of a = b for (a, b) in pins and q(g) = v for (q, g, v) in rows.
+
+    The equations go into the engine as adds and merges, in the order a
+    presentation listing them would add them, so the model equals the
+    one saturated from that presentation, down to its class ids.  The
+    presentation is built only when the model's `instance` is read.
+    """
+    def seed(eng) -> None:
+        for a, b in pins:
+            eng.merge(eng.add(a, ()), eng.add(b, ()))
+        for q, g, v in rows:
+            eng.merge(eng.add(q, (eng.add(g, ()),)), eng.add(v, ()))
+
+    def presentation() -> InstancePresentation:
+        eqs = [ground_eq(App(a), App(b)) for a, b in pins]
+        eqs += [ground_eq(App(q, (App(g),)), App(v)) for q, g, v in rows]
+        return InstancePresentation(name, schema, gens, eqs)
+
+    return saturate(schema, name, gens, seed, presentation, limits=limits)
 
 
 # ---------------------------------------------------------------------------
@@ -222,47 +261,36 @@ def delta(f_map: Mapping, j: TermModel,
           name: Optional[str] = None) -> DeltaResult:
     """Model reduct: project a target model back along the mapping."""
     if j.schema != f_map.target:
-        raise SchemaMismatch(f"{j.instance.name} is not an instance of {f_map.target.name}")
+        raise SchemaMismatch(f"{j.name} is not an instance of {f_map.target.name}")
     if j.collisions:
         raise SchemaMismatch(f"input of delta is inconsistent: {j.collisions[0]}")
-    name = name or f"delta_{f_map.name}_{j.instance.name}"
+    name = name or f"delta_{f_map.name}_{j.name}"
     memo_key = ("delta", id(f_map), id(j), limits, name)
     hit = _results.get(memo_key)
     if hit is not None:
         return hit
     src = f_map.source
-    gens: list[FunctionSymbol] = []
-    eqs: list[Equation] = []
     ent_gen: dict[tuple[str, int], FunctionSymbol] = {}
     for e in src.entities:
         for c in j.carrier(f_map.entity_image(e)):
-            g = generator(f"{e.name}_{j.id_label[c]}", e)
-            gens.append(g)
-            ent_gen[(e.name, c)] = g
-    ty_term, ty_gens, ty_eqs = _type_anchors(j)
-    gens.extend(ty_gens)
-    eqs.extend(ty_eqs)
-    for e in src.entities:
-        for c in j.carrier(f_map.entity_image(e)):
-            g = ent_gen[(e.name, c)]
-            for q in src.symbols_on(e):
-                img = j.eval(f_map.symbol_map[q],
-                             varmap={free_vars(f_map.symbol_map[q])[0].name: c})
-                if q.out_sort.is_entity:
-                    rhs: Term = App(ent_gen[(q.out_sort.name, img)])
-                else:
-                    rhs = ty_term[img]
-                eqs.append(ground_eq(App(q, (App(g),)), rhs))
-    pres = InstancePresentation(name, src, gens, eqs)
-    model = build_term_model(pres, limits=limits)
+            ent_gen[(e.name, c)] = generator(f"{e.name}_{j.id_label[c]}", e)
+    anchor, ty_gens, pins = _type_anchors(j)
+    # q(row) = value: q's image in j at the row's class, as a generator or an anchor
+    images = {q: j.table(f_map.symbol_map[q]) for q in src.symbols}
+    rows = []
+    for (_, c), g in ent_gen.items():
+        for q in src.symbols_on(g.out_sort):
+            img = images[q][c]
+            rows.append((q, g, ent_gen[(q.out_sort.name, img)] if q.out_sort.is_entity else anchor[img]))
+    model = _write(src, name, [*ent_gen.values(), *ty_gens], pins, rows, limits)
     ent_class = {key: model.class_of(g) for key, g in ent_gen.items()}
-    ty_class = {c: model.eval(t) for c, t in ty_term.items()}
+    ty_class = {c: model.class_of(sym) for c, sym in anchor.items()}
     to_target: dict[int, int] = {}
     for (e_name, c), out in ent_class.items():
         to_target[out] = c
     for c, out in ty_class.items():
         to_target[out] = c
-    res = _results[memo_key] = DeltaResult(f_map, j, pres, model, ent_class, ty_class, to_target)
+    res = _results[memo_key] = DeltaResult(f_map, j, model, ent_class, ty_class, to_target)
     return res
 
 
@@ -273,13 +301,32 @@ def delta(f_map: Mapping, j: TermModel,
 def translate_presentation(f_map: Mapping, inst: InstancePresentation,
                            name: Optional[str] = None):
     """Push a presentation across a mapping by substitution."""
-    gen_map = {g: generator(g.name, f_map.sort_image(g.out_sort)) for g in inst.generators}
+    gen_map = _translate_generators(f_map, inst)
     eqs = [Equation((), apply_mapping_term(f_map, eq.lhs, gen_map),
                     apply_mapping_term(f_map, eq.rhs, gen_map))
            for eq in inst.equations]
     pres = InstancePresentation(name or f"sigma_{f_map.name}_{inst.name}",
                                 f_map.target, list(gen_map.values()), eqs)
     return pres, gen_map
+
+
+def _translate_generators(f_map: Mapping, inst: InstancePresentation):
+    return {g: generator(g.name, f_map.sort_image(g.out_sort)) for g in inst.generators}
+
+
+def _add_translated(eng, f_map: Mapping, t: Term,
+                    gen_map: dict[FunctionSymbol, FunctionSymbol]) -> int:
+    """Class of `apply_mapping_term(f_map, t, gen_map)` for a ground t, without building it.
+
+    The translated leaf first, then each symbol image over the class so
+    far, innermost first: the nodes of the translated term, children
+    before parents, as saturating the term would add them.
+    """
+    leaf, images = mapping_chain(f_map, t, gen_map)
+    c = eng.add(leaf.sym, ())
+    for image in reversed(images):
+        c = eng.add_term(image, c)
+    return c
 
 
 def sigma(f_map: Mapping, inst: InstancePresentation,
@@ -292,9 +339,16 @@ def sigma(f_map: Mapping, inst: InstancePresentation,
     hit = _results.get(memo_key)
     if hit is not None:
         return hit
-    pres, gen_map = translate_presentation(f_map, inst, name)
-    model = build_term_model(pres, limits=limits)
-    res = _results[memo_key] = SigmaResult(f_map, inst, pres, model, gen_map)
+    gen_map = _translate_generators(f_map, inst)
+
+    def seed(eng) -> None:
+        for eq in inst.equations:
+            eng.merge(_add_translated(eng, f_map, eq.lhs, gen_map),
+                      _add_translated(eng, f_map, eq.rhs, gen_map))
+
+    model = saturate(f_map.target, name, list(gen_map.values()), seed,
+                     lambda: translate_presentation(f_map, inst, name)[0], limits=limits)
+    res = _results[memo_key] = SigmaResult(f_map, inst, model, gen_map)
     return res
 
 
@@ -394,10 +448,10 @@ def pi(f_map: Mapping, i_model: TermModel,
        name: Optional[str] = None) -> PiResult:
     """Limit-style migration: path-indexed families over the input model."""
     if i_model.schema != f_map.source:
-        raise SchemaMismatch(f"{i_model.instance.name} is not an instance of {f_map.source.name}")
+        raise SchemaMismatch(f"{i_model.name} is not an instance of {f_map.source.name}")
     if i_model.collisions:
         raise SchemaMismatch(f"input of pi is inconsistent: {i_model.collisions[0]}")
-    name = name or f"pi_{f_map.name}_{i_model.instance.name}"
+    name = name or f"pi_{f_map.name}_{i_model.name}"
     memo_key = ("pi", id(f_map), id(i_model), limits, name)
     hit = _results.get(memo_key)
     if hit is not None:
@@ -452,18 +506,14 @@ def pi(f_map: Mapping, i_model: TermModel,
                         cands.append((i, q))
             fact[(t.name, att.name)] = cands
 
-    gens: list[FunctionSymbol] = []
-    eqs: list[Equation] = []
     fam_gen: dict[tuple[str, tuple[int, ...]], FunctionSymbol] = {}
     for t in tgt.entities:
         for k, x in enumerate(families[t.name]):
-            g = generator(f"{t.name}_{k + 1}", t)
-            gens.append(g)
-            fam_gen[(t.name, x)] = g
-    ty_term, ty_gens, ty_eqs = _type_anchors(i_model)
-    gens.extend(ty_gens)
-    eqs.extend(ty_eqs)
+            fam_gen[(t.name, x)] = generator(f"{t.name}_{k + 1}", t)
+    anchor, ty_gens, pins = _type_anchors(i_model)
 
+    # h(family) = family and att(family) = value, as (symbol, row, value)
+    rows = []
     for t in tgt.entities:
         idx = index[t.name]
         for h in tgt.foreign_keys:
@@ -479,31 +529,27 @@ def pi(f_map: Mapping, i_model: TermModel,
                 if (t2.name, y) not in fam_gen:
                     raise InvariantViolation(
                         f"family image under {h.name} not natural; enumeration incomplete")
-                eqs.append(ground_eq(App(h, (App(fam_gen[(t.name, x)]),)),
-                                     App(fam_gen[(t2.name, y)])))
+                rows.append((h, fam_gen[(t.name, x)], fam_gen[(t2.name, y)]))
         for att in tgt.attributes:
             if att.arg_sorts != (t,):
                 continue
             cands = fact[(t.name, att.name)]
             if not cands:
                 continue  # value is a fresh labeled null
+            (i0, v0), *others = [(i, i_model.table(q)) for i, q in cands]
             for x in families[t.name]:
-                i0, q0 = cands[0]
-                val = i_model.eval(q0, varmap={free_vars(q0)[0].name: x[i0]})
-                for i1, q1 in cands[1:]:
-                    other = i_model.eval(q1, varmap={free_vars(q1)[0].name: x[i1]})
-                    if other != val:
-                        raise InvariantViolation(
-                            f"attribute {att.name} is not well-defined across factorizations")
-                eqs.append(ground_eq(App(att, (App(fam_gen[(t.name, x)]),)), ty_term[val]))
+                val = v0[x[i0]]
+                if any(v[x[i]] != val for i, v in others):
+                    raise InvariantViolation(
+                        f"attribute {att.name} is not well-defined across factorizations")
+                rows.append((att, fam_gen[(t.name, x)], anchor[val]))
 
-    pres = InstancePresentation(name, tgt, gens, eqs)
-    model = build_term_model(pres, limits=limits)
+    model = _write(tgt, name, [*fam_gen.values(), *ty_gens], pins, rows, limits)
     fam_class = {key: model.class_of(g) for key, g in fam_gen.items()}
     fam_of = {cls: key for key, cls in fam_class.items()}
-    ty_class = {c: model.eval(t) for c, t in ty_term.items()}
+    ty_class = {c: model.class_of(sym) for c, sym in anchor.items()}
     ty_origin = {out: c for c, out in ty_class.items()}
-    res = _results[memo_key] = PiResult(f_map, i_model, pres, model, index, families,
+    res = _results[memo_key] = PiResult(f_map, i_model, model, index, families,
                                         fam_class, fam_of, ty_class, ty_origin)
     return res
 

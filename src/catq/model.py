@@ -2,17 +2,25 @@
 
 The engine maintains a union-find over ground terms with hash-consing and
 congruence propagation.  Saturation seeds it with the typeside constants,
-the generators and the sides of every typeside and instance equation, then
-runs worklist generations.  A generation takes the nodes created by the
-previous one (the seeding counts as generation zero) and, for each of them
-that is still the root of its class, (a) applies every attribute and
-foreign key on its sort and (b) instantiates every schema constraint of
-its sort.  Nothing else needs revisiting: congruence carries both the
-closure and the constraint instances of a class across a merge.  One
-generation is one round for `SaturationLimits.max_rounds`, and per-sort
-class counts are kept as nodes are added and merged.  Finiteness of the
-term model is undecidable in general, so the limits turn potential
-divergence into an explicit ResourceLimit error.
+the generators, the sides of every typeside equation and what a seeding
+step adds and merges, then runs worklist generations.  A generation takes
+the nodes created by the previous one (the seeding counts as generation
+zero) and, for each of them that is still the root of its class, (a)
+applies every attribute and foreign key on its sort and (b) instantiates
+every schema constraint of its sort.  Nothing else needs revisiting:
+congruence carries both the closure and the constraint instances of a
+class across a merge.  One generation is one round for
+`SaturationLimits.max_rounds`, and per-sort class counts are kept as nodes
+are added and merged.  Finiteness of the term model is undecidable in
+general, so the limits turn potential divergence into an explicit
+ResourceLimit error.
+
+`saturate` is the one constructor of term models: seed, generations,
+freeze.  `build_term_model` is `saturate` with a seeding step that adds
+the sides of a presentation's equations and merges them; the migration
+functors seed it with the tables they compute (`catq.migrate`).  A model
+keeps a zero-argument builder of its presentation and calls it the first
+time `TermModel.instance` is read.
 
 Freezing turns the saturated engine into a `TermModel`.  It flattens the
 union-find into a root table once, then resolves classes level by level
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import ResourceLimit, SortMismatch, UnknownSymbol
 from .schema import InstancePresentation, Schema
@@ -180,13 +188,15 @@ class TermModel:
 
     Immutable after construction; safe to share across threads.  Queries
     read the root table flattened at freeze time and never write to the
-    engine.  `canonical` is computed on first read and cached; two threads
-    reading it first at once build equal dicts.
+    engine.  `canonical` and `instance` are computed on first read and
+    cached; two threads reading one first at once build equal values.
     """
 
-    def __init__(self, instance: InstancePresentation, engine: _Engine):
-        self.instance = instance
-        self.schema: Schema = instance.schema
+    def __init__(self, schema: Schema, name: str, engine: _Engine,
+                 presentation: Callable[[], InstancePresentation]):
+        self.schema = schema
+        self.name = name
+        self._presentation = presentation
         self._eng = engine
         self._root: list[int] = []
         # per class, children first: the symbol and child classes of its canonical term
@@ -260,6 +270,11 @@ class TermModel:
                 self.collisions.append(Collision(eng.sort_of[r], least.name, other.name, r))
 
     @cached_property
+    def instance(self) -> InstancePresentation:
+        """The presentation this is the term model of."""
+        return self._presentation()
+
+    @cached_property
     def canonical(self) -> dict[int, Term]:
         """Class -> its canonical term, the least term of the class."""
         out: dict[int, Term] = {}
@@ -294,6 +309,25 @@ class TermModel:
         if hit is None:
             raise UnknownSymbol(f"no {sym.name} application on class {c}")
         return hit
+
+    def table(self, t: Term) -> dict[int, int]:
+        """Class c -> the class of t with its variable at c, for c in the variable's carrier.
+
+        t is a chain of unary symbols over one variable, such as a symbol
+        image of a mapping or a path; it is walked once, not once per class.
+        """
+        syms: list[FunctionSymbol] = []
+        while isinstance(t, App):
+            syms.append(t.sym)
+            t = t.args[0]
+        syms.reverse()
+        out: dict[int, int] = {}
+        for c in self.carrier(t.sort):
+            v = c
+            for sym in syms:
+                v = self.op(sym, v)
+            out[c] = v
+        return out
 
     def eval(self, t: Term, genmap: Optional[Mapping[FunctionSymbol, int]] = None,
              varmap: Optional[Mapping[str, int]] = None) -> Optional[int]:
@@ -345,7 +379,7 @@ class TermModel:
                 if sym.flavor == LITERAL:
                     return None
                 raise UnknownSymbol(
-                    f"term {render_term(self.canonical[c])} does not denote in {tgt.instance.name}")
+                    f"term {render_term(self.canonical[c])} does not denote in {tgt.name}")
             out[c] = root[hit]
         return out
 
@@ -363,7 +397,7 @@ class TermModel:
 
     def class_of(self, sym: FunctionSymbol) -> int:
         """Class of a 0-ary symbol (generator, constant, literal)."""
-        c = self.eval(App(sym))
+        c = self._lookup(sym, ())
         if c is None:
             raise UnknownSymbol(f"{sym.name} does not denote in this model")
         return c
@@ -386,20 +420,28 @@ class TermModel:
 
     def __repr__(self) -> str:
         sizes = ", ".join(f"{s.name}:{len(cs)}" for s, cs in self.carriers.items() if cs)
-        return f"TermModel({self.instance.name}; {sizes})"
+        return f"TermModel({self.name}; {sizes})"
 
 
-def build_term_model(inst: InstancePresentation, *,
-                     limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
-    """Saturate an instance presentation into its term model."""
-    schema = inst.schema
+def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
+             seed: Callable[[_Engine], None],
+             presentation: Callable[[], InstancePresentation], *,
+             limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
+    """The term model of the equations that `seed` writes into the engine.
+
+    The engine holds the typeside constants, the generators and the sides
+    of the typeside equations when `seed` gets it; `seed` adds and merges
+    the rest.  `presentation` builds the matching presentation when the
+    model's `instance` is first read.
+    """
     eng = _Engine()
     for c in schema.typeside.constants:
         eng.add(c, ())
-    for g in inst.generators:
+    for g in generators:
         eng.add(g, ())
-    for eq in schema.typeside.equations + inst.equations:
+    for eq in schema.typeside.equations:
         eng.merge(eng.add_term(eq.lhs), eng.add_term(eq.rhs))
+    seed(eng)
 
     closure = {s: schema.symbols_on(s) for s in schema.entities}
     rounds = 0
@@ -407,7 +449,7 @@ def build_term_model(inst: InstancePresentation, *,
         rounds += 1
         if rounds > limits.max_rounds:
             raise ResourceLimit(
-                f"saturation of {inst.name} exceeded {limits.max_rounds} rounds")
+                f"saturation of {name} exceeded {limits.max_rounds} rounds")
         # the nodes the previous generation created, in creation order
         frontier, eng.created = eng.created, []
         for r in frontier:
@@ -429,11 +471,21 @@ def build_term_model(inst: InstancePresentation, *,
         for s, n in eng.class_count.items():
             if n > limits.max_classes_per_sort:
                 raise ResourceLimit(
-                    f"carrier of {s.name} in {inst.name} exceeded {limits.max_classes_per_sort} classes"
+                    f"carrier of {s.name} in {name} exceeded {limits.max_classes_per_sort} classes"
                     " (the term model may be infinite)")
         if not (eng.created or merged):
             break
-    return TermModel(inst, eng)
+    return TermModel(schema, name, eng, presentation)
+
+
+def build_term_model(inst: InstancePresentation, *,
+                     limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
+    """Saturate an instance presentation into its term model."""
+    def seed(eng: _Engine) -> None:
+        for eq in inst.equations:
+            eng.merge(eng.add_term(eq.lhs), eng.add_term(eq.rhs))
+
+    return saturate(inst.schema, inst.name, inst.generators, seed, lambda: inst, limits=limits)
 
 
 def check_consistency(m: TermModel) -> Optional[Collision]:

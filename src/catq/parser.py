@@ -50,6 +50,7 @@ JAVA_SECTIONS = ("java_types", "java_constants")  # recognised in typesides only
 
 DECL_KEYWORDS = set(BODIES)
 DIRECTIVE_KEYWORDS = {"check", "invert", "match"}
+DIRECTIVE_OPTIONS = {"invert": "depth", "match": "cutoff"}  # the one option each takes, if any
 EXPR_KEYWORDS = {"literal", "sigma", "delta", "pi", "coproduct", "compose", "identity"}
 SECTION_KEYWORDS = {kw for sections in BODIES.values() for kw in sections} | set(JAVA_SECTIONS)
 
@@ -315,6 +316,13 @@ class _Parser:
         self.error(f"expected {what}, found {t.text!r}")
         return None
 
+    def expect_item_name(self, what: str) -> Optional[Token]:
+        """`expect_name` inside a declaration body, where a section keyword ends the item."""
+        if self.at_boundary():
+            self.error(f"expected {what}, found {self.peek().text!r}")
+            return None
+        return self.expect_name(what)
+
     def sync_top(self):
         """Skip to the next top-level declaration keyword."""
         depth = 0
@@ -348,7 +356,7 @@ class _Parser:
             if t.kind == STRING:
                 self.next()
                 node = RawTerm(t.text, t.span, quoted=True)
-            elif t.kind == IDENT or t.kind == NUMBER:
+            elif t.kind == NUMBER or (t.kind == IDENT and t.text not in SECTION_KEYWORDS):
                 self.next()
                 node = RawTerm(t.text, t.span)
                 if self.at("("):
@@ -384,13 +392,13 @@ class _Parser:
         if not self.at(keyword):
             return None, None
         self.next()
-        v = self.expect_name("variable")
+        v = self.expect_item_name("variable")
         if v is None:
             return None
         sort = None
         if self.at(":"):
             self.next()
-            s = self.expect_name("sort")
+            s = self.expect_item_name("sort")
             if s is None:
                 return None
             sort = s.text
@@ -423,7 +431,7 @@ class _Parser:
             return None
         if self.expect(":") is None:
             return None
-        sort = self.expect_name("sort")
+        sort = self.expect_item_name("sort")
         return None if sort is None else (names, sort.text)
 
     def parse_arrow_group(self) -> Optional[tuple[list[str], str, str]]:
@@ -431,20 +439,20 @@ class _Parser:
         grp = self.parse_name_group()
         if grp is None or self.expect("->") is None:
             return None
-        to = self.expect_name("sort")
+        to = self.expect_item_name("sort")
         return None if to is None else (*grp, to.text)
 
     def parse_entity_pair(self) -> Optional[tuple[str, str]]:
         """`A -> B`."""
-        a = self.expect_name("entity")
+        a = self.expect_item_name("entity")
         if a is None or self.expect("->") is None:
             return None
-        b = self.expect_name("entity")
+        b = self.expect_item_name("entity")
         return None if b is None else (a.text, b.text)
 
     def parse_symbol_image(self) -> Optional[tuple[str, RawImage]]:
         """`f -> image`."""
-        f = self.expect_name("symbol")
+        f = self.expect_item_name("symbol")
         if f is None or self.expect("->") is None:
             return None
         img = self.parse_image()
@@ -583,6 +591,9 @@ class _Parser:
             d.args.append(a.text)
         while self.peek().kind == IDENT and self.peek().text in ("cutoff", "depth"):
             opt = self.next()
+            if opt.text != DIRECTIVE_OPTIONS.get(kw.text):
+                self.error(f"{kw.text} takes no {opt.text!r} option", opt.span)
+                return None
             val = self.peek()
             try:
                 # a number token may still be malformed, such as 1.2.3 or ²

@@ -117,6 +117,12 @@ def test_syntax_error_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_option_of_another_directive_exits_1(tmp_path, capsys):
+    path = write(tmp_path, EXAMPLE + "check I depth -5 cutoff 9\n")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == f"{path}:52:9: error: SyntaxError: check takes no 'depth' option\n"
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["check", str(tmp_path / "nope.catq")])

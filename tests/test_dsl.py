@@ -150,8 +150,10 @@ decls = st.one_of(
                                                     args[:1] if op == "identity" else args),
               st.sampled_from(["instance", "mapping"]), names,
               st.sampled_from(sorted(EXPR_KEYWORDS - {"literal"})), st.lists(names, min_size=2, max_size=2)),
+    # only match takes a cutoff, and only invert a depth
     st.builds(lambda op, span, args, cutoff, depth: Directive(
-                  op, NOWHERE, args if op == "match" else args[:1], span and op == "match", cutoff, depth),
+                  op, NOWHERE, args if op == "match" else args[:1], span and op == "match",
+                  cutoff if op == "match" else None, depth if op == "invert" else None),
               st.sampled_from(sorted(DIRECTIVE_KEYWORDS)), st.booleans(),
               st.lists(names, min_size=2, max_size=2),
               st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
@@ -208,9 +210,10 @@ RECOVERY = [
     ("typeside Ty = literal { constants a b Int equations x = y }",
      [("SyntaxError", "expected ':', found 'equations'", (1, 43, 1, 52))],
      "typeside Ty = literal {\n    equations\n        x = y\n}\n"),
+    # a section keyword ends the item that would read it as a name
     ("typeside Ty = literal { equations a = types b }",
-     [("SyntaxError", "expected '=', found '}'", (1, 47, 1, 48))],
-     "typeside Ty = literal {\n    equations\n        a = types\n}\n"),
+     [("SyntaxError", "expected a term, found 'types'", (1, 39, 1, 44))],
+     "typeside Ty = literal {\n    types\n        b\n}\n"),
     ("typeside Ty = literal { foreign_keys f : A -> B types a }",
      [("SyntaxError", "unknown typeside section 'foreign_keys'", (1, 25, 1, 37))],
      "typeside Ty = literal {\n    types\n        a\n}\n"),
@@ -228,8 +231,8 @@ RECOVERY = [
      [("SyntaxError", "expected '->', found 'B'", (1, 46, 1, 47))],
      "schema S = literal : Ty {\n    attributes\n        a : A -> Int\n}\n"),
     ("schema S = literal : Ty { attributes a : A -> entities A }",
-     [("SyntaxError", "expected ':', found '}'", (1, 58, 1, 59))],
-     "schema S = literal : Ty {\n    attributes\n        a : A -> entities\n}\n"),
+     [("SyntaxError", "expected sort, found 'entities'", (1, 47, 1, 55))],
+     "schema S = literal : Ty {\n    entities\n        A\n}\n"),
     ("schema S = literal : Ty { equations forall x:A k(x) = x entities A }",
      [("SyntaxError", "expected '.', found 'k'", (1, 48, 1, 49))],
      "schema S = literal : Ty {\n    entities\n        A\n}\n"),
@@ -257,10 +260,12 @@ RECOVERY = [
     ("mapping F = literal : S -> T { entities A -> , foreign_keys f -> g }",
      [("SyntaxError", "expected entity, found ','", (1, 46, 1, 47))],
      "mapping F = literal : S -> T {\n    foreign_keys\n        f -> g\n}\n"),
-    # an entity name is any name, even a section keyword
     ("mapping F = literal : S -> T { entities A -> attributes a -> b }",
-     [],
-     "mapping F = literal : S -> T {\n    entities\n        A -> attributes\n        a -> b\n}\n"),
+     [("SyntaxError", "expected entity, found 'attributes'", (1, 46, 1, 56))],
+     "mapping F = literal : S -> T {\n    attributes\n        a -> b\n}\n"),
+    ("mapping M = literal : S -> S { entities A -> foreign_keys }",
+     [("SyntaxError", "expected entity, found 'foreign_keys'", (1, 46, 1, 58))],
+     "mapping M = literal : S -> S {\n}\n"),
     ("mapping F = literal : S -> T { foreign_keys -> x entities A -> B }",
      [("SyntaxError", "expected symbol, found '->'", (1, 45, 1, 47))],
      "mapping F = literal : S -> T {\n    entities\n        A -> B\n}\n"),
@@ -293,6 +298,18 @@ def test_parse_recovers_within_a_declaration(text, expected, printed):
     assert pretty_print(prog) == printed
 
 
+@pytest.mark.parametrize("text,message,span", [
+    ("check I depth -5 cutoff 9", "check takes no 'depth' option", (1, 9, 1, 14)),
+    ("check I cutoff 0.5", "check takes no 'cutoff' option", (1, 9, 1, 15)),
+    ("invert F cutoff 0.5", "invert takes no 'cutoff' option", (1, 10, 1, 16)),
+    ("match S T depth 2", "match takes no 'depth' option", (1, 11, 1, 16)),
+])
+def test_directive_options_belong_to_their_directive(text, message, span):
+    prog, diags = parse(text)
+    assert [(d.code, d.message, tuple(d.span)[1:]) for d in diags] == [("SyntaxError", message, span)]
+    assert prog.decls == []
+
+
 def test_lex_counts_the_newline_that_ends_an_unterminated_string():
     tokens, diags = lex('"abc\nfoo')
     assert [d.message for d in diags] == ["unterminated string literal"]
@@ -316,7 +333,7 @@ def test_parse_empty_blocks_and_comments():
 @settings(max_examples=50)
 @given(programs.map(pretty_print))
 @example(EXAMPLE)
-@example("check I cutoff 0.00001\n")
+@example("match S T cutoff 0.00001\n")
 @example('mapping A = literal : A -> A {\n    attributes\n        A -> lambda 0 . ""\n}\n')
 def test_pretty_print_round_trip(text):
     prog = parse_ok(text)
@@ -330,7 +347,7 @@ def test_pretty_print_round_trip(text):
 
 @settings(max_examples=50)
 @given(st.one_of(st.text(), programs.map(pretty_print).flatmap(damaged)))
-@example("check I cutoff 1.2.3")
+@example("match A B cutoff 1.2.3")
 @example("invert F depth 1.5")
 @example("match A B cutoff ²")
 @example("instance I = literal : S { equations " + "f(" * 1500 + "x" + ")" * 1500 + " = y }")

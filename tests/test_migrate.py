@@ -339,16 +339,16 @@ def test_counit_pi_has_no_mate_through_a_fresh_null():
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """Counts the term models that sigma, delta and pi build."""
-    import catq.migrate
+    """Counts the term models constructed, saturated from a presentation or written."""
+    from catq.model import TermModel
     count = Counter()
-    real = catq.migrate.build_term_model
+    real = TermModel.__init__
 
     def counting(*args, **kwargs):
         count["builds"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(catq.migrate, "build_term_model", counting)
+    monkeypatch.setattr(TermModel, "__init__", counting)
     return count
 
 

@@ -3,12 +3,15 @@
 Declarations are validated in order; instance declarations are
 saturated into term models immediately, and derived declarations
 (sigma/delta/pi/coproduct/compose/identity) are evaluated with the
-migration engine.  The environment keeps each instance's term model;
+migration engine.  Terms resolve to chains (`resolve_chain`): the leaf,
+then the unary symbols innermost first.  A literal instance's equations
+go into saturation as those chains, so elaborating it builds no term
+objects.  The environment keeps each instance's term model;
 `Environment.instances` reads the presentations from the models, so the
-presentation of a sigma, delta or pi instance is built only if something
-reads it (a later sigma or coproduct of it does).  Directives are
-resolved but not executed here; the CLI runs them against the returned
-environment.
+presentation of any instance is built only if something reads it (a
+later coproduct of it does; a later sigma reads the model's chains).
+Directives are resolved but not executed here; the CLI runs them against
+the returned environment.
 """
 
 from __future__ import annotations
@@ -53,13 +56,13 @@ from .terms import (
     STRING,
     TYPE,
     TYPESIDE,
-    App,
     Equation,
     FunctionSymbol,
     Sort,
     Term,
     Var,
-    literal,
+    fold_chain,
+    literal_symbol,
     parse_int_literal,
 )
 
@@ -107,6 +110,7 @@ class _Elaborator:
         self.env = Environment()
         self.diags: list[Diagnostic] = []
         self.limits = limits
+        self.literals: dict[tuple[str, Sort], FunctionSymbol] = {}
 
     def error(self, code: str, message: str, span: Optional[SourceSpan] = None):
         self.diags.append(Diagnostic("error", code, message, span))
@@ -118,82 +122,115 @@ class _Elaborator:
 
     # -- term resolution -------------------------------------------------
 
-    def resolve_term(self, raw: RawTerm, schema: Schema,
-                     gens: dict[str, FunctionSymbol],
-                     bound: dict[str, Sort],
-                     expected: Optional[Sort]) -> Optional[Term]:
-        """Resolve a raw application tree against a schema context.
+    def resolve_chain(self, raw: RawTerm, schema: Schema,
+                      gens: dict[str, FunctionSymbol],
+                      bound: dict[str, Sort],
+                      expected: Optional[Sort]) -> Optional[tuple[list, Sort]]:
+        """Resolve a raw application tree against a schema context to its chain and sort.
 
         Every symbol is unary, so an application is a chain: walk down it
-        to the leaf, resolve the leaf, then wrap its term in the symbols on
-        the way back up.  A leaf resolves, in order, to a bound variable, a
-        generator of `gens` (by name), a typeside constant, and finally a
-        literal of the expected built-in type.
+        to the leaf, resolve the leaf, then check each symbol's argument
+        sort on the way back up.  The chain lists the leaf, then the
+        symbols innermost first (`terms.fold_chain`).  A leaf resolves, in
+        order, to a bound variable, a generator of `gens` (by name), a
+        typeside constant, and finally a literal of the expected built-in
+        type.  A resolution error is reported by this method or by
+        `resolve_leaf`, with the span of the raw term at fault.
         """
-        if raw.args:
-            chain: list[tuple[RawTerm, FunctionSymbol]] = []
-            while raw.args:
-                sym = schema.symbol_named(raw.name)
-                if sym is None:
-                    self.error("UnknownSymbol", f"unknown symbol {raw.name}", raw.span)
-                    return None
-                if len(raw.args) != 1:
-                    self.error("SortMismatch", f"{raw.name} takes one argument", raw.span)
-                    return None
-                chain.append((raw, sym))
-                raw = raw.args[0]
-            t = self.resolve_term(raw, schema, gens, bound, sym.arg_sorts[0])  # the leaf
-            if t is None:
+        above: list[tuple[RawTerm, FunctionSymbol]] = []
+        while raw.args:
+            sym = schema.symbol_named(raw.name)
+            if sym is None:
+                self.error("UnknownSymbol", f"unknown symbol {raw.name}", raw.span)
                 return None
-            for raw, sym in reversed(chain):
-                if t.sort != sym.arg_sorts[0]:
-                    self.error("SortMismatch",
-                               f"argument of {raw.name} has sort {t.sort.name}, "
-                               f"expected {sym.arg_sorts[0].name}", raw.span)
-                    return None
-                t = App(sym, (t,))
-            return t
+            if len(raw.args) != 1:
+                self.error("SortMismatch", f"{raw.name} takes one argument", raw.span)
+                return None
+            above.append((raw, sym))
+            expected = sym.arg_sorts[0]
+            raw = raw.args[0]
+        leaf = self.resolve_leaf(raw, schema, gens, bound, expected)
+        if leaf is None:
+            return None
+        chain: list = [leaf]
+        sort = leaf.sort if isinstance(leaf, Var) else leaf.out_sort
+        for raw, sym in reversed(above):
+            if sort != sym.arg_sorts[0]:
+                self.error("SortMismatch",
+                           f"argument of {raw.name} has sort {sort.name}, "
+                           f"expected {sym.arg_sorts[0].name}", raw.span)
+                return None
+            chain.append(sym)
+            sort = sym.out_sort
+        return chain, sort
+
+    def resolve_leaf(self, raw: RawTerm, schema: Schema,
+                     gens: dict[str, FunctionSymbol],
+                     bound: dict[str, Sort],
+                     expected: Optional[Sort]) -> Var | FunctionSymbol | None:
         name = raw.name
         if not raw.quoted:
             if name in bound:
                 return Var(name, bound[name])
             g = gens.get(name)
             if g is not None:
-                return App(g)
+                return g
             const = schema.typeside.constant_named(name)
             if const is not None:
-                return App(const)
+                return const
         if expected is not None and not expected.is_entity and schema.typeside.has_type(expected):
             if expected == INT:
                 if parse_int_literal(name) is None:
                     self.error("SortMismatch", f"{name!r} is not an Int literal", raw.span)
                     return None
-                return literal(name, INT)
+                return self.literal(name, INT)
             if expected == STRING:
-                return literal(name, STRING)
+                return self.literal(name, STRING)
         if not raw.quoted and parse_int_literal(name) is not None and schema.typeside.has_type(INT):
-            return literal(name, INT)
+            return self.literal(name, INT)
         if raw.quoted and schema.typeside.has_type(STRING):
-            return literal(name, STRING)
+            return self.literal(name, STRING)
         self.error("NameResolution", f"cannot resolve {name!r}"
                    + (f" at sort {expected.name}" if expected else ""), raw.span)
         return None
 
-    def resolve_equation(self, raw: RawEquation, schema: Schema,
-                         gens: dict[str, FunctionSymbol],
-                         bound: dict[str, Sort]) -> Optional[Equation]:
-        lhs = self.resolve_term(raw.lhs, schema, gens, bound, None)
+    def literal(self, text: str, sort: Sort) -> FunctionSymbol:
+        """The literal symbol of `text` at `sort`, made once per (text, sort)."""
+        sym = self.literals.get((text, sort))
+        if sym is None:
+            sym = self.literals[(text, sort)] = literal_symbol(text, sort)
+        return sym
+
+    def resolve_term(self, raw: RawTerm, schema: Schema,
+                     bound: dict[str, Sort],
+                     expected: Optional[Sort]) -> Optional[Term]:
+        """The term a raw application tree resolves to: the fold of its chain."""
+        resolved = self.resolve_chain(raw, schema, {}, bound, expected)
+        return None if resolved is None else fold_chain(resolved[0])
+
+    def resolve_sides(self, raw: RawEquation, schema: Schema,
+                      gens: dict[str, FunctionSymbol],
+                      bound: dict[str, Sort]) -> Optional[tuple[tuple, tuple]]:
+        """The chains of an equation's sides, or None after reporting why they do not resolve."""
+        lhs = self.resolve_chain(raw.lhs, schema, gens, bound, None)
         if lhs is None:
             return None
-        rhs = self.resolve_term(raw.rhs, schema, gens, bound, lhs.sort)
+        rhs = self.resolve_chain(raw.rhs, schema, gens, bound, lhs[1])
         if rhs is None:
             return None
-        if lhs.sort != rhs.sort:
+        if lhs[1] != rhs[1]:
             self.error("SortMismatch",
-                       f"equation sides have sorts {lhs.sort.name} and {rhs.sort.name}", raw.span)
+                       f"equation sides have sorts {lhs[1].name} and {rhs[1].name}", raw.span)
+            return None
+        return tuple(lhs[0]), tuple(rhs[0])
+
+    def resolve_equation(self, raw: RawEquation, schema: Schema,
+                         bound: dict[str, Sort]) -> Optional[Equation]:
+        sides = self.resolve_sides(raw, schema, {}, bound)
+        if sides is None:
             return None
         free = tuple(Var(n, s) for n, s in bound.items())
-        return Equation(free, lhs, rhs)
+        return Equation(free, fold_chain(sides[0]), fold_chain(sides[1]))
 
     # -- declarations ------------------------------------------------------
 
@@ -215,7 +252,7 @@ class _Elaborator:
             constants.extend(FunctionSymbol(n, (), sort, TYPESIDE) for n in names)
         # typeside equations are resolved against a symbol-free schema shell
         shell = Schema(f"_{d.name}", Typeside(d.name, types, constants))
-        eqs = [self.resolve_equation(raw, shell, {}, {}) for raw in d.equations]
+        eqs = [self.resolve_equation(raw, shell, {}) for raw in d.equations]
         ts = Typeside(d.name, types, constants, [eq for eq in eqs if eq is not None])
         if not self.issues_to_diags(validate_typeside(ts), d.span):
             self.env.typesides[d.name] = ts
@@ -258,7 +295,7 @@ class _Elaborator:
             if vs is None:
                 self.error("UnknownSort", f"unknown entity {raw.var_sort}", raw.span)
                 continue
-            eq = self.resolve_equation(raw, shell, {}, {raw.var: vs})
+            eq = self.resolve_equation(raw, shell, {raw.var: vs})
             if eq is not None:
                 constraints.append(eq)
         sch = Schema(d.name, ts, entities, atts, fks, constraints)
@@ -283,12 +320,14 @@ class _Elaborator:
                 continue
             generators.extend(generator(n, sort) for n in names)
         gens = {g.name: g for g in reversed(generators)}  # the first declaration wins
-        eqs = [self.resolve_equation(raw, sch, gens, {}) for raw in d.equations]
-        pres = InstancePresentation(d.name, sch, generators, [eq for eq in eqs if eq is not None])
+        sides = [self.resolve_sides(raw, sch, gens, {}) for raw in d.equations]
+        # the equations resolve to symbols of the schema and generators only, so
+        # validating the generators checks all that the equations could break
+        pres = InstancePresentation(d.name, sch, generators)
         if self.issues_to_diags(validate_instance(pres), d.span):
             return
         try:
-            model = build_term_model(pres, limits=self.limits)
+            model = build_term_model(pres, [s for s in sides if s is not None], limits=self.limits)
         except ResourceLimit as e:
             self.error("ResourceLimit", str(e), d.span)
             return
@@ -306,11 +345,11 @@ class _Elaborator:
                 self.error("SortMismatch",
                            f"lambda variable must have sort {arg_sort.name}", img.span)
                 return None
-            return self.resolve_term(img.body, tgt, {}, {img.var: arg_sort}, None)
+            return self.resolve_term(img.body, tgt, {img.var: arg_sort}, None)
         body = img.body
         if not body.args and not body.quoted and tgt.symbol_named(body.name) is not None:
             body = RawTerm(body.name, body.span, [RawTerm("x", body.span)])
-            return self.resolve_term(body, tgt, {}, {"x": arg_sort}, None)
+            return self.resolve_term(body, tgt, {"x": arg_sort}, None)
 
         # shorthand: find the variable leaf (the one unknown identifier)
         leaves: set[str] = set()
@@ -328,7 +367,7 @@ class _Elaborator:
             self.error("NameResolution",
                        f"mapping image has several candidate variables: {sorted(leaves)}", img.span)
             return None
-        return self.resolve_term(body, tgt, {}, {name: arg_sort for name in leaves}, None)
+        return self.resolve_term(body, tgt, {name: arg_sort for name in leaves}, None)
 
     def do_mapping(self, d: MappingDecl):
         src = self.env.schemas.get(d.source_ref)
@@ -381,7 +420,7 @@ class _Elaborator:
                     self.error("NameResolution", f"unknown instance {inst_name}", d.span)
                     return
                 if d.op == "sigma":
-                    res = sigma(f_map, self.env.models[inst_name].instance, self.limits, name=d.name)
+                    res = sigma(f_map, self.env.models[inst_name], self.limits, name=d.name)
                 elif d.op == "delta":
                     res = delta(f_map, self.env.models[inst_name], self.limits, name=d.name)
                 else:

@@ -25,9 +25,11 @@ from .terms import (
     Sort,
     Term,
     Var,
+    fold_chain,
     free_vars,
     render_term,
     substitute,
+    term_chain,
 )
 
 
@@ -44,6 +46,15 @@ class Mapping:
     def __post_init__(self):
         object.__setattr__(self, "entity_map", MappingProxyType(dict(self.entity_map)))
         object.__setattr__(self, "symbol_map", MappingProxyType(dict(self.symbol_map)))
+
+    @functools.cached_property
+    def _image_chains(self) -> dict[FunctionSymbol, tuple]:
+        """Symbol -> the chain of its image, without the variable of an open image."""
+        out = {}
+        for f, image in self.symbol_map.items():
+            chain = term_chain(image)
+            out[f] = chain[1:] if isinstance(chain[0], Var) else chain
+        return out
 
     def entity_image(self, e: Sort) -> Sort:
         return self.entity_map[e]
@@ -62,44 +73,38 @@ def identity_mapping(s: Schema, name: Optional[str] = None) -> Mapping:
     return Mapping(name or f"id_{s.name}", s, s, ent, sym)
 
 
-def mapping_chain(f_map: Mapping, t: Term,
-                  genmap: Optional[dict[FunctionSymbol, FunctionSymbol]] = None
-                  ) -> tuple[Term, list[Term]]:
-    """The translated leaf of a term over the mapping's source, and its symbols' images.
+def mapping_chain(f_map: Mapping, chain: tuple,
+                  genmap: Optional[dict[FunctionSymbol, FunctionSymbol]] = None) -> tuple:
+    """The chain of a term's translation along the mapping, from the term's chain.
 
-    Variables are re-sorted along the entity map; generators are
-    re-routed through `genmap` when translating instance terms.  Every
-    symbol is unary, so a term is a chain; the images come outermost
-    first, as the walk down the chain meets them.
+    Each unary symbol becomes the chain of its image without the image's
+    variable; a closed image keeps its own 0-ary leaf, which starts the
+    term anew.  A variable is re-sorted along the entity map, a generator
+    re-routed through `genmap`, and a literal or typeside constant kept.
     """
-    images: list[Term] = []
-    while isinstance(t, App) and t.args:
-        image = f_map.symbol_map.get(t.sym)
-        if image is None:
-            raise SchemaMismatch(f"mapping {f_map.name} has no image for symbol {t.sym.name}")
-        images.append(image)
-        t = t.args[0]
-    if isinstance(t, Var):
-        return Var(t.name, f_map.sort_image(t.sort)), images
-    if t.sym.flavor == GENERATOR:
-        if genmap is None or t.sym not in genmap:
-            raise SchemaMismatch(f"no translation for generator {t.sym.name}")
-        return App(genmap[t.sym]), images
-    return t, images  # a literal or a typeside constant
+    images = f_map._image_chains
+    out: list = []
+    for x in chain:
+        if isinstance(x, Var):
+            out.append(Var(x.name, f_map.sort_image(x.sort)))
+        elif x.arg_sorts:
+            image = images.get(x)
+            if image is None:
+                raise SchemaMismatch(f"mapping {f_map.name} has no image for symbol {x.name}")
+            out += image
+        elif x.flavor == GENERATOR:
+            if genmap is None or x not in genmap:
+                raise SchemaMismatch(f"no translation for generator {x.name}")
+            out.append(genmap[x])
+        else:
+            out.append(x)  # a literal or a typeside constant
+    return tuple(out)
 
 
 def apply_mapping_term(f_map: Mapping, t: Term,
                        genmap: Optional[dict[FunctionSymbol, FunctionSymbol]] = None) -> Term:
-    """Homomorphic extension of a mapping to terms over its source.
-
-    The translated leaf of `mapping_chain`, wrapped in the images of
-    the symbols above it on the way back up.
-    """
-    out, images = mapping_chain(f_map, t, genmap)
-    for image in reversed(images):
-        (v,) = free_vars(image)
-        out = substitute(image, {v.name: out})
-    return out
+    """Homomorphic extension of a mapping to terms over its source: the fold of `mapping_chain`."""
+    return fold_chain(mapping_chain(f_map, term_chain(t), genmap))
 
 
 @functools.cache
@@ -270,8 +275,8 @@ class InstanceMorphism:
                     if tgt.find(self.apply(src.op(f, c))) != tgt.find(tgt.op(f, self.apply(c))):
                         out.append(f"does not commute with {f.name} at class {c}")
         # every literal of a class: the least one, and the others it collides with
-        lits = [(c, lit.sym) for c, lit in src.literal_of.items()]
-        lits += [(k.class_id, replace(src.literal_of[k.class_id].sym, name=k.lit2))
+        lits = list(src.literal_of.items())
+        lits += [(k.class_id, replace(src.literal_of[k.class_id], name=k.lit2))
                  for k in src.collisions]
         for c, sym in lits:
             img = tgt.eval(App(sym))

@@ -1,7 +1,7 @@
 """Data migration functors and the adjunction machinery around them.
 
 delta projects a target model back along a mapping (model reduct),
-sigma pushes an instance presentation forward by substitution, and pi
+sigma pushes an instance forward by translating its equations, and pi
 builds the limit-style migration from path-indexed families.  The
 adjunctions sigma -| delta -| pi are constructed explicitly as their
 hom-set bijections (the transposes, or mates), and each unit and counit
@@ -10,10 +10,11 @@ checkable at desk scale.
 
 No functor saturates a presentation of its output.  delta and pi compute
 their output's operation tables, a row per class or family and each
-symbol's value on it, and write them into the saturation engine as adds
-and merges (`_write`); sigma adds each input equation through the
-mapping's symbol images.  Either way the engine ends up as saturating
-the equivalent presentation would leave it, class ids included.  That
+symbol's value on it, and write them into the saturation engine as
+pairs of chains (`_write`); sigma translates each input equation's
+chains through the chains of the mapping's symbol images
+(`mapping_chain`).  Either way the engine ends up as saturating the
+equivalent presentation would leave it, class ids included.  That
 presentation is built the first time a result's `presentation` (its
 model's `instance`) is read.
 """
@@ -55,9 +56,9 @@ from .terms import (
     Term,
     Var,
     free_vars,
-    ground_eq,
     render_term,
     substitute,
+    term_chain,
 )
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,7 @@ def _type_anchors(src: TermModel):
         n = 0
         for c in src.carrier(tau):
             if c in src.literal_of:
-                sym = src.literal_of[c].sym
+                sym = src.literal_of[c]
                 pins.append((sym, sym))
             elif c in const_class:
                 sym = const_class[c]
@@ -233,23 +234,14 @@ def _write(schema: Schema, name: str, gens: list[FunctionSymbol],
            limits: SaturationLimits) -> TermModel:
     """The term model on `gens` of a = b for (a, b) in pins and q(g) = v for (q, g, v) in rows.
 
-    The equations go into the engine as adds and merges, in the order a
-    presentation listing them would add them, so the model equals the
-    one saturated from that presentation, down to its class ids.  The
+    Each equation goes into the engine as a pair of chains, pins first,
+    as a presentation listing them would, so the model equals the one
+    saturated from that presentation, down to its class ids.  The
     presentation is built only when the model's `instance` is read.
     """
-    def seed(eng) -> None:
-        for a, b in pins:
-            eng.merge(eng.add(a, ()), eng.add(b, ()))
-        for q, g, v in rows:
-            eng.merge(eng.add(q, (eng.add(g, ()),)), eng.add(v, ()))
-
-    def presentation() -> InstancePresentation:
-        eqs = [ground_eq(App(a), App(b)) for a, b in pins]
-        eqs += [ground_eq(App(q, (App(g),)), App(v)) for q, g, v in rows]
-        return InstancePresentation(name, schema, gens, eqs)
-
-    return saturate(schema, name, gens, seed, presentation, limits=limits)
+    chains = [((a,), (b,)) for a, b in pins]
+    chains += [((g, q), (v,)) for q, g, v in rows]
+    return saturate(schema, name, gens, chains, limits=limits)
 
 
 # ---------------------------------------------------------------------------
@@ -298,40 +290,15 @@ def delta(f_map: Mapping, j: TermModel,
 # Sigma
 
 
-def translate_presentation(f_map: Mapping, inst: InstancePresentation,
-                           name: Optional[str] = None):
-    """Push a presentation across a mapping by substitution."""
-    gen_map = _translate_generators(f_map, inst)
-    eqs = [Equation((), apply_mapping_term(f_map, eq.lhs, gen_map),
-                    apply_mapping_term(f_map, eq.rhs, gen_map))
-           for eq in inst.equations]
-    pres = InstancePresentation(name or f"sigma_{f_map.name}_{inst.name}",
-                                f_map.target, list(gen_map.values()), eqs)
-    return pres, gen_map
-
-
-def _translate_generators(f_map: Mapping, inst: InstancePresentation):
-    return {g: generator(g.name, f_map.sort_image(g.out_sort)) for g in inst.generators}
-
-
-def _add_translated(eng, f_map: Mapping, t: Term,
-                    gen_map: dict[FunctionSymbol, FunctionSymbol]) -> int:
-    """Class of `apply_mapping_term(f_map, t, gen_map)` for a ground t, without building it.
-
-    The translated leaf first, then each symbol image over the class so
-    far, innermost first: the nodes of the translated term, children
-    before parents, as saturating the term would add them.
-    """
-    leaf, images = mapping_chain(f_map, t, gen_map)
-    c = eng.add(leaf.sym, ())
-    for image in reversed(images):
-        c = eng.add_term(image, c)
-    return c
-
-
-def sigma(f_map: Mapping, inst: InstancePresentation,
+def sigma(f_map: Mapping, inst: InstancePresentation | TermModel,
           limits: SaturationLimits = DEFAULT_LIMITS, *,
           name: Optional[str] = None) -> SigmaResult:
+    """Push an instance, given as a presentation or as its model, across a mapping.
+
+    Each equation's chains are translated symbol by symbol
+    (`mapping_chain`); from a model they are read as it keeps them, so
+    its presentation is not built.
+    """
     if inst.schema != f_map.source:
         raise SchemaMismatch(f"{inst.name} is not an instance of {f_map.source.name}")
     name = name or f"sigma_{f_map.name}_{inst.name}"
@@ -339,15 +306,14 @@ def sigma(f_map: Mapping, inst: InstancePresentation,
     hit = _results.get(memo_key)
     if hit is not None:
         return hit
-    gen_map = _translate_generators(f_map, inst)
-
-    def seed(eng) -> None:
-        for eq in inst.equations:
-            eng.merge(_add_translated(eng, f_map, eq.lhs, gen_map),
-                      _add_translated(eng, f_map, eq.rhs, gen_map))
-
-    model = saturate(f_map.target, name, list(gen_map.values()), seed,
-                     lambda: translate_presentation(f_map, inst, name)[0], limits=limits)
+    gen_map = {g: generator(g.name, f_map.sort_image(g.out_sort)) for g in inst.generators}
+    if isinstance(inst, TermModel):
+        chains = inst.chains
+    else:
+        chains = [(term_chain(eq.lhs), term_chain(eq.rhs)) for eq in inst.equations]
+    model = saturate(f_map.target, name, list(gen_map.values()),
+                     [(mapping_chain(f_map, lhs, gen_map), mapping_chain(f_map, rhs, gen_map))
+                      for lhs, rhs in chains], limits=limits)
     res = _results[memo_key] = SigmaResult(f_map, inst, model, gen_map)
     return res
 
@@ -582,31 +548,34 @@ def _search_morphisms(a: TermModel, b: TermModel, injective: bool,
 
     a is initial: an assignment under which b satisfies every equation of
     a extends to exactly one morphism (`TermModel.image`).  Each equation
-    is a check; one like g2 = f(g1) computes g2's image.  With `injective`,
+    a was saturated from, read as its pair of chains, is a check; one like
+    g2 = f(g1) computes g2's image.  With `injective`,
     generators of distinct classes take distinct images, as do all classes.
     """
     if a.schema != b.schema:
         raise SchemaMismatch("morphisms require a common schema")
-    if any(b.eval(lit) is None for lit in a.literal_of.values()):
+    if any(b.eval(App(lit)) is None for lit in a.literal_of.values()):
         return []
-    gens = a.instance.generators
+    gens = a.generators
     position = {g: k for k, g in enumerate(gens)}
     tables: dict[FunctionSymbol, dict[int, int]] = {}
 
-    def chain(t: Term) -> tuple[int, Optional[int], list[dict[int, int]]]:
-        # t is a leaf under unary symbols: the leaf's generator position or -1,
-        # else its class in b, and the symbols' tables in b, innermost first
-        ops = []
-        while t.args:
-            if t.sym not in tables:
-                tables[t.sym] = {c: b.op(t.sym, c) for c in b.carrier(t.sym.arg_sorts[0])}
-            ops.insert(0, tables[t.sym])
-            t = t.args[0]
-        k = position.get(t.sym, -1)
-        return k, None if k >= 0 else b.eval(t), ops
+    def check_chain(chain) -> tuple[int, Optional[int], list[dict[int, int]]]:
+        # the term's leaf (its last 0-ary symbol): its generator position or -1, else
+        # its class in b; then the tables in b of the unary symbols after it
+        for i in range(len(chain) - 1, -1, -1):
+            if not chain[i].arg_sorts:
+                break
+        leaf, ops = chain[i], []
+        for sym in chain[i + 1:]:
+            if sym not in tables:
+                tables[sym] = {c: b.op(sym, c) for c in b.carrier(sym.arg_sorts[0])}
+            ops.append(tables[sym])
+        k = position.get(leaf, -1)
+        return k, None if k >= 0 else b.eval(App(leaf)), ops
 
-    checks = [(chain(eq.lhs), chain(eq.rhs))
-              for eq in a.schema.typeside.equations + a.instance.equations]
+    equations = [(term_chain(eq.lhs), term_chain(eq.rhs)) for eq in a.schema.typeside.equations]
+    checks = [(check_chain(lhs), check_chain(rhs)) for lhs, rhs in [*equations, *a.chains]]
     cls = [a.class_of(g) for g in gens] if injective else []
     apart = [[j for j in range(k) if cls[j] != cls[k]] for k in range(len(cls))]
 
@@ -641,8 +610,8 @@ def instances_isomorphic(a: TermModel, b: TermModel,
     for s in a.schema.entities + a.schema.typeside.types:
         if len(a.carrier(s)) != len(b.carrier(s)):
             return None
-    if sorted(l.sym.name for l in a.literal_of.values()) != \
-            sorted(l.sym.name for l in b.literal_of.values()):
+    if sorted(l.name for l in a.literal_of.values()) != \
+            sorted(l.name for l in b.literal_of.values()):
         return None
     found = _search_morphisms(a, b, injective=True, cap=cap, first_only=True)
     return found[0] if found else None
@@ -720,7 +689,7 @@ def transpose_sigma_down(f_map: Mapping, i_model: TermModel, h: InstanceMorphism
     dres = delta(f_map, h.target, limits)
     sres = sigma(f_map, i_model.instance, limits)
     genmap: dict[FunctionSymbol, int] = {}
-    for g in i_model.instance.generators:
+    for g in i_model.generators:
         c = h.apply(h.source.class_of(sres.gen_map[g]))
         genmap[g] = dres.ent_class[(g.out_sort.name, c)] if g.out_sort.is_entity else dres.ty_class[c]
     return _held(morphism_from_genmap(i_model, dres.model, genmap), dres, sres)
@@ -735,7 +704,7 @@ def transpose_sigma_up(f_map: Mapping, hp: InstanceMorphism, j_model: TermModel,
     dres = delta(f_map, j_model, limits)
     sres = sigma(f_map, hp.source.instance, limits)
     genmap = {sres.gen_map[g]: dres.to_target[hp.apply(hp.source.class_of(g))]
-              for g in hp.source.instance.generators}
+              for g in hp.source.generators}
     return _held(morphism_from_genmap(sres.model, j_model, genmap), dres, sres)
 
 

@@ -1,26 +1,31 @@
 """Saturation of instance presentations into term models (initial algebras).
 
 The engine maintains a union-find over ground terms with hash-consing and
-congruence propagation.  Saturation seeds it with the typeside constants,
-the generators, the sides of every typeside equation and what a seeding
-step adds and merges, then runs worklist generations.  A generation takes
-the nodes created by the previous one (the seeding counts as generation
-zero) and, for each of them that is still the root of its class, (a)
-applies every attribute and foreign key on its sort and (b) instantiates
-every schema constraint of its sort.  Nothing else needs revisiting:
-congruence carries both the closure and the constraint instances of a
-class across a merge.  One generation is one round for
-`SaturationLimits.max_rounds`, and per-sort class counts are kept as nodes
-are added and merged.  Finiteness of the term model is undecidable in
-general, so the limits turn potential divergence into an explicit
-ResourceLimit error.
+congruence propagation.  Every symbol is unary or 0-ary, so a ground term
+is a chain: a tuple of symbols folded left, in which a 0-ary symbol starts
+a term and a unary symbol applies to the term so far (`terms.fold_chain`),
+and a ground equation is a pair of chains.  Saturation seeds the engine
+with the typeside constants, the generators, the sides of every typeside
+equation and each pair of chains, both sides added and then merged, in
+order.  It then runs worklist generations.  A generation takes the nodes
+created by the previous one (the seeding counts as generation zero) and,
+for each of them that is still the root of its class, (a) applies every
+attribute and foreign key on its sort and (b) instantiates every schema
+constraint of its sort.  Nothing else needs revisiting: congruence carries
+both the closure and the constraint instances of a class across a merge.
+One generation is one round for `SaturationLimits.max_rounds`, and
+per-sort class counts are kept as nodes are added and merged.  Finiteness
+of the term model is undecidable in general, so the limits turn potential
+divergence into an explicit ResourceLimit error.
 
-`saturate` is the one constructor of term models: seed, generations,
-freeze.  `build_term_model` is `saturate` with a seeding step that adds
-the sides of a presentation's equations and merges them; the migration
-functors seed it with the tables they compute (`catq.migrate`).  A model
-keeps a zero-argument builder of its presentation and calls it the first
-time `TermModel.instance` is read.
+`saturate` is the one constructor of term models: chains, generations,
+freeze.  `build_term_model` is `saturate` on the chains of a
+presentation's equations; the elaborator passes the chains it resolves a
+literal instance to, and the migration functors the chains of the tables
+they compute (`catq.migrate`).  A model keeps its generators and chains,
+so the morphism search reads them directly, and builds its presentation
+from them the first time `TermModel.instance` is read, unless it was
+saturated from one.
 
 Freezing turns the saturated engine into a `TermModel`.  It flattens the
 union-find into a root table once, then resolves classes level by level
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import ResourceLimit, SortMismatch, UnknownSymbol
 from .schema import InstancePresentation, Schema
@@ -51,8 +56,14 @@ from .terms import (
     Sort,
     Term,
     Var,
+    fold_chain,
+    ground_eq,
     render_term,
+    term_chain,
 )
+
+# a chain is a tuple of symbols folded left (`terms.fold_chain`); an equation is a pair of them
+Chain = tuple[FunctionSymbol, ...]
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,13 @@ class _Engine:
         self.created.append(n)
         return n
 
+    def add_chain(self, chain: Chain) -> int:
+        """Class of the term a chain spells, adding its missing nodes in chain order."""
+        c = None
+        for sym in chain:
+            c = self.add(sym, (c,) if sym.arg_sorts else ())
+        return c
+
     def add_term(self, t: Term, var_cls: Optional[int] = None) -> int:
         """Class of t, adding its missing subterms; a variable denotes var_cls.
 
@@ -190,12 +208,16 @@ class TermModel:
     read the root table flattened at freeze time and never write to the
     engine.  `canonical` and `instance` are computed on first read and
     cached; two threads reading one first at once build equal values.
+    `generators` and `chains` are what the model was saturated from.
     """
 
     def __init__(self, schema: Schema, name: str, engine: _Engine,
-                 presentation: Callable[[], InstancePresentation]):
+                 generators: tuple[FunctionSymbol, ...], chains: Sequence[tuple[Chain, Chain]],
+                 presentation: Optional[InstancePresentation] = None):
         self.schema = schema
         self.name = name
+        self.generators = generators
+        self.chains = chains
         self._presentation = presentation
         self._eng = engine
         self._root: list[int] = []
@@ -203,7 +225,7 @@ class TermModel:
         self._chosen: dict[int, tuple[FunctionSymbol, tuple[int, ...]]] = {}
         self.carriers: dict[Sort, list[int]] = {}
         self.id_label: dict[int, int] = {}
-        self.literal_of: dict[int, App] = {}
+        self.literal_of: dict[int, FunctionSymbol] = {}  # class -> its least literal
         self.collisions: list[Collision] = []
         self._freeze()
 
@@ -265,14 +287,17 @@ class TermModel:
                 lits.setdefault(root[n], []).append(sym)
         for r, group in sorted(lits.items()):
             least, *others = sorted(group, key=lambda sym: sym.name)
-            self.literal_of[r] = App(least)
+            self.literal_of[r] = least
             for other in others:
                 self.collisions.append(Collision(eng.sort_of[r], least.name, other.name, r))
 
     @cached_property
     def instance(self) -> InstancePresentation:
-        """The presentation this is the term model of."""
-        return self._presentation()
+        """The presentation this is the term model of: the one given, or one built from the chains."""
+        if self._presentation is not None:
+            return self._presentation
+        return InstancePresentation(self.name, self.schema, self.generators,
+                                    [ground_eq(fold_chain(l), fold_chain(r)) for l, r in self.chains])
 
     @cached_property
     def canonical(self) -> dict[int, Term]:
@@ -406,7 +431,7 @@ class TermModel:
         """Display string: entity id, literal value, or labeled-null term."""
         c = self._root[c]
         if c in self.literal_of:
-            return self.literal_of[c].sym.name
+            return self.literal_of[c].name
         return self._render(c)
 
     def _render(self, c: int) -> str:
@@ -424,15 +449,15 @@ class TermModel:
 
 
 def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
-             seed: Callable[[_Engine], None],
-             presentation: Callable[[], InstancePresentation], *,
+             chains: Sequence[tuple[Chain, Chain]],
+             presentation: Optional[InstancePresentation] = None, *,
              limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
-    """The term model of the equations that `seed` writes into the engine.
+    """The term model on `generators` of the equations l = r for (l, r) in `chains`.
 
-    The engine holds the typeside constants, the generators and the sides
-    of the typeside equations when `seed` gets it; `seed` adds and merges
-    the rest.  `presentation` builds the matching presentation when the
-    model's `instance` is first read.
+    The typeside constants, the generators and the sides of the typeside
+    equations go in first; then each pair's sides are added and merged, in
+    order.  `presentation`, when given, is the model's `instance`;
+    otherwise that is built from the generators and chains on first read.
     """
     eng = _Engine()
     for c in schema.typeside.constants:
@@ -441,7 +466,9 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
         eng.add(g, ())
     for eq in schema.typeside.equations:
         eng.merge(eng.add_term(eq.lhs), eng.add_term(eq.rhs))
-    seed(eng)
+    add = eng.add_chain
+    for lhs, rhs in chains:
+        eng.merge(add(lhs), add(rhs))
 
     closure = {s: schema.symbols_on(s) for s in schema.entities}
     rounds = 0
@@ -475,17 +502,20 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
                     " (the term model may be infinite)")
         if not (eng.created or merged):
             break
-    return TermModel(schema, name, eng, presentation)
+    return TermModel(schema, name, eng, tuple(generators), chains, presentation)
 
 
-def build_term_model(inst: InstancePresentation, *,
+def build_term_model(inst: InstancePresentation,
+                     chains: Sequence[tuple[Chain, Chain]] = (), *,
                      limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
-    """Saturate an instance presentation into its term model."""
-    def seed(eng: _Engine) -> None:
-        for eq in inst.equations:
-            eng.merge(eng.add_term(eq.lhs), eng.add_term(eq.rhs))
+    """Saturate an instance presentation, with `chains` as further equations, into its term model.
 
-    return saturate(inst.schema, inst.name, inst.generators, seed, lambda: inst, limits=limits)
+    Without further equations the model's `instance` is `inst` itself.
+    """
+    eqs = [(term_chain(eq.lhs), term_chain(eq.rhs)) for eq in inst.equations]
+    eqs += chains
+    return saturate(inst.schema, inst.name, inst.generators, eqs,
+                    None if chains else inst, limits=limits)
 
 
 def check_consistency(m: TermModel) -> Optional[Collision]:

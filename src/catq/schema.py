@@ -212,13 +212,6 @@ class InstancePresentation:
     def __post_init__(self):
         _tuples(self, "generators", "equations")
 
-    @cached_property
-    def _generators(self) -> dict[str, FunctionSymbol]:
-        return _by_name(self.generators)
-
-    def generator_named(self, name: str) -> Optional[FunctionSymbol]:
-        return self._generators.get(name)
-
 
 def generator(name: str, sort: Sort) -> FunctionSymbol:
     return FunctionSymbol(name, (), sort, GENERATOR)
@@ -247,7 +240,8 @@ def _check_symbols(s: Schema, gens: AbstractSet[FunctionSymbol], t: Term) -> lis
 
 def validate_instance(i: InstancePresentation) -> list[Issue]:
     issues = validate_schema(i.schema)
-    names = {e.name for e in i.schema.entities} | {f.name for f in i.schema.symbols}
+    names = {e.name for e in i.schema.entities} | {f.name for f in i.schema.symbols} \
+        | {c.name for c in i.schema.typeside.constants}
     for g in i.generators:
         if g.arity != 0:
             issues.append(Issue("BadGenerator", f"generator {g.name} must be 0-ary"))

@@ -170,6 +170,32 @@ def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
     return out
 
 
+def term_chain(t: Term) -> tuple:
+    """The chain of t: its leaf (a 0-ary symbol or a variable), then its unary symbols, innermost first."""
+    chain = []
+    while isinstance(t, App) and t.args:
+        chain.append(t.sym)
+        t = t.args[0]
+    chain.append(t if isinstance(t, Var) else t.sym)
+    chain.reverse()
+    return tuple(chain)
+
+
+def fold_chain(chain) -> Term:
+    """The term a chain spells, folded left.
+
+    A variable or a 0-ary symbol starts a term, and a unary symbol applies
+    to the term so far; `term_chain` is its inverse.
+    """
+    t = None
+    for x in chain:
+        if isinstance(x, Var):
+            t = x
+        else:
+            t = App(x, (t,)) if x.arg_sorts else App(x)
+    return t
+
+
 def render_tree(root, split) -> str:
     """`head(kid, ...)`, or `head` for a leaf, where split(node) = (head, kids); no recursion."""
     out: list[str] = []
@@ -218,12 +244,6 @@ class Equation:
     def is_ground(self) -> bool:
         return not self.free
 
-    def instantiate(self, value: Term) -> "Equation":
-        """Ground instance at the single quantified variable."""
-        assert len(self.free) == 1
-        b = {self.free[0].name: value}
-        return Equation((), substitute(self.lhs, b), substitute(self.rhs, b))
-
     def __repr__(self) -> str:
         q = ""
         if self.free:
@@ -242,18 +262,21 @@ STRING = Sort("String", TYPE)
 INT = Sort("Int", TYPE)
 
 
+def literal_symbol(value, sort: Sort) -> FunctionSymbol:
+    """The 0-ary symbol of a literal; an Int literal is named by its canonical decimal."""
+    return FunctionSymbol(str(int(value)) if sort == INT else str(value), (), sort, LITERAL)
+
+
 def int_literal(value: int) -> App:
-    return App(FunctionSymbol(str(int(value)), (), INT, LITERAL))
+    return App(literal_symbol(value, INT))
 
 
 def string_literal(value: str) -> App:
-    return App(FunctionSymbol(value, (), STRING, LITERAL))
+    return App(literal_symbol(value, STRING))
 
 
 def literal(value, sort: Sort) -> App:
-    if sort == INT:
-        return int_literal(int(value))
-    return App(FunctionSymbol(str(value), (), sort, LITERAL))
+    return App(literal_symbol(value, sort))
 
 
 def parse_int_literal(text: str) -> Optional[int]:

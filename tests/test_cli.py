@@ -167,6 +167,21 @@ def test_inconsistent_instance_exits_3(tmp_path, capsys):
     assert "Collision(20, 30) at sort Int" in capsys.readouterr().err
 
 
+# a generator named like a typeside constant; once it labelled two Color classes "red"
+SHADOWING = """\
+typeside Ty = literal { types Color constants red blue : Color }
+schema S = literal : Ty { entities E attributes c : E -> Color }
+instance I = literal : S { generators x : E  red : Color equations c(x) = red }
+"""
+
+
+def test_generator_shadowing_a_typeside_constant_exits_1(tmp_path, capsys):
+    path = write(tmp_path, SHADOWING)
+    assert main(["eval", path]) == 1
+    assert capsys.readouterr().err == \
+        f"{path}:3:1: error: DuplicateName: generator red shadows another declaration\n"
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -381,7 +381,7 @@ def test_elaborated_literals_and_generators(example_env):
     m = example_env.models["I"]
     sch = example_env.schemas["S"]
     assert len(m.carrier(sch.entity_named("N1"))) == 3
-    g = example_env.instances["I"].generator_named("e1")
+    (g,) = [g for g in example_env.instances["I"].generators if g.name == "e1"]
     assert m.decide_equal(App(sch.symbol_named("name"), (App(g),)),
                           string_literal("Alice"))
 

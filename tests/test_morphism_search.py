@@ -28,12 +28,14 @@ from catq import (
     build_term_model,
     builtin_typeside,
     delta,
+    elaborate,
     enumerate_morphisms,
     generator,
     ground_eq,
     instances_isomorphic,
     int_literal,
     morphism_from_genmap,
+    parse,
     pi,
     sigma,
     string_literal,
@@ -42,6 +44,7 @@ from catq import (
 from conftest import N1, N2, ap, attr
 from test_migrate import adjunction_corpus
 from test_model import random_instance
+from test_written_models import bench_gen
 
 # the reference's work is the product of the generators' carrier sizes
 MAX_ASSIGNMENTS = 1000
@@ -167,3 +170,26 @@ def test_verifier_checks_every_literal_of_a_class(schema_s):
         morphism_from_genmap(ma, mb, {e: mb.class_of(e)})
     assert enumerate_morphisms(ma, mb) == []
     assert_search_matches_brute_force(ma, mb)
+
+
+def test_search_reads_chains_not_presentations_on_the_laws_corpus():
+    text, cases = bench_gen.laws(1, [("F", 2), ("F", 4), ("F0", 3)])
+    env, diags = elaborate(parse(text)[0])
+    assert diags == []
+    checked = 0
+    for case in cases:
+        f_map = env.mappings[case.mapping]
+        im, jm = env.models[case.source], env.models[case.target]
+        sm, dm, pm = sigma(f_map, im).model, delta(f_map, jm).model, pi(f_map, im).model
+        pairs = ((sm, jm), (im, dm), (dm, im), (jm, pm))
+        found = [enumerate_morphisms(a, b) for a, b in pairs]
+        assert [len(homs) for homs in found] == [case.homs] * 4
+        assert instances_isomorphic(dm, im) is not None
+        assert all("instance" not in vars(m) for m in (im, jm, sm, dm, pm))
+        # the reference reads the presentations
+        for (a, b), homs in zip(pairs, found):
+            if small(a, b):
+                assert [h.normalized() for h in homs] == \
+                    [h.normalized() for h in reference_morphisms(a, b)]
+                checked += 1
+    assert checked >= 10

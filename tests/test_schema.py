@@ -80,6 +80,17 @@ def test_instance_validation(schema_s):
     assert "DuplicateName" in codes(validate_instance(shadow))
 
 
+def test_generator_may_not_shadow_a_typeside_constant(schema_s):
+    color = Sort("Color", TYPE)
+    red, blue = (FunctionSymbol(n, (), color, TYPESIDE) for n in ("red", "blue"))
+    ts = replace(schema_s.typeside, types=schema_s.typeside.types + (color,), constants=[red, blue])
+    sch = replace(schema_s, typeside=ts)
+    shadow = InstancePresentation("S", sch, [generator("red", color)], [])
+    assert [(i.code, i.message) for i in validate_instance(shadow)] == \
+        [("DuplicateName", "generator red shadows another declaration")]
+    assert validate_instance(replace(shadow, generators=[generator("green", color)])) == []
+
+
 def test_symbols_on_order(schema_s):
     names = [f.name for f in schema_s.symbols_on(N1)]
     assert names == ["f", "name", "salary"]  # foreign keys first, then attributes

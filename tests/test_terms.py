@@ -78,7 +78,8 @@ def test_equation_requires_matching_sorts_and_quantifiers():
     eq = Equation((x,), App(age, (App(f, (x,)),)), int_literal(30))
     from catq import generator
     g = generator("e", N1)
-    inst = eq.instantiate(App(g))
+    b = {x.name: App(g)}
+    inst = Equation((), substitute(eq.lhs, b), substitute(eq.rhs, b))
     assert inst.is_ground and inst.rhs == eq.rhs
 
 

@@ -1,12 +1,17 @@
-"""Term models that sigma, delta and pi write into the engine directly.
+"""Term models written into the engine directly: by sigma, delta and pi, and from literal instances.
 
 Each written model must be the model that saturating its presentation
 gives, down to class ids; the presentation itself is built only when
-`presentation` (the model's `instance`) is first read.
+`presentation` (the model's `instance`) is first read.  A literal
+instance's equations go in as the chains they resolve to, with the same
+diagnostics as before.
 """
 
 import importlib
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,15 +24,19 @@ from catq import (
     delta,
     elaborate,
     generator,
+    ground_eq,
     identity_mapping,
+    int_literal,
     parse,
     pi,
     render_model,
     sigma,
+    string_literal,
 )
-from catq.migrate import translate_presentation
+from catq.parser import InstanceDecl
+from catq.terms import App, free_vars, substitute
 
-from test_cli import CHAIN, CYCLIC, IDEMPOTENT
+from test_cli import CHAIN, COLLIDING, CYCLIC, IDEMPOTENT
 from test_dsl import EXAMPLE
 
 SCHEMAS = """\
@@ -178,6 +187,23 @@ PROGRAMS = {
 }
 
 
+def pushed(f_map, t, gen_map):
+    """t translated along f_map by substituting symbol images, generators renamed by gen_map."""
+    if not t.args:
+        return App(gen_map.get(t.sym, t.sym))
+    image = f_map.symbol_map[t.sym]
+    (v,) = free_vars(image)
+    return substitute(image, {v.name: pushed(f_map, t.args[0], gen_map)})
+
+
+def translated(f_map, inst, name):
+    """The presentation of sigma(f_map, inst), built eagerly by substitution."""
+    gen_map = {g: generator(g.name, f_map.sort_image(g.out_sort)) for g in inst.generators}
+    eqs = [Equation((), pushed(f_map, eq.lhs, gen_map), pushed(f_map, eq.rhs, gen_map))
+           for eq in inst.equations]
+    return InstancePresentation(name, f_map.target, list(gen_map.values()), eqs)
+
+
 def assert_agrees(written, built):
     """Every observable of a written model equals that of the saturated one."""
     assert written.carriers == built.carriers
@@ -231,7 +257,7 @@ def test_written_sigma_hits_the_limit_of_its_presentation():
     with pytest.raises(ResourceLimit) as written:
         sigma(ident, inst, limits)
     with pytest.raises(ResourceLimit) as built:
-        build_term_model(translate_presentation(ident, inst)[0], limits=limits)
+        build_term_model(translated(ident, inst, "sigma_Id_W"), limits=limits)
     assert str(written.value) == str(built.value) == "saturation of sigma_Id_W exceeded 5 rounds"
 
 
@@ -274,8 +300,7 @@ def test_migrations_build_no_equation_until_the_presentation_is_read(equations_i
     assert "instance" in vars(env.models["K"])
     assert all("instance" not in vars(env.models[n]) for n in ("J", "P"))
     assert env.instances["K"] is k and env.models["K"].instance is k
-    sigma_pres, _ = translate_presentation(env.mappings["F"], env.instances["I"], "J")
-    assert env.instances["J"] == sigma_pres
+    assert env.instances["J"] == translated(env.mappings["F"], env.instances["I"], "J")
 
 
 def _shown(pres):
@@ -304,3 +329,146 @@ def test_pi_presentation_lists_pins_then_rows(mapping_f, model_i):
          "name(N_1) = Alice", "name(N_2) = Bob", "name(N_3) = Sue",
          "salary(N_1) = 100", "salary(N_2) = 250", "salary(N_3) = 300",
          "age(N_1) = 20", "age(N_2) = 20", "age(N_3) = 30"])
+
+
+# ---------------------------------------------------------------------------
+# Literal instances go into saturation as chains
+
+ROOT = Path(__file__).resolve().parent.parent
+# the benchmark's program generators, loaded from their file (bench/ is not a package)
+_spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+bench_gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_gen)
+
+LITERAL_PROGRAMS = {
+    **PROGRAMS,
+    "CHAIN": CHAIN,
+    "COLLIDING": COLLIDING,
+    **{f"gen-wide-{seed}": bench_gen.wide(seed, 80).text for seed in (1, 2, 3)},
+    **{f"gen-deep-{seed}": bench_gen.deep(seed, 10).text for seed in (1, 2, 3)},
+    **{f"gen-dedup-{seed}": bench_gen.dedup(seed, 200, 25).text for seed in (1, 2, 3)},
+}
+
+
+def literal_models(text):
+    """The environment of a program and the names of its literal instances."""
+    prog, diags = parse(text)
+    assert diags == []
+    env, diags = elaborate(prog)
+    assert diags == []
+    names = [d.name for d in prog.decls if isinstance(d, InstanceDecl)]
+    assert names
+    return env, names
+
+
+@pytest.mark.parametrize("name", LITERAL_PROGRAMS)
+def test_literal_models_agree_with_their_saturated_presentations(name):
+    env, names = literal_models(LITERAL_PROGRAMS[name])
+    for n in names:
+        assert_agrees(env.models[n], build_term_model(env.models[n].instance))
+
+
+def test_colliding_literal_instance_keeps_its_collision():
+    env, _ = literal_models(COLLIDING)
+    assert [str(k) for k in env.models["B"].collisions] == ["Collision(20, 30) at sort Int"]
+
+
+def test_literal_instances_build_no_term(monkeypatch):
+    count = {"inside": 0, "terms": 0}
+    for cls in (App, Equation):
+        real_post_init = cls.__post_init__
+
+        def counting(self, _real=real_post_init):
+            count["terms"] += bool(count["inside"])
+            _real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    real_do_instance = elaborate_module._Elaborator.do_instance
+
+    def traced(self, d):
+        count["inside"] += 1
+        try:
+            return real_do_instance(self, d)
+        finally:
+            count["inside"] -= 1
+
+    monkeypatch.setattr(elaborate_module._Elaborator, "do_instance", traced)
+    for text in (EXAMPLE, bench_gen.wide(1, 20).text, bench_gen.dedup(1, 24, 4).text):
+        env, names = literal_models(text)
+        assert count["inside"] == count["terms"] == 0
+        assert all("instance" not in vars(env.models[n]) for n in names)
+
+
+def test_literal_presentation_equals_the_eager_one():
+    env, _ = literal_models(EXAMPLE.replace("salary(e2) = 250", "salary(e2) = 0250"))
+    sch = env.schemas["S"]
+    name, salary, age, f = (sch.symbol_named(s) for s in ("name", "salary", "age", "f"))
+    n1 = sch.entity_named("N1")
+    eqs = []
+    for k, (who, pay, years) in enumerate([("Alice", 100, 20), ("Bob", 250, 20), ("Sue", 300, 30)]):
+        e = App(generator(f"e{k + 1}", n1))
+        eqs += [ground_eq(App(name, (e,)), string_literal(who)),
+                ground_eq(App(salary, (e,)), int_literal(pay)),
+                ground_eq(App(age, (App(f, (e,)),)), int_literal(years))]
+    eager = InstancePresentation("I", sch, [generator(f"e{k}", n1) for k in (1, 2, 3)], eqs)
+    assert env.instances["I"] == eager
+    assert _shown(env.instances["I"]) == (
+        "I", ["e1:N1", "e2:N1", "e3:N1"],
+        ["name(e1) = Alice", "salary(e1) = 100", "age(f(e1)) = 20",
+         "name(e2) = Bob", "salary(e2) = 250", "age(f(e2)) = 20",
+         "name(e3) = Sue", "salary(e3) = 300", "age(f(e3)) = 30"])
+    # sigma read I's chains, not its presentation; its own is built from its chains
+    assert env.instances["J"] == translated(env.mappings["F"], eager, "J")
+    assert _shown(env.instances["J"])[2] == [
+        "name(e1) = Alice", "salary(e1) = 100", "age(e1) = 20",
+        "name(e2) = Bob", "salary(e2) = 250", "age(e2) = 20",
+        "name(e3) = Sue", "salary(e3) = 300", "age(e3) = 30"]
+
+
+# ---------------------------------------------------------------------------
+# Resolution errors: each is reported once, with its span, and the
+# equations that resolve still make the model
+
+DIAGNOSED = """\
+typeside Ty = literal { types Color constants red blue : Color }
+schema S = literal : Ty {
+    entities N1 N2
+    foreign_keys f : N1 -> N2
+    attributes name : N1 -> String  salary : N1 -> Int  age : N2 -> Int  c : N1 -> Color
+}
+instance I = literal : S {
+    generators e1 e2 : N1  t : N2
+    equations
+        name(e1) = Alice
+        %s
+        c(e2) = blue
+}
+"""
+
+RESOLUTION_ERRORS = {
+    "unknown symbol": ("nm(e1) = Bob", "UnknownSymbol", "unknown symbol nm", (11, 9, 11, 15)),
+    "wrong arity": ("name(e1, e2) = Bob", "SortMismatch", "name takes one argument",
+                    (11, 9, 11, 21)),
+    "bad Int literal": ("salary(e1) = x12", "SortMismatch", "'x12' is not an Int literal",
+                        (11, 22, 11, 25)),
+    "argument sort": ("age(f(f(e1))) = 5", "SortMismatch",
+                      "argument of f has sort N2, expected N1", (11, 13, 11, 21)),
+    "side sorts": ("name(e1) = salary(e2)", "SortMismatch",
+                   "equation sides have sorts String and Int", (11, 9, 11, 30)),
+    "unresolvable name": ("e1 = zz", "NameResolution", "cannot resolve 'zz' at sort N1",
+                          (11, 14, 11, 16)),
+    "unresolvable leaf": ("zz = e1", "NameResolution", "cannot resolve 'zz'", (11, 9, 11, 11)),
+}
+
+
+@pytest.mark.parametrize("case", RESOLUTION_ERRORS)
+def test_resolution_errors_are_pinned_and_the_rest_is_saturated(case):
+    bad, code, message, span = RESOLUTION_ERRORS[case]
+    prog, diags = parse(DIAGNOSED % f"{bad}  f(e1) = t  salary(e2) = 007")
+    assert diags == []
+    env, diags = elaborate(prog)
+    assert [(d.code, d.message, tuple(d.span)[1:]) for d in diags] == [(code, message, span)]
+    m = env.models["I"]
+    assert _shown(m.instance)[2] == ["name(e1) = Alice", "f(e1) = t", "salary(e2) = 7",
+                                     "c(e2) = blue"]
+    assert_agrees(m, build_term_model(m.instance))

@@ -270,9 +270,12 @@ class InstanceMorphism:
             if src.find(c) not in self.cmap:
                 out.append(f"class {c} has no image")
         for s in src.schema.entities:
+            cols = [(f, src.column(f), tgt.column(f)) for f in src.schema.symbols_on(s)]
             for c in src.carrier(s):
-                for f in src.schema.symbols_on(s):
-                    if tgt.find(self.apply(src.op(f, c))) != tgt.find(tgt.op(f, self.apply(c))):
+                for f, here, there in cols:
+                    img = self.apply(here[c])
+                    d = self.apply(c)
+                    if img != (there[d] if d in there else tgt.op(f, d)):  # op raises off the column
                         out.append(f"does not commute with {f.name} at class {c}")
         # every literal of a class: the least one, and the others it collides with
         lits = list(src.literal_of.items())

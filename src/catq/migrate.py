@@ -45,6 +45,7 @@ from .model import (  # build_term_model stays a name of this module: bench/span
     SaturationLimits,
     TermModel,
     build_term_model,
+    model_read_as,
     saturate,
 )
 from .schema import InstancePresentation, Schema, generator
@@ -190,7 +191,8 @@ class PiResult(MigrationResult):
 # name), kept only while someone holds them.  A result holds its
 # mapping and its input, so neither id is reused while its entry exists;
 # mappings, presentations and term models are immutable, so a hit is
-# always what the call would compute again.
+# always what the call would compute again.  sigma keys a presentation
+# read from a model by that model, whose chains its equations spell.
 _results: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -297,10 +299,13 @@ def sigma(f_map: Mapping, inst: InstancePresentation | TermModel,
 
     Each equation's chains are translated symbol by symbol
     (`mapping_chain`); from a model they are read as it keeps them, so
-    its presentation is not built.
+    its presentation is not built.  A presentation read from a model
+    (`model_read_as`) is taken as that model, so both share one memo entry.
     """
     if inst.schema != f_map.source:
         raise SchemaMismatch(f"{inst.name} is not an instance of {f_map.source.name}")
+    if isinstance(inst, InstancePresentation):
+        inst = model_read_as(inst) or inst
     name = name or f"sigma_{f_map.name}_{inst.name}"
     memo_key = ("sigma", id(f_map), id(inst), limits, name)
     hit = _results.get(memo_key)
@@ -399,8 +404,7 @@ def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, Term]],
     In lexicographic order.  With i < j, x[j] is looked up in q's table,
     not enumerated: pi is a join, not a filtered product.
     """
-    tables = {q: {c: i_model.op(q, c) for c in i_model.carrier(q.arg_sorts[0])}
-              for q in dict.fromkeys(q for _, q, _ in cons)}
+    tables = {q: i_model.column(q) for q in dict.fromkeys(q for _, q, _ in cons)}
     found = _search([i_model.carrier(s) for s, _ in idx],
                     [((j, None, ()), (i, None, (tables[q],))) for i, q, j in cons])
     out = list(itertools.islice(found, limits.max_classes_per_sort + 1))
@@ -569,7 +573,7 @@ def _search_morphisms(a: TermModel, b: TermModel, injective: bool,
         leaf, ops = chain[i], []
         for sym in chain[i + 1:]:
             if sym not in tables:
-                tables[sym] = {c: b.op(sym, c) for c in b.carrier(sym.arg_sorts[0])}
+                tables[sym] = b.column(sym)
             ops.append(tables[sym])
         k = position.get(leaf, -1)
         return k, None if k >= 0 else b.eval(App(leaf)), ops
@@ -646,7 +650,7 @@ def _checked(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
 def unit_sigma(f_map: Mapping, i_model: TermModel,
                limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
     """I -> delta(sigma(I)): the mate of the identity on sigma(I)."""
-    sres = sigma(f_map, i_model.instance, limits)
+    sres = sigma(f_map, i_model, limits)
     return transpose_sigma_down(f_map, i_model, identity_morphism(sres.model), limits)
 
 
@@ -682,12 +686,12 @@ def transpose_sigma_down(f_map: Mapping, i_model: TermModel, h: InstanceMorphism
                          limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
     """Mate of h : sigma(I) -> J, namely I -> delta(J).
 
-    h's source must be the model produced by sigma(f_map, i_model.instance).
+    h's source must be the model produced by sigma(f_map, i_model).
     Each generator of I goes to the copy, in delta(J), of where h sends
     the generator's image in sigma(I).
     """
     dres = delta(f_map, h.target, limits)
-    sres = sigma(f_map, i_model.instance, limits)
+    sres = sigma(f_map, i_model, limits)
     genmap: dict[FunctionSymbol, int] = {}
     for g in i_model.generators:
         c = h.apply(h.source.class_of(sres.gen_map[g]))
@@ -702,7 +706,7 @@ def transpose_sigma_up(f_map: Mapping, hp: InstanceMorphism, j_model: TermModel,
     hp's target must be the model produced by delta(f_map, j_model).
     """
     dres = delta(f_map, j_model, limits)
-    sres = sigma(f_map, hp.source.instance, limits)
+    sres = sigma(f_map, hp.source, limits)
     genmap = {sres.gen_map[g]: dres.to_target[hp.apply(hp.source.class_of(g))]
               for g in hp.source.generators}
     return _held(morphism_from_genmap(sres.model, j_model, genmap), dres, sres)
@@ -715,11 +719,9 @@ def transpose_pi_down(f_map: Mapping, j_model: TermModel, h: InstanceMorphism,
     pires = pi(f_map, h.target, limits)
     cmap: dict[int, int] = {}
     for t in f_map.target.entities:
+        paths = [(s.name, j_model.table(p)) for s, p in pires.index[t.name]]
         for c in j_model.carrier(t):
-            x = []
-            for (s, p) in pires.index[t.name]:
-                cj = j_model.eval(p, varmap={free_vars(p)[0].name: c})
-                x.append(h.apply(dres.ent_class[(s.name, cj)]))
+            x = [h.apply(dres.ent_class[(s_name, at[c])]) for s_name, at in paths]
             key = (t.name, tuple(x))
             if key not in pires.fam_class:
                 raise NoMorphismExists(f"image family at {t.name} is not natural")

@@ -1,22 +1,32 @@
 """Saturation of instance presentations into term models (initial algebras).
 
-The engine maintains a union-find over ground terms with hash-consing and
-congruence propagation.  Every symbol is unary or 0-ary, so a ground term
-is a chain: a tuple of symbols folded left, in which a 0-ary symbol starts
-a term and a unary symbol applies to the term so far (`terms.fold_chain`),
-and a ground equation is a pair of chains.  Saturation seeds the engine
-with the typeside constants, the generators, the sides of every typeside
-equation and each pair of chains, both sides added and then merged, in
-order.  It then runs worklist generations.  A generation takes the nodes
-created by the previous one (the seeding counts as generation zero) and,
-for each of them that is still the root of its class, (a) applies every
-attribute and foreign key on its sort and (b) instantiates every schema
-constraint of its sort.  Nothing else needs revisiting: congruence carries
-both the closure and the constraint instances of a class across a merge.
-One generation is one round for `SaturationLimits.max_rounds`, and
-per-sort class counts are kept as nodes are added and merged.  Finiteness
-of the term model is undecidable in general, so the limits turn potential
+The engine is a union-find over nodes with congruence repair.  Every
+symbol is unary or 0-ary, so a node is a symbol over one child class, or
+over none, and each symbol has its own table from the root of a child
+class to the node that applies the symbol to it; together the tables
+hash-cons the nodes.  A ground term is a chain: a tuple of symbols folded
+left, in which a 0-ary symbol starts a term and a unary symbol applies to
+the term so far (`terms.fold_chain`), and a ground equation is a pair of
+chains.  Saturation seeds the engine with the typeside constants, the
+generators, the sides of every typeside equation and each pair of chains,
+both sides added and then merged, in order.  It then runs worklist
+generations.  A generation takes the nodes created by the previous one
+(the seeding counts as generation zero) and, for each of them that is
+still the least node of its class, (a) applies every attribute and
+foreign key on its sort and (b) instantiates every schema constraint of
+its sort.  Nothing else needs revisiting: congruence carries both the
+closure and the constraint instances of a class across a merge.  One
+generation is one round for `SaturationLimits.max_rounds`, and per-sort
+class counts are kept as nodes are added and merged.  Finiteness of the
+term model is undecidable in general, so the limits turn potential
 divergence into an explicit ResourceLimit error.
+
+A union absorbs the class with fewer uses (the nodes over it), so a node
+changes its table key at most logarithmically often, whatever order the
+merges come in (Nelson and Oppen, "Fast Decision Procedures Based on
+Congruence Closure", JACM 1980; Downey, Sethi and Tarjan, JACM 1980).
+Which root survives never shows: each root keeps the least node id of its
+class, and that id names the class once frozen.
 
 `saturate` is the one constructor of term models: chains, generations,
 freeze.  `build_term_model` is `saturate` on the chains of a
@@ -27,22 +37,23 @@ so the morphism search reads them directly, and builds its presentation
 from them the first time `TermModel.instance` is read, unless it was
 saturated from one.
 
-Freezing turns the saturated engine into a `TermModel`.  It flattens the
-union-find into a root table once, then resolves classes level by level
-in the depth of their least term: a node becomes a candidate when the
-last of its child classes is resolved, each class takes its least
-candidate under (symbol name, child ranks), and the classes of a level
-get integer ranks in that order.  Ranks order classes as their canonical
-terms are ordered by depth, then symbol name, then arguments (the order
-`term_key` in the tests' oracle spells out), which fixes the carrier
-order and the entity ids.  The freeze records only the symbol and child
-classes of each class's canonical term; `TermModel.canonical` builds the
-terms themselves the first time it is read.  Rendering, labels, `eval`
-and `image` work from the recorded symbols and never read it.
+Freezing turns the saturated engine into a `TermModel`.  It records, for
+every node, its class (the least node id) and its engine root, which keys
+the symbol tables.  It then resolves classes level by level in the depth
+of their least term: a node becomes a candidate when its child class is
+resolved, each class takes its least candidate under (symbol name, child
+rank), and the classes of a level get integer ranks in that order.  Ranks
+order classes as their canonical terms are ordered by depth, then symbol
+name, then arguments (the order `term_key` in the tests' oracle spells
+out), which fixes the carrier order and the entity ids.  The freeze
+records only the symbol and child class of each class's canonical term;
+`TermModel.canonical` builds the terms themselves the first time it is
+read, and the labels are built once, on first use, from the same record.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -93,19 +104,27 @@ class Collision:
 
 
 class _Engine:
-    """Union-find with hash-consing and congruence propagation.
+    """Union-find over unary and 0-ary nodes, with one table per symbol and congruence repair.
 
-    The root of a class is always its least node id, so `parent[x] <= x`
-    holds for every node.
+    Node n applies `node_sym[n]` to the class of node `node_child[n]`, or
+    to nothing when that is -1.  `tables[sym]` maps the root of a child
+    class (-1 for none) to the node applying sym to it, and `node_table[n]`
+    is node n's table, so repair never hashes a symbol.  `uses[r]` holds
+    every node over the class of root r.  A union makes the root with the
+    shorter use list a child of the other and re-keys that list's nodes:
+    only their keys change.  `least[r]` is the least node id of root r's
+    class.
     """
 
     def __init__(self):
         self.parent: list[int] = []
+        self.least: list[int] = []
         self.node_sym: list[FunctionSymbol] = []
-        self.node_children: list[tuple[int, ...]] = []
+        self.node_child: list[int] = []
+        self.node_table: list[dict[int, int]] = []
         self.sort_of: list[Sort] = []
-        self.hashcons: dict[tuple, int] = {}
-        self.class_uses: dict[int, list[int]] = {}
+        self.tables: dict[FunctionSymbol, dict[int, int]] = {}
+        self.uses: dict[int, list[int]] = {}
         self.class_count: dict[Sort, int] = {}
         self.created: list[int] = []  # nodes added since the worklist last took them
 
@@ -115,98 +134,117 @@ class _Engine:
             x = self.parent[x]
         return x
 
-    def add(self, sym: FunctionSymbol, children: tuple[int, ...]) -> int:
-        """Class of sym(children), adding the node (filed in `created`) if it is new."""
-        kids = tuple(map(self.find, children))
-        key = (sym, kids)
-        hit = self.hashcons.get(key)
+    def table(self, sym: FunctionSymbol) -> dict[int, int]:
+        tab = self.tables.get(sym)
+        if tab is None:
+            tab = self.tables[sym] = {}
+        return tab
+
+    def add(self, sym: FunctionSymbol, c: int = -1) -> int:
+        """Class of sym applied to the class of c (-1: sym is 0-ary), adding the node if it is new."""
+        return self.apply(self.table(sym), sym, self.find(c) if c >= 0 else -1)
+
+    def apply(self, tab: dict[int, int], sym: FunctionSymbol, r: int) -> int:
+        """`add` with sym's table `tab` resolved and the child class given by its root r (or -1)."""
+        hit = tab.get(r)
         if hit is not None:
             return self.find(hit)
         n = len(self.parent)
         self.parent.append(n)
+        self.least.append(n)
         self.node_sym.append(sym)
-        self.node_children.append(kids)
-        self.sort_of.append(sym.out_sort)
-        self.hashcons[key] = n
-        for c in kids:
-            self.class_uses.setdefault(c, []).append(n)
-        self.class_count[sym.out_sort] = self.class_count.get(sym.out_sort, 0) + 1
+        self.node_child.append(r)
+        self.node_table.append(tab)
+        s = sym.out_sort
+        self.sort_of.append(s)
+        tab[r] = n
+        if r >= 0:
+            uses = self.uses.get(r)
+            if uses is None:
+                self.uses[r] = [n]
+            else:
+                uses.append(n)
+        self.class_count[s] = self.class_count.get(s, 0) + 1
         self.created.append(n)
         return n
 
-    def add_chain(self, chain: Chain) -> int:
-        """Class of the term a chain spells, adding its missing nodes in chain order."""
-        c = None
-        for sym in chain:
-            c = self.add(sym, (c,) if sym.arg_sorts else ())
-        return c
+    def add_chain(self, chain: Chain, c: int = -1) -> int:
+        """Class of the term a chain spells, adding its missing nodes in chain order.
 
-    def add_term(self, t: Term, var_cls: Optional[int] = None) -> int:
-        """Class of t, adding its missing subterms; a variable denotes var_cls.
-
-        Subterms are added left to right, children before parents, from an
-        explicit stack of (application, classes of the arguments done so far).
+        A chain that starts with a unary symbol applies it to the class of
+        c, and an empty one is that class.
         """
-        if isinstance(t, Var):
-            assert var_cls is not None
-            return var_cls
-        stack: list[tuple[App, list[int]]] = [(t, [])]
-        while True:
-            app, done = stack[-1]
-            if len(done) < len(app.args):
-                a = app.args[len(done)]
-                if isinstance(a, Var):
-                    assert var_cls is not None
-                    done.append(var_cls)
-                else:
-                    stack.append((a, []))
-                continue
-            stack.pop()
-            c = self.add(app.sym, tuple(done))
-            if not stack:
-                return c
-            stack[-1][1].append(c)
+        for sym in chain:
+            c = self.add(sym, c if sym.arg_sorts else -1)
+        return c
 
     def merge(self, a: int, b: int) -> None:
         """Union the classes of a and b and repair congruence.
 
-        The root with the larger id is absorbed.  Only applications over
-        the absorbed class change their hashcons key, and `class_uses[ry]`
-        already holds every one of them: `add` files each node under the
-        roots of its children, and every union concatenates the absorbed
-        class's uses onto the survivor's.  The survivor's own uses keep
-        their key, so each union costs the size of the absorbed use list.
+        The root with fewer uses is absorbed.  Only the nodes over the
+        absorbed class change their table key, and its use list holds every
+        one of them: `apply` files each node under the root of its child,
+        and every union concatenates the absorbed class's uses onto the
+        survivor's.  So each union costs the size of the shorter use list,
+        and a node is re-keyed only when its list at least doubles.
         """
+        parent, least, uses = self.parent, self.least, self.uses
         work = [(a, b)]
         while work:
             x, y = work.pop()
             rx, ry = self.find(x), self.find(y)
             if rx == ry:
                 continue
-            if ry < rx:
-                rx, ry = ry, rx
-            if self.sort_of[rx] != self.sort_of[ry]:
-                raise SortMismatch(
-                    f"cannot merge classes of sorts {self.sort_of[rx].name} and {self.sort_of[ry].name}")
-            self.parent[ry] = rx
-            self.class_count[self.sort_of[rx]] -= 1
-            uses = self.class_uses.pop(ry, [])
-            for p in uses:
-                key = (self.node_sym[p], tuple(map(self.find, self.node_children[p])))
-                q = self.hashcons.get(key)
+            sx, sy = self.sort_of[rx], self.sort_of[ry]
+            if sx is not sy and sx != sy:
+                if least[ry] < least[rx]:
+                    sx, sy = sy, sx
+                raise SortMismatch(f"cannot merge classes of sorts {sx.name} and {sy.name}")
+            ux, uy = uses.get(rx), uses.get(ry)
+            if uy is not None and (ux is None or len(ux) < len(uy)):
+                rx, ry, ux, uy = ry, rx, uy, ux
+            parent[ry] = rx
+            if least[ry] < least[rx]:
+                least[rx] = least[ry]
+            self.class_count[sx] -= 1
+            if uy is None:
+                continue
+            del uses[ry]
+            for p in uy:  # p's child class was ry's and is rx's now
+                tab = self.node_table[p]
+                q = tab.get(rx)
                 if q is None:
-                    self.hashcons[key] = p
+                    tab[rx] = p
                 elif self.find(q) != self.find(p):
                     work.append((p, q))
-            self.class_uses.setdefault(rx, []).extend(uses)
+            if ux is None:
+                uses[rx] = uy
+            else:
+                ux.extend(uy)
+
+
+# presentation id -> the model that last read it as its `instance`, while that model lives
+_read_from: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def model_read_as(inst: InstancePresentation) -> Optional["TermModel"]:
+    """A live model that read `inst` as its `instance` and whose chains are its equations' chains, or None.
+
+    Saturating the one or the other gives the same model, so a cache may
+    key a computation on either by the model.  Only the last model to
+    read `inst` is kept.
+    """
+    return _read_from.get(id(inst))
 
 
 class TermModel:
     """The computed initial algebra of an instance presentation.
 
-    Immutable after construction; safe to share across threads.  Queries
-    read the root table flattened at freeze time and never write to the
-    engine.  `canonical` and `instance` are computed on first read and
+    Immutable after construction; safe to share across threads.  A class
+    is named by the least id among its nodes.  Queries read two arrays
+    frozen at construction, the class of each node and the engine root
+    that keys the symbol tables, and never write to the engine.
+    `canonical`, `instance` and the labels are computed on first read and
     cached; two threads reading one first at once build equal values.
     `generators` and `chains` are what the model was saturated from.
     """
@@ -220,9 +258,10 @@ class TermModel:
         self.chains = chains
         self._presentation = presentation
         self._eng = engine
-        self._root: list[int] = []
-        # per class, children first: the symbol and child classes of its canonical term
-        self._chosen: dict[int, tuple[FunctionSymbol, tuple[int, ...]]] = {}
+        self._cls: list[int] = []  # node -> its class
+        self._key: list[int] = []  # node -> the engine root of its class, its key in the tables
+        # per class, children first: the symbol and child class (or -1) of its canonical term
+        self._chosen: dict[int, tuple[FunctionSymbol, int]] = {}
         self.carriers: dict[Sort, list[int]] = {}
         self.id_label: dict[int, int] = {}
         self.literal_of: dict[int, FunctionSymbol] = {}  # class -> its least literal
@@ -233,84 +272,103 @@ class TermModel:
 
     def _freeze(self) -> None:
         eng = self._eng
-        # flatten the union-find in one pass: parent[i] <= i, so its root is known
-        root = self._root = list(eng.parent)
-        for i in range(len(root)):
-            root[i] = root[root[i]]
-        syms = eng.node_sym
-        kids = [tuple([root[c] for c in ch]) for ch in eng.node_children]
-        pending = [len(ch) for ch in kids]
+        key = self._key = list(map(eng.find, range(len(eng.parent))))
+        least = eng.least
+        cls = self._cls = [least[r] for r in key]
+        syms, child, uses = eng.node_sym, eng.node_child, eng.uses
+        leaves = [n for n, k in enumerate(child) if k < 0]
 
         # level d resolves the classes whose least term has depth d; the
-        # candidates of level d are the nodes whose last child resolved at d - 1
-        rank: dict[int, int] = {}
-        level = [n for n, ch in enumerate(kids) if not ch]
+        # candidates of level d are the nodes whose child resolved at d - 1
+        rank = [0] * len(cls)  # class -> rank, 0 until resolved
+        chosen = self._chosen
+        level = leaves
         next_rank = 0
         while level:
-            best: dict[int, tuple[tuple, int]] = {}
+            best: dict[int, tuple[tuple[str, int], int]] = {}
             for n in level:
-                r = root[n]
-                if r in rank:
+                c = cls[n]
+                if rank[c]:
                     continue
-                key = (syms[n].name, tuple([rank[c] for c in kids[n]]))
-                b = best.get(r)
-                if b is None or key < b[0]:
-                    best[r] = (key, n)
+                k = child[n]
+                order = (syms[n].name, rank[cls[k]] if k >= 0 else 0)
+                b = best.get(c)
+                if b is None or order < b[0]:
+                    best[c] = (order, n)
             level = []
             prev = None
-            for r, (key, n) in sorted(best.items(), key=lambda kv: kv[1][0]):
-                if key != prev:
+            for c, (order, n) in sorted(best.items(), key=lambda kv: kv[1][0]):
+                if order != prev:
                     next_rank += 1
-                    prev = key
-                rank[r] = next_rank
-                self._chosen[r] = (syms[n], kids[n])
-                for u in eng.class_uses.get(r, ()):  # the nodes over r, once per child
-                    pending[u] -= 1
-                    if not pending[u]:
-                        level.append(u)
+                    prev = order
+                rank[c] = next_rank
+                k = child[n]
+                chosen[c] = (syms[n], cls[k] if k >= 0 else -1)
+                level += uses.get(key[c], ())  # the nodes over c
 
-        roots = [i for i, r in enumerate(root) if i == r]
         by_sort: dict[Sort, list[int]] = {}
-        for r in roots:
-            by_sort.setdefault(eng.sort_of[r], []).append(r)
-        sorts = self.schema.entities + self.schema.typeside.types
-        for s in sorts:
+        for n, c in enumerate(cls):
+            if n == c:
+                by_sort.setdefault(eng.sort_of[c], []).append(c)
+        for s in self.schema.entities + self.schema.typeside.types:
             cs = sorted(by_sort.get(s, []), key=rank.__getitem__)
             self.carriers[s] = cs
             if s.is_entity:
-                for i, r in enumerate(cs):
-                    self.id_label[r] = i + 1
+                for i, c in enumerate(cs):
+                    self.id_label[c] = i + 1
         # a literal is one node (hash-consed), so a class's literal nodes are its distinct literals
         lits: dict[int, list[FunctionSymbol]] = {}
-        for n, sym in enumerate(syms):
+        for n in leaves:
+            sym = syms[n]
             if sym.flavor == LITERAL:
-                lits.setdefault(root[n], []).append(sym)
-        for r, group in sorted(lits.items()):
-            least, *others = sorted(group, key=lambda sym: sym.name)
-            self.literal_of[r] = least
+                lits.setdefault(cls[n], []).append(sym)
+        for c, group in sorted(lits.items()):
+            first, *others = sorted(group, key=lambda sym: sym.name)
+            self.literal_of[c] = first
             for other in others:
-                self.collisions.append(Collision(eng.sort_of[r], least.name, other.name, r))
+                self.collisions.append(Collision(eng.sort_of[c], first.name, other.name, c))
 
     @cached_property
     def instance(self) -> InstancePresentation:
         """The presentation this is the term model of: the one given, or one built from the chains."""
-        if self._presentation is not None:
-            return self._presentation
-        return InstancePresentation(self.name, self.schema, self.generators,
-                                    [ground_eq(fold_chain(l), fold_chain(r)) for l, r in self.chains])
+        inst = self._presentation
+        if inst is None:
+            inst = InstancePresentation(self.name, self.schema, self.generators,
+                                        [ground_eq(fold_chain(l), fold_chain(r)) for l, r in self.chains])
+        # a 0-ary symbol inside a chain discards the term so far, which the equation does not spell
+        if all(sym.arg_sorts for pair in self.chains for side in pair for sym in side[1:]):
+            _read_from[id(inst)] = self
+        return inst
 
     @cached_property
     def canonical(self) -> dict[int, Term]:
         """Class -> its canonical term, the least term of the class."""
         out: dict[int, Term] = {}
-        for c, (sym, kids) in self._chosen.items():
-            out[c] = App(sym, tuple([out[k] for k in kids]))
+        for c, (sym, k) in self._chosen.items():
+            out[c] = App(sym, (out[k],)) if k >= 0 else App(sym)
         return out
+
+    @cached_property
+    def _labels(self) -> dict[int, str]:
+        """Class -> `label`, built children first."""
+        shown: dict[int, str] = {}  # the canonical term, with entity subterms shown as ids
+        ids = self.id_label
+        for c, (sym, k) in self._chosen.items():
+            i = ids.get(c)
+            if i is not None:
+                shown[c] = str(i)
+            elif k < 0:
+                shown[c] = sym.name
+            else:
+                shown[c] = f"{sym.name}({shown[k]})"
+        for c, lit in self.literal_of.items():
+            shown[c] = lit.name
+        return shown
 
     # -- queries -------------------------------------------------------
 
     def find(self, c: int) -> int:
-        return self._root[c]
+        return self._cls[c]
 
     def carrier(self, sort: Sort) -> list[int]:
         return self.carriers.get(sort, [])
@@ -324,34 +382,43 @@ class TermModel:
     def sort_of(self, c: int) -> Sort:
         return self._eng.sort_of[c]
 
-    def _lookup(self, sym: FunctionSymbol, children: tuple[int, ...]) -> Optional[int]:
-        hit = self._eng.hashcons.get((sym, children))
-        return None if hit is None else self._root[hit]
+    def _lookup(self, sym: FunctionSymbol, c: int = -1) -> Optional[int]:
+        """Class of sym applied to class c (-1: sym is 0-ary), or None when the model has no such term."""
+        tab = self._eng.tables.get(sym)
+        hit = None if tab is None else tab.get(self._key[c] if c >= 0 else -1)
+        return None if hit is None else self._cls[hit]
 
     def op(self, sym: FunctionSymbol, c: int) -> int:
         """Apply a unary symbol's operation table to a class."""
-        hit = self._lookup(sym, (self._root[c],))
+        hit = self._lookup(sym, c)
         if hit is None:
             raise UnknownSymbol(f"no {sym.name} application on class {c}")
         return hit
+
+    def column(self, sym: FunctionSymbol) -> dict[int, int]:
+        """Class c -> `op(sym, c)`, for c in the carrier of sym's argument sort, in carrier order."""
+        tab, key, cls = self._eng.tables.get(sym, {}), self._key, self._cls
+        carrier = self.carrier(sym.arg_sorts[0])
+        try:
+            return {c: cls[tab[key[c]]] for c in carrier}
+        except KeyError:
+            c = next(c for c in carrier if key[c] not in tab)
+            raise UnknownSymbol(f"no {sym.name} application on class {c}") from None
 
     def table(self, t: Term) -> dict[int, int]:
         """Class c -> the class of t with its variable at c, for c in the variable's carrier.
 
         t is a chain of unary symbols over one variable, such as a symbol
-        image of a mapping or a path; it is walked once, not once per class.
+        image of a mapping or a path; it is read one column per symbol.
         """
         syms: list[FunctionSymbol] = []
         while isinstance(t, App):
             syms.append(t.sym)
             t = t.args[0]
-        syms.reverse()
-        out: dict[int, int] = {}
-        for c in self.carrier(t.sort):
-            v = c
-            for sym in syms:
-                v = self.op(sym, v)
-            out[c] = v
+        out = {c: c for c in self.carrier(t.sort)}
+        for sym in reversed(syms):
+            col = self.column(sym)
+            out = {c: col[v] for c, v in out.items()}
         return out
 
     def eval(self, t: Term, genmap: Optional[Mapping[FunctionSymbol, int]] = None,
@@ -365,6 +432,7 @@ class TermModel:
         # every symbol is unary or 0-ary: walk down the chain to a variable,
         # a re-routed generator or a leaf, then look each application up
         chain: list[App] = []
+        c = -1
         while True:
             if isinstance(t, Var):
                 if varmap is None or t.name not in varmap:
@@ -379,7 +447,7 @@ class TermModel:
                 break
             t = t.args[0]
         for u in reversed(chain):
-            c = self._lookup(u.sym, (c,) if u.args else ())
+            c = self._lookup(u.sym, c if u.args else -1)
             if c is None:
                 if u.sym.flavor == LITERAL:
                     return None
@@ -394,18 +462,19 @@ class TermModel:
         first, so each class costs one lookup in tgt.
         """
         out: dict[int, int] = {}
-        root, hashcons = tgt._root, tgt._eng.hashcons
-        for c, (sym, kids) in self._chosen.items():
-            if not kids and sym in genmap:
-                out[c] = root[genmap[sym]]
+        tables, key, cls = tgt._eng.tables, tgt._key, tgt._cls
+        for c, (sym, k) in self._chosen.items():
+            if k < 0 and sym in genmap:
+                out[c] = cls[genmap[sym]]
                 continue
-            hit = hashcons.get((sym, tuple([out[k] for k in kids])))
+            tab = tables.get(sym)
+            hit = None if tab is None else tab.get(key[out[k]] if k >= 0 else -1)
             if hit is None:
                 if sym.flavor == LITERAL:
                     return None
                 raise UnknownSymbol(
                     f"term {render_term(self.canonical[c])} does not denote in {tgt.name}")
-            out[c] = root[hit]
+            out[c] = cls[hit]
         return out
 
     def decide_equal(self, t1: Term, t2: Term) -> bool:
@@ -422,26 +491,14 @@ class TermModel:
 
     def class_of(self, sym: FunctionSymbol) -> int:
         """Class of a 0-ary symbol (generator, constant, literal)."""
-        c = self._lookup(sym, ())
+        c = self._lookup(sym)
         if c is None:
             raise UnknownSymbol(f"{sym.name} does not denote in this model")
         return c
 
     def label(self, c: int) -> str:
-        """Display string: entity id, literal value, or labeled-null term."""
-        c = self._root[c]
-        if c in self.literal_of:
-            return self.literal_of[c].name
-        return self._render(c)
-
-    def _render(self, c: int) -> str:
-        """The canonical term of a class, with entity subterms shown as ids."""
-        if self._eng.sort_of[c].is_entity:
-            return str(self.id_label[c])
-        sym, kids = self._chosen[c]
-        if not kids:
-            return sym.name
-        return f"{sym.name}({', '.join(self._render(k) for k in kids)})"
+        """Display string: entity id, literal value, or labeled-null term (entity subterms as ids)."""
+        return self._labels[self._cls[c]]
 
     def __repr__(self) -> str:
         sizes = ", ".join(f"{s.name}:{len(cs)}" for s, cs in self.carriers.items() if cs)
@@ -456,21 +513,28 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
 
     The typeside constants, the generators and the sides of the typeside
     equations go in first; then each pair's sides are added and merged, in
-    order.  `presentation`, when given, is the model's `instance`;
-    otherwise that is built from the generators and chains on first read.
+    order.  `presentation`, when given, is the model's `instance`, and its
+    equations must spell `chains`; otherwise the presentation is built
+    from the generators and chains on first read.
     """
     eng = _Engine()
     for c in schema.typeside.constants:
-        eng.add(c, ())
+        eng.add(c)
     for g in generators:
-        eng.add(g, ())
-    for eq in schema.typeside.equations:
-        eng.merge(eng.add_term(eq.lhs), eng.add_term(eq.rhs))
+        eng.add(g)
     add = eng.add_chain
+    for eq in schema.typeside.equations:
+        eng.merge(add(term_chain(eq.lhs)), add(term_chain(eq.rhs)))
     for lhs, rhs in chains:
         eng.merge(add(lhs), add(rhs))
 
-    closure = {s: schema.symbols_on(s) for s in schema.entities}
+    # per entity, its symbols with their tables; per constraint, its sort and
+    # the chains of its sides, a variable leaf left out (`add_chain` starts them at its class)
+    closure = {s: [(eng.table(f), f) for f in schema.symbols_on(s)] for s in schema.entities}
+    constraints = [(con.free[0].sort, *(ch[1:] if isinstance(ch[0], Var) else ch
+                                        for ch in (term_chain(con.lhs), term_chain(con.rhs))))
+                   for con in schema.constraints]
+    find, least, sort_of, apply = eng.find, eng.least, eng.sort_of, eng.apply
     rounds = 0
     while True:
         rounds += 1
@@ -479,24 +543,24 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
                 f"saturation of {name} exceeded {limits.max_rounds} rounds")
         # the nodes the previous generation created, in creation order
         frontier, eng.created = eng.created, []
-        for r in frontier:
-            if eng.find(r) != r:
+        for n in frontier:
+            r = find(n)
+            if least[r] != n:
                 continue
-            for f in closure.get(eng.sort_of[r], ()):
-                eng.add(f, (r,))
+            for tab, f in closure.get(sort_of[r], ()):
+                apply(tab, f, r)
         merged = False
-        for con in schema.constraints:
-            s = con.free[0].sort
-            for r in frontier:
-                if eng.find(r) != r or eng.sort_of[r] != s:
+        for s, lhs, rhs in constraints:
+            for n in frontier:
+                r = find(n)
+                if least[r] != n or sort_of[r] != s:
                     continue
-                lhs = eng.add_term(con.lhs, r)
-                rhs = eng.add_term(con.rhs, r)
-                if eng.find(lhs) != eng.find(rhs):
-                    eng.merge(lhs, rhs)
+                a, b = add(lhs, r), add(rhs, r)
+                if find(a) != find(b):
+                    eng.merge(a, b)
                     merged = True
-        for s, n in eng.class_count.items():
-            if n > limits.max_classes_per_sort:
+        for s, k in eng.class_count.items():
+            if k > limits.max_classes_per_sort:
                 raise ResourceLimit(
                     f"carrier of {s.name} in {name} exceeded {limits.max_classes_per_sort} classes"
                     " (the term model may be infinite)")

@@ -22,11 +22,9 @@ def _columns(schema: Schema, entity: Sort) -> list[FunctionSymbol]:
 
 
 def _rows(m: TermModel, entity: Sort) -> list[list[str]]:
-    cols = _columns(m.schema, entity)
-    out = []
-    for c in m.carrier(entity):
-        out.append([m.label(c)] + [m.label(m.op(f, c)) for f in cols])
-    return out
+    cols = [m.column(f).values() for f in _columns(m.schema, entity)]
+    label = m.label
+    return [[label(c), *map(label, cells)] for c, *cells in zip(m.carrier(entity), *cols)]
 
 
 def render_model(m: TermModel, fmt: str = "markdown") -> str:

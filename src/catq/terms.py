@@ -3,7 +3,9 @@
 Terms are immutable and hashable.  Sorts, symbols and applications
 compute their hash once, at construction, so hashing a symbol or a term
 of any depth takes constant time; `dataclasses.replace` constructs anew
-and so hashes anew.  Equality of applications walks an explicit stack.
+and so hashes anew.  Equality is decided at once on identity or on
+unequal hashes, and compares fields only otherwise; equality of
+applications walks an explicit stack.
 All schema-level symbols are unary (attributes, foreign keys) or 0-ary
 (generators, literals, typeside constants), so most code in this
 package only ever builds chains of unary applications over constants.
@@ -38,6 +40,13 @@ class Sort:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Sort):
+            return NotImplemented
+        return self._hash == other._hash and self.name == other.name and self.kind == other.kind
+
     @property
     def is_entity(self) -> bool:
         return self.kind == ENTITY
@@ -58,6 +67,15 @@ class FunctionSymbol:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, FunctionSymbol):
+            return NotImplemented
+        return self._hash == other._hash and self.name == other.name and \
+            self.arg_sorts == other.arg_sorts and self.out_sort == other.out_sort and \
+            self.flavor == other.flavor
 
     @property
     def arity(self) -> int:

@@ -165,6 +165,22 @@ def merge_chain_instance(m, seed):
     return InstancePresentation(f"chain{m}", schema, gens, eqs)
 
 
+def reversed_chain_instance(n):
+    """n records with v(r_i) = 7, then r_i = r_(i+1) for every i, last pair first.
+
+    Each union but the first joins one record to the class of all the
+    records after it, so a union that absorbed the larger class would
+    re-key every earlier record's v.
+    """
+    e = Sort("E", ENTITY)
+    v = attr("v", e, INT)
+    schema = Schema("R", builtin_typeside(), [e], [v], [])
+    gens = [generator(f"r{i}", e) for i in range(n)]
+    eqs = [ground_eq(ap(v, g), int_literal(7)) for g in gens]
+    eqs += [ground_eq(App(a), App(b)) for a, b in reversed(list(zip(gens, gens[1:])))]
+    return InstancePresentation(f"rchain{n}", schema, gens, eqs)
+
+
 def count_calls(monkeypatch, owner, name, run):
     """Run `run()` and return how often it called `owner.name`."""
     calls = 0

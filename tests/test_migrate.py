@@ -31,6 +31,7 @@ from catq import (
     enumerate_paths,
     generator,
     identity_mapping,
+    int_literal,
     instances_isomorphic,
     invert_mapping,
     mappings_equal,
@@ -46,6 +47,7 @@ from catq import (
     validate_mapping,
 )
 from catq import migrate
+from catq.model import model_read_as, saturate
 from catq.terms import render_term
 
 from conftest import (
@@ -339,14 +341,15 @@ def test_counit_pi_has_no_mate_through_a_fresh_null():
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """Counts the term models constructed, saturated from a presentation or written."""
+    """Counts the term models constructed, saturated from a presentation or written, and per name."""
     from catq.model import TermModel
     count = Counter()
     real = TermModel.__init__
 
-    def counting(*args, **kwargs):
+    def counting(self, schema, name, *args, **kwargs):
         count["builds"] += 1
-        return real(*args, **kwargs)
+        count[name] += 1
+        return real(self, schema, name, *args, **kwargs)
 
     monkeypatch.setattr(TermModel, "__init__", counting)
     return count
@@ -402,6 +405,33 @@ def test_units_and_counits_hold_what_their_triangle_identities_need(builds, mapp
         before = builds["builds"]
         assert mate(m).is_identity()
         assert builds["builds"] == before
+
+
+def test_sigma_of_a_model_and_of_its_presentation_share_one_result(builds, mapping_f,
+                                                                   inst_i, inst_j):
+    # fresh models, so that no other test has read them or holds their results
+    f, im, jm = mapping_f, build_term_model(inst_i), build_term_model(inst_j)
+    sres = sigma(f, im.instance)
+    assert sigma(f, im) is sres
+    unit_s, counit_s = unit_sigma(f, im), counit_sigma(f, jm)
+    assert transpose_sigma_up(f, unit_s, sres.model).is_identity()
+    assert transpose_sigma_down(f, delta(f, jm).model, counit_s).is_identity()
+    assert builds["sigma_F_I"] == 1
+    # the sigma transposes read the chains of the written delta models, not their presentations
+    before = builds["builds"]
+    for res in (delta(f, jm), delta(f, sres.model)):
+        assert "instance" not in vars(res.model)
+    assert builds["builds"] == before
+
+
+def test_a_presentation_stands_for_its_model_only_when_it_spells_the_chains(schema_s, inst_i):
+    im = build_term_model(inst_i)
+    assert model_read_as(im.instance) is im
+    # a 0-ary symbol inside a chain discards the term so far: 7 = 7 does not spell (e, 7) = (7)
+    e, seven = generator("e", N1), int_literal(7).sym
+    m = saturate(schema_s, "X", [e], [((e, seven), (seven,))])
+    assert [repr(eq) for eq in m.instance.equations] == ["7 = 7"]
+    assert model_read_as(m.instance) is None
 
 
 def test_migration_inputs_cannot_change(mapping_f, model_i):

@@ -17,6 +17,7 @@ from catq import (
     SaturationLimits,
     Schema,
     Sort,
+    SortMismatch,
     Var,
     build_term_model,
     builtin_typeside,
@@ -27,11 +28,21 @@ from catq import (
     render_model,
     string_literal,
 )
-from catq.model import _Engine
+from catq.model import _Engine, saturate
 from catq.terms import ENTITY
 
-from conftest import N1, N2, ap, attr, count_calls, fkey, merge_chain_instance
+from conftest import (
+    N1,
+    N2,
+    ap,
+    attr,
+    count_calls,
+    fkey,
+    merge_chain_instance,
+    reversed_chain_instance,
+)
 from oracle import deductive_closure, oracle_equal, term_key, term_universe
+from test_written_models import LITERAL_PROGRAMS, literal_models
 
 
 def test_running_example_carriers(model_i, schema_s):
@@ -264,6 +275,100 @@ def test_merge_chain_work_grows_linearly(monkeypatch):
         calls[m] = count_calls(monkeypatch, _Engine, "find", lambda: build_term_model(inst))
     # 4x the records: linear work grows 4x (4.9x here), re-keying both classes 15x
     assert calls[400] < 8 * calls[100]
+
+
+def test_reversed_merge_chain_work_grows_linearly(monkeypatch):
+    # a union absorbs the class with fewer uses, so the order of the chain does not matter
+    calls = {}
+    for n in (100, 400):
+        inst = reversed_chain_instance(n)
+        calls[n] = count_calls(monkeypatch, _Engine, "find", lambda: build_term_model(inst))
+    # 4x the records: 4.0x here; absorbing the larger class grew 15x
+    assert calls[400] < 8 * calls[100]
+
+
+# ---------------------------------------------------------------------------
+# Classes are named by their least node, whichever root the unions keep
+
+
+def _assert_named_by_least_node(m):
+    first: dict[int, int] = {}  # class -> the least node seen in it
+    for n in range(len(m._eng.parent)):
+        assert first.setdefault(m.find(n), n) == m.find(n), n
+
+
+@pytest.mark.parametrize("name", LITERAL_PROGRAMS)
+def test_every_class_is_named_by_its_least_node(name):
+    env, _ = literal_models(LITERAL_PROGRAMS[name])
+    for m in env.models.values():
+        _assert_named_by_least_node(m)
+
+
+def test_fixture_classes_are_named_by_their_least_node(model_i, model_i0, model_j):
+    for m in (model_i, model_i0, model_j):
+        _assert_named_by_least_node(m)
+
+
+def colliding_chain_instance(m):
+    """m records with three names and two ages, declared equal in pairs.
+
+    Every pair collides on both attributes: the names p0, p1 and p2 end up
+    in one class, and so do the ages 30 and 31.
+    """
+    f, nm, age = fkey("f", N1, N2), attr("name", N1, STRING), attr("age", N2, INT)
+    schema = Schema("C", builtin_typeside(), [N1, N2], [nm, age], [f])
+    gens = [generator(f"r{k}", N1) for k in range(m)]
+    eqs = []
+    for k, g in enumerate(gens):
+        eqs += [ground_eq(ap(nm, g), string_literal(f"p{k % 3}")),
+                ground_eq(ap(age, ap(f, g)), int_literal(30 + k % 2))]
+    eqs += [ground_eq(App(a), App(b)) for a, b in zip(gens[::2], gens[1::2])]
+    return InstancePresentation(f"collide{m}", schema, gens, eqs)
+
+
+def _observed(m):
+    """Labels and literal names per carrier, and the collisions' literal pairs."""
+    return ({s.name: [m.label(c) for c in cs] for s, cs in m.carriers.items()},
+            {s.name: [m.literal_of[c].name for c in cs if c in m.literal_of]
+             for s, cs in m.carriers.items()},
+            sorted((k.lit1, k.lit2) for k in m.collisions))
+
+
+@pytest.mark.parametrize("make, collisions", [
+    (partial(merge_chain_instance, 12, 0), []),
+    (partial(colliding_chain_instance, 12), [("30", "31"), ("p0", "p1"), ("p0", "p2")]),
+], ids=["chain", "colliding"])
+def test_equation_order_changes_no_observable(make, collisions):
+    inst = make()
+    base = _observed(build_term_model(inst))
+    assert base[2] == collisions
+    universe = sorted(term_universe(inst), key=repr)
+    partition = deductive_closure(inst)
+    for seed in range(1, 21):
+        eqs = list(inst.equations)
+        random.Random(seed).shuffle(eqs)
+        m = build_term_model(replace(inst, equations=eqs))
+        assert _observed(m) == base, seed
+        _assert_named_by_least_node(m)
+        for i, t1 in enumerate(universe):
+            for t2 in universe[i:]:
+                if t1.sort == t2.sort:
+                    assert m.decide_equal(t1, t2) == oracle_equal(partition, t1, t2), (seed, t1, t2)
+
+
+def test_cross_sort_merge_names_the_older_class_first(schema_s):
+    # the message lists the sort of the class with the least node first,
+    # whichever class has more uses
+    f, age = schema_s.symbol_named("f"), schema_s.symbol_named("age")
+    a, b = generator("a", N1), generator("b", N2)
+    cases = [([b, a], [((a, f), (a, f)), ((b,), (a,))], "N2 and N1"),
+             ([b, a], [((a,), (b,))], "N2 and N1"),
+             ([a, b], [((b, age), (b, age)), ((a,), (b,))], "N1 and N2"),
+             ([a, b], [((b, age), (b, age)), ((b,), (a,))], "N1 and N2")]
+    for gens, chains, sorts in cases:
+        with pytest.raises(SortMismatch) as err:
+            saturate(schema_s, "X", gens, chains)
+        assert str(err.value) == f"cannot merge classes of sorts {sorts}"
 
 
 def test_oracle_on_running_example(inst_i, model_i, schema_s):

@@ -19,7 +19,16 @@ from catq import (
     int_literal,
     string_literal,
 )
-from catq.terms import free_vars, is_ground, render_term, substitute
+from catq.terms import (
+    ATTRIBUTE,
+    ENTITY,
+    FOREIGN_KEY,
+    TYPE,
+    free_vars,
+    is_ground,
+    render_term,
+    substitute,
+)
 
 from conftest import N1, N2, ap, attr, fkey
 from oracle import term_depth, term_key
@@ -98,3 +107,23 @@ def test_string_literals_equal_iff_text_equal(a, b):
 def test_term_key_total_order_on_literals(n):
     k1, k2 = term_key(int_literal(n)), term_key(int_literal(n + 1))
     assert k1 != k2
+
+
+def test_sorts_and_symbols_compare_by_value():
+    # separately built equal values compare and hash equal
+    a, b = Sort("N1", ENTITY), Sort("N1", ENTITY)
+    assert a is not b and a == b and hash(a) == hash(b)
+    f1 = FunctionSymbol("f", (a,), Sort("N2", ENTITY), FOREIGN_KEY)
+    f2 = FunctionSymbol("f", (b,), Sort("N2", ENTITY), FOREIGN_KEY)
+    assert f1 is not f2 and f1 == f2 and hash(f1) == hash(f2)
+    # a differing kind or flavor makes them unequal
+    assert a != Sort("N1", TYPE)
+    assert f1 != FunctionSymbol("f", (a,), Sort("N2", ENTITY), ATTRIBUTE)
+    assert f1 != FunctionSymbol("f", (Sort("N1", TYPE),), Sort("N2", ENTITY), FOREIGN_KEY)
+    # equal hashes alone do not decide: the fields are compared
+    forged = Sort("M", ENTITY)
+    object.__setattr__(forged, "_hash", hash(a))
+    assert forged != a and a != forged
+    # other types are left to their own comparison
+    assert a.__eq__("N1") is NotImplemented and f1.__eq__(a) is NotImplemented
+    assert a != "N1" and f1 != a

@@ -269,6 +269,8 @@ class InstanceMorphism:
         for c in src.all_classes():
             if src.find(c) not in self.cmap:
                 out.append(f"class {c} has no image")
+        if out:  # the rest applies the map to every class
+            return out
         for s in src.schema.entities:
             cols = [(f, src.column(f), tgt.column(f)) for f in src.schema.symbols_on(s)]
             for c in src.carrier(s):
@@ -282,7 +284,7 @@ class InstanceMorphism:
         lits += [(k.class_id, replace(src.literal_of[k.class_id], name=k.lit2))
                  for k in src.collisions]
         for c, sym in lits:
-            img = tgt.eval(App(sym))
+            img = tgt._lookup(sym)
             if img is None or tgt.find(self.apply(c)) != tgt.find(img):
                 out.append(f"does not fix literal {sym.name}")
         for const in src.schema.typeside.constants:
@@ -304,10 +306,14 @@ def identity_morphism(m: TermModel) -> InstanceMorphism:
 
 def morphism_from_genmap(src: TermModel, tgt: TermModel,
                          genmap: dict[FunctionSymbol, int]) -> InstanceMorphism:
-    """Homomorphic extension of a generator assignment, verified.
+    """Homomorphic extension of a generator assignment, verified once.
 
-    NoMorphismExists when it sends a generator g elsewhere than genmap[g]:
-    the assignment breaks an equation of src.
+    src is initial, so the extension is a morphism exactly when tgt
+    satisfies the equations src was saturated from under the assignment
+    (`TermModel.satisfied_by`).  When it does not, NoMorphismExists gives
+    the first fault of the definitional check: a generator sent elsewhere
+    than genmap[g] (the assignment breaks an equation of src), else the
+    first of `InstanceMorphism.violations`.
     """
     if src.schema != tgt.schema:
         raise SchemaMismatch("morphism endpoints must share a schema")
@@ -315,8 +321,9 @@ def morphism_from_genmap(src: TermModel, tgt: TermModel,
     if cmap is None:
         raise NoMorphismExists(f"a literal of {src.name} does not denote in the target")
     h = InstanceMorphism(src, tgt, cmap)
-    bad = [f"the assignment of {g.name} breaks an equation of {src.name}"
-           for g, d in genmap.items() if h.apply(src.class_of(g)) != tgt.find(d)] or h.violations()
-    if bad:
-        raise NoMorphismExists(bad[0])
+    if not src.satisfied_by(tgt, genmap):
+        bad = [f"the assignment of {g.name} breaks an equation of {src.name}"
+               for g, d in genmap.items() if h.apply(src.class_of(g)) != tgt.find(d)] or h.violations()
+        if bad:
+            raise NoMorphismExists(bad[0])
     return h

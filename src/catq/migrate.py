@@ -558,7 +558,7 @@ def _search_morphisms(a: TermModel, b: TermModel, injective: bool,
     """
     if a.schema != b.schema:
         raise SchemaMismatch("morphisms require a common schema")
-    if any(b.eval(App(lit)) is None for lit in a.literal_of.values()):
+    if any(b._lookup(lit) is None for lit in a.literal_of.values()):
         return []
     gens = a.generators
     position = {g: k for k, g in enumerate(gens)}
@@ -576,7 +576,7 @@ def _search_morphisms(a: TermModel, b: TermModel, injective: bool,
                 tables[sym] = b.column(sym)
             ops.append(tables[sym])
         k = position.get(leaf, -1)
-        return k, None if k >= 0 else b.eval(App(leaf)), ops
+        return k, None if k >= 0 else b._lookup(leaf), ops
 
     equations = [(term_chain(eq.lhs), term_chain(eq.rhs)) for eq in a.schema.typeside.equations]
     checks = [(check_chain(lhs), check_chain(rhs)) for lhs, rhs in [*equations, *a.chains]]
@@ -640,10 +640,20 @@ def _held(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
 
 
 def _checked(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
-    """m, verified and `_held`."""
-    bad = m.violations()
-    if bad:
-        raise NoMorphismExists(bad[0])
+    """m, verified once and `_held`.
+
+    A morphism is the unique extension of its values on the generators,
+    so m is one exactly when its source's equations hold under those
+    values (`TermModel.satisfied_by`) and their extension is m.  When
+    not, NoMorphismExists gives the first of `InstanceMorphism.violations`.
+    """
+    src, tgt = m.source, m.target
+    genmap = {g: m.cmap.get(src.class_of(g)) for g in src.generators}
+    if src.schema != tgt.schema or None in genmap.values() or \
+            not src.satisfied_by(tgt, genmap) or src.image(tgt, genmap) != m.normalized():
+        bad = m.violations()
+        if bad:
+            raise NoMorphismExists(bad[0])
     return _held(m, *built)
 
 

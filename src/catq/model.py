@@ -223,7 +223,7 @@ class _Engine:
                 ux.extend(uy)
 
 
-# presentation id -> the model that last read it as its `instance`, while that model lives
+# presentation id -> the first live model that read it as its `instance`, while that model lives
 _read_from: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -231,8 +231,9 @@ def model_read_as(inst: InstancePresentation) -> Optional["TermModel"]:
     """A live model that read `inst` as its `instance` and whose chains are its equations' chains, or None.
 
     Saturating the one or the other gives the same model, so a cache may
-    key a computation on either by the model.  Only the last model to
-    read `inst` is kept.
+    key a computation on either by the model.  The first model to read
+    `inst` stands for it while that model lives; once it dies, the next
+    model to read `inst` does.
     """
     return _read_from.get(id(inst))
 
@@ -337,7 +338,7 @@ class TermModel:
                                         [ground_eq(fold_chain(l), fold_chain(r)) for l, r in self.chains])
         # a 0-ary symbol inside a chain discards the term so far, which the equation does not spell
         if all(sym.arg_sorts for pair in self.chains for side in pair for sym in side[1:]):
-            _read_from[id(inst)] = self
+            _read_from.setdefault(id(inst), self)
         return inst
 
     @cached_property
@@ -476,6 +477,40 @@ class TermModel:
                     f"term {render_term(self.canonical[c])} does not denote in {tgt.name}")
             out[c] = cls[hit]
         return out
+
+    def satisfied_by(self, tgt: "TermModel", genmap: Mapping[FunctionSymbol, int]) -> bool:
+        """Whether tgt satisfies every pair of `chains`, each generator g read as genmap[g].
+
+        tgt satisfies the typeside equations and the schema constraints, so
+        these pairs are all that can fail: this model is initial, and the
+        assignment extends to a morphism into tgt exactly when this holds.
+        Each chain is walked through tgt's symbol tables; a symbol tgt lacks
+        (a literal) fails the check.
+        """
+        tables, key, cls = tgt._eng.tables, tgt._key, tgt._cls
+
+        def walk(chain: Chain) -> Optional[int]:
+            c = -1
+            for sym in chain:
+                if sym.arg_sorts:
+                    hit = tables[sym].get(key[c])
+                else:
+                    d = genmap.get(sym)
+                    if d is not None:
+                        c = cls[d]
+                        continue
+                    tab = tables.get(sym)
+                    hit = None if tab is None else tab.get(-1)
+                if hit is None:
+                    return None
+                c = cls[hit]
+            return c
+
+        for lhs, rhs in self.chains:
+            c = walk(lhs)
+            if c is None or c != walk(rhs):
+                return False
+        return True
 
     def decide_equal(self, t1: Term, t2: Term) -> bool:
         """True iff the instance theory proves t1 = t2."""

@@ -2,7 +2,7 @@
 
 import gc
 from collections import Counter
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -47,7 +47,7 @@ from catq import (
     validate_mapping,
 )
 from catq import migrate
-from catq.model import model_read_as, saturate
+from catq.model import TermModel, model_read_as, saturate
 from catq.terms import render_term
 
 from conftest import (
@@ -409,8 +409,9 @@ def test_units_and_counits_hold_what_their_triangle_identities_need(builds, mapp
 
 def test_sigma_of_a_model_and_of_its_presentation_share_one_result(builds, mapping_f,
                                                                    inst_i, inst_j):
-    # fresh models, so that no other test has read them or holds their results
-    f, im, jm = mapping_f, build_term_model(inst_i), build_term_model(inst_j)
+    # fresh models of fresh presentations, so that no other test has read them or holds
+    # their results: the first live model to read a presentation stands for it
+    f, im, jm = mapping_f, build_term_model(replace(inst_i)), build_term_model(replace(inst_j))
     sres = sigma(f, im.instance)
     assert sigma(f, im) is sres
     unit_s, counit_s = unit_sigma(f, im), counit_sigma(f, jm)
@@ -425,13 +426,24 @@ def test_sigma_of_a_model_and_of_its_presentation_share_one_result(builds, mappi
 
 
 def test_a_presentation_stands_for_its_model_only_when_it_spells_the_chains(schema_s, inst_i):
-    im = build_term_model(inst_i)
+    im = build_term_model(replace(inst_i))  # a presentation no other model has read
     assert model_read_as(im.instance) is im
     # a 0-ary symbol inside a chain discards the term so far: 7 = 7 does not spell (e, 7) = (7)
     e, seven = generator("e", N1), int_literal(7).sym
     m = saturate(schema_s, "X", [e], [((e, seven), (seven,))])
     assert [repr(eq) for eq in m.instance.equations] == ["7 = 7"]
     assert model_read_as(m.instance) is None
+
+
+def test_the_first_live_reader_of_a_presentation_stands_for_it(mapping_f, inst_i):
+    inst = replace(inst_i)  # a presentation no other model has read
+    first, second = build_term_model(inst), build_term_model(inst)
+    assert first.instance is second.instance is inst
+    assert model_read_as(inst) is first
+    del second
+    gc.collect()
+    assert model_read_as(inst) is first
+    assert sigma(mapping_f, inst) is sigma(mapping_f, first)
 
 
 def test_migration_inputs_cannot_change(mapping_f, model_i):
@@ -643,8 +655,40 @@ def test_invert_raises_when_truncated(schema_s):
 
 def test_sigma_counit_and_transpose_verify_their_morphism_once(monkeypatch, mapping_f,
                                                               model_i, model_j):
+    # one check on the source's equations per built morphism; the definitional
+    # check (`violations`) runs only to name the fault of a failed one
     sm = sigma(mapping_f, model_i.instance).model
     unit = unit_sigma(mapping_f, model_i)
     for run in (lambda: counit_sigma(mapping_f, model_j),
-                lambda: transpose_sigma_up(mapping_f, unit, sm)):
-        assert count_calls(monkeypatch, InstanceMorphism, "violations", run) == 1
+                lambda: transpose_sigma_up(mapping_f, unit, sm),
+                lambda: unit_pi(mapping_f, model_j),
+                lambda: counit_pi(mapping_f, model_i)):
+        faults = []
+        checks = count_calls(monkeypatch, TermModel, "satisfied_by", lambda: faults.append(
+            count_calls(monkeypatch, InstanceMorphism, "violations", run)))
+        assert (checks, faults) == (1, [0])
+
+
+def test_pi_transposes_name_the_first_fault_of_a_bent_map(corpus):
+    # each map differs from a unit or counit of pi in one class: moved, or left out
+    moved = 0
+    for f_map, inst, jinst in corpus:
+        im, jm = build_term_model(inst), build_term_model(jinst)
+        for m in (unit_pi(f_map, jm), counit_pi(f_map, im)):
+            src, tgt = m.source, m.target
+            for c, d in m.cmap.items():
+                for d2 in tgt.carrier(tgt.sort_of(d)):
+                    bent = InstanceMorphism(src, tgt, {**m.cmap, c: d2})
+                    bad = bent.violations()
+                    if not bad:
+                        assert migrate._checked(bent) is bent
+                        continue
+                    with pytest.raises(NoMorphismExists) as err:
+                        migrate._checked(bent)
+                    assert str(err.value) == bad[0]
+                    moved += 1
+                short = InstanceMorphism(src, tgt, {k: v for k, v in m.cmap.items() if k != c})
+                with pytest.raises(NoMorphismExists) as err:
+                    migrate._checked(short)
+                assert str(err.value) == short.violations()[0] == f"class {c} has no image"
+    assert moved >= 50

@@ -25,6 +25,7 @@ from catq import (
     NoMorphismExists,
     Schema,
     Sort,
+    TermModel,
     build_term_model,
     builtin_typeside,
     delta,
@@ -50,18 +51,41 @@ from test_written_models import bench_gen
 MAX_ASSIGNMENTS = 1000
 
 
-def reference_morphisms(a, b) -> list[InstanceMorphism]:
+def assignments(a, b):
+    """Every assignment of a's generators over b's carriers, in `itertools.product` order."""
     gens = a.instance.generators
-    out = []
     for images in itertools.product(*(b.carrier(g.out_sort) for g in gens)):
-        genmap = dict(zip(gens, images))
-        cmap = {c: b.eval(a.canonical[c], genmap) for c in a.all_classes()}
-        if None in cmap.values():
-            continue
-        h = InstanceMorphism(a, b, cmap)
-        if not h.violations() and all(h.apply(a.class_of(g)) == d for g, d in genmap.items()):
-            out.append(h)
-    return out
+        yield dict(zip(gens, images))
+
+
+def reference_morphism(a, b, genmap):
+    """The morphism extending genmap, term by term, when it is a verified one; else None."""
+    cmap = {c: b.eval(a.canonical[c], genmap) for c in a.all_classes()}
+    if None in cmap.values():
+        return None
+    h = InstanceMorphism(a, b, cmap)
+    if not h.violations() and all(h.apply(a.class_of(g)) == d for g, d in genmap.items()):
+        return h
+    return None
+
+
+def reference_morphisms(a, b) -> list[InstanceMorphism]:
+    return [h for genmap in assignments(a, b) if (h := reference_morphism(a, b, genmap)) is not None]
+
+
+def first_fault(a, b, genmap):
+    """The first fault the definitional check finds in genmap's extension, or None.
+
+    A missing literal, then a generator sent elsewhere than assigned, then
+    the first of `InstanceMorphism.violations`.
+    """
+    cmap = a.image(b, genmap)
+    if cmap is None:
+        return f"a literal of {a.name} does not denote in the target"
+    h = InstanceMorphism(a, b, cmap)
+    bad = [f"the assignment of {g.name} breaks an equation of {a.name}"
+           for g, d in genmap.items() if h.apply(a.class_of(g)) != b.find(d)] or h.violations()
+    return bad[0] if bad else None
 
 
 def quotient(inst, m, seed):
@@ -104,19 +128,74 @@ def test_search_matches_brute_force(a, b):
     assert_search_matches_brute_force(a, b)
 
 
+def migration_pairs(corpus):
+    """The four hom-set pairs of the adjunction laws for each (mapping, I, J) of a corpus.
+
+    Their models carry labeled nulls.  I and J are presentations or, as
+    the elaborator leaves them, models.
+    """
+    for f_map, i, j in corpus:
+        im = i if isinstance(i, TermModel) else build_term_model(i)
+        jm = j if isinstance(j, TermModel) else build_term_model(j)
+        sm, dm, pm = sigma(f_map, i).model, delta(f_map, jm).model, pi(f_map, im).model
+        yield from ((sm, jm), (im, dm), (dm, im), (jm, pm))
+
+
 def test_search_matches_brute_force_on_migrations(
         schema_s, schema_t, schema_s2, mapping_f, mapping_f0, mapping_r, schema_s0):
-    # the hom-sets of the adjunction laws, whose models carry labeled nulls
     checked = 0
-    for f_map, inst, jinst in adjunction_corpus(schema_s, schema_t, schema_s2,
-                                                mapping_f, mapping_f0, mapping_r, schema_s0):
-        im, jm = build_term_model(inst), build_term_model(jinst)
-        sm, dm, pm = sigma(f_map, inst).model, delta(f_map, jm).model, pi(f_map, im).model
-        for a, b in ((sm, jm), (im, dm), (dm, im), (jm, pm)):
-            if small(a, b):
-                assert_search_matches_brute_force(a, b)
-                checked += 1
+    for a, b in migration_pairs(adjunction_corpus(schema_s, schema_t, schema_s2,
+                                                  mapping_f, mapping_f0, mapping_r, schema_s0)):
+        if small(a, b):
+            assert_search_matches_brute_force(a, b)
+            checked += 1
     assert checked >= 20
+
+
+def assert_check_agrees_with_the_definition(a, b) -> tuple[int, int]:
+    """`morphism_from_genmap` on every assignment: (accepted, refused).
+
+    It accepts exactly the assignments the reference accepts, with the
+    same morphism, and refuses the others with the definitional check's
+    first fault.
+    """
+    accepted = refused = 0
+    for genmap in assignments(a, b):
+        ref = reference_morphism(a, b, genmap)
+        try:
+            h = morphism_from_genmap(a, b, genmap)
+        except NoMorphismExists as err:
+            assert ref is None and str(err) == first_fault(a, b, genmap)
+            refused += 1
+        else:
+            assert ref is not None and h.normalized() == ref.normalized()
+            accepted += 1
+    return accepted, refused
+
+
+@pytest.mark.parametrize("a, b", random_pairs())
+def test_check_agrees_with_the_definition(a, b):
+    assert_check_agrees_with_the_definition(a, b)
+
+
+def law_corpus(seed):
+    """(mapping, I, J) for each case of a generated `laws` corpus, I and J as models."""
+    text, cases = bench_gen.laws(seed, [("F", 3), ("F", 4), ("F0", 2)])
+    env, diags = elaborate(parse(text)[0])
+    assert diags == []
+    return [(env.mappings[case.mapping], env.models[case.source], env.models[case.target])
+            for case in cases]
+
+
+def test_check_agrees_with_the_definition_on_migrations(
+        schema_s, schema_t, schema_s2, mapping_f, mapping_f0, mapping_r, schema_s0):
+    corpus = adjunction_corpus(schema_s, schema_t, schema_s2,
+                               mapping_f, mapping_f0, mapping_r, schema_s0)
+    corpus += [triple for seed in (1, 2, 3) for triple in law_corpus(seed)]
+    counts = [assert_check_agrees_with_the_definition(a, b)
+              for a, b in migration_pairs(corpus) if small(a, b)]
+    assert len(counts) >= 50
+    assert sum(n for n, _ in counts) >= 100 and sum(n for _, n in counts) >= 1000
 
 
 def test_isomorphism_needs_an_injective_extension(schema_s):

@@ -115,9 +115,9 @@ class _Elaborator:
     def error(self, code: str, message: str, span: Optional[SourceSpan] = None):
         self.diags.append(Diagnostic("error", code, message, span))
 
-    def issues_to_diags(self, issues, span: Optional[SourceSpan]):
+    def issues_to_diags(self, issues, decl):
         for issue in issues:
-            self.error(issue.code, issue.message, span)
+            self.error(issue.code, issue.message, decl.span)
         return bool(issues)
 
     # -- term resolution -------------------------------------------------
@@ -234,9 +234,9 @@ class _Elaborator:
 
     # -- declarations ------------------------------------------------------
 
-    def check_fresh(self, name: str, span: SourceSpan) -> bool:
-        if self.env.defined(name):
-            self.error("NameResolution", f"duplicate declaration of {name}", span)
+    def check_fresh(self, d) -> bool:
+        if self.env.defined(d.name):
+            self.error("NameResolution", f"duplicate declaration of {d.name}", d.span)
             return False
         return True
 
@@ -254,7 +254,7 @@ class _Elaborator:
         shell = Schema(f"_{d.name}", Typeside(d.name, types, constants))
         eqs = [self.resolve_equation(raw, shell, {}) for raw in d.equations]
         ts = Typeside(d.name, types, constants, [eq for eq in eqs if eq is not None])
-        if not self.issues_to_diags(validate_typeside(ts), d.span):
+        if not self.issues_to_diags(validate_typeside(ts), d):
             self.env.typesides[d.name] = ts
             self.env.order.append(("typeside", d.name))
 
@@ -299,7 +299,7 @@ class _Elaborator:
             if eq is not None:
                 constraints.append(eq)
         sch = Schema(d.name, ts, entities, atts, fks, constraints)
-        if not self.issues_to_diags(validate_schema(sch), d.span):
+        if not self.issues_to_diags(validate_schema(sch), d):
             self.env.schemas[d.name] = sch
             self.env.order.append(("schema", d.name))
 
@@ -324,7 +324,7 @@ class _Elaborator:
         # the equations resolve to symbols of the schema and generators only, so
         # validating the generators checks all that the equations could break
         pres = InstancePresentation(d.name, sch, generators)
-        if self.issues_to_diags(validate_instance(pres), d.span):
+        if self.issues_to_diags(validate_instance(pres), d):
             return
         try:
             model = build_term_model(pres, [s for s in sides if s is not None], limits=self.limits)
@@ -403,7 +403,7 @@ class _Elaborator:
         except ResourceLimit as e:
             self.error("ResourceLimit", str(e), d.span)
             return
-        if self.issues_to_diags(issues, d.span):
+        if self.issues_to_diags(issues, d):
             return
         self.env.mappings[d.name] = f_map
         self.env.order.append(("mapping", d.name))
@@ -466,43 +466,43 @@ class _Elaborator:
             if d.args[0] not in self.env.mappings:
                 self.error("NameResolution", f"unknown mapping {d.args[0]}", d.span)
                 return
-            if not self.option_in_range(InversionBounds, d.depth, d.span):
+            if not self.option_in_range(InversionBounds, d.depth, d):
                 return
         elif d.op == "match":
             for a in d.args:
                 if a not in self.env.schemas:
                     self.error("NameResolution", f"unknown schema {a}", d.span)
                     return
-            if not self.option_in_range(SimilarityConfig, d.cutoff, d.span):
+            if not self.option_in_range(SimilarityConfig, d.cutoff, d):
                 return
         self.env.directives.append(d)
 
-    def option_in_range(self, config, value, span: SourceSpan) -> bool:
+    def option_in_range(self, config, value, d: Directive) -> bool:
         """Whether a directive's search option is not given or is one that `config` accepts."""
         if value is not None:
             try:
                 config(value)
             except ValueError as e:
-                self.error("BadOption", str(e), span)
+                self.error("BadOption", str(e), d.span)
                 return False
         return True
 
     def run(self, prog: Program) -> Environment:
         for d in prog.decls:
             if isinstance(d, TypesideDecl):
-                if self.check_fresh(d.name, d.span):
+                if self.check_fresh(d):
                     self.do_typeside(d)
             elif isinstance(d, SchemaDecl):
-                if self.check_fresh(d.name, d.span):
+                if self.check_fresh(d):
                     self.do_schema(d)
             elif isinstance(d, InstanceDecl):
-                if self.check_fresh(d.name, d.span):
+                if self.check_fresh(d):
                     self.do_instance(d)
             elif isinstance(d, MappingDecl):
-                if self.check_fresh(d.name, d.span):
+                if self.check_fresh(d):
                     self.do_mapping(d)
             elif isinstance(d, DerivedDecl):
-                if self.check_fresh(d.name, d.span):
+                if self.check_fresh(d):
                     self.do_derived(d)
             elif isinstance(d, Directive):
                 self.do_directive(d)

@@ -113,7 +113,8 @@ class _Engine:
     every node over the class of root r.  A union makes the root with the
     shorter use list a child of the other and re-keys that list's nodes:
     only their keys change.  `least[r]` is the least node id of root r's
-    class.
+    class.  `sort_of[n]` is the index in `sorts` of node n's sort, so no
+    node hashes a `Sort`.
     """
 
     def __init__(self):
@@ -122,10 +123,12 @@ class _Engine:
         self.node_sym: list[FunctionSymbol] = []
         self.node_child: list[int] = []
         self.node_table: list[dict[int, int]] = []
-        self.sort_of: list[Sort] = []
+        self.sort_of: list[int] = []
+        self.sorts: list[Sort] = []  # each sort once, in the order first seen
+        self.sort_at: dict[int, int] = {}  # id() of each Sort object seen -> its sort's index
         self.tables: dict[FunctionSymbol, dict[int, int]] = {}
         self.uses: dict[int, list[int]] = {}
-        self.class_count: dict[Sort, int] = {}
+        self.class_count: dict[int, int] = {}  # sort index -> classes, in the order of the sorts' first nodes
         self.created: list[int] = []  # nodes added since the worklist last took them
 
     def find(self, x: int) -> int:
@@ -133,6 +136,15 @@ class _Engine:
             self.parent[x] = self.parent[self.parent[x]]
             x = self.parent[x]
         return x
+
+    def sort_id(self, s: Sort) -> int:
+        """The index of s in `sorts`; each sort seen is held by a symbol or the schema, so its id is its own."""
+        i = self.sort_at.get(id(s))
+        if i is None:
+            if s not in self.sorts:
+                self.sorts.append(s)
+            i = self.sort_at[id(s)] = self.sorts.index(s)
+        return i
 
     def table(self, sym: FunctionSymbol) -> dict[int, int]:
         tab = self.tables.get(sym)
@@ -155,7 +167,7 @@ class _Engine:
         self.node_sym.append(sym)
         self.node_child.append(r)
         self.node_table.append(tab)
-        s = sym.out_sort
+        s = self.sort_id(sym.out_sort)
         self.sort_of.append(s)
         tab[r] = n
         if r >= 0:
@@ -196,10 +208,11 @@ class _Engine:
             if rx == ry:
                 continue
             sx, sy = self.sort_of[rx], self.sort_of[ry]
-            if sx is not sy and sx != sy:
+            if sx != sy:
                 if least[ry] < least[rx]:
                     sx, sy = sy, sx
-                raise SortMismatch(f"cannot merge classes of sorts {sx.name} and {sy.name}")
+                raise SortMismatch(
+                    f"cannot merge classes of sorts {self.sorts[sx].name} and {self.sorts[sy].name}")
             ux, uy = uses.get(rx), uses.get(ry)
             if uy is not None and (ux is None or len(ux) < len(uy)):
                 rx, ry, ux, uy = ry, rx, uy, ux
@@ -307,12 +320,12 @@ class TermModel:
                 chosen[c] = (syms[n], cls[k] if k >= 0 else -1)
                 level += uses.get(key[c], ())  # the nodes over c
 
-        by_sort: dict[Sort, list[int]] = {}
+        by_sort: dict[int, list[int]] = {}
         for n, c in enumerate(cls):
             if n == c:
                 by_sort.setdefault(eng.sort_of[c], []).append(c)
         for s in self.schema.entities + self.schema.typeside.types:
-            cs = sorted(by_sort.get(s, []), key=rank.__getitem__)
+            cs = sorted(by_sort.get(eng.sort_id(s), []), key=rank.__getitem__)
             self.carriers[s] = cs
             if s.is_entity:
                 for i, c in enumerate(cs):
@@ -327,7 +340,7 @@ class TermModel:
             first, *others = sorted(group, key=lambda sym: sym.name)
             self.literal_of[c] = first
             for other in others:
-                self.collisions.append(Collision(eng.sort_of[c], first.name, other.name, c))
+                self.collisions.append(Collision(eng.sorts[eng.sort_of[c]], first.name, other.name, c))
 
     @cached_property
     def instance(self) -> InstancePresentation:
@@ -381,7 +394,7 @@ class TermModel:
         return out
 
     def sort_of(self, c: int) -> Sort:
-        return self._eng.sort_of[c]
+        return self._eng.sorts[self._eng.sort_of[c]]
 
     def _lookup(self, sym: FunctionSymbol, c: int = -1) -> Optional[int]:
         """Class of sym applied to class c (-1: sym is 0-ary), or None when the model has no such term."""
@@ -565,8 +578,8 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
 
     # per entity, its symbols with their tables; per constraint, its sort and
     # the chains of its sides, a variable leaf left out (`add_chain` starts them at its class)
-    closure = {s: [(eng.table(f), f) for f in schema.symbols_on(s)] for s in schema.entities}
-    constraints = [(con.free[0].sort, *(ch[1:] if isinstance(ch[0], Var) else ch
+    closure = {eng.sort_id(s): [(eng.table(f), f) for f in schema.symbols_on(s)] for s in schema.entities}
+    constraints = [(eng.sort_id(con.free[0].sort), *(ch[1:] if isinstance(ch[0], Var) else ch
                                         for ch in (term_chain(con.lhs), term_chain(con.rhs))))
                    for con in schema.constraints]
     find, least, sort_of, apply = eng.find, eng.least, eng.sort_of, eng.apply
@@ -597,7 +610,7 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
         for s, k in eng.class_count.items():
             if k > limits.max_classes_per_sort:
                 raise ResourceLimit(
-                    f"carrier of {s.name} in {name} exceeded {limits.max_classes_per_sort} classes"
+                    f"carrier of {eng.sorts[s].name} in {name} exceeded {limits.max_classes_per_sort} classes"
                     " (the term model may be infinite)")
         if not (eng.created or merged):
             break

@@ -1,8 +1,13 @@
 """Lexer, AST and recursive-descent parser for .catq programs.
 
-The body of every literal declaration, `{ section items ... }`, is
-described once, in `BODIES`: the parser reads it and the pretty printer
-writes it from that table.
+The text is scanned by one regular-expression split, which keeps each
+token's text and offsets.  A `SourceSpan` is computed only when it is read,
+by a diagnostic or from a node's `span`: its line by bisecting the text's
+line starts, its columns counting code points, a tab as one.
+
+The header and the body of every literal declaration, `{ section items
+... }`, are described once, in `HEADERS` and `BODIES`: the parser reads
+them and the pretty printer writes them from those tables.
 
 Parsing is total: syntax errors become diagnostics with source spans
 and the parser resynchronizes at the next section or declaration, so a
@@ -13,7 +18,9 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .terms import render_tree
@@ -47,12 +54,19 @@ BODIES = {
     "mapping": {"entities": ENTITY_PAIR, "foreign_keys": SYMBOL_IMAGE, "attributes": SYMBOL_IMAGE},
 }
 JAVA_SECTIONS = ("java_types", "java_constants")  # recognised in typesides only, to be rejected
+# each literal declaration's header, between `literal` and `{`: (separator, what follows, its field)
+HEADERS = {"typeside": (), "schema": ((":", "reference", "typeside_ref"),),
+           "instance": ((":", "reference", "schema_ref"),),
+           "mapping": ((":", "source schema", "source_ref"), ("->", "target schema", "target_ref"))}
 
 DECL_KEYWORDS = set(BODIES)
 DIRECTIVE_KEYWORDS = {"check", "invert", "match"}
+TOP_KEYWORDS = DECL_KEYWORDS | DIRECTIVE_KEYWORDS  # what starts a top-level item
 DIRECTIVE_OPTIONS = {"invert": "depth", "match": "cutoff"}  # the one option each takes, if any
 EXPR_KEYWORDS = {"literal", "sigma", "delta", "pi", "coproduct", "compose", "identity"}
 SECTION_KEYWORDS = {kw for sections in BODIES.values() for kw in sections} | set(JAVA_SECTIONS)
+
+_NOT_NAMES = {"", *PUNCTUATION}  # texts of tokens that are no name, unless strings; "" is EOF's
 
 
 class SourceSpan(NamedTuple):
@@ -96,62 +110,31 @@ class Diagnostic:
 # token pattern of a text names those of its characters explicitly.
 _NON_ASCII_WORD = re.compile(r"[^\W\x00-\x7f]")
 
-# NamedTuple's generated __new__ is a Python function; the lexer builds its
-# thousands of tokens and spans with tuple.__new__ directly, fields in order
-_tuple = tuple.__new__
-
 
 def _token_pattern(text: str) -> re.Pattern:
-    """Blanks, then one alternative per lexeme, tried in order; `re` caches the compiled pattern."""
+    """One group of one alternative per lexeme, commonest first (no two start alike); `re` caches it."""
     odd = set() if text.isascii() else set(_NON_ASCII_WORD.findall(text))
     digit = r"\d" + re.escape("".join(sorted(c for c in odd if c.isdigit())))
     non_letter = re.escape("".join(sorted(c for c in odd if not c.isalpha())))
     punct = "|".join(map(re.escape, PUNCTUATION))
-    # blanks at the end of the text match nothing, which leaves them out as well
-    return re.compile(
-        r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>//[^\n]*)"
-        rf'|(?P<{STRING}>"[^"\n]*"?)'
-        rf"|(?P<{NUMBER}>-?[{digit}][{digit}.]*)"
-        rf"|(?P<{IDENT}>[^\W\d{non_letter}]\w*)"
-        rf"|(?P<{PUNCT}>{punct})|(?P<bad>[^ \t\r]))")
+    return re.compile(rf'([^\W\d{non_letter}]\w*|{punct}|-?[{digit}][{digit}.]*|"[^"\n]*"?|//[^\n]*)')
 
 
 def lex(text: str, filename: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
-    diags: list[Diagnostic] = []
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    comment = -1  # offset of the last comment
-    for m in _token_pattern(text).finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        if kind == "comment":
-            comment = m.start(kind)
-            continue
-        word = m.group(kind)
-        col = m.start(kind) - line_start + 1
-        span = _tuple(SourceSpan, (filename, line, col, line, col + len(word)))
-        if kind == STRING:
-            if len(word) > 1 and word[-1] == '"':
-                word = word[1:-1]
-            else:
-                diags.append(Diagnostic("error", "SyntaxError", "unterminated string literal", span))
-                word = word[1:]
-        elif kind == "bad":
-            diags.append(Diagnostic("error", "SyntaxError", f"unexpected character {word!r}", span))
-            continue
-        tokens.append(_tuple(Token, (kind, word, span)))
-    # a comment does not advance the column, so EOF after a final comment sits at its start
-    end = comment if comment >= line_start else len(text)
-    col = end - line_start + 1
-    tokens.append(Token(EOF, "", SourceSpan(filename, line, col, line, col)))
-    return tokens, diags
+    p = _Parser(text, filename)
+    return [Token(p.kind(i), t, p.tokens_span(i, i)) for i, t in enumerate(p.texts)], p.diags
 
 
 # ---------------------------------------------------------------------------
 # AST
+
+
+def _span(node) -> SourceSpan:
+    """A node's span, which the parser sets to (parser, first token, last token) until it is read."""
+    if type(node._span) is tuple:
+        p, first, last = node._span
+        node._span = p.tokens_span(first, last)
+    return node._span
 
 
 @dataclass
@@ -264,7 +247,9 @@ class Directive:
     depth: Optional[int] = None
 
 
-Decl = object  # union of the above
+for _node in (RawTerm, RawEquation, RawImage, TypesideDecl, SchemaDecl, InstanceDecl,
+              MappingDecl, DerivedDecl, Directive):
+    _node.span = property(_span, lambda node, span: setattr(node, "_span", span))
 
 
 @dataclass
@@ -277,62 +262,113 @@ class Program:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
-        self.toks = tokens
-        self.pos = 0
-        self.diags = diags
+    """Scans a text on construction: `texts[i]` is token i's text, at offsets `starts[i]:stops[i]`.
 
-    # -- primitives ----------------------------------------------------
+    A string's text is unquoted and i is in `strings`; comments are left out; EOF's text "" ends the list.
+    """
 
-    # `next` never moves past the EOF token that ends `toks`, so `pos` is always a valid index
+    def __init__(self, text: str, filename: str):
+        self.text, self.filename, self.pos = text, filename, 0
+        self.strings: set[int] = set()
+        self.diags: list[Diagnostic] = []  # lexical errors first, in text order
+        parts = _token_pattern(text).split(text)  # gap, lexeme, ..., gap (blanks, line ends, strays)
+        ends = list(accumulate(map(len, parts)))
+        if '"' in text or "//" in text or "".join(parts[::2]).strip(" \t\r\n"):
+            texts, starts, stops = self.mend(parts, ends)
+        else:
+            texts, starts, stops = parts[1::2], ends[:-1:2], ends[1::2]
+        # a comment does not advance the column, so EOF after a final comment sits at its start
+        eof = ends[-3] if len(parts) > 1 and not parts[-1] and parts[-2][:2] == "//" else len(text)
+        self.eof = len(texts)  # the index of the EOF token
+        self.texts, self.starts, self.stops = texts + [""], starts + [eof], stops + [eof]
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def mend(self, parts: list[str], ends: list[int]) -> tuple[list[str], list[int], list[int]]:
+        """The tokens but comments, strings unquoted; reports stray characters and unterminated strings."""
+        texts, starts, stops = [], [], []
+        for k, part in enumerate(parts):
+            start = ends[k] - len(part)
+            if k % 2 == 0:  # between lexemes
+                for i, c in enumerate(part if part.strip(" \t\r\n") else "", start):
+                    if c not in " \t\r\n":
+                        self.error(f"unexpected character {c!r}", self.span(i, i + 1))
+            elif part[:2] != "//":
+                if part[0] == '"':
+                    self.strings.add(len(texts))
+                    closed = len(part) > 1 and part[-1] == '"'
+                    if not closed:
+                        self.error("unterminated string literal", self.span(start, ends[k]))
+                    part = part[1:-1] if closed else part[1:]
+                texts.append(part)
+                starts.append(start)
+                stops.append(ends[k])
+        return texts, starts, stops
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != EOF:
-            self.pos += 1
-        return t
+    def kind(self, i: int) -> str:
+        t = self.texts[i]
+        return (STRING if i in self.strings else EOF if i == self.eof else PUNCT if t in PUNCTUATION
+                else NUMBER if t[0] == "-" or t[0].isdigit() else IDENT)
+
+    @functools.cached_property
+    def line_starts(self) -> list[int]:
+        return [0, *(m.end() for m in re.finditer("\n", self.text))]
+
+    def span(self, start: int, stop: int) -> SourceSpan:
+        """The span of the characters `start:stop`; every span of the text is made here."""
+        lines = self.line_starts
+        line, end_line = bisect_right(lines, start), bisect_right(lines, stop)
+        return SourceSpan(self.filename, line, start - lines[line - 1] + 1,
+                          end_line, stop - lines[end_line - 1] + 1)
+
+    def tokens_span(self, first: int, last: int) -> SourceSpan:
+        return self.span(self.starts[first], self.stops[last])
+
+    # `next` never moves past the EOF token that ends `texts`, so `pos` is always a valid index
+
+    def next(self) -> int:
+        i = self.pos
+        if i != self.eof:
+            self.pos = i + 1
+        return i
 
     def at(self, text: str) -> bool:
-        t = self.toks[self.pos]
-        return t.text == text and (t.kind == PUNCT or t.kind == IDENT)
+        return self.texts[self.pos] == text and self.pos not in self.strings
+
+    def at_name(self) -> bool:
+        return self.texts[self.pos] not in _NOT_NAMES and self.pos not in self.strings
 
     def error(self, message: str, span: Optional[SourceSpan] = None):
         self.diags.append(Diagnostic("error", "SyntaxError", message,
-                                     span or self.peek().span))
+                                     span or self.tokens_span(self.pos, self.pos)))
 
-    def expect(self, text: str) -> Optional[Token]:
+    def expect(self, text: str) -> Optional[int]:
         if self.at(text):
             return self.next()
-        self.error(f"expected {text!r}, found {self.peek().text!r}")
+        self.error(f"expected {text!r}, found {self.texts[self.pos]!r}")
         return None
 
-    def expect_name(self, what: str = "name") -> Optional[Token]:
-        t = self.peek()
-        if t.kind in (IDENT, NUMBER):
-            return self.next()
-        self.error(f"expected {what}, found {t.text!r}")
+    def expect_name(self, what: str = "name") -> Optional[str]:
+        if self.at_name():
+            return self.texts[self.next()]
+        self.error(f"expected {what}, found {self.texts[self.pos]!r}")
         return None
 
-    def expect_item_name(self, what: str) -> Optional[Token]:
+    def expect_item_name(self, what: str) -> Optional[str]:
         """`expect_name` inside a declaration body, where a section keyword ends the item."""
         if self.at_boundary():
-            self.error(f"expected {what}, found {self.peek().text!r}")
+            self.error(f"expected {what}, found {self.texts[self.pos]!r}")
             return None
         return self.expect_name(what)
 
     def sync_top(self):
         """Skip to the next top-level declaration keyword."""
         depth = 0
-        while self.peek().kind != EOF:
-            t = self.peek()
-            if depth == 0 and t.text in (DECL_KEYWORDS | DIRECTIVE_KEYWORDS):
+        while self.pos != self.eof:
+            t = self.texts[self.pos]
+            if depth == 0 and t in TOP_KEYWORDS:
                 return
-            if t.text == "{":
+            if t == "{":
                 depth += 1
-            elif t.text == "}":
+            elif t == "}":
                 depth = max(0, depth - 1)
                 self.next()
                 if depth == 0:
@@ -341,9 +377,9 @@ class _Parser:
             self.next()
 
     def at_boundary(self) -> bool:
-        t = self.peek()
-        return (t.kind == EOF or t.text == "}" or
-                (t.kind == IDENT and t.text in SECTION_KEYWORDS))
+        t = self.texts[self.pos]
+        return (self.pos == self.eof or t == "}" or
+                (t in SECTION_KEYWORDS and self.pos not in self.strings))
 
     # -- terms -----------------------------------------------------------
 
@@ -352,21 +388,22 @@ class _Parser:
         # bounded by Python's recursion limit
         apps: list[RawTerm] = []
         while True:
-            t = self.peek()
-            if t.kind == STRING:
+            i = self.pos
+            t = self.texts[i]
+            if i in self.strings:
                 self.next()
-                node = RawTerm(t.text, t.span, quoted=True)
-            elif t.kind == NUMBER or (t.kind == IDENT and t.text not in SECTION_KEYWORDS):
+                node = RawTerm(t, (self, i, i), quoted=True)
+            elif t not in _NOT_NAMES and t not in SECTION_KEYWORDS:
                 self.next()
-                node = RawTerm(t.text, t.span)
+                node = RawTerm(t, (self, i, i))
                 if self.at("("):
                     self.next()
                     apps.append(node)
-                    if not self.at(")") and self.peek().kind != EOF:
+                    if not self.at(")") and self.pos != self.eof:
                         continue  # read the first argument
                     node = None
             else:
-                self.error(f"expected a term, found {t.text!r}")
+                self.error(f"expected a term, found {t!r}")
                 node = None
             # `node` is a finished argument, or None after an error or an empty
             # argument list; either way the innermost open application may close
@@ -375,12 +412,12 @@ class _Parser:
                     apps[-1].args.append(node)
                     if self.at(","):
                         self.next()
-                        if not self.at(")") and self.peek().kind != EOF:
+                        if not self.at(")") and self.pos != self.eof:
                             break  # read the next argument
                 node = apps.pop()
                 close = self.expect(")")
-                if close:
-                    node.span = node.span.to(close.span)
+                if close is not None:
+                    node._span = (self, node._span[1], close)
             else:
                 return node
 
@@ -398,14 +435,13 @@ class _Parser:
         sort = None
         if self.at(":"):
             self.next()
-            s = self.expect_item_name("sort")
-            if s is None:
+            sort = self.expect_item_name("sort")
+            if sort is None:
                 return None
-            sort = s.text
-        return None if self.expect(".") is None else (v.text, sort)
+        return None if self.expect(".") is None else (v, sort)
 
     def parse_equation(self, quantified: bool = False) -> Optional[RawEquation]:
-        start = self.peek().span
+        start = self.pos
         binder = self.parse_binder("forall") if quantified else (None, None)
         if binder is None:
             return None
@@ -415,15 +451,15 @@ class _Parser:
         rhs = self.parse_term()
         if rhs is None:
             return None
-        return RawEquation(lhs, rhs, start.to(rhs.span), *binder)
+        return RawEquation(lhs, rhs, (self, start, rhs._span[2]), *binder)
 
     # -- section items -----------------------------------------------------
 
     def parse_name_group(self) -> Optional[tuple[list[str], str]]:
         """`a b c : X` — names up to a colon, then the sort."""
         names: list[str] = []
-        while self.peek().kind in (IDENT, NUMBER) and not self.at_boundary():
-            names.append(self.next().text)
+        while self.at_name() and not self.at_boundary():
+            names.append(self.texts[self.next()])
             if self.at(":"):
                 break
         if not names:
@@ -432,7 +468,7 @@ class _Parser:
         if self.expect(":") is None:
             return None
         sort = self.expect_item_name("sort")
-        return None if sort is None else (names, sort.text)
+        return None if sort is None else (names, sort)
 
     def parse_arrow_group(self) -> Optional[tuple[list[str], str, str]]:
         """`f g : A -> B`."""
@@ -440,7 +476,7 @@ class _Parser:
         if grp is None or self.expect("->") is None:
             return None
         to = self.expect_item_name("sort")
-        return None if to is None else (*grp, to.text)
+        return None if to is None else (*grp, to)
 
     def parse_entity_pair(self) -> Optional[tuple[str, str]]:
         """`A -> B`."""
@@ -448,7 +484,7 @@ class _Parser:
         if a is None or self.expect("->") is None:
             return None
         b = self.expect_item_name("entity")
-        return None if b is None else (a.text, b.text)
+        return None if b is None else (a, b)
 
     def parse_symbol_image(self) -> Optional[tuple[str, RawImage]]:
         """`f -> image`."""
@@ -456,17 +492,17 @@ class _Parser:
         if f is None or self.expect("->") is None:
             return None
         img = self.parse_image()
-        return None if img is None else (f.text, img)
+        return None if img is None else (f, img)
 
     def parse_image(self) -> Optional[RawImage]:
-        start = self.peek().span
+        start = self.pos
         binder = self.parse_binder("lambda")
         if binder is None:
             return None
         body = self.parse_term()
         if body is None:
             return None
-        return RawImage(body, start.to(body.span), *binder)
+        return RawImage(body, (self, start, body._span[2]), *binder)
 
     def skip_section(self):
         while not self.at_boundary():
@@ -476,70 +512,51 @@ class _Parser:
 
     def parse_program(self) -> Program:
         prog = Program()
-        while self.peek().kind != EOF:
-            t = self.peek()
-            if t.text in DECL_KEYWORDS or t.text in DIRECTIVE_KEYWORDS:
-                d = self.parse_decl() if t.text in DECL_KEYWORDS else self.parse_directive()
+        while self.pos != self.eof:
+            t = self.texts[self.pos]
+            if t in TOP_KEYWORDS:
+                d = self.parse_decl() if t in DECL_KEYWORDS else self.parse_directive()
                 if d is not None:
                     prog.decls.append(d)
                 else:
                     self.sync_top()
             else:
-                self.error(f"expected a declaration, found {t.text!r}")
+                self.error(f"expected a declaration, found {t!r}")
                 self.next()
                 self.sync_top()
         return prog
 
     def parse_decl(self):
         kw = self.next()
-        name = self.expect_name(f"{kw.text} name")
+        kind = self.texts[kw]
+        name = self.expect_name(f"{kind} name")
         if name is None or self.expect("=") is None:
             return None
-        head = self.peek()
-        if head.text == "literal":
+        head = self.pos
+        op = self.texts[head]
+        if op == "literal":
             self.next()
-            if kw.text == "typeside":
-                return self.parse_body(TypesideDecl(name.text, kw.span))
-            if kw.text == "mapping":
-                return self.parse_mapping_header(name.text, kw.span)
-            ref = self.parse_header_ref()
-            if ref is None:
-                return None
-            cls = SchemaDecl if kw.text == "schema" else InstanceDecl
-            return self.parse_body(cls(name.text, kw.span, ref))
-        if head.text in EXPR_KEYWORDS:
+            refs = []
+            for sep, what, _ in HEADERS[kind]:
+                refs.append(None if self.expect(sep) is None else self.expect_name(what))
+                if refs[-1] is None:
+                    return None
+            return self.parse_body(_LITERALS[kind](name, (self, kw, kw), *refs))
+        if op in EXPR_KEYWORDS:
             self.next()
-            nargs = 1 if head.text == "identity" else 2
+            nargs = 1 if op == "identity" else 2
             args = []
             for _ in range(nargs):
                 a = self.expect_name("reference")
                 if a is None:
                     return None
-                args.append(a.text)
-            if kw.text not in ("instance", "mapping"):
-                self.error(f"{head.text} expression cannot define a {kw.text}", head.span)
+                args.append(a)
+            if kind not in ("instance", "mapping"):
+                self.error(f"{op} expression cannot define a {kind}", self.tokens_span(head, head))
                 return None
-            return DerivedDecl(kw.text, name.text, kw.span.to(self.toks[self.pos - 1].span),
-                               head.text, args)
-        self.error(f"expected 'literal' or a derived expression, found {head.text!r}")
+            return DerivedDecl(kind, name, (self, kw, self.pos - 1), op, args)
+        self.error(f"expected 'literal' or a derived expression, found {op!r}")
         return None
-
-    def parse_header_ref(self) -> Optional[str]:
-        if self.expect(":") is None:
-            return None
-        r = self.expect_name("reference")
-        return None if r is None else r.text
-
-    def parse_mapping_header(self, name: str, start: SourceSpan):
-        if self.expect(":") is None:
-            return None
-        src = self.expect_name("source schema")
-        if src is None or self.expect("->") is None:
-            return None
-        tgt = self.expect_name("target schema")
-        if tgt is None:
-            return None
-        return self.parse_body(MappingDecl(name, start, src.text, tgt.text))
 
     def parse_body(self, decl):
         """`{ section items ... }`, each item appended to the section's field of `decl`.
@@ -549,23 +566,24 @@ class _Parser:
         if self.expect("{") is None:
             return None
         sections = BODIES[decl.kind]
-        while not self.at("}") and self.peek().kind != EOF:
+        while not self.at("}") and self.pos != self.eof:
             section = self.next()
-            kind = sections.get(section.text)
+            title = self.texts[section]
+            kind = sections.get(title)
             if kind is None:
-                if decl.kind == "typeside" and section.text in JAVA_SECTIONS:
+                if decl.kind == "typeside" and title in JAVA_SECTIONS:
                     self.diags.append(Diagnostic(
                         "error", "UnsupportedFeature",
-                        f"{section.text}: external bindings unsupported; use builtin String/Int",
-                        section.span))
+                        f"{title}: external bindings unsupported; use builtin String/Int",
+                        self.tokens_span(section, section)))
                 else:
-                    self.error(f"unknown {decl.kind} section {section.text!r}", section.span)
+                    self.error(f"unknown {decl.kind} section {title!r}", self.tokens_span(section, section))
                 self.skip_section()
                 continue
-            items = getattr(decl, section.text)
+            items = getattr(decl, title)
             if kind == NAMES:  # a run of names, which ends at anything else
-                while self.peek().kind in (IDENT, NUMBER) and not self.at_boundary():
-                    items.append(self.next().text)
+                while self.at_name() and not self.at_boundary():
+                    items.append(self.texts[self.next()])
                 continue
             read = _READERS[kind]
             while not self.at_boundary():
@@ -579,37 +597,41 @@ class _Parser:
 
     def parse_directive(self) -> Optional[Directive]:
         kw = self.next()
-        d = Directive(kw.text, kw.span)
-        if kw.text == "match" and self.at("span"):
+        op = self.texts[kw]
+        d = Directive(op, (self, kw, kw))
+        if op == "match" and self.at("span"):
             self.next()
             d.span_match = True
-        nargs = 2 if kw.text == "match" else 1
+        nargs = 2 if op == "match" else 1
         for _ in range(nargs):
             a = self.expect_name("reference")
             if a is None:
                 return None
-            d.args.append(a.text)
-        while self.peek().kind == IDENT and self.peek().text in ("cutoff", "depth"):
+            d.args.append(a)
+        while self.texts[self.pos] in ("cutoff", "depth") and self.pos not in self.strings:
             opt = self.next()
-            if opt.text != DIRECTIVE_OPTIONS.get(kw.text):
-                self.error(f"{kw.text} takes no {opt.text!r} option", opt.span)
+            option = self.texts[opt]
+            if option != DIRECTIVE_OPTIONS.get(op):
+                self.error(f"{op} takes no {option!r} option", self.tokens_span(opt, opt))
                 return None
-            val = self.peek()
+            val = self.texts[self.pos]
             try:
                 # a number token may still be malformed, such as 1.2.3 or ²
-                value = float(val.text) if opt.text == "cutoff" else int(val.text)
+                value = float(val) if option == "cutoff" else int(val)
             except ValueError:
                 value = None
-            if val.kind != NUMBER or value is None:
-                self.error(f"expected a number after {opt.text!r}")
+            if self.kind(self.pos) != NUMBER or value is None:
+                self.error(f"expected a number after {option!r}")
                 return None
             self.next()
-            if opt.text == "cutoff":
+            if option == "cutoff":
                 d.cutoff = value
             else:
                 d.depth = value
         return d
 
+
+_LITERALS = {cls.kind: cls for cls in (TypesideDecl, SchemaDecl, InstanceDecl, MappingDecl)}
 
 # the reader of one item of each kind but NAMES; None after a syntax error
 _READERS = {
@@ -624,10 +646,8 @@ _READERS = {
 
 def parse(text: str, filename: str = "<input>") -> tuple[Program, list[Diagnostic]]:
     """Parse a .catq program; always returns an AST plus diagnostics."""
-    tokens, diags = lex(text, filename)
-    parser = _Parser(tokens, diags)
-    prog = parser.parse_program()
-    return prog, diags
+    parser = _Parser(text, filename)
+    return parser.parse_program(), parser.diags
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +668,6 @@ _PRINTERS = {
     ENTITY_PAIR: lambda p: f"{p[0]} -> {p[1]}",
     SYMBOL_IMAGE: lambda p: f"{p[0]} -> {p[1].render()}",
 }
-
-# each literal declaration's header between `literal` and `{`, from its fields
-_HEADERS = {"typeside": "", "schema": ": {typeside_ref} ", "instance": ": {schema_ref} ",
-            "mapping": ": {source_ref} -> {target_ref} "}
-
 
 def _positional(x: float) -> str:
     """`x` as the `g` format prints it, but with no exponent, which would not lex as one number."""
@@ -679,7 +694,8 @@ def pretty_print(prog: Program) -> str:
                 parts.extend(["depth", str(d.depth)])
             out.append(" ".join(parts))
         else:
-            lines = [f"{d.kind} {d.name} = literal {_HEADERS[d.kind].format_map(vars(d))}{{"]
+            header = "".join(f"{sep} {getattr(d, field)} " for sep, _, field in HEADERS[d.kind])
+            lines = [f"{d.kind} {d.name} = literal {header}{{"]
             for section, kind in BODIES[d.kind].items():
                 items = getattr(d, section)
                 if not items:

@@ -29,10 +29,11 @@ from catq.parser import (
     SchemaDecl,
     SourceSpan,
     TypesideDecl,
+    _Parser,
     lex,
 )
 
-from conftest import N, N1
+from conftest import N, N1, count_calls
 
 
 EXAMPLE = textwrap.dedent("""\
@@ -355,6 +356,129 @@ def test_parse_is_total(text):
     prog, diags = parse(text)
     assert isinstance(prog, Program)
     assert all(d.span is not None for d in diags)
+
+
+# tabs, CRLF and LF line ends, comments (the last with no newline after it),
+# non-ASCII names and numbers, terms split across lines, an unterminated
+# string and a stray character
+SPANNED = (
+    "// leading comment\r\n"
+    "typeside Ty = literal {\r\n"
+    "\ttypes\tColor\r\n"
+    "\tconstants red : Color\r\n"
+    "}\r\n"
+    "schema S = literal : Ty {\n"
+    "    entities E F @\n"
+    "    foreign_keys f : E -> F\n"
+    "    attributes é : E -> String  x² : F -> Int\n"
+    "    equations forall v:E. x²(f(v)) =\n"
+    "        x²(f(\n"
+    "  v))\n"
+    "}\n"
+    "instance I = literal : S {\n"
+    "  generators a b : E  一 : F\n"
+    "  equations é(a) = \"unterminated\n"
+    "    f(a) = 一   // a comment\n"
+    "    x²(\t一) = ²1  é(b) = \"ok\"\n"
+    "}\n"
+    "mapping M = literal : S -> S {\n"
+    "  entities E -> E  F -> F\n"
+    "  foreign_keys f -> lambda y:E. f(y)\n"
+    "  attributes é -> é  x² -> lambda z. x²(\n"
+    " z)\n"
+    "}\n"
+    "instance J = sigma M I\n"
+    "match S S cutoff 0.5\n"
+    "// a final comment, with no newline after it"
+)
+
+
+def spans_of(text):
+    """(what, span) of every declaration, equation, term (nested ones too) and image, then every diagnostic."""
+    prog, diags = parse(text, "pins.catq")
+    out = []
+
+    def term(t):
+        out.append((t.name, tuple(t.span)))
+        for a in t.args:
+            term(a)
+
+    for d in prog.decls:
+        out.append((type(d).__name__, tuple(d.span)))
+        for eq in getattr(d, "equations", ()):
+            out.append(("equation", tuple(eq.span)))
+            term(eq.lhs)
+            term(eq.rhs)
+        if isinstance(d, MappingDecl):
+            for _, img in d.foreign_keys + d.attributes:
+                out.append(("image", tuple(img.span)))
+                term(img.body)
+    return out + [(d.message, tuple(d.span)) for d in diags]
+
+
+def test_spans_of_nodes_and_diagnostics():
+    # the spans that a lexer making every token's span up front gave
+    assert spans_of(SPANNED) == [
+        ('TypesideDecl', ('pins.catq', 2, 1, 2, 9)),
+        ('SchemaDecl', ('pins.catq', 6, 1, 6, 7)),
+        ('equation', ('pins.catq', 10, 15, 12, 6)),
+        ('x²', ('pins.catq', 10, 27, 10, 35)),
+        ('f', ('pins.catq', 10, 30, 10, 34)),
+        ('v', ('pins.catq', 10, 32, 10, 33)),
+        ('x²', ('pins.catq', 11, 9, 12, 6)),
+        ('f', ('pins.catq', 11, 12, 12, 5)),
+        ('v', ('pins.catq', 12, 3, 12, 4)),
+        ('InstanceDecl', ('pins.catq', 14, 1, 14, 9)),
+        ('equation', ('pins.catq', 16, 13, 16, 33)),
+        ('é', ('pins.catq', 16, 13, 16, 17)),
+        ('a', ('pins.catq', 16, 15, 16, 16)),
+        ('unterminated', ('pins.catq', 16, 20, 16, 33)),
+        ('equation', ('pins.catq', 17, 5, 17, 13)),
+        ('f', ('pins.catq', 17, 5, 17, 9)),
+        ('a', ('pins.catq', 17, 7, 17, 8)),
+        ('一', ('pins.catq', 17, 12, 17, 13)),
+        ('equation', ('pins.catq', 18, 5, 18, 16)),
+        ('x²', ('pins.catq', 18, 5, 18, 11)),
+        ('一', ('pins.catq', 18, 9, 18, 10)),
+        ('²1', ('pins.catq', 18, 14, 18, 16)),
+        ('equation', ('pins.catq', 18, 18, 18, 29)),
+        ('é', ('pins.catq', 18, 18, 18, 22)),
+        ('b', ('pins.catq', 18, 20, 18, 21)),
+        ('ok', ('pins.catq', 18, 25, 18, 29)),
+        ('MappingDecl', ('pins.catq', 20, 1, 20, 8)),
+        ('image', ('pins.catq', 22, 21, 22, 37)),
+        ('f', ('pins.catq', 22, 33, 22, 37)),
+        ('y', ('pins.catq', 22, 35, 22, 36)),
+        ('image', ('pins.catq', 23, 19, 23, 20)),
+        ('é', ('pins.catq', 23, 19, 23, 20)),
+        ('image', ('pins.catq', 23, 28, 24, 4)),
+        ('x²', ('pins.catq', 23, 38, 24, 4)),
+        ('z', ('pins.catq', 24, 2, 24, 3)),
+        ('DerivedDecl', ('pins.catq', 26, 1, 26, 23)),
+        ('Directive', ('pins.catq', 27, 1, 27, 6)),
+        ("unexpected character '@'", ('pins.catq', 7, 18, 7, 19)),
+        ('unterminated string literal', ('pins.catq', 16, 20, 16, 33)),
+    ]
+    # EOF after a final comment sits at the comment's start
+    assert spans_of("schema S = literal : Ty { entities E\r\n\t// unclosed") == [
+        ('SchemaDecl', ('pins.catq', 1, 1, 1, 7)),
+        ("expected '}', found ''", ('pins.catq', 2, 2, 2, 2)),
+    ]
+
+
+def test_an_error_free_program_is_parsed_and_elaborated_without_spans(monkeypatch):
+    # `_Parser.span` makes every span of a text; an error-free program reads none
+    from test_written_models import bench_gen  # which imports this module
+    text = bench_gen.dedup(1, 200, 25).text
+    seen = {}
+
+    def run():
+        prog, diags = parse(text)
+        env, more = elaborate(prog)
+        seen.update(decls=len(prog.decls), diags=diags + more)
+
+    built = count_calls(monkeypatch, _Parser, "span", run)
+    assert seen["diags"] == [] and built <= seen["decls"]
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,7 @@ class _Elaborator:
             return self.resolve_term(img.body, tgt, {img.var: arg_sort}, None)
         body = img.body
         if not body.args and not body.quoted and tgt.symbol_named(body.name) is not None:
-            body = RawTerm(body.name, body.span, [RawTerm("x", body.span)])
+            body = RawTerm(body.name, body._span, [RawTerm("x", body._span)])
             return self.resolve_term(body, tgt, {"x": arg_sort}, None)
 
         # shorthand: find the variable leaf (the one unknown identifier)

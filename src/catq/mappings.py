@@ -2,10 +2,9 @@
 
 A mapping F : S -> T sends each entity to an entity and each attribute
 or foreign key f : s -> s' to an open term over T with one free
-variable of sort F(s).  It must respect provable equality; that proof
-obligation is decided by `open_terms_equal` for each translated
-constraint, on a free one-generator probe instance of the target schema
-when its theory has equations to apply.
+variable of sort F(s).  It must respect provable equality: the image of
+each constraint must be provable in T.  A one-variable term is a path,
+and every decision of path equality compares the paths' `path_key`s.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Optional
+from typing import Callable, Hashable, Optional
 
 from .errors import NoMorphismExists, SchemaMismatch, SortMismatch
 from .model import DEFAULT_LIMITS, SaturationLimits, TermModel, build_term_model
@@ -27,8 +26,8 @@ from .terms import (
     Var,
     fold_chain,
     free_vars,
+    open_chain,
     render_term,
-    substitute,
     term_chain,
 )
 
@@ -50,11 +49,7 @@ class Mapping:
     @functools.cached_property
     def _image_chains(self) -> dict[FunctionSymbol, tuple]:
         """Symbol -> the chain of its image, without the variable of an open image."""
-        out = {}
-        for f, image in self.symbol_map.items():
-            chain = term_chain(image)
-            out[f] = chain[1:] if isinstance(chain[0], Var) else chain
-        return out
+        return {f: open_chain(image) for f, image in self.symbol_map.items()}
 
     def entity_image(self, e: Sort) -> Sort:
         return self.entity_map[e]
@@ -119,29 +114,45 @@ def probe_model(schema: Schema, entity: Sort,
     return build_term_model(probe, limits=limits)
 
 
+def path_key(schema: Schema, entity: Sort,
+             limits: SaturationLimits = DEFAULT_LIMITS) -> Callable[[tuple], Hashable]:
+    """A key for each chain rooted at `entity`: two keys are equal iff the theory proves the terms equal.
+
+    A chain here has no variable (`terms.open_chain`).  With no typeside
+    equation and no constraint on an entity that foreign keys reach from
+    `entity`, the theory proves only syntactic equalities and the key is
+    the chain itself.  Otherwise it is the chain's class in the probe
+    model, the variable read as its generator `_x`, or the chain itself for
+    a literal the probe has never seen; the probe is read at the first key
+    asked for.
+    """
+    if not (schema.typeside.equations or (schema.constraints and _constrained_from(schema, entity))):
+        return lambda chain: chain
+    x = generator("_x", entity)
+
+    def key(chain: tuple) -> Hashable:
+        c = probe_model(schema, entity, limits).walk((x, *chain))
+        return chain if c is None else c
+
+    return key
+
+
 def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term,
                      limits: SaturationLimits = DEFAULT_LIMITS) -> bool:
-    """Provable equality of two one-variable terms rooted at `entity`.
+    """Provable equality of two one-variable terms rooted at `entity`: their `path_key`s agree.
 
-    Each term's variable, whatever its name, is replaced by the probe
-    generator `_x`.  Such terms only reach the entities that foreign keys
-    reach from `entity`.  With no typeside equations and no constraint on
-    one of those entities, the theory proves only syntactic equalities
-    between them, so the closed terms are compared as they are; otherwise
-    they are compared on the probe model.
+    Each term's variable, whatever its name, stands for the same element
+    of `entity`.
     """
     if t1.sort != t2.sort:
         raise SortMismatch(
             f"cannot compare {render_term(t1)} : {t1.sort.name} with {render_term(t2)} : {t2.sort.name}")
-    g = App(generator("_x", entity))
-
-    def close(t: Term) -> Term:
-        vs = free_vars(t)
-        return substitute(t, {vs[0].name: g}) if vs else t
-
-    if schema.typeside.equations or (schema.constraints and _constrained_from(schema, entity)):
-        return probe_model(schema, entity, limits).decide_equal(close(t1), close(t2))
-    return close(t1) == close(t2)
+    for t in (t1, t2):
+        v = term_chain(t)[0]
+        if isinstance(v, Var) and v.sort != entity:
+            raise SortMismatch(f"binding for {v.name} has sort {entity.name}, expected {v.sort.name}")
+    key = path_key(schema, entity, limits)
+    return key(open_chain(t1)) == key(open_chain(t2))
 
 
 def _constrained_from(schema: Schema, entity: Sort) -> bool:
@@ -189,10 +200,8 @@ def validate_mapping(f_map: Mapping, limits: SaturationLimits = DEFAULT_LIMITS) 
     if issues:
         return issues
     for con in src.constraints:
-        v = con.free[0]
-        lhs = apply_mapping_term(f_map, con.lhs)
-        rhs = apply_mapping_term(f_map, con.rhs)
-        if not open_terms_equal(tgt, f_map.entity_image(v.sort), lhs, rhs, limits):
+        key = path_key(tgt, f_map.entity_image(con.free[0].sort), limits)
+        if key(mapping_chain(f_map, open_chain(con.lhs))) != key(mapping_chain(f_map, open_chain(con.rhs))):
             issues.append(Issue(
                 "EqualityNotPreserved",
                 f"target does not prove the image of constraint {con}"))
@@ -222,17 +231,16 @@ def mappings_equal(f_map: Mapping, g_map: Mapping,
         return False
     if f_map.entity_map != g_map.entity_map:
         return False
-    return all(open_terms_equal(f_map.target, f_map.entity_image(f.arg_sorts[0]),
-                                f_map.symbol_map[f], g_map.symbol_map[f], limits)
-               for f in f_map.source.symbols)
+    for f in f_map.source.symbols:
+        key = path_key(f_map.target, f_map.entity_image(f.arg_sorts[0]), limits)
+        if key(f_map._image_chains[f]) != key(g_map._image_chains[f]):
+            return False
+    return True
 
 
 def render_open_term(t: Term) -> str:
-    vs = free_vars(t)
-    if not vs:
-        return render_term(t)
-    v = vs[0]
-    return f"lambda {v.name}:{v.sort.name}. {render_term(t)}"
+    v = term_chain(t)[0]
+    return f"lambda {v.name}:{v.sort.name}. {render_term(t)}" if isinstance(v, Var) else render_term(t)
 
 
 # ---------------------------------------------------------------------------

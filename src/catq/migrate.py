@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvariantViolation, NoMorphismExists, ResourceLimit, SchemaMismatch
-from .mappings import (
+from .mappings import (  # open_terms_equal stays a name of this module: bench/spans.py wraps it here
     InstanceMorphism,
     Mapping,
     apply_mapping_term,
@@ -38,6 +38,7 @@ from .mappings import (
     mappings_equal,
     morphism_from_genmap,
     open_terms_equal,
+    path_key,
     validate_mapping,
 )
 from .model import (  # build_term_model stays a name of this module: bench/spans.py wraps it here
@@ -56,9 +57,9 @@ from .terms import (
     Sort,
     Term,
     Var,
-    free_vars,
+    fold_chain,
+    open_chain,
     render_term,
-    substitute,
     term_chain,
 )
 
@@ -90,45 +91,52 @@ class PathSet:
 def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
                     caps: PathCaps = DEFAULT_CAPS,
                     limits: SaturationLimits = DEFAULT_LIMITS) -> PathSet:
-    """All one-variable terms from `frm` to `to`, modulo schema constraints.
+    """All one-variable terms from `frm` to `to`, one for each class of provably equal ones.
 
     Breadth-first over foreign keys, optionally terminated by a single
-    attribute when `to` is a type.  A path provably equal to a kept one
-    of its sort (`open_terms_equal`) is dropped; the truncated flag is
+    attribute when `to` is a type.  A path is kept when its `path_key` is
+    new; the first path of a sort is keyed only when a second one arrives,
+    so no probe is built unless two paths can meet.  The truncated flag is
     set when the caps cut the search short.
     """
-    start: Term = Var("p", frm)
-    entity_reps: list[Term] = [start]
-    frontier: list[Term] = [start]
+    key = path_key(schema, frm, limits)
+    seen: set = set()
+    lone: dict[Sort, Optional[tuple]] = {frm: ()}  # sort -> its one path kept so far, None once keyed
+
+    def new(chain: tuple, sort: Sort) -> bool:
+        if sort not in lone:
+            lone[sort] = chain
+            return True
+        if lone[sort] is not None:
+            seen.add(key(lone[sort]))
+            lone[sort] = None
+        k = key(chain)
+        fresh = k not in seen
+        seen.add(k)
+        return fresh
+
+    reps: list[tuple[Term, tuple]] = [(Var("p", frm), ())]  # each kept entity path and its chain
+    frontier = reps[:]
     truncated = False
     depth = 0
     while frontier:
-        if depth >= caps.max_depth or len(entity_reps) > caps.max_paths:
+        if depth >= caps.max_depth or len(reps) > caps.max_paths:
             truncated = True
             break
         depth += 1
-        fresh: list[Term] = []
-        for u in frontier:
+        fresh = []
+        for u, chain in frontier:
             for fk in schema.foreign_keys:
-                if fk.arg_sorts != (u.sort,):
-                    continue
-                w = App(fk, (u,))
-                if not any(r.sort == w.sort and open_terms_equal(schema, frm, w, r, limits)
-                           for r in entity_reps):
-                    entity_reps.append(w)
-                    fresh.append(w)
+                if fk.arg_sorts == (u.sort,) and new(chain + (fk,), fk.out_sort):
+                    fresh.append((App(fk, (u,)), chain + (fk,)))
+        reps += fresh
         frontier = fresh
 
     if to.is_entity:
-        terms = [r for r in entity_reps if r.sort == to]
+        terms = [u for u, _ in reps if u.sort == to]
     else:
-        terms = []
-        for u in entity_reps:
-            for att in schema.attributes:
-                if att.arg_sorts == (u.sort,) and att.out_sort == to:
-                    w = App(att, (u,))
-                    if not any(open_terms_equal(schema, frm, w, r, limits) for r in terms):
-                        terms.append(w)
+        terms = [App(att, (u,)) for u, chain in reps for att in schema.attributes
+                 if att.arg_sorts == (u.sort,) and att.out_sort == to and new(chain + (att,), to)]
     if len(terms) > caps.max_paths:
         terms = terms[: caps.max_paths]
         truncated = True
@@ -384,18 +392,6 @@ def _search(domains: list[list[int]], checks: list[tuple], apart: list[list[int]
 # Pi
 
 
-def _resolve_position(f_map: Mapping, t_ent: Sort, index: list[tuple[Sort, Term]],
-                      s_ent: Sort, comp: Term,
-                      limits: SaturationLimits) -> int:
-    for i, (s, p) in enumerate(index):
-        if s != s_ent:
-            continue
-        if open_terms_equal(f_map.target, t_ent, comp, p, limits):
-            return i
-    raise InvariantViolation(
-        f"path {render_term(comp)} missing from the enumerated index at {t_ent.name}")
-
-
 def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, Term]],
               cons: list[tuple[int, FunctionSymbol, int]],
               limits: SaturationLimits) -> list[tuple[int, ...]]:
@@ -439,20 +435,29 @@ def pi(f_map: Mapping, i_model: TermModel,
                     "pi is undefined under truncation")
             idx.extend((s, p) for p in ps.terms)
         index[t.name] = idx
+    chains = {t: [open_chain(p) for _, p in index[t.name]] for t in tgt.entities}
+
+    keys = {t: path_key(tgt, t, limits) for t in tgt.entities}
+    positions: dict[Sort, dict] = {}  # per target entity, (source entity, key) -> the first index position
+
+    def position(t: Sort, s: Sort, chain: tuple) -> int:  # of the path `chain` from t to s's image
+        at = positions.get(t)
+        if at is None:  # built on first use: a probe model is read only where a path is looked up
+            at = positions[t] = {}
+            for i, ((s2, _), chain2) in enumerate(zip(index[t.name], chains[t])):
+                at.setdefault((s2, keys[t](chain2)), i)
+        i = at.get((s, keys[t](chain)))
+        if i is None:
+            raise InvariantViolation(
+                f"path {render_term(fold_chain((Var('p', t), *chain)))} missing from the enumerated index at {t.name}")
+        return i
 
     # foreign-key naturality constraints: x[j] == q(x[i]) in the input model
     constraints: dict[str, list[tuple[int, FunctionSymbol, int]]] = {}
     for t in tgt.entities:
-        cons = []
-        for i, (s, p) in enumerate(index[t.name]):
-            for q in src.foreign_keys:
-                if q.arg_sorts != (s,):
-                    continue
-                image = f_map.symbol_map[q]
-                comp = substitute(image, {free_vars(image)[0].name: p})
-                j = _resolve_position(f_map, t, index[t.name], q.out_sort, comp, limits)
-                cons.append((i, q, j))
-        constraints[t.name] = cons
+        constraints[t.name] = [(i, q, position(t, q.out_sort, chain + f_map._image_chains[q]))
+                               for i, ((s, _), chain) in enumerate(zip(index[t.name], chains[t]))
+                               for q in src.foreign_keys if q.arg_sorts == (s,)]
 
     families = {t.name: _families(i_model, t, index[t.name], constraints[t.name], limits)
                 for t in tgt.entities}
@@ -460,20 +465,17 @@ def pi(f_map: Mapping, i_model: TermModel,
     # attribute factorizations through the mapping
     fact: dict[tuple[str, str], list[tuple[int, Term]]] = {}
     for t in tgt.entities:
+        key = keys[t]
         for att in tgt.attributes:
             if att.arg_sorts != (t,):
                 continue
-            att_term = App(att, (Var("p", t),))
             cands: list[tuple[int, Term]] = []
-            for i, (s, p) in enumerate(index[t.name]):
+            for i, (s, _) in enumerate(index[t.name]):
                 qs = enumerate_paths(src, s, att.out_sort, DEFAULT_CAPS, limits)
                 if qs.truncated:
                     raise ResourceLimit(f"source path set {s.name} -> {att.out_sort.name} truncated")
-                for q in qs.terms:
-                    fq = apply_mapping_term(f_map, q)
-                    comp = substitute(fq, {free_vars(fq)[0].name: p})
-                    if open_terms_equal(tgt, t, comp, att_term, limits):
-                        cands.append((i, q))
+                cands += [(i, q) for q in qs.terms
+                          if key(chains[t][i] + mapping_chain(f_map, open_chain(q))) == key((att,))]
             fact[(t.name, att.name)] = cands
 
     fam_gen: dict[tuple[str, tuple[int, ...]], FunctionSymbol] = {}
@@ -485,15 +487,11 @@ def pi(f_map: Mapping, i_model: TermModel,
     # h(family) = family and att(family) = value, as (symbol, row, value)
     rows = []
     for t in tgt.entities:
-        idx = index[t.name]
         for h in tgt.foreign_keys:
             if h.arg_sorts != (t,):
                 continue
             t2 = h.out_sort
-            posmap = []
-            for (s, p2) in index[t2.name]:
-                comp = substitute(p2, {free_vars(p2)[0].name: App(h, (Var("p", t),))})
-                posmap.append(_resolve_position(f_map, t, idx, s, comp, limits))
+            posmap = [position(t, s, (h, *chain)) for (s, _), chain in zip(index[t2.name], chains[t2])]
             for x in families[t.name]:
                 y = tuple(x[i] for i in posmap)
                 if (t2.name, y) not in fam_gen:
@@ -778,8 +776,9 @@ class InversionBounds:
     max_candidates: int = 10 ** 6
 
     def __post_init__(self):
-        if self.depth <= 0:
-            raise ValueError(f"depth must be a positive integer, got {self.depth}")
+        for name in ("depth", "max_candidates"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
 
 
 def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds(),

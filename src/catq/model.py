@@ -69,12 +69,14 @@ from .terms import (
     Var,
     fold_chain,
     ground_eq,
+    open_chain,
     render_term,
     term_chain,
 )
 
 # a chain is a tuple of symbols folded left (`terms.fold_chain`); an equation is a pair of them
 Chain = tuple[FunctionSymbol, ...]
+_NO_NODES: dict[int, int] = {}  # the table of a symbol the model never applied
 
 
 @dataclass(frozen=True)
@@ -398,9 +400,7 @@ class TermModel:
 
     def _lookup(self, sym: FunctionSymbol, c: int = -1) -> Optional[int]:
         """Class of sym applied to class c (-1: sym is 0-ary), or None when the model has no such term."""
-        tab = self._eng.tables.get(sym)
-        hit = None if tab is None else tab.get(self._key[c] if c >= 0 else -1)
-        return None if hit is None else self._cls[hit]
+        return self.walk((sym,), None, c)
 
     def op(self, sym: FunctionSymbol, c: int) -> int:
         """Apply a unary symbol's operation table to a class."""
@@ -425,15 +425,35 @@ class TermModel:
         t is a chain of unary symbols over one variable, such as a symbol
         image of a mapping or a path; it is read one column per symbol.
         """
-        syms: list[FunctionSymbol] = []
-        while isinstance(t, App):
-            syms.append(t.sym)
-            t = t.args[0]
-        out = {c: c for c in self.carrier(t.sort)}
-        for sym in reversed(syms):
+        var, *syms = term_chain(t)
+        out = {c: c for c in self.carrier(var.sort)}
+        for sym in syms:
             col = self.column(sym)
             out = {c: col[v] for c, v in out.items()}
         return out
+
+    def walk(self, chain: Chain, genmap: Optional[Mapping[FunctionSymbol, int]] = None,
+             start: int = -1) -> Optional[int]:
+        """Class of the term a chain spells, one table lookup per symbol, or None if the model lacks one.
+
+        A chain that starts with a unary symbol applies it to class `start`,
+        and an empty one is `start`.  `genmap` re-routes generators to classes.
+        """
+        tables, key, cls = self._eng.tables, self._key, self._cls
+        c = start
+        for sym in chain:
+            if sym.arg_sorts:
+                hit = tables.get(sym, _NO_NODES).get(key[c])
+            else:
+                d = genmap.get(sym) if genmap else None
+                if d is not None:
+                    c = cls[d]
+                    continue
+                hit = tables.get(sym, _NO_NODES).get(-1)
+            if hit is None:
+                return None
+            c = cls[hit]
+        return c
 
     def eval(self, t: Term, genmap: Optional[Mapping[FunctionSymbol, int]] = None,
              varmap: Optional[Mapping[str, int]] = None) -> Optional[int]:
@@ -443,29 +463,18 @@ class TermModel:
         when extending morphisms homomorphically); `varmap` binds
         variables of open terms to classes.
         """
-        # every symbol is unary or 0-ary: walk down the chain to a variable,
-        # a re-routed generator or a leaf, then look each application up
-        chain: list[App] = []
-        c = -1
-        while True:
-            if isinstance(t, Var):
-                if varmap is None or t.name not in varmap:
-                    raise UnknownSymbol(f"unbound variable {t.name}")
-                c = self.find(varmap[t.name])
-                break
-            if genmap is not None and t.sym in genmap:
-                c = self.find(genmap[t.sym])
-                break
-            chain.append(t)
-            if not t.args:
-                break
-            t = t.args[0]
-        for u in reversed(chain):
-            c = self._lookup(u.sym, c if u.args else -1)
+        chain, c, lead = term_chain(t), -1, 0
+        if isinstance(chain[0], Var):
+            v = chain[0]
+            if varmap is None or v.name not in varmap:
+                raise UnknownSymbol(f"unbound variable {v.name}")
+            c, lead = self.find(varmap[v.name]), 1
+        for i in range(lead, len(chain)):  # a step at a time, to name the application the model lacks
+            c = self.walk(chain[i:i + 1], genmap, c)
             if c is None:
-                if u.sym.flavor == LITERAL:
+                if chain[i].flavor == LITERAL:
                     return None
-                raise UnknownSymbol(f"term {render_term(u)} does not denote in this model")
+                raise UnknownSymbol(f"term {render_term(fold_chain(chain[:i + 1]))} does not denote in this model")
         return c
 
     def image(self, tgt: "TermModel",
@@ -500,28 +509,9 @@ class TermModel:
         Each chain is walked through tgt's symbol tables; a symbol tgt lacks
         (a literal) fails the check.
         """
-        tables, key, cls = tgt._eng.tables, tgt._key, tgt._cls
-
-        def walk(chain: Chain) -> Optional[int]:
-            c = -1
-            for sym in chain:
-                if sym.arg_sorts:
-                    hit = tables[sym].get(key[c])
-                else:
-                    d = genmap.get(sym)
-                    if d is not None:
-                        c = cls[d]
-                        continue
-                    tab = tables.get(sym)
-                    hit = None if tab is None else tab.get(-1)
-                if hit is None:
-                    return None
-                c = cls[hit]
-            return c
-
         for lhs, rhs in self.chains:
-            c = walk(lhs)
-            if c is None or c != walk(rhs):
+            c = tgt.walk(lhs, genmap)
+            if c is None or c != tgt.walk(rhs, genmap):
                 return False
         return True
 
@@ -531,11 +521,7 @@ class TermModel:
             raise SortMismatch(
                 f"cannot compare {render_term(t1)} : {t1.sort.name} with {render_term(t2)} : {t2.sort.name}")
         c1, c2 = self.eval(t1), self.eval(t2)
-        if c1 is None and c2 is None:
-            return t1 == t2
-        if c1 is None or c2 is None:
-            return False
-        return c1 == c2
+        return (t1 if c1 is None else c1) == (t2 if c2 is None else c2)  # a term is no class
 
     def class_of(self, sym: FunctionSymbol) -> int:
         """Class of a 0-ary symbol (generator, constant, literal)."""
@@ -579,8 +565,7 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
     # per entity, its symbols with their tables; per constraint, its sort and
     # the chains of its sides, a variable leaf left out (`add_chain` starts them at its class)
     closure = {eng.sort_id(s): [(eng.table(f), f) for f in schema.symbols_on(s)] for s in schema.entities}
-    constraints = [(eng.sort_id(con.free[0].sort), *(ch[1:] if isinstance(ch[0], Var) else ch
-                                        for ch in (term_chain(con.lhs), term_chain(con.rhs))))
+    constraints = [(eng.sort_id(con.free[0].sort), open_chain(con.lhs), open_chain(con.rhs))
                    for con in schema.constraints]
     find, least, sort_of, apply = eng.find, eng.least, eng.sort_of, eng.apply
     rounds = 0

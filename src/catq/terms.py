@@ -199,6 +199,12 @@ def term_chain(t: Term) -> tuple:
     return tuple(chain)
 
 
+def open_chain(t: Term) -> tuple:
+    """The chain of t without its variable, if any: then it starts with a unary symbol, or is empty."""
+    chain = term_chain(t)
+    return chain[1:] if isinstance(chain[0], Var) else chain
+
+
 def fold_chain(chain) -> Term:
     """The term a chain spells, folded left.
 

@@ -3,8 +3,10 @@
 Each record compares runs of `bench/run.py` at a parent commit and at a
 change.  It may name only workloads and end-to-end metrics that
 `BENCHMARK.json` declares, and each summary must be the one its runs give.
+The per-layer tracer of `bench/spans.py` must find every name it wraps.
 """
 
+import importlib.util
 import json
 import statistics
 from pathlib import Path
@@ -14,6 +16,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_every_traced_name_exists():
+    # `Tracer.install` reads each target with `vars(owner)[name]`: a name a
+    # module no longer holds would fail only when the benchmark is traced
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert [(path, name) for path, name, _ in spans.TARGETS if name not in vars(spans._owner(path))] == []
 
 
 def test_records_exist():

@@ -481,6 +481,24 @@ def test_an_error_free_program_is_parsed_and_elaborated_without_spans(monkeypatc
     assert seen["diags"] == [] and built <= seen["decls"]
 
 
+def test_shorthand_mapping_images_are_elaborated_without_spans(monkeypatch):
+    # a bare target symbol stands for its application; the rebuilt image
+    # keeps the lazy span of the symbol it was written as
+    text = ("typeside Ty = literal { }\n"
+            "schema L = literal : Ty { entities E  foreign_keys nxt : E -> E  k : E -> E"
+            "  attributes a : E -> Int }\n"
+            "mapping M = literal : L -> L { entities E -> E foreign_keys nxt -> nxt  k -> k"
+            " attributes a -> a }\n")
+    seen = {}
+
+    def run():
+        env, diags = elaborate(parse_ok(text))
+        seen.update(env=env, diags=diags)
+
+    assert count_calls(monkeypatch, _Parser, "span", run) == 0
+    assert seen["diags"] == [] and "M" in seen["env"].mappings
+
+
 # ---------------------------------------------------------------------------
 # Elaboration
 

@@ -84,18 +84,31 @@ def test_open_terms_equal_uses_schema_constraints():
 
 def test_open_terms_equal_without_constraints_builds_no_probe(monkeypatch):
     # with no constraints and no typeside equations only syntactic equality
-    # is provable: the terms are compared up to their variable's name
+    # is provable: the terms are compared up to their variable's name, and
+    # path enumeration, validation and mapping equality read no probe either
     import catq.mappings
+    from catq import PathCaps, enumerate_paths
     from catq.terms import ENTITY, Sort
     e = Sort("E", ENTITY)
     nxt = fkey("nxt", e, e)
-    free = Schema("L", builtin_typeside(), [e], [], [nxt])
+    free = Schema("L", builtin_typeside(), [e], [attr("a", e, INT)], [nxt])
     x, p = Var("x", e), Var("p", e)
     monkeypatch.setattr(catq.mappings, "build_term_model", None)
+    monkeypatch.setattr(catq.mappings, "probe_model", None)
     assert open_terms_equal(free, e, App(nxt, (x,)), App(nxt, (p,)))
     assert not open_terms_equal(free, e, App(nxt, (x,)), App(nxt, (App(nxt, (p,)),)))
     with pytest.raises(SortMismatch):
         open_terms_equal(free, e, App(nxt, (x,)), int_literal(1))
+    with pytest.raises(SortMismatch, match="binding for x has sort E, expected F"):
+        open_terms_equal(free, e, Var("x", Sort("F", ENTITY)), Var("y", Sort("F", ENTITY)))
+    assert len(enumerate_paths(free, e, e, PathCaps(max_depth=3)).terms) == 4
+    assert len(enumerate_paths(free, e, INT, PathCaps(max_depth=3)).terms) == 4
+    ident = identity_mapping(free)
+    twice = Mapping("twice", free, free, ident.entity_map,
+                    {nxt: App(nxt, (App(nxt, (x,)),)), free.symbol_named("a"): ap(free.symbol_named("a"), x)})
+    assert validate_mapping(ident) == [] and validate_mapping(twice) == []
+    assert mappings_equal(ident, identity_mapping(free, "other"))
+    assert not mappings_equal(ident, twice)
 
 
 def test_probe_models_are_shared_by_equal_schemas(monkeypatch):

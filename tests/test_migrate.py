@@ -1,6 +1,7 @@
 """Data migration functors, adjunctions, coproducts, and inversion."""
 
 import gc
+import random
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -47,16 +48,19 @@ from catq import (
     validate_mapping,
 )
 from catq import migrate
-from catq.model import TermModel, model_read_as, saturate
-from catq.terms import render_term
+from catq.model import SaturationLimits, TermModel, model_read_as, saturate
+from catq.schema import Schema, builtin_typeside
+from catq.terms import ENTITY, TYPESIDE, Equation, FunctionSymbol, Sort, ground_eq, render_term
 
 from conftest import (
     N,
     N1,
     N2,
     ap,
+    attr,
     count_calls,
     employees_instance,
+    fkey,
     joined_instance,
     split_instance,
 )
@@ -114,6 +118,74 @@ def test_enumerate_paths_dedups_modulo_constraints():
     ps = enumerate_paths(sch, e, e, PathCaps(max_depth=6))
     assert [render_term(t) for t in ps.terms] == ["p", "nxt(p)"]
     assert not ps.truncated
+
+
+def random_path_schema(rng: random.Random) -> Schema:
+    """A small schema: foreign keys up a chain of entities, self-loops and attributes.
+
+    Each self-loop is involutive, idempotent or free; a free one makes the
+    paths infinite.  The typeside may carry the ground equation zero = 0.
+    """
+    ents = [Sort(f"E{i}", ENTITY) for i in range(rng.randint(1, 4))]
+    fks, cons = [], []
+    for k in range(rng.randint(0, 5) if len(ents) > 1 else 0):
+        i = rng.randrange(len(ents) - 1)
+        fks.append(fkey(f"f{k}", ents[i], ents[min(i + rng.randint(1, 2), len(ents) - 1)]))
+    for k in range(rng.randint(0, 2)):
+        e = rng.choice(ents)
+        loop, y = fkey(f"s{k}", e, e), Var("y", e)
+        fks.append(loop)
+        kind = rng.choice(["involutive", "idempotent", "free"])
+        if kind != "free":
+            cons.append(Equation((y,), ap(loop, ap(loop, y)), y if kind == "involutive" else ap(loop, y)))
+    atts = [attr(f"a{k}", rng.choice(ents), rng.choice([INT, STRING])) for k in range(rng.randint(0, 3))]
+    ts = builtin_typeside()
+    if rng.random() < 0.3:
+        zero = FunctionSymbol("zero", (), INT, TYPESIDE)
+        ts = replace(ts, constants=[zero], equations=[ground_eq(App(zero), int_literal(0))])
+    return Schema("R", ts, ents, atts, fks, cons)
+
+
+def path_outcome(enumerate_paths, *args):
+    try:
+        ps = enumerate_paths(*args)
+    except ResourceLimit as exc:
+        return str(exc)
+    return ps.terms, ps.truncated
+
+
+def test_enumerate_paths_matches_the_pairwise_reference():
+    # keys in a set must keep what comparing each path with every kept one kept
+    import reference_paths
+    limits = SaturationLimits(max_classes_per_sort=100, max_rounds=20)
+    shapes = Counter()
+    for seed in range(150):
+        rng = random.Random(seed)
+        sch = random_path_schema(rng)
+        shapes[bool(sch.constraints), bool(sch.typeside.equations)] += 1
+        caps = PathCaps(max_depth=rng.randint(1, 5), max_paths=rng.choice([3, 40]))
+        for frm in sch.entities:
+            for to in [*sch.entities, INT, STRING]:
+                args = (sch, frm, to, caps, limits)
+                assert path_outcome(enumerate_paths, *args) == \
+                    path_outcome(reference_paths.enumerate_paths, *args), (seed, frm, to)
+    assert len(shapes) == 4  # with and without constraints, with and without the typeside equation
+
+
+def test_enumerate_paths_keys_each_path_once(monkeypatch):
+    # a star of n foreign keys into an idempotent loop: each path is one walk
+    # of the probe, where comparing it with every kept path of its sort was
+    # a number of walks quadratic in n
+    a, b = Sort("A", ENTITY), Sort("B", ENTITY)
+    g, y = fkey("g", b, b), Var("y", b)
+    walks = {}
+    for n in (8, 16):
+        star = Schema(f"Star{n}", builtin_typeside(), [a, b], [],
+                      [*(fkey(f"f{k}", a, b) for k in range(n)), g],
+                      [Equation((y,), ap(g, ap(g, y)), ap(g, y))])
+        walks[n] = count_calls(monkeypatch, TermModel, "walk", lambda: enumerate_paths(star, a, b))
+        assert len(enumerate_paths(star, a, b).terms) == 2 * n
+    assert walks[16] <= 2 * walks[8] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +700,12 @@ def test_invert_tries_only_the_inverse_entity_map(mapping_r, schema_s):
     inv = invert_mapping(mapping_r, InversionBounds(depth=3, max_candidates=2))
     assert inv is not None
     assert mappings_equal(compose_mappings(mapping_r, inv), identity_mapping(schema_s))
+
+
+def test_inversion_bounds_reject_a_nonpositive_candidate_cap():
+    # a zero cap used to reach the path caps and fail there, under another name
+    with pytest.raises(ValueError, match="max_candidates must be a positive integer, got 0"):
+        InversionBounds(depth=2, max_candidates=0)
 
 
 def test_non_bijective_mapping_has_no_inverse_without_search(mapping_f, monkeypatch):

@@ -2,10 +2,12 @@
 
 delta projects a target model back along a mapping (model reduct),
 sigma pushes an instance forward by translating its equations, and pi
-builds the limit-style migration from path-indexed families.  The
-adjunctions sigma -| delta -| pi are constructed explicitly as their
-hom-set bijections (the transposes, or mates), and each unit and counit
-is the mate of an identity, which is what makes round-tripping
+builds the limit-style migration from families indexed by paths, each
+path a chain (`terms.open_chain`).  The adjunctions sigma -| delta -| pi
+are constructed explicitly as their hom-set bijections (the transposes,
+or mates): each transpose assigns the generators of its source and
+proves the assignment with `morphism_from_genmap`, and each unit and
+counit is the mate of an identity, which is what makes round-tripping
 checkable at desk scale.
 
 No functor saturates a presentation of its output.  delta and pi compute
@@ -182,8 +184,8 @@ class SigmaResult(MigrationResult):
 
 @dataclass
 class PiResult(MigrationResult):
-    # per target entity name: ordered index of (source entity, open path term)
-    index: dict[str, list[tuple[Sort, Term]]]
+    # per target entity name: ordered index of (source entity, chain of a path to its image)
+    index: dict[str, list[tuple[Sort, tuple]]]
     # per target entity name: ordered list of family tuples
     families: dict[str, list[tuple[int, ...]]]
     # (target entity name, family tuple) -> output class
@@ -278,7 +280,7 @@ def delta(f_map: Mapping, j: TermModel,
             ent_gen[(e.name, c)] = generator(f"{e.name}_{j.id_label[c]}", e)
     anchor, ty_gens, pins = _type_anchors(j)
     # q(row) = value: q's image in j at the row's class, as a generator or an anchor
-    images = {q: j.table(f_map.symbol_map[q]) for q in src.symbols}
+    images = {q: j.table(f_map.sort_image(q.arg_sorts[0]), f_map._image_chains[q]) for q in src.symbols}
     rows = []
     for (_, c), g in ent_gen.items():
         for q in src.symbols_on(g.out_sort):
@@ -287,11 +289,7 @@ def delta(f_map: Mapping, j: TermModel,
     model = _write(src, name, [*ent_gen.values(), *ty_gens], pins, rows, limits)
     ent_class = {key: model.class_of(g) for key, g in ent_gen.items()}
     ty_class = {c: model.class_of(sym) for c, sym in anchor.items()}
-    to_target: dict[int, int] = {}
-    for (e_name, c), out in ent_class.items():
-        to_target[out] = c
-    for c, out in ty_class.items():
-        to_target[out] = c
+    to_target = {out: c for (_, c), out in ent_class.items()} | {out: c for c, out in ty_class.items()}
     res = _results[memo_key] = DeltaResult(f_map, j, model, ent_class, ty_class, to_target)
     return res
 
@@ -392,7 +390,7 @@ def _search(domains: list[list[int]], checks: list[tuple], apart: list[list[int]
 # Pi
 
 
-def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, Term]],
+def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, tuple]],
               cons: list[tuple[int, FunctionSymbol, int]],
               limits: SaturationLimits) -> list[tuple[int, ...]]:
     """Every tuple x over the carriers of idx with x[j] == q(x[i]) for (i, q, j) in cons.
@@ -412,7 +410,7 @@ def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, Term]],
 def pi(f_map: Mapping, i_model: TermModel,
        limits: SaturationLimits = DEFAULT_LIMITS, *,
        name: Optional[str] = None) -> PiResult:
-    """Limit-style migration: path-indexed families over the input model."""
+    """Limit-style migration: families over the input model, indexed by paths read as chains."""
     if i_model.schema != f_map.source:
         raise SchemaMismatch(f"{i_model.name} is not an instance of {f_map.source.name}")
     if i_model.collisions:
@@ -423,19 +421,22 @@ def pi(f_map: Mapping, i_model: TermModel,
     if hit is not None:
         return hit
     src, tgt = f_map.source, f_map.target
+    enumerated: dict[tuple, list[tuple]] = {}  # (schema is src, from, to) -> the chains of its path set
 
-    index: dict[str, list[tuple[Sort, Term]]] = {}
-    for t in tgt.entities:
-        idx: list[tuple[Sort, Term]] = []
-        for s in src.entities:
-            ps = enumerate_paths(tgt, t, f_map.entity_image(s), DEFAULT_CAPS, limits)
+    def paths(schema: Schema, frm: Sort, to: Sort, truncated: str) -> list[tuple]:
+        # ResourceLimit, `truncated` formatted with the two sorts' names, when the caps cut the set
+        k = (schema is src, frm, to)
+        if k not in enumerated:
+            ps = enumerate_paths(schema, frm, to, DEFAULT_CAPS, limits)
             if ps.truncated:
-                raise ResourceLimit(
-                    f"path set {t.name} -> {f_map.entity_image(s).name} truncated; "
-                    "pi is undefined under truncation")
-            idx.extend((s, p) for p in ps.terms)
-        index[t.name] = idx
-    chains = {t: [open_chain(p) for _, p in index[t.name]] for t in tgt.entities}
+                raise ResourceLimit(truncated.format(frm.name, to.name))
+            enumerated[k] = [open_chain(p) for p in ps.terms]
+        return enumerated[k]
+
+    index: dict[str, list[tuple[Sort, tuple]]] = {}
+    for t in tgt.entities:
+        index[t.name] = [(s, chain) for s in src.entities for chain in paths(
+            tgt, t, f_map.entity_image(s), "path set {} -> {} truncated; pi is undefined under truncation")]
 
     keys = {t: path_key(tgt, t, limits) for t in tgt.entities}
     positions: dict[Sort, dict] = {}  # per target entity, (source entity, key) -> the first index position
@@ -444,7 +445,7 @@ def pi(f_map: Mapping, i_model: TermModel,
         at = positions.get(t)
         if at is None:  # built on first use: a probe model is read only where a path is looked up
             at = positions[t] = {}
-            for i, ((s2, _), chain2) in enumerate(zip(index[t.name], chains[t])):
+            for i, (s2, chain2) in enumerate(index[t.name]):
                 at.setdefault((s2, keys[t](chain2)), i)
         i = at.get((s, keys[t](chain)))
         if i is None:
@@ -456,27 +457,23 @@ def pi(f_map: Mapping, i_model: TermModel,
     constraints: dict[str, list[tuple[int, FunctionSymbol, int]]] = {}
     for t in tgt.entities:
         constraints[t.name] = [(i, q, position(t, q.out_sort, chain + f_map._image_chains[q]))
-                               for i, ((s, _), chain) in enumerate(zip(index[t.name], chains[t]))
+                               for i, (s, chain) in enumerate(index[t.name])
                                for q in src.foreign_keys if q.arg_sorts == (s,)]
 
     families = {t.name: _families(i_model, t, index[t.name], constraints[t.name], limits)
                 for t in tgt.entities}
 
-    # attribute factorizations through the mapping
-    fact: dict[tuple[str, str], list[tuple[int, Term]]] = {}
+    # attribute factorizations through the mapping: (index position, source path) pairs
+    fact: dict[tuple[str, str], list[tuple[int, tuple]]] = {}
     for t in tgt.entities:
         key = keys[t]
         for att in tgt.attributes:
             if att.arg_sorts != (t,):
                 continue
-            cands: list[tuple[int, Term]] = []
-            for i, (s, _) in enumerate(index[t.name]):
-                qs = enumerate_paths(src, s, att.out_sort, DEFAULT_CAPS, limits)
-                if qs.truncated:
-                    raise ResourceLimit(f"source path set {s.name} -> {att.out_sort.name} truncated")
-                cands += [(i, q) for q in qs.terms
-                          if key(chains[t][i] + mapping_chain(f_map, open_chain(q))) == key((att,))]
-            fact[(t.name, att.name)] = cands
+            fact[(t.name, att.name)] = [
+                (i, q) for i, (s, chain) in enumerate(index[t.name])
+                for q in paths(src, s, att.out_sort, "source path set {} -> {} truncated")
+                if key(chain + mapping_chain(f_map, q)) == key((att,))]
 
     fam_gen: dict[tuple[str, tuple[int, ...]], FunctionSymbol] = {}
     for t in tgt.entities:
@@ -491,7 +488,7 @@ def pi(f_map: Mapping, i_model: TermModel,
             if h.arg_sorts != (t,):
                 continue
             t2 = h.out_sort
-            posmap = [position(t, s, (h, *chain)) for (s, _), chain in zip(index[t2.name], chains[t2])]
+            posmap = [position(t, s, (h, *chain)) for s, chain in index[t2.name]]
             for x in families[t.name]:
                 y = tuple(x[i] for i in posmap)
                 if (t2.name, y) not in fam_gen:
@@ -504,7 +501,7 @@ def pi(f_map: Mapping, i_model: TermModel,
             cands = fact[(t.name, att.name)]
             if not cands:
                 continue  # value is a fresh labeled null
-            (i0, v0), *others = [(i, i_model.table(q)) for i, q in cands]
+            (i0, v0), *others = [(i, i_model.table(index[t.name][i][0], q)) for i, q in cands]
             for x in families[t.name]:
                 val = v0[x[i0]]
                 if any(v[x[i]] != val for i, v in others):
@@ -637,24 +634,6 @@ def _held(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
     return m
 
 
-def _checked(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
-    """m, verified once and `_held`.
-
-    A morphism is the unique extension of its values on the generators,
-    so m is one exactly when its source's equations hold under those
-    values (`TermModel.satisfied_by`) and their extension is m.  When
-    not, NoMorphismExists gives the first of `InstanceMorphism.violations`.
-    """
-    src, tgt = m.source, m.target
-    genmap = {g: m.cmap.get(src.class_of(g)) for g in src.generators}
-    if src.schema != tgt.schema or None in genmap.values() or \
-            not src.satisfied_by(tgt, genmap) or src.image(tgt, genmap) != m.normalized():
-        bad = m.violations()
-        if bad:
-            raise NoMorphismExists(bad[0])
-    return _held(m, *built)
-
-
 def unit_sigma(f_map: Mapping, i_model: TermModel,
                limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
     """I -> delta(sigma(I)): the mate of the identity on sigma(I)."""
@@ -681,13 +660,6 @@ def counit_pi(f_map: Mapping, i_model: TermModel,
     """delta(pi(I)) -> I: the mate of the identity on pi(I)."""
     pires = pi(f_map, i_model, limits)
     return transpose_pi_up(f_map, identity_morphism(pires.model), i_model, limits)
-
-
-def _identity_position(index: list[tuple[Sort, Term]], s: Sort) -> int:
-    for i, (s2, p) in enumerate(index):
-        if s2 == s and isinstance(p, Var):
-            return i
-    raise NoMorphismExists(f"no identity path for {s.name} in the family index")
 
 
 def transpose_sigma_down(f_map: Mapping, i_model: TermModel, h: InstanceMorphism,
@@ -722,48 +694,50 @@ def transpose_sigma_up(f_map: Mapping, hp: InstanceMorphism, j_model: TermModel,
 
 def transpose_pi_down(f_map: Mapping, j_model: TermModel, h: InstanceMorphism,
                       limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
-    """Mate of h : delta(J) -> I, namely J -> pi(I)."""
+    """Mate of h : delta(J) -> I, namely J -> pi(I).
+
+    h's source must be the model produced by delta(f_map, j_model).  Each
+    entity generator of J goes to the family, in pi(I), of where h sends
+    its values along its entity's index chains; a type one to the copy of
+    its image.
+    """
     dres = delta(f_map, j_model, limits)
     pires = pi(f_map, h.target, limits)
-    cmap: dict[int, int] = {}
-    for t in f_map.target.entities:
-        paths = [(s.name, j_model.table(p)) for s, p in pires.index[t.name]]
-        for c in j_model.carrier(t):
-            x = [h.apply(dres.ent_class[(s_name, at[c])]) for s_name, at in paths]
-            key = (t.name, tuple(x))
-            if key not in pires.fam_class:
-                raise NoMorphismExists(f"image family at {t.name} is not natural")
-            cmap[c] = pires.fam_class[key]
-    for tau in f_map.target.typeside.types:
-        for c in j_model.carrier(tau):
-            cmap[c] = pires.ty_class[h.apply(dres.ty_class[c])]
-    return _checked(InstanceMorphism(j_model, pires.model, cmap), dres, pires)
+    genmap: dict[FunctionSymbol, int] = {}
+    for g in j_model.generators:
+        c, t = j_model.class_of(g), g.out_sort
+        if not t.is_entity:
+            genmap[g] = pires.ty_class[h.apply(dres.ty_class[c])]
+            continue
+        key = (t.name, tuple(h.apply(dres.ent_class[(s.name, j_model.walk(chain, None, c))])
+                             for s, chain in pires.index[t.name]))
+        if key not in pires.fam_class:
+            raise NoMorphismExists(f"image family at {t.name} is not natural")
+        genmap[g] = pires.fam_class[key]
+    return _held(morphism_from_genmap(j_model, pires.model, genmap), dres, pires)
 
 
 def transpose_pi_up(f_map: Mapping, g: InstanceMorphism, i_model: TermModel,
                     limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
     """Mate of g : J -> pi(I), namely delta(J) -> I.
 
-    g's target must be the model produced by pi(f_map, i_model).
+    g's target must be the model produced by pi(f_map, i_model).  Each
+    generator of delta(J) goes where g sends its class of J: an entity one
+    to its family's entry at its entity's identity path, a type one back to I.
     """
     dres = delta(f_map, g.source, limits)
     pires = pi(f_map, i_model, limits)
-    cmap: dict[int, int] = {}
-    for s in f_map.source.entities:
-        t = f_map.entity_image(s)
-        pos = _identity_position(pires.index[t.name], s)
-        for (e_name, c), d in dres.ent_class.items():
-            if e_name != s.name:
-                continue
-            img = g.apply(c)
-            _, x = pires.fam_of[pires.model.find(img)]
-            cmap[d] = x[pos]
-    for k, d in dres.ty_class.items():
-        img = pires.model.find(g.apply(k))
-        if img not in pires.ty_origin:
+    ident = {s: pires.index[f_map.entity_image(s).name].index((s, ())) for s in f_map.source.entities}
+    genmap: dict[FunctionSymbol, int] = {}
+    for gen in dres.model.generators:
+        img = pires.model.find(g.apply(dres.to_target[dres.model.class_of(gen)]))
+        if gen.out_sort.is_entity:
+            genmap[gen] = pires.fam_of[img][1][ident[gen.out_sort]]
+        elif img in pires.ty_origin:
+            genmap[gen] = pires.ty_origin[img]
+        else:
             raise NoMorphismExists("image hits a fresh null of pi; no mate exists")
-        cmap[d] = pires.ty_origin[img]
-    return _checked(InstanceMorphism(dres.model, i_model, cmap), dres, pires)
+    return _held(morphism_from_genmap(dres.model, i_model, genmap), dres, pires)
 
 
 # ---------------------------------------------------------------------------

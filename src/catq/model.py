@@ -419,15 +419,14 @@ class TermModel:
             c = next(c for c in carrier if key[c] not in tab)
             raise UnknownSymbol(f"no {sym.name} application on class {c}") from None
 
-    def table(self, t: Term) -> dict[int, int]:
-        """Class c -> the class of t with its variable at c, for c in the variable's carrier.
+    def table(self, sort: Sort, chain: Chain) -> dict[int, int]:
+        """Class c -> the class the chain walks to from c, for c in the carrier of `sort`.
 
-        t is a chain of unary symbols over one variable, such as a symbol
-        image of a mapping or a path; it is read one column per symbol.
+        The chain is unary symbols rooted at `sort` (`terms.open_chain`), such
+        as a symbol image of a mapping or a path; it is read one column per symbol.
         """
-        var, *syms = term_chain(t)
-        out = {c: c for c in self.carrier(var.sort)}
-        for sym in syms:
+        out = {c: c for c in self.carrier(sort)}
+        for sym in chain:
             col = self.column(sym)
             out = {c: col[v] for c, v in out.items()}
         return out

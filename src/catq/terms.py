@@ -306,6 +306,6 @@ def literal(value, sort: Sort) -> App:
 def parse_int_literal(text: str) -> Optional[int]:
     """Optionally-signed decimal integer, else None."""
     s = text[1:] if text[:1] == "-" else text
-    if s.isdigit():
+    if s.isdecimal():  # the digits `int` reads, in any script; `isdigit` also takes `²`
         return int(text)
     return None

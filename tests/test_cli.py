@@ -182,6 +182,28 @@ def test_generator_shadowing_a_typeside_constant_exits_1(tmp_path, capsys):
         f"{path}:3:1: error: DuplicateName: generator red shadows another declaration\n"
 
 
+# an Int literal is what `int` reads: `٣` (an Arabic-Indic digit) is 3, `²1` is no number
+SUPERSCRIPT = """\
+typeside Ty = literal { }
+schema S = literal : Ty { entities F  attributes x : F -> Int }
+instance I = literal : S { generators b : F  equations x(b) = ²1 }
+mapping M = identity S
+"""
+
+
+@pytest.mark.parametrize("args", [["check"], ["eval"], ["invert", "--mapping", "M"],
+                                  ["match", "--source", "S", "--target", "S"]])
+def test_a_superscript_digit_is_not_an_int_literal(tmp_path, capsys, args):
+    path = write(tmp_path, SUPERSCRIPT)
+    assert main([args[0], path, *args[1:]]) == 1
+    assert capsys.readouterr().err == f"{path}:3:63: error: SortMismatch: '²1' is not an Int literal\n"
+
+
+def test_a_decimal_digit_of_any_script_is_an_int_literal(tmp_path, capsys):
+    assert main(["eval", write(tmp_path, SUPERSCRIPT.replace("²1", "٣"))]) == 0
+    assert "| 1 | 3 |" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # eval
 

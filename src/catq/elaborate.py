@@ -4,12 +4,15 @@ Declarations are validated in order; instance declarations are
 saturated into term models immediately, and derived declarations
 (sigma/delta/pi/coproduct/compose/identity) are evaluated with the
 migration engine.  Terms resolve to chains (`resolve_chain`): the leaf,
-then the unary symbols innermost first.  A literal instance's equations
-go into saturation as those chains, so elaborating it builds no term
-objects.  The environment keeps each instance's term model;
-`Environment.instances` reads the presentations from the models, so the
-presentation of any instance is built only if something reads it (a
-later coproduct of it does; a later sigma reads the model's chains).
+then the unary symbols innermost first.  A side of a scanned equation
+(`RawEquation.chains`) resolves from its token texts (`resolve_scanned`),
+without its tree; both join `resolve_path`, which resolves the leaf, once
+per distinct leaf of a declaration, and checks the sorts.  A literal
+instance's equations go into saturation as those chains, so elaborating
+it builds no term objects.  The environment keeps each instance's term
+model; `Environment.instances` reads the presentations from the models,
+so the presentation of any instance is built only if something reads it
+(a later coproduct of it does; a later sigma reads the model's chains).
 Directives are resolved but not executed here; the CLI runs them against
 the returned environment.
 """
@@ -105,6 +108,17 @@ class Environment:
                                        self.models, self.mappings))
 
 
+def _node_span(nodes, k: int) -> SourceSpan:
+    """The span of the k-th node from the outside of a chain, its leaf last.
+
+    `nodes` is a tree's list of nodes, or a scanned side's (parser, first token, leaf token).
+    """
+    if type(nodes) is list:
+        return nodes[k].span
+    p, first, leaf = nodes
+    return p.chain_span(first, leaf, k)
+
+
 class _Elaborator:
     def __init__(self, limits: SaturationLimits):
         self.env = Environment()
@@ -125,19 +139,16 @@ class _Elaborator:
     def resolve_chain(self, raw: RawTerm, schema: Schema,
                       gens: dict[str, FunctionSymbol],
                       bound: dict[str, Sort],
-                      expected: Optional[Sort]) -> Optional[tuple[list, Sort]]:
+                      expected: Optional[Sort],
+                      leaves: Optional[dict] = None) -> Optional[tuple[tuple, Sort]]:
         """Resolve a raw application tree against a schema context to its chain and sort.
 
-        Every symbol is unary, so an application is a chain: walk down it
-        to the leaf, resolve the leaf, then check each symbol's argument
-        sort on the way back up.  The chain lists the leaf, then the
-        symbols innermost first (`terms.fold_chain`).  A leaf resolves, in
-        order, to a bound variable, a generator of `gens` (by name), a
-        typeside constant, and finally a literal of the expected built-in
-        type.  A resolution error is reported by this method or by
-        `resolve_leaf`, with the span of the raw term at fault.
+        Every symbol is unary, so an application is a chain: walk down it,
+        looking up each symbol, to the leaf; `resolve_path` does the rest.
+        A resolution error is reported with the span of the raw term at fault.
         """
-        above: list[tuple[RawTerm, FunctionSymbol]] = []
+        nodes: list[RawTerm] = []
+        syms: list[FunctionSymbol] = []
         while raw.args:
             sym = schema.symbol_named(raw.name)
             if sym is None:
@@ -146,30 +157,90 @@ class _Elaborator:
             if len(raw.args) != 1:
                 self.error("SortMismatch", f"{raw.name} takes one argument", raw.span)
                 return None
-            above.append((raw, sym))
-            expected = sym.arg_sorts[0]
+            nodes.append(raw)
+            syms.append(sym)
             raw = raw.args[0]
-        leaf = self.resolve_leaf(raw, schema, gens, bound, expected)
-        if leaf is None:
-            return None
-        chain: list = [leaf]
-        sort = leaf.sort if isinstance(leaf, Var) else leaf.out_sort
-        for raw, sym in reversed(above):
-            if sort != sym.arg_sorts[0]:
-                self.error("SortMismatch",
-                           f"argument of {raw.name} has sort {sort.name}, "
-                           f"expected {sym.arg_sorts[0].name}", raw.span)
-                return None
-            chain.append(sym)
-            sort = sym.out_sort
-        return chain, sort
+        nodes.append(raw)
+        return self.resolve_path(syms, raw.name, raw.quoted, schema, gens, bound, expected,
+                                 leaves, nodes)
 
-    def resolve_leaf(self, raw: RawTerm, schema: Schema,
+    def resolve_scanned(self, p, first: int, leaf: int, schema: Schema,
+                        gens: dict[str, FunctionSymbol],
+                        bound: dict[str, Sort],
+                        expected: Optional[Sort],
+                        leaves: Optional[dict]) -> Optional[tuple[tuple, Sort]]:
+        """`resolve_chain` of a scanned side, tokens `first` to `leaf` of parser `p`, from their texts.
+
+        The side's symbols are the texts of every other token from its first
+        up to its leaf.
+        """
+        texts = p.texts
+        syms: list[FunctionSymbol] = []
+        if first != leaf:
+            for j in range(first, leaf, 2):
+                sym = schema.symbol_named(texts[j])
+                if sym is None:
+                    self.error("UnknownSymbol", f"unknown symbol {texts[j]}",
+                               p.chain_span(first, leaf, (j - first) >> 1))
+                    return None
+                syms.append(sym)
+        return self.resolve_path(syms, texts[leaf], leaf in p.strings, schema, gens, bound,
+                                 expected, leaves, (p, first, leaf))
+
+    def resolve_path(self, syms: list[FunctionSymbol], name: str, quoted: bool, schema: Schema,
                      gens: dict[str, FunctionSymbol],
                      bound: dict[str, Sort],
-                     expected: Optional[Sort]) -> Var | FunctionSymbol | None:
-        name = raw.name
-        if not raw.quoted:
+                     expected: Optional[Sort],
+                     leaves: Optional[dict], nodes) -> Optional[tuple[tuple, Sort]]:
+        """The chain and sort of the leaf `name` under the unary symbols `syms`, outermost first.
+
+        The leaf is resolved at the innermost symbol's argument sort (or at
+        `expected` when there is no symbol) by `resolve_leaf`.  `leaves`, if
+        given, keeps what each (name, quoted, sort) resolved to, for one
+        context of generators and bound variables; it is keyed by the sort's
+        identity, as hashing a sort is a Python call, and the sorts of a
+        context outlive it.  Then each symbol's argument sort is checked on
+        the way back up.  The chain lists the leaf, then the symbols innermost
+        first (`terms.fold_chain`).  `nodes` locates the chain's nodes to
+        report an error (`_node_span`).
+        """
+        if syms:
+            expected = syms[-1].arg_sorts[0]
+        known = None
+        if leaves is not None:
+            key = (name, quoted, id(expected))
+            known = leaves.get(key)
+        if known is None:
+            leaf = self.resolve_leaf(name, quoted, schema, gens, bound, expected, nodes, len(syms))
+            if leaf is None:
+                return None
+            known = leaf, leaf.sort if type(leaf) is Var else leaf.out_sort
+            if leaves is not None:
+                leaves[key] = known
+        if not syms:
+            return (known[0],), known[1]
+        leaf, sort = known
+        for k in range(len(syms) - 1, -1, -1):
+            sym = syms[k]
+            arg = sym.arg_sorts[0]
+            if sort is not arg and sort != arg:
+                self.error("SortMismatch",
+                           f"argument of {sym.name} has sort {sort.name}, "
+                           f"expected {arg.name}", _node_span(nodes, k))
+                return None
+            sort = sym.out_sort
+        return (leaf, *syms[::-1]), sort
+
+    def resolve_leaf(self, name: str, quoted: bool, schema: Schema,
+                     gens: dict[str, FunctionSymbol],
+                     bound: dict[str, Sort],
+                     expected: Optional[Sort], nodes, k: int) -> Var | FunctionSymbol | None:
+        """What a leaf resolves to: in order, a bound variable, a generator of `gens` (by
+        name), a typeside constant, and finally a literal of the expected built-in type.
+
+        The leaf is node k of `nodes`, whose span an error is reported at.
+        """
+        if not quoted:
             if name in bound:
                 return Var(name, bound[name])
             g = gens.get(name)
@@ -181,17 +252,17 @@ class _Elaborator:
         if expected is not None and not expected.is_entity and schema.typeside.has_type(expected):
             if expected == INT:
                 if parse_int_literal(name) is None:
-                    self.error("SortMismatch", f"{name!r} is not an Int literal", raw.span)
+                    self.error("SortMismatch", f"{name!r} is not an Int literal", _node_span(nodes, k))
                     return None
                 return self.literal(name, INT)
             if expected == STRING:
                 return self.literal(name, STRING)
-        if not raw.quoted and parse_int_literal(name) is not None and schema.typeside.has_type(INT):
+        if not quoted and parse_int_literal(name) is not None and schema.typeside.has_type(INT):
             return self.literal(name, INT)
-        if raw.quoted and schema.typeside.has_type(STRING):
+        if quoted and schema.typeside.has_type(STRING):
             return self.literal(name, STRING)
         self.error("NameResolution", f"cannot resolve {name!r}"
-                   + (f" at sort {expected.name}" if expected else ""), raw.span)
+                   + (f" at sort {expected.name}" if expected else ""), _node_span(nodes, k))
         return None
 
     def literal(self, text: str, sort: Sort) -> FunctionSymbol:
@@ -210,23 +281,35 @@ class _Elaborator:
 
     def resolve_sides(self, raw: RawEquation, schema: Schema,
                       gens: dict[str, FunctionSymbol],
-                      bound: dict[str, Sort]) -> Optional[tuple[tuple, tuple]]:
-        """The chains of an equation's sides, or None after reporting why they do not resolve."""
-        lhs = self.resolve_chain(raw.lhs, schema, gens, bound, None)
+                      bound: dict[str, Sort],
+                      leaves: Optional[dict] = None) -> Optional[tuple[tuple, tuple]]:
+        """The chains of an equation's sides, or None after reporting why they do not resolve.
+
+        A scanned equation is resolved from its tokens, without building its trees.
+        """
+        chains = raw.chains
+        if chains is None:
+            lhs = self.resolve_chain(raw.lhs, schema, gens, bound, None, leaves)
+        else:
+            p, lhs_first, lhs_leaf, rhs_first, rhs_leaf = chains
+            lhs = self.resolve_scanned(p, lhs_first, lhs_leaf, schema, gens, bound, None, leaves)
         if lhs is None:
             return None
-        rhs = self.resolve_chain(raw.rhs, schema, gens, bound, lhs[1])
+        if chains is None:
+            rhs = self.resolve_chain(raw.rhs, schema, gens, bound, lhs[1], leaves)
+        else:
+            rhs = self.resolve_scanned(p, rhs_first, rhs_leaf, schema, gens, bound, lhs[1], leaves)
         if rhs is None:
             return None
-        if lhs[1] != rhs[1]:
+        if lhs[1] is not rhs[1] and lhs[1] != rhs[1]:
             self.error("SortMismatch",
                        f"equation sides have sorts {lhs[1].name} and {rhs[1].name}", raw.span)
             return None
-        return tuple(lhs[0]), tuple(rhs[0])
+        return lhs[0], rhs[0]
 
     def resolve_equation(self, raw: RawEquation, schema: Schema,
-                         bound: dict[str, Sort]) -> Optional[Equation]:
-        sides = self.resolve_sides(raw, schema, {}, bound)
+                         bound: dict[str, Sort], leaves: Optional[dict] = None) -> Optional[Equation]:
+        sides = self.resolve_sides(raw, schema, {}, bound, leaves)
         if sides is None:
             return None
         free = tuple(Var(n, s) for n, s in bound.items())
@@ -252,7 +335,8 @@ class _Elaborator:
             constants.extend(FunctionSymbol(n, (), sort, TYPESIDE) for n in names)
         # typeside equations are resolved against a symbol-free schema shell
         shell = Schema(f"_{d.name}", Typeside(d.name, types, constants))
-        eqs = [self.resolve_equation(raw, shell, {}) for raw in d.equations]
+        leaves: dict = {}
+        eqs = [self.resolve_equation(raw, shell, {}, leaves) for raw in d.equations]
         ts = Typeside(d.name, types, constants, [eq for eq in eqs if eq is not None])
         if not self.issues_to_diags(validate_typeside(ts), d):
             self.env.typesides[d.name] = ts
@@ -320,7 +404,8 @@ class _Elaborator:
                 continue
             generators.extend(generator(n, sort) for n in names)
         gens = {g.name: g for g in reversed(generators)}  # the first declaration wins
-        sides = [self.resolve_sides(raw, sch, gens, {}) for raw in d.equations]
+        leaves: dict = {}
+        sides = [self.resolve_sides(raw, sch, gens, {}, leaves) for raw in d.equations]
         # the equations resolve to symbols of the schema and generators only, so
         # validating the generators checks all that the equations could break
         pres = InstancePresentation(d.name, sch, generators)

@@ -56,7 +56,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ResourceLimit, SortMismatch, UnknownSymbol
 from .schema import InstancePresentation, Schema
@@ -532,6 +532,10 @@ class TermModel:
     def label(self, c: int) -> str:
         """Display string: entity id, literal value, or labeled-null term (entity subterms as ids)."""
         return self._labels[self._cls[c]]
+
+    def labels(self, classes: Iterable[int]) -> list[str]:
+        """The `label` of each of `classes`, in order, read with no Python call per class."""
+        return list(map(self._labels.__getitem__, map(self._cls.__getitem__, classes)))
 
     def __repr__(self) -> str:
         sizes = ", ".join(f"{s.name}:{len(cs)}" for s, cs in self.carriers.items() if cs)

@@ -5,6 +5,12 @@ token's text and offsets.  A `SourceSpan` is computed only when it is read,
 by a diagnostic or from a node's `span`: its line by bisecting the text's
 line starts, its columns counting code points, a tab as one.
 
+An `equations` section of ground equations (instances and typesides) is
+scanned by `_Parser.scan_equations`: an item whose sides are chains of
+one-argument applications keeps only its token indices, and its sides'
+trees are parsed from them when read.  The elaborator resolves such a
+side from its token texts, so reading instance data builds no tree.
+
 The header and the body of every literal declaration, `{ section items
 ... }`, are described once, in `HEADERS` and `BODIES`: the parser reads
 them and the pretty printer writes them from those tables.
@@ -67,6 +73,7 @@ EXPR_KEYWORDS = {"literal", "sigma", "delta", "pi", "coproduct", "compose", "ide
 SECTION_KEYWORDS = {kw for sections in BODIES.values() for kw in sections} | set(JAVA_SECTIONS)
 
 _NOT_NAMES = {"", *PUNCTUATION}  # texts of tokens that are no name, unless strings; "" is EOF's
+_NO_TERM = _NOT_NAMES | SECTION_KEYWORDS  # texts of tokens that start no term, unless strings
 
 
 class SourceSpan(NamedTuple):
@@ -150,13 +157,56 @@ class RawTerm:
         return render_tree(self, lambda u: (f'"{u.name}"' if u.quoted else u.name, u.args))
 
 
-@dataclass
 class RawEquation:
-    lhs: RawTerm
-    rhs: RawTerm
-    span: SourceSpan
-    var: Optional[str] = None  # quantified variable, schema constraints only
-    var_sort: Optional[str] = None
+    """`lhs = rhs`, with the quantified variable of a schema constraint.
+
+    A scanned equation has `chains`: (parser, lhs first token, lhs leaf
+    token, rhs first token, rhs leaf token), each side a chain `f ( g (
+    leaf ) )` of one-argument applications; the parser gives it no sides,
+    and a side's tree is parsed from its tokens when first read.  Slots and
+    a plain constructor keep making one cheap, as an instance holds many.
+    """
+
+    __slots__ = ("_lhs", "_rhs", "_span", "var", "var_sort", "chains")
+
+    def __init__(self, lhs: Optional[RawTerm], rhs: Optional[RawTerm], span,
+                 var: Optional[str] = None, var_sort: Optional[str] = None,
+                 chains: Optional[tuple] = None):
+        self._lhs, self._rhs, self._span = lhs, rhs, span
+        self.var = var  # quantified variable, schema constraints only
+        self.var_sort = var_sort
+        self.chains = chains
+
+    @property
+    def lhs(self) -> RawTerm:
+        if self._lhs is None and self.chains is not None:
+            self._lhs = self.chains[0].term_at(self.chains[1])
+        return self._lhs
+
+    @lhs.setter
+    def lhs(self, term: RawTerm):
+        self._lhs = term
+
+    @property
+    def rhs(self) -> RawTerm:
+        if self._rhs is None and self.chains is not None:
+            self._rhs = self.chains[0].term_at(self.chains[3])
+        return self._rhs
+
+    @rhs.setter
+    def rhs(self, term: RawTerm):
+        self._rhs = term
+
+    def _fields(self) -> tuple:
+        return self.lhs, self.rhs, self.span, self.var, self.var_sort
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is RawEquation else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "RawEquation(lhs={!r}, rhs={!r}, span={!r}, var={!r}, var_sort={!r})".format(*self._fields())
 
 
 @dataclass
@@ -322,6 +372,11 @@ class _Parser:
     def tokens_span(self, first: int, last: int) -> SourceSpan:
         return self.span(self.starts[first], self.stops[last])
 
+    def chain_span(self, first: int, leaf: int, k: int) -> SourceSpan:
+        """The span of the k-th application from the outside of the chain `f ( g ( leaf ) )`
+        from token `first` to token `leaf`: k = 0 is the whole chain, k = its depth the leaf."""
+        return self.tokens_span(first + 2 * k, leaf + ((leaf - first) >> 1) - k)
+
     # `next` never moves past the EOF token that ends `texts`, so `pos` is always a valid index
 
     def next(self) -> int:
@@ -393,7 +448,7 @@ class _Parser:
             if i in self.strings:
                 self.next()
                 node = RawTerm(t, (self, i, i), quoted=True)
-            elif t not in _NOT_NAMES and t not in SECTION_KEYWORDS:
+            elif t not in _NO_TERM:
                 self.next()
                 node = RawTerm(t, (self, i, i))
                 if self.at("("):
@@ -420,6 +475,14 @@ class _Parser:
                     node._span = (self, node._span[1], close)
             else:
                 return node
+
+    def term_at(self, first: int) -> Optional[RawTerm]:
+        """The term that starts at token `first`, read without moving the parser."""
+        pos, self.pos = self.pos, first
+        try:
+            return self.parse_term()
+        finally:
+            self.pos = pos
 
     def parse_binder(self, keyword: str) -> Optional[tuple[Optional[str], Optional[str]]]:
         """`keyword var.` or `keyword var:sort.` as (var, sort or None), if at `keyword`.
@@ -452,6 +515,61 @@ class _Parser:
         if rhs is None:
             return None
         return RawEquation(lhs, rhs, (self, start, rhs._span[2]), *binder)
+
+    def scan_equations(self, items: list) -> bool:
+        """Read `lhs = rhs` items up to the section's end into `items`; False after a syntax error.
+
+        An item whose sides are chains of one-argument applications, `f ( g (
+        leaf ) )` with a name or string leaf, is scanned here and keeps each
+        side as its first and leaf token; `parse_term` builds a side's tree
+        when it is read.  The scan accepts exactly the items that `parse_term`
+        reads as such chains with no diagnostic, so any other item (a `,`, an
+        empty `()`, a keyword, a missing `)` or `=`, the end of the text) is
+        read from its first token by `parse_equation`, which reports it.
+        """
+        texts, strings, eof = self.texts, self.strings, self.eof
+        i = self.pos
+        while not (i == eof or texts[i] == "}" or (texts[i] in SECTION_KEYWORDS and i not in strings)):
+            j, lhs = i, None  # lhs: its first and leaf token, once read
+            while True:  # one side per pass
+                first = j
+                while j not in strings:  # down the chain to its leaf
+                    if texts[j] in _NO_TERM:
+                        j = -1  # no term starts here
+                        break
+                    if texts[j + 1] != "(" or j + 1 in strings:
+                        break  # a name leaf
+                    j += 2
+                if j < 0:
+                    break
+                leaf, depth = j, (j - first) >> 1
+                j += 1
+                if depth:  # the chain's closing parentheses
+                    if texts[j:j + depth] != [")"] * depth or (
+                            strings and not strings.isdisjoint(range(j, j + depth))):
+                        j = -1
+                        break
+                    j += depth
+                if lhs is not None:
+                    break
+                lhs = first, leaf
+                if texts[j] != "=" or j in strings:
+                    j = -1
+                    break
+                j += 1
+            if j >= 0:
+                items.append(RawEquation(None, None, (self, i, j - 1), None, None,
+                                         (self, *lhs, first, leaf)))
+                i = j
+                continue
+            self.pos = i
+            eq = self.parse_equation()
+            if eq is None:
+                return False
+            items.append(eq)
+            i = self.pos
+        self.pos = i
+        return True
 
     # -- section items -----------------------------------------------------
 
@@ -585,6 +703,10 @@ class _Parser:
                 while self.at_name() and not self.at_boundary():
                     items.append(self.texts[self.next()])
                 continue
+            if kind == EQUATION:
+                if not self.scan_equations(items):
+                    self.skip_section()
+                continue
             read = _READERS[kind]
             while not self.at_boundary():
                 item = read(self)
@@ -633,11 +755,10 @@ class _Parser:
 
 _LITERALS = {cls.kind: cls for cls in (TypesideDecl, SchemaDecl, InstanceDecl, MappingDecl)}
 
-# the reader of one item of each kind but NAMES; None after a syntax error
+# the reader of one item of each kind but NAMES and EQUATION; None after a syntax error
 _READERS = {
     NAME_GROUP: _Parser.parse_name_group,
     ARROW_GROUP: _Parser.parse_arrow_group,
-    EQUATION: _Parser.parse_equation,
     QUANTIFIED: functools.partial(_Parser.parse_equation, quantified=True),
     ENTITY_PAIR: _Parser.parse_entity_pair,
     SYMBOL_IMAGE: _Parser.parse_symbol_image,

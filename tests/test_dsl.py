@@ -33,7 +33,7 @@ from catq.parser import (
     lex,
 )
 
-from conftest import N, N1, count_calls
+from conftest import N, N1, N2, attr, count_calls
 
 
 EXAMPLE = textwrap.dedent("""\
@@ -659,3 +659,71 @@ def test_render_mapping(example_env):
     assert txt.splitlines()[0] == "mapping F : S -> T"
     assert "  entity N1 -> N" in txt
     assert "  name -> lambda x:N. name(x)" in txt
+
+
+def _json_reference(m):
+    """The object the JSON renderer prints, built as `json.dumps` would be given it."""
+    from catq.render import _columns
+    entities = {}
+    for e in m.schema.entities:
+        cols = _columns(m.schema, e)
+        rows = []
+        for c in m.carrier(e):
+            cells = {"id": m.label(c)}
+            cells.update({f.name: m.label(m.op(f, c)) for f in cols})
+            rows.append(cells)
+        entities[e.name] = rows
+    return {"schema": m.schema.name, "entities": entities}
+
+
+def test_render_json_is_the_bytes_of_json_dumps(schema_s, ty):
+    import json
+    from catq import App, InstancePresentation, Schema, generator, ground_eq, string_literal
+    e, k = generator("e", N1), generator("k", N1)
+    name = schema_s.symbol_named("name")
+    odd = ['q"uote', "back\\slash", "tab\there", "ünï€ode 一", "100%s"]
+    models = {
+        # N2 has a row for each f(.), N1 none: an entity with no rows
+        "no rows": build_term_model(InstancePresentation("I0", schema_s, [generator("n", N2)], [])),
+        "no entities": build_term_model(InstancePresentation("I1", Schema("Empty", ty), [], [])),
+        "odd labels": build_term_model(InstancePresentation(
+            "I2", schema_s, [e, k],
+            [ground_eq(App(name, (App(e),)), string_literal(odd[0]))]
+            + [ground_eq(App(name, (App(k),)), string_literal(s)) for s in odd[1:2]])),
+    }
+    for s in odd[2:]:  # one model per label, as a name has one value
+        models[s] = build_term_model(InstancePresentation(
+            "I3", schema_s, [e], [ground_eq(App(name, (App(e),)), string_literal(s))]))
+    for what, m in models.items():
+        assert render_model(m, "json") == json.dumps(_json_reference(m), indent=2) + "\n", what
+    assert '"N1": []' in render_model(models["no rows"], "json")
+    assert render_model(models["no entities"], "json") == \
+        '{\n  "schema": "Empty",\n  "entities": {}\n}\n'
+
+
+def test_render_json_column_named_id_takes_the_id_place(ty):
+    # a row is a dict update of {"id": ...}: a column named "id" replaces the ID in place
+    import json
+    from catq import STRING, App, InstancePresentation, Schema, generator, ground_eq, string_literal
+    ident = attr("id", N1, STRING)
+    sch = Schema("Ids", ty, [N1], [ident], [])
+    g = generator("g", N1)
+    m = build_term_model(InstancePresentation(
+        "I", sch, [g], [ground_eq(App(ident, (App(g),)), string_literal("own"))]))
+    assert render_model(m, "json") == json.dumps(_json_reference(m), indent=2) + "\n"
+    assert json.loads(render_model(m, "json"))["entities"]["N1"] == [{"id": "own"}]
+
+
+def test_markdown_escapes_a_pipe_in_a_cell(tmp_path, capsys):
+    from catq.cli import main
+    path = tmp_path / "pipe.catq"
+    path.write_text('typeside Ty = literal { }\n'
+                    'schema S = literal : Ty { entities N  attributes name : N -> String }\n'
+                    'instance I = literal : S { generators a : N  equations name(a) = "x|y" }\n',
+                    encoding="utf-8")
+    assert main(["eval", str(path), "--format", "markdown"]) == 0
+    assert "## N\n| ID | name |\n|---|---|\n| 1 | x\\|y |\n" in capsys.readouterr().out
+    assert main(["eval", str(path), "--format", "csv"]) == 0
+    assert "# N\nID,name\n1,x|y\n" in capsys.readouterr().out  # CSV and JSON keep the text as is
+    assert main(["eval", str(path), "--format", "json"]) == 0
+    assert '"name": "x|y"' in capsys.readouterr().out

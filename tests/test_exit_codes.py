@@ -6,6 +6,7 @@ from catq import cli
 
 from test_cli import CHAIN, COLLIDING, CYCLIC, IDEMPOTENT, SHADOWING, write
 from test_dsl import SPANNED
+from test_equation_scan import DAMAGED_TEXTS
 from test_migrate import FRESH_NULL
 from test_written_models import DIAGNOSED, PROGRAMS, RESOLUTION_ERRORS, SCHEMAS
 
@@ -20,6 +21,7 @@ TEXTS = {
     "SCHEMAS": SCHEMAS,
     **PROGRAMS,
     **{f"DIAGNOSED-{case}": DIAGNOSED % bad for case, (bad, *_) in RESOLUTION_ERRORS.items()},
+    **DAMAGED_TEXTS,
 }
 
 

@@ -20,7 +20,6 @@ the returned environment.
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CatqError, ResourceLimit
@@ -89,14 +88,21 @@ class _Presentations(abc.Mapping):
         return len(self._models)
 
 
-@dataclass
 class Environment:
-    typesides: dict[str, Typeside] = field(default_factory=dict)
-    schemas: dict[str, Schema] = field(default_factory=dict)
-    models: dict[str, TermModel] = field(default_factory=dict)
-    mappings: dict[str, Mapping] = field(default_factory=dict)
-    order: list[tuple[str, str]] = field(default_factory=list)  # (kind, name)
-    directives: list[Directive] = field(default_factory=list)
+    __slots__ = ("typesides", "schemas", "models", "mappings", "order", "directives")
+
+    def __init__(self, typesides: Optional[dict[str, Typeside]] = None,
+                 schemas: Optional[dict[str, Schema]] = None,
+                 models: Optional[dict[str, TermModel]] = None,
+                 mappings: Optional[dict[str, Mapping]] = None,
+                 order: Optional[list[tuple[str, str]]] = None,
+                 directives: Optional[list[Directive]] = None):
+        self.typesides = {} if typesides is None else typesides
+        self.schemas = {} if schemas is None else schemas
+        self.models = {} if models is None else models
+        self.mappings = {} if mappings is None else mappings
+        self.order = [] if order is None else order  # (kind, name)
+        self.directives = [] if directives is None else directives
 
     @property
     def instances(self) -> abc.Mapping[str, InstancePresentation]:

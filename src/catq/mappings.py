@@ -32,7 +32,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Mapping:
     """A frozen value; `entity_map` and `symbol_map` are read-only copies of the dicts given."""
 
@@ -247,13 +247,11 @@ def render_open_term(t: Term) -> str:
 # Instance morphisms
 
 
-@dataclass
 class InstanceMorphism:
     """A sort-indexed map between term-model carriers commuting with all ops."""
 
-    source: TermModel
-    target: TermModel
-    cmap: dict[int, int]
+    def __init__(self, source: TermModel, target: TermModel, cmap: dict[int, int]):
+        self.source, self.target, self.cmap = source, target, cmap
 
     def apply(self, c: int) -> int:
         return self.target.find(self.cmap[self.source.find(c)])

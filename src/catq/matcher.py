@@ -8,24 +8,23 @@ case-insensitive by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 from .errors import NoPathForSymbol
 from .mappings import Mapping, validate_mapping
 from .migrate import enumerate_paths
 from .schema import Issue, Schema
-from .terms import ATTRIBUTE, ENTITY, FOREIGN_KEY, App, FunctionSymbol, Sort, Term, Var
+from .terms import ATTRIBUTE, ENTITY, FOREIGN_KEY, App, FunctionSymbol, ReadOnly, Sort, Term, Var
 
 
-@dataclass(frozen=True)
-class SimilarityConfig:
-    cutoff: float = 0.5
-    case_sensitive: bool = False
+class SimilarityConfig(ReadOnly):
+    __slots__ = ("cutoff", "case_sensitive")
 
-    def __post_init__(self):
-        if not 0.0 <= self.cutoff <= 1.0:
-            raise ValueError(f"cutoff must lie in [0, 1], got {self.cutoff}")
+    def __init__(self, cutoff: float = 0.5, case_sensitive: bool = False):
+        if not 0.0 <= cutoff <= 1.0:
+            raise ValueError(f"cutoff must lie in [0, 1], got {cutoff}")
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "case_sensitive", case_sensitive)
 
 
 DEFAULT_SIMILARITY = SimilarityConfig()
@@ -52,22 +51,25 @@ def similarity(a: str, b: str, cfg: SimilarityConfig = DEFAULT_SIMILARITY) -> fl
     return 1.0 - _edit_distance(a, b) / max(len(a), len(b))
 
 
-@dataclass
 class CandidateMapping:
     kind = "mapping"
-    mapping: Mapping
-    scores: dict[str, float]
-    validated: bool
-    issues: list[Issue] = field(default_factory=list)
+    __slots__ = ("mapping", "scores", "validated", "issues")
+
+    def __init__(self, mapping: Mapping, scores: dict[str, float], validated: bool,
+                 issues: Optional[list[Issue]] = None):
+        self.mapping, self.scores, self.validated = mapping, scores, validated
+        self.issues = [] if issues is None else issues
 
 
-@dataclass
 class SpanMatch:
     kind = "span"
-    apex: Schema
-    left: Mapping  # apex -> S
-    right: Mapping  # apex -> T
-    scores: dict[str, float]
+    __slots__ = ("apex", "left", "right", "scores")
+
+    def __init__(self, apex: Schema, left: Mapping, right: Mapping, scores: dict[str, float]):
+        self.apex = apex
+        self.left = left  # apex -> S
+        self.right = right  # apex -> T
+        self.scores = scores
 
     @property
     def empty(self) -> bool:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvariantViolation, NoMorphismExists, ResourceLimit, SchemaMismatch
@@ -56,6 +55,7 @@ from .terms import (
     App,
     Equation,
     FunctionSymbol,
+    ReadOnly,
     Sort,
     Term,
     Var,
@@ -69,25 +69,24 @@ from .terms import (
 # Path enumeration
 
 
-@dataclass(frozen=True)
-class PathCaps:
-    max_depth: int = 6
-    max_paths: int = 256
+class PathCaps(ReadOnly):
+    __slots__ = ("max_depth", "max_paths")
 
-    def __post_init__(self):
-        if self.max_depth <= 0 or self.max_paths <= 0:
+    def __init__(self, max_depth: int = 6, max_paths: int = 256):
+        if max_depth <= 0 or max_paths <= 0:
             raise ValueError("path caps must be strictly positive")
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "max_paths", max_paths)
 
 
 DEFAULT_CAPS = PathCaps()
 
 
-@dataclass
 class PathSet:
-    source: Sort
-    target: Sort
-    terms: list[Term]
-    truncated: bool = False
+    __slots__ = ("source", "target", "terms", "truncated")
+
+    def __init__(self, source: Sort, target: Sort, terms: list[Term], truncated: bool = False):
+        self.source, self.target, self.terms, self.truncated = source, target, terms, truncated
 
 
 def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
@@ -149,7 +148,6 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
 # Migration results
 
 
-@dataclass
 class MigrationResult:
     """What sigma, delta or pi computed.
 
@@ -157,9 +155,10 @@ class MigrationResult:
     another caller, so it and its model are read-only.
     """
 
-    mapping: Mapping
-    input: InstancePresentation | TermModel  # held: its id is in the memo key
-    model: TermModel
+    def __init__(self, mapping: Mapping, input: InstancePresentation | TermModel, model: TermModel):
+        self.mapping = mapping
+        self.input = input  # held: its id is in the memo key
+        self.model = model
 
     @property
     def presentation(self) -> InstancePresentation:
@@ -167,34 +166,36 @@ class MigrationResult:
         return self.model.instance
 
 
-@dataclass
 class DeltaResult(MigrationResult):
-    # (source entity name, input class) -> output class
-    ent_class: dict[tuple[str, int], int]
-    # input type class -> output class
-    ty_class: dict[int, int]
-    # output class -> input class (total)
-    to_target: dict[int, int]
+    def __init__(self, mapping, input, model, ent_class: dict[tuple[str, int], int],
+                 ty_class: dict[int, int], to_target: dict[int, int]):
+        super().__init__(mapping, input, model)
+        self.ent_class = ent_class  # (source entity name, input class) -> output class
+        self.ty_class = ty_class  # input type class -> output class
+        self.to_target = to_target  # output class -> input class (total)
 
 
-@dataclass
 class SigmaResult(MigrationResult):
-    gen_map: dict[FunctionSymbol, FunctionSymbol]
+    def __init__(self, mapping, input, model, gen_map: dict[FunctionSymbol, FunctionSymbol]):
+        super().__init__(mapping, input, model)
+        self.gen_map = gen_map
 
 
-@dataclass
 class PiResult(MigrationResult):
-    # per target entity name: ordered index of (source entity, chain of a path to its image)
-    index: dict[str, list[tuple[Sort, tuple]]]
-    # per target entity name: ordered list of family tuples
-    families: dict[str, list[tuple[int, ...]]]
-    # (target entity name, family tuple) -> output class
-    fam_class: dict[tuple[str, tuple[int, ...]], int]
-    # output entity class -> (target entity name, family tuple)
-    fam_of: dict[int, tuple[str, tuple[int, ...]]]
-    # input type class <-> output class
-    ty_class: dict[int, int]
-    ty_origin: dict[int, int]
+    def __init__(self, mapping, input, model, index: dict[str, list[tuple[Sort, tuple]]],
+                 families: dict[str, list[tuple[int, ...]]],
+                 fam_class: dict[tuple[str, tuple[int, ...]], int],
+                 fam_of: dict[int, tuple[str, tuple[int, ...]]],
+                 ty_class: dict[int, int], ty_origin: dict[int, int]):
+        super().__init__(mapping, input, model)
+        # per target entity name: ordered index of (source entity, chain of a path to its image)
+        self.index = index
+        self.families = families  # per target entity name: ordered list of family tuples
+        self.fam_class = fam_class  # (target entity name, family tuple) -> output class
+        self.fam_of = fam_of  # output entity class -> (target entity name, family tuple)
+        # input type class <-> output class
+        self.ty_class = ty_class
+        self.ty_origin = ty_origin
 
 
 # Results of sigma, delta and pi by (functor, id(mapping), id(input), limits,
@@ -744,15 +745,15 @@ def transpose_pi_up(f_map: Mapping, g: InstanceMorphism, i_model: TermModel,
 # Mapping inversion
 
 
-@dataclass(frozen=True)
-class InversionBounds:
-    depth: int = 3
-    max_candidates: int = 10 ** 6
+class InversionBounds(ReadOnly):
+    __slots__ = ("depth", "max_candidates")
 
-    def __post_init__(self):
-        for name in ("depth", "max_candidates"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
+    def __init__(self, depth: int = 3, max_candidates: int = 10 ** 6):
+        for name, value in (("depth", depth), ("max_candidates", max_candidates)):
+            if value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value}")
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "max_candidates", max_candidates)
 
 
 def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds(),

@@ -64,6 +64,7 @@ from .terms import (
     LITERAL,
     App,
     FunctionSymbol,
+    ReadOnly,
     Sort,
     Term,
     Var,
@@ -92,14 +93,16 @@ class SaturationLimits:
 DEFAULT_LIMITS = SaturationLimits()
 
 
-@dataclass(frozen=True)
-class Collision:
+class Collision(ReadOnly):
     """Two distinct literals proved equal: the instance is inconsistent."""
 
-    sort: Sort
-    lit1: str
-    lit2: str
-    class_id: int
+    __slots__ = ("sort", "lit1", "lit2", "class_id")
+
+    def __init__(self, sort: Sort, lit1: str, lit2: str, class_id: int):
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "lit1", lit1)
+        object.__setattr__(self, "lit2", lit2)
+        object.__setattr__(self, "class_id", class_id)
 
     def __str__(self) -> str:
         return f"Collision({self.lit1}, {self.lit2}) at sort {self.sort.name}"
@@ -411,13 +414,26 @@ class TermModel:
 
     def column(self, sym: FunctionSymbol) -> dict[int, int]:
         """Class c -> `op(sym, c)`, for c in the carrier of sym's argument sort, in carrier order."""
-        tab, key, cls = self._eng.tables.get(sym, {}), self._key, self._cls
+        tab, key, cls = self._eng.tables.get(sym, _NO_NODES), self._key, self._cls
         carrier = self.carrier(sym.arg_sorts[0])
         try:
             return {c: cls[tab[key[c]]] for c in carrier}
         except KeyError:
-            c = next(c for c in carrier if key[c] not in tab)
-            raise UnknownSymbol(f"no {sym.name} application on class {c}") from None
+            raise self._unapplied(sym, carrier, tab) from None
+
+    def column_classes(self, sym: FunctionSymbol) -> list[int]:
+        """The values of `column(sym)`, read with C-level maps and no dict."""
+        tab = self._eng.tables.get(sym, _NO_NODES)
+        carrier = self.carrier(sym.arg_sorts[0])
+        try:
+            return list(map(self._cls.__getitem__, map(tab.__getitem__, map(self._key.__getitem__, carrier))))
+        except KeyError:
+            raise self._unapplied(sym, carrier, tab) from None
+
+    def _unapplied(self, sym: FunctionSymbol, carrier: list[int], tab: dict[int, int]) -> UnknownSymbol:
+        """The error for the first class of `carrier` that `sym`'s table does not hold."""
+        c = next(c for c in carrier if self._key[c] not in tab)
+        return UnknownSymbol(f"no {sym.name} application on class {c}")
 
     def table(self, sort: Sort, chain: Chain) -> dict[int, int]:
         """Class c -> the class the chain walks to from c, for c in the carrier of `sort`.

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from .terms import render_tree
+from .terms import ReadOnly, render_tree
 
 # token kinds
 IDENT = "ident"
@@ -98,12 +98,14 @@ class Token(NamedTuple):
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
-    span: Optional[SourceSpan] = None
+class Diagnostic(ReadOnly):
+    __slots__ = ("severity", "code", "message", "span")
+
+    def __init__(self, severity: str, code: str, message: str, span: Optional[SourceSpan] = None):
+        object.__setattr__(self, "severity", severity)  # "error" | "warning"
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "span", span)
 
     def __str__(self) -> str:
         where = f"{self.span}: " if self.span else ""
@@ -209,14 +211,16 @@ class RawEquation:
         return "RawEquation(lhs={!r}, rhs={!r}, span={!r}, var={!r}, var_sort={!r})".format(*self._fields())
 
 
-@dataclass
 class RawImage:
     """The right-hand side of a mapping assignment."""
 
-    body: RawTerm
-    span: SourceSpan
-    var: Optional[str] = None  # explicit lambda binder, if given
-    var_sort: Optional[str] = None
+    __slots__ = ("body", "_span", "var", "var_sort")
+
+    def __init__(self, body: RawTerm, span: SourceSpan, var: Optional[str] = None,
+                 var_sort: Optional[str] = None):
+        self.body, self._span = body, span
+        self.var = var  # explicit lambda binder, if given
+        self.var_sort = var_sort
 
     def render(self) -> str:
         if self.var is None:
@@ -231,70 +235,87 @@ def _binder(var: str, sort: Optional[str]) -> str:
     return f"{var}:{sort}{dot}" if sort else f"{var}{dot}"
 
 
-@dataclass
 class TypesideDecl:
     kind = "typeside"
-    name: str
-    span: SourceSpan
-    types: list[str] = field(default_factory=list)
-    constants: list[tuple[list[str], str]] = field(default_factory=list)
-    equations: list[RawEquation] = field(default_factory=list)
+    __slots__ = ("name", "_span", "types", "constants", "equations")
+
+    def __init__(self, name: str, span: SourceSpan, types: Optional[list[str]] = None,
+                 constants: Optional[list[tuple[list[str], str]]] = None,
+                 equations: Optional[list[RawEquation]] = None):
+        self.name, self._span = name, span
+        self.types = [] if types is None else types
+        self.constants = [] if constants is None else constants
+        self.equations = [] if equations is None else equations
 
 
-@dataclass
 class SchemaDecl:
     kind = "schema"
-    name: str
-    span: SourceSpan
-    typeside_ref: str = ""
-    entities: list[str] = field(default_factory=list)
-    foreign_keys: list[tuple[list[str], str, str]] = field(default_factory=list)
-    attributes: list[tuple[list[str], str, str]] = field(default_factory=list)
-    equations: list[RawEquation] = field(default_factory=list)
+    __slots__ = ("name", "_span", "typeside_ref", "entities", "foreign_keys", "attributes", "equations")
+
+    def __init__(self, name: str, span: SourceSpan, typeside_ref: str = "",
+                 entities: Optional[list[str]] = None,
+                 foreign_keys: Optional[list[tuple[list[str], str, str]]] = None,
+                 attributes: Optional[list[tuple[list[str], str, str]]] = None,
+                 equations: Optional[list[RawEquation]] = None):
+        self.name, self._span, self.typeside_ref = name, span, typeside_ref
+        self.entities = [] if entities is None else entities
+        self.foreign_keys = [] if foreign_keys is None else foreign_keys
+        self.attributes = [] if attributes is None else attributes
+        self.equations = [] if equations is None else equations
 
 
-@dataclass
 class InstanceDecl:
     kind = "instance"
-    name: str
-    span: SourceSpan
-    schema_ref: str = ""
-    generators: list[tuple[list[str], str]] = field(default_factory=list)
-    equations: list[RawEquation] = field(default_factory=list)
+    __slots__ = ("name", "_span", "schema_ref", "generators", "equations")
+
+    def __init__(self, name: str, span: SourceSpan, schema_ref: str = "",
+                 generators: Optional[list[tuple[list[str], str]]] = None,
+                 equations: Optional[list[RawEquation]] = None):
+        self.name, self._span, self.schema_ref = name, span, schema_ref
+        self.generators = [] if generators is None else generators
+        self.equations = [] if equations is None else equations
 
 
-@dataclass
 class MappingDecl:
     kind = "mapping"
-    name: str
-    span: SourceSpan
-    source_ref: str = ""
-    target_ref: str = ""
-    entities: list[tuple[str, str]] = field(default_factory=list)
-    foreign_keys: list[tuple[str, RawImage]] = field(default_factory=list)
-    attributes: list[tuple[str, RawImage]] = field(default_factory=list)
+    __slots__ = ("name", "_span", "source_ref", "target_ref", "entities", "foreign_keys", "attributes")
+
+    def __init__(self, name: str, span: SourceSpan, source_ref: str = "", target_ref: str = "",
+                 entities: Optional[list[tuple[str, str]]] = None,
+                 foreign_keys: Optional[list[tuple[str, RawImage]]] = None,
+                 attributes: Optional[list[tuple[str, RawImage]]] = None):
+        self.name, self._span = name, span
+        self.source_ref, self.target_ref = source_ref, target_ref
+        self.entities = [] if entities is None else entities
+        self.foreign_keys = [] if foreign_keys is None else foreign_keys
+        self.attributes = [] if attributes is None else attributes
 
 
-@dataclass
 class DerivedDecl:
     """instance J = sigma F I / mapping H = compose F G, and friends."""
 
-    kind: str  # "instance" | "mapping"
-    name: str
-    span: SourceSpan
-    op: str = ""  # sigma | delta | pi | coproduct | compose | identity
-    args: list[str] = field(default_factory=list)
+    __slots__ = ("kind", "name", "_span", "op", "args")
+
+    def __init__(self, kind: str, name: str, span: SourceSpan, op: str = "",
+                 args: Optional[list[str]] = None):
+        self.kind = kind  # "instance" | "mapping"
+        self.name, self._span = name, span
+        self.op = op  # sigma | delta | pi | coproduct | compose | identity
+        self.args = [] if args is None else args
 
 
-@dataclass
 class Directive:
     kind = "directive"
-    op: str  # check | invert | match
-    span: SourceSpan
-    args: list[str] = field(default_factory=list)
-    span_match: bool = False
-    cutoff: Optional[float] = None
-    depth: Optional[int] = None
+    __slots__ = ("op", "_span", "args", "span_match", "cutoff", "depth")
+
+    def __init__(self, op: str, span: SourceSpan, args: Optional[list[str]] = None,
+                 span_match: bool = False, cutoff: Optional[float] = None,
+                 depth: Optional[int] = None):
+        self.op, self._span = op, span  # check | invert | match
+        self.args = [] if args is None else args
+        self.span_match = span_match
+        self.cutoff = cutoff
+        self.depth = depth
 
 
 for _node in (RawTerm, RawEquation, RawImage, TypesideDecl, SchemaDecl, InstanceDecl,
@@ -302,9 +323,11 @@ for _node in (RawTerm, RawEquation, RawImage, TypesideDecl, SchemaDecl, Instance
     _node.span = property(_span, lambda node, span: setattr(node, "_span", span))
 
 
-@dataclass
 class Program:
-    decls: list = field(default_factory=list)
+    __slots__ = ("decls",)
+
+    def __init__(self, decls: Optional[list] = None):
+        self.decls = [] if decls is None else decls
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,16 @@ from .terms import FunctionSymbol, Sort
 
 
 def _columns(schema: Schema, entity: Sort) -> list[FunctionSymbol]:
-    atts = [f for f in schema.attributes if f.arg_sorts == (entity,)]
-    fks = [f for f in schema.foreign_keys if f.arg_sorts == (entity,)]
-    return atts + fks
+    """Attributes, then foreign keys, each in declaration order (`symbols_on` lists foreign keys first)."""
+    on = schema.symbols_on(entity)
+    return [f for f in on if not f.out_sort.is_entity] + [f for f in on if f.out_sort.is_entity]
 
 
 def _table(m: TermModel, entity: Sort) -> tuple[list[str], list[list[str]]]:
     """An entity's header, then its labels column by column: IDs, then each attribute and foreign key."""
     cols = _columns(m.schema, entity)
     return (["ID"] + [f.name for f in cols],
-            [m.labels(m.carrier(entity))] + [m.labels(m.column(f).values()) for f in cols])
+            [m.labels(m.carrier(entity))] + [m.labels(m.column_classes(f)) for f in cols])
 
 
 def render_model(m: TermModel, fmt: str = "markdown") -> str:

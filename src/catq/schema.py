@@ -24,16 +24,19 @@ from .terms import (
     App,
     Equation,
     FunctionSymbol,
+    ReadOnly,
     Sort,
     Term,
     render_term,
 )
 
 
-@dataclass(frozen=True)
-class Issue:
-    code: str
-    message: str
+class Issue(ReadOnly):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"

@@ -2,10 +2,10 @@
 
 Terms are immutable and hashable.  Sorts, symbols and applications
 compute their hash once, at construction, so hashing a symbol or a term
-of any depth takes constant time; `dataclasses.replace` constructs anew
-and so hashes anew.  Equality is decided at once on identity or on
-unequal hashes, and compares fields only otherwise; equality of
-applications walks an explicit stack.
+of any depth takes constant time; `dataclasses.replace` on a sort or a
+symbol constructs anew and so hashes anew.  Equality is decided at once
+on identity or on unequal hashes, and compares fields only otherwise;
+equality of applications walks an explicit stack.
 All schema-level symbols are unary (attributes, foreign keys) or 0-ary
 (generators, literals, typeside constants), so most code in this
 package only ever builds chains of unary applications over constants.
@@ -13,7 +13,7 @@ package only ever builds chains of unary applications over constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import SortMismatch, UnboundVariable
@@ -29,7 +29,7 @@ FOREIGN_KEY = "foreign_key"
 TYPESIDE = "typeside"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)  # __eq__, __hash__ and __repr__ are its own
 class Sort:
     name: str
     kind: str  # TYPE or ENTITY
@@ -55,7 +55,7 @@ class Sort:
         return f"Sort({self.name!r}, {self.kind})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)  # __eq__, __hash__ and __repr__ are its own
 class FunctionSymbol:
     name: str
     arg_sorts: tuple[Sort, ...]
@@ -86,7 +86,7 @@ class FunctionSymbol:
         return f"{self.name}:{args}->{self.out_sort.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Var:
     name: str
     sort: Sort
@@ -95,12 +95,33 @@ class Var:
         return f"?{self.name}:{self.sort.name}"
 
 
-@dataclass(frozen=True)
-class App:
-    sym: FunctionSymbol
-    args: tuple["Term", ...] = ()
+class ReadOnly:
+    """A value whose attributes its constructor sets once, with `object.__setattr__`.
+
+    The plain classes of this package that are values share this guard:
+    assigning or deleting an attribute raises `FrozenInstanceError`, an
+    `AttributeError`, as on a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class App(ReadOnly):
+    __slots__ = ("sym", "args", "_hash")
+
+    def __init__(self, sym: FunctionSymbol, args: tuple["Term", ...] = ()):
+        object.__setattr__(self, "sym", sym)
+        object.__setattr__(self, "args", args)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the arguments' sorts and hash; every construction calls it once."""
         if len(self.args) != self.sym.arity:
             raise SortMismatch(f"{self.sym.name} expects {self.sym.arity} args, got {len(self.args)}")
         for a, s in zip(self.args, self.sym.arg_sorts):
@@ -246,7 +267,7 @@ def subterms(t: Term) -> Iterable[Term]:
             yield from subterms(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Equation:
     """lhs = rhs with at most one universally quantified variable."""
 

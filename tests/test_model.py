@@ -18,6 +18,7 @@ from catq import (
     Schema,
     Sort,
     SortMismatch,
+    UnknownSymbol,
     Var,
     build_term_model,
     builtin_typeside,
@@ -408,3 +409,13 @@ def test_canonical_terms_match_brute_force(seed):
 
 def test_canonical_terms_on_running_example(inst_i, model_i):
     _assert_canonical_terms_are_least(inst_i, model_i)
+
+
+def test_column_classes_are_the_column_values(model_i):
+    # the renderer reads a column's classes as a list; the dict stays for other readers
+    for f in model_i.schema.symbols:
+        assert model_i.column_classes(f) == list(model_i.column(f).values())
+    first = model_i.carrier(N1)[0]
+    for read in (model_i.column, model_i.column_classes):
+        with pytest.raises(UnknownSymbol, match=f"^no stray application on class {first}$"):
+            read(attr("stray", N1, INT))

@@ -12,13 +12,14 @@ checkable at desk scale.
 
 No functor saturates a presentation of its output.  delta and pi compute
 their output's operation tables, a row per class or family and each
-symbol's value on it, and write them into the saturation engine as
-pairs of chains (`_write`); sigma translates each input equation's
-chains through the chains of the mapping's symbol images
-(`mapping_chain`).  Either way the engine ends up as saturating the
-equivalent presentation would leave it, class ids included.  That
-presentation is built the first time a result's `presentation` (its
-model's `instance`) is read.
+symbol's value on it, and `model.write_model` freezes those tables into
+the output model directly, running no saturation unless a typeside
+equation or a schema constraint merges classes.  sigma translates each
+input equation's chains through the chains of the mapping's symbol
+images (`mapping_chain`) and saturates them.  Either way the model is
+the one saturating the equivalent presentation gives, class ids
+included.  That presentation is built the first time a result's
+`presentation` (its model's `instance`) is read.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .model import (  # build_term_model stays a name of this module: bench/span
     build_term_model,
     model_read_as,
     saturate,
+    write_model,
 )
 from .schema import InstancePresentation, Schema, generator
 from .terms import (
@@ -241,22 +243,6 @@ def _type_anchors(src: TermModel):
     return anchor, gens, pins
 
 
-def _write(schema: Schema, name: str, gens: list[FunctionSymbol],
-           pins: list[tuple[FunctionSymbol, FunctionSymbol]],
-           rows: list[tuple[FunctionSymbol, FunctionSymbol, FunctionSymbol]],
-           limits: SaturationLimits) -> TermModel:
-    """The term model on `gens` of a = b for (a, b) in pins and q(g) = v for (q, g, v) in rows.
-
-    Each equation goes into the engine as a pair of chains, pins first,
-    as a presentation listing them would, so the model equals the one
-    saturated from that presentation, down to its class ids.  The
-    presentation is built only when the model's `instance` is read.
-    """
-    chains = [((a,), (b,)) for a, b in pins]
-    chains += [((g, q), (v,)) for q, g, v in rows]
-    return saturate(schema, name, gens, chains, limits=limits)
-
-
 # ---------------------------------------------------------------------------
 # Delta
 
@@ -287,7 +273,7 @@ def delta(f_map: Mapping, j: TermModel,
         for q in src.symbols_on(g.out_sort):
             img = images[q][c]
             rows.append((q, g, ent_gen[(q.out_sort.name, img)] if q.out_sort.is_entity else anchor[img]))
-    model = _write(src, name, [*ent_gen.values(), *ty_gens], pins, rows, limits)
+    model = write_model(src, name, [*ent_gen.values(), *ty_gens], pins, rows, limits=limits)
     ent_class = {key: model.class_of(g) for key, g in ent_gen.items()}
     ty_class = {c: model.class_of(sym) for c, sym in anchor.items()}
     to_target = {out: c for (_, c), out in ent_class.items()} | {out: c for c, out in ty_class.items()}
@@ -510,7 +496,7 @@ def pi(f_map: Mapping, i_model: TermModel,
                         f"attribute {att.name} is not well-defined across factorizations")
                 rows.append((att, fam_gen[(t.name, x)], anchor[val]))
 
-    model = _write(tgt, name, [*fam_gen.values(), *ty_gens], pins, rows, limits)
+    model = write_model(tgt, name, [*fam_gen.values(), *ty_gens], pins, rows, limits=limits)
     fam_class = {key: model.class_of(g) for key, g in fam_gen.items()}
     fam_of = {cls: key for key, cls in fam_class.items()}
     ty_class = {c: model.class_of(sym) for c, sym in anchor.items()}

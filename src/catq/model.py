@@ -28,34 +28,44 @@ Congruence Closure", JACM 1980; Downey, Sethi and Tarjan, JACM 1980).
 Which root survives never shows: each root keeps the least node id of its
 class, and that id names the class once frozen.
 
-`saturate` is the one constructor of term models: chains, generations,
-freeze.  `build_term_model` is `saturate` on the chains of a
-presentation's equations; the elaborator passes the chains it resolves a
-literal instance to, and the migration functors the chains of the tables
-they compute (`catq.migrate`).  A model keeps its generators and chains,
-so the morphism search reads them directly, and builds its presentation
-from them the first time `TermModel.instance` is read, unless it was
-saturated from one.
+Term models have two constructors.  `saturate` takes chains and runs
+generations, then the freeze.  `build_term_model` is `saturate` on the
+chains of a presentation's equations; the elaborator passes the chains
+it resolves a literal instance to, and sigma the chains it translates
+(`catq.migrate`).  `write_model` takes the operation tables delta and pi
+compute: it numbers the nodes as `saturate` would, joins the classes its
+pins equate, and freezes the tables with no congruence repair and no
+closure round, into the model `saturate` gives on them, class ids
+included.  It leaves to `saturate` the inputs where merges decide the
+model: a typeside with equations, and a schema constraint whose two
+sides walk to different classes.  A model keeps its generators and
+chains, so the morphism search reads them directly, and builds its
+presentation from them the first time `TermModel.instance` is read,
+unless it was saturated from one.
 
-Freezing turns the saturated engine into a `TermModel`.  It records, for
-every node, its class (the least node id) and its engine root, which keys
-the symbol tables.  It then resolves classes level by level in the depth
-of their least term: a node becomes a candidate when its child class is
-resolved, each class takes its least candidate under (symbol name, child
-rank), and the classes of a level get integer ranks in that order.  Ranks
-order classes as their canonical terms are ordered by depth, then symbol
-name, then arguments (the order `term_key` in the tests' oracle spells
-out), which fixes the carrier order and the entity ids.  The freeze
-records only the symbol and child class of each class's canonical term;
-`TermModel.canonical` builds the terms themselves the first time it is
-read, and the labels are built once, on first use, from the same record.
+Freezing turns the saturated engine into a `TermModel`
+(`_Engine.freeze`).  It records, for every node, its class (the least
+node id) and its engine root, which keys the symbol tables.  It then
+resolves classes level by level in the depth of their least term: a node
+becomes a candidate when its child class is resolved, each class takes
+its least candidate under (symbol name, child rank), and the classes of
+a level get integer ranks in that order.  Ranks order classes as their
+canonical terms are ordered by depth, then symbol name, then arguments
+(the order `term_key` in the tests' oracle spells out), which fixes the
+carrier order and the entity ids.  The freeze records only the symbol
+and child class of each class's canonical term; `TermModel.canonical`
+builds the terms themselves the first time it is read, and the labels
+are built once, on first use, from the same record.
 """
 
 from __future__ import annotations
 
+import itertools
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ResourceLimit, SortMismatch, UnknownSymbol
@@ -78,6 +88,7 @@ from .terms import (
 # a chain is a tuple of symbols folded left (`terms.fold_chain`); an equation is a pair of them
 Chain = tuple[FunctionSymbol, ...]
 _NO_NODES: dict[int, int] = {}  # the table of a symbol the model never applied
+_name = attrgetter("name")
 
 
 @dataclass(frozen=True)
@@ -240,67 +251,18 @@ class _Engine:
             else:
                 ux.extend(uy)
 
-
-# presentation id -> the first live model that read it as its `instance`, while that model lives
-_read_from: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def model_read_as(inst: InstancePresentation) -> Optional["TermModel"]:
-    """A live model that read `inst` as its `instance` and whose chains are its equations' chains, or None.
-
-    Saturating the one or the other gives the same model, so a cache may
-    key a computation on either by the model.  The first model to read
-    `inst` stands for it while that model lives; once it dies, the next
-    model to read `inst` does.
-    """
-    return _read_from.get(id(inst))
-
-
-class TermModel:
-    """The computed initial algebra of an instance presentation.
-
-    Immutable after construction; safe to share across threads.  A class
-    is named by the least id among its nodes.  Queries read two arrays
-    frozen at construction, the class of each node and the engine root
-    that keys the symbol tables, and never write to the engine.
-    `canonical`, `instance` and the labels are computed on first read and
-    cached; two threads reading one first at once build equal values.
-    `generators` and `chains` are what the model was saturated from.
-    """
-
-    def __init__(self, schema: Schema, name: str, engine: _Engine,
-                 generators: tuple[FunctionSymbol, ...], chains: Sequence[tuple[Chain, Chain]],
-                 presentation: Optional[InstancePresentation] = None):
-        self.schema = schema
-        self.name = name
-        self.generators = generators
-        self.chains = chains
-        self._presentation = presentation
-        self._eng = engine
-        self._cls: list[int] = []  # node -> its class
-        self._key: list[int] = []  # node -> the engine root of its class, its key in the tables
-        # per class, children first: the symbol and child class (or -1) of its canonical term
-        self._chosen: dict[int, tuple[FunctionSymbol, int]] = {}
-        self.carriers: dict[Sort, list[int]] = {}
-        self.id_label: dict[int, int] = {}
-        self.literal_of: dict[int, FunctionSymbol] = {}  # class -> its least literal
-        self.collisions: list[Collision] = []
-        self._freeze()
-
-    # -- construction -------------------------------------------------
-
-    def _freeze(self) -> None:
-        eng = self._eng
-        key = self._key = list(map(eng.find, range(len(eng.parent))))
-        least = eng.least
-        cls = self._cls = [least[r] for r in key]
-        syms, child, uses = eng.node_sym, eng.node_child, eng.uses
+    def freeze(self, m: "TermModel") -> None:
+        """Fill m's classes, canonical terms and carriers, resolving classes level by level."""
+        key = m._key = list(map(self.find, range(len(self.parent))))
+        least = self.least
+        cls = m._cls = [least[r] for r in key]
+        syms, child, uses = self.node_sym, self.node_child, self.uses
         leaves = [n for n, k in enumerate(child) if k < 0]
 
         # level d resolves the classes whose least term has depth d; the
         # candidates of level d are the nodes whose child resolved at d - 1
         rank = [0] * len(cls)  # class -> rank, 0 until resolved
-        chosen = self._chosen
+        chosen = m._chosen
         level = leaves
         next_rank = 0
         while level:
@@ -328,24 +290,128 @@ class TermModel:
         by_sort: dict[int, list[int]] = {}
         for n, c in enumerate(cls):
             if n == c:
-                by_sort.setdefault(eng.sort_of[c], []).append(c)
-        for s in self.schema.entities + self.schema.typeside.types:
-            cs = sorted(by_sort.get(eng.sort_id(s), []), key=rank.__getitem__)
-            self.carriers[s] = cs
-            if s.is_entity:
-                for i, c in enumerate(cs):
-                    self.id_label[c] = i + 1
+                by_sort.setdefault(self.sort_of[c], []).append(c)
+        for s in m.schema.entities + m.schema.typeside.types:
+            m.carriers[s] = sorted(by_sort.get(self.sort_id(s), []), key=rank.__getitem__)
         # a literal is one node (hash-consed), so a class's literal nodes are its distinct literals
-        lits: dict[int, list[FunctionSymbol]] = {}
-        for n in leaves:
-            sym = syms[n]
-            if sym.flavor == LITERAL:
-                lits.setdefault(cls[n], []).append(sym)
-        for c, group in sorted(lits.items()):
-            first, *others = sorted(group, key=lambda sym: sym.name)
+        m._index([(cls[n], syms[n]) for n in leaves if syms[n].flavor == LITERAL])
+
+
+class _Written:
+    """Operation tables written with no congruence closure, as `write_model` fills them.
+
+    Nodes are numbered as `saturate` numbers them: the 0-ary symbols, the
+    rows, then the fresh labeled nulls.  `cls[n]` is node n's class, its
+    least node, and `tables[sym]` maps a child class (-1 for none) to the
+    node applying sym to it, so each class keys the tables itself.
+    """
+
+    __slots__ = ("tables", "cls", "leaves", "nulls")
+
+    def __init__(self, tables: dict[FunctionSymbol, dict[int, int]], cls: list[int],
+                 leaves: dict[FunctionSymbol, int], nulls: list[tuple[FunctionSymbol, int]]):
+        self.tables = tables
+        self.cls = cls
+        self.leaves = leaves  # each 0-ary symbol -> its node, in node order
+        self.nulls = nulls  # (attribute, entity class) of each fresh labeled null, in node order
+
+    def freeze(self, m: "TermModel") -> None:
+        """Fill m's canonical terms and carriers: the classes of 0-ary symbols by name, then the nulls.
+
+        This is the order the level-by-level freeze gives when every class
+        but the nulls holds a 0-ary symbol: a null att(c) ranks after them,
+        by attribute name and then by the rank of c.
+        """
+        cls = m._cls = m._key = self.cls
+        least: dict[int, FunctionSymbol] = {}  # class -> its least-named 0-ary symbol, the first on ties
+        for sym, n in self.leaves.items():
+            c = cls[n]
+            b = least.get(c)
+            if b is None or sym.name < b.name:
+                least[c] = sym
+        # `least` lists the classes by id, and the sort is stable
+        order = sorted(least.items(), key=lambda kv: kv[1].name)
+        chosen = m._chosen
+        by_sort: dict[Sort, list[int]] = {}
+        for c, sym in order:
+            chosen[c] = (sym, -1)
+            by_sort.setdefault(sym.out_sort, []).append(c)
+        if self.nulls:
+            rank = {c: i for i, (c, _) in enumerate(order)}
+            first = len(cls) - len(self.nulls)
+            for n, (att, c) in sorted(enumerate(self.nulls, first), key=lambda kv: (kv[1][0].name, rank[kv[1][1]])):
+                chosen[n] = (att, c)
+                by_sort.setdefault(att.out_sort, []).append(n)
+        for s in m.schema.entities + m.schema.typeside.types:
+            m.carriers[s] = by_sort.get(s, [])
+        m._index([(cls[n], sym) for sym, n in self.leaves.items() if sym.flavor == LITERAL])
+
+
+# presentation id -> the first live model that read it as its `instance`, while that model lives
+_read_from: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def model_read_as(inst: InstancePresentation) -> Optional["TermModel"]:
+    """A live model that read `inst` as its `instance` and whose chains are its equations' chains, or None.
+
+    Saturating the one or the other gives the same model, so a cache may
+    key a computation on either by the model.  The first model to read
+    `inst` stands for it while that model lives; once it dies, the next
+    model to read `inst` does.
+    """
+    return _read_from.get(id(inst))
+
+
+class TermModel:
+    """The computed initial algebra of an instance presentation.
+
+    Immutable after construction; safe to share across threads.  A class
+    is named by the least id among its nodes.  Queries read two arrays
+    frozen at construction, the class of each node and the key of its
+    class in the symbol tables (its engine root, or for written tables the
+    class itself), and never write to the engine.  `canonical`, `instance`
+    and the labels are computed on first read and cached; two threads
+    reading one first at once build equal values.  `generators` and
+    `chains` are what the model was saturated or written from.
+    """
+
+    def __init__(self, schema: Schema, name: str, engine: _Engine | _Written,
+                 generators: tuple[FunctionSymbol, ...], chains: Sequence[tuple[Chain, Chain]],
+                 presentation: Optional[InstancePresentation] = None):
+        self.schema = schema
+        self.name = name
+        self.generators = generators
+        self.chains = chains
+        self._presentation = presentation
+        self._eng = engine
+        self._cls: list[int] = []  # node -> its class
+        self._key: list[int] = []  # node -> the engine root of its class, its key in the tables
+        # per class, children first: the symbol and child class (or -1) of its canonical term
+        self._chosen: dict[int, tuple[FunctionSymbol, int]] = {}
+        self.carriers: dict[Sort, list[int]] = {}
+        self.id_label: dict[int, int] = {}
+        self.literal_of: dict[int, FunctionSymbol] = {}  # class -> its least literal
+        self.collisions: list[Collision] = []
+        engine.freeze(self)
+
+    def _index(self, literals: Iterable[tuple[int, FunctionSymbol]]) -> None:
+        """Entity ids from the carriers, and each class's least literal from its (class, literal) pairs."""
+        for s in self.schema.entities:
+            self.id_label.update(zip(self.carriers[s], itertools.count(1)))
+        by_class: dict[int, list[FunctionSymbol]] = {}
+        for c, lit in literals:
+            group = by_class.get(c)
+            if group is None:
+                by_class[c] = [lit]
+            else:
+                group.append(lit)
+        for c in sorted(by_class):
+            first, *others = group = by_class[c]
+            if others:
+                first, *others = sorted(group, key=_name)
             self.literal_of[c] = first
             for other in others:
-                self.collisions.append(Collision(eng.sorts[eng.sort_of[c]], first.name, other.name, c))
+                self.collisions.append(Collision(first.out_sort, first.name, other.name, c))
 
     @cached_property
     def instance(self) -> InstancePresentation:
@@ -398,12 +464,10 @@ class TermModel:
             out.extend(self.carriers.get(s, []))
         return out
 
-    def sort_of(self, c: int) -> Sort:
-        return self._eng.sorts[self._eng.sort_of[c]]
-
     def _lookup(self, sym: FunctionSymbol, c: int = -1) -> Optional[int]:
         """Class of sym applied to class c (-1: sym is 0-ary), or None when the model has no such term."""
-        return self.walk((sym,), None, c)
+        hit = self._eng.tables.get(sym, _NO_NODES).get(self._key[c] if sym.arg_sorts else -1)
+        return None if hit is None else self._cls[hit]
 
     def op(self, sym: FunctionSymbol, c: int) -> int:
         """Apply a unary symbol's operation table to a class."""
@@ -619,6 +683,105 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
         if not (eng.created or merged):
             break
     return TermModel(schema, name, eng, tuple(generators), chains, presentation)
+
+
+def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
+                pins: Sequence[tuple[FunctionSymbol, FunctionSymbol]],
+                rows: Sequence[tuple[FunctionSymbol, FunctionSymbol, FunctionSymbol]], *,
+                limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
+    """The model `saturate` gives on `generators`, a = b for (a, b) in pins, then q(g) = v for (q, g, v) in rows.
+
+    The equations are operation tables, as delta and pi compute them: a
+    pin equates two 0-ary symbols, a row gives symbol q's value v at g,
+    where g is a generator and v a generator or a symbol of a pin; no two
+    rows apply one symbol to one class, and every foreign key has a row
+    at every generator of its sort.  So the classes are those of the pins'
+    and generators' symbols, and saturating would add only the fresh
+    labeled nulls: att(g) for each entity class g and attribute att with
+    no row at it, numbered in generator order and then `symbols_on` order.
+    The model and its `chains` (pins, then rows) are those `saturate`
+    gives, class ids included.  Two cases go to `saturate` itself, since
+    merges decide them: a typeside with equations, and a schema constraint
+    whose sides walk to different classes, or off the tables, from some
+    entity class.
+    """
+    chains = [((a,), (b,)) for a, b in pins]
+    chains += [((g, q), (v,)) for q, g, v in rows]
+    if schema.typeside.equations:
+        return saturate(schema, name, generators, chains, limits=limits)
+    leaves: dict[FunctionSymbol, int] = {}  # node ids in the order `saturate` adds the 0-ary symbols
+    for sym in schema.typeside.constants:
+        leaves.setdefault(sym, len(leaves))
+    for sym in generators:
+        leaves.setdefault(sym, len(leaves))
+    merged = []
+    for a, b in pins:
+        na = leaves.setdefault(a, len(leaves))
+        nb = na if b is a else leaves.setdefault(b, len(leaves))
+        if na != nb:
+            merged.append((na, nb))
+    cls = list(range(len(leaves)))  # node -> its class; a pin's union keeps the least node as the root
+    if merged:
+        def root(n: int) -> int:
+            while cls[n] != n:
+                n = cls[n]
+            return n
+
+        for na, nb in merged:
+            ra, rb = root(na), root(nb)
+            if ra != rb:
+                cls[max(ra, rb)] = min(ra, rb)
+        cls = list(map(root, cls))
+    tables: dict[FunctionSymbol, dict[int, int]] = {sym: {-1: n} for sym, n in leaves.items()}
+    for q, g, v in rows:
+        tab = tables.get(q)
+        if tab is None:
+            tab = tables[q] = {}
+        tab[cls[leaves[g]]] = len(cls)
+        cls.append(cls[leaves[v]])
+
+    entity_classes = [(n, sym.out_sort) for sym, n in leaves.items()
+                      if sym.out_sort.is_entity and cls[n] == n]
+    # per entity sort, its symbols with a row at fewer of its classes than it has
+    missing = {s: [f for f in schema.symbols_on(s) if len(tables.get(f, _NO_NODES)) < k]
+               for s, k in Counter(s for _, s in entity_classes).items()}
+    nulls: list[tuple[FunctionSymbol, int]] = []
+    if any(missing.values()):
+        for n, s in entity_classes:
+            for f in missing[s]:
+                tab = tables.setdefault(f, {})
+                if n not in tab:
+                    tab[n] = len(cls)
+                    cls.append(len(cls))
+                    nulls.append((f, n))
+
+    def walk(chain: Chain, c: int) -> Optional[int]:
+        for sym in chain:
+            hit = tables.get(sym, _NO_NODES).get(c if sym.arg_sorts else -1)
+            if hit is None:
+                return None
+            c = cls[hit]
+        return c
+
+    for con in schema.constraints:
+        s, lhs, rhs = con.free[0].sort, open_chain(con.lhs), open_chain(con.rhs)
+        for n, sort in entity_classes:
+            if sort == s:
+                c = walk(lhs, n)
+                if c is None or c != walk(rhs, n):
+                    return saturate(schema, name, generators, chains, limits=limits)
+
+    if len(leaves) + len(nulls) > limits.max_classes_per_sort:  # then some sort may exceed it
+        # sort -> its classes, in the order of the sorts' least classes, as `saturate` counts them
+        count = Counter([sym.out_sort for sym, n in leaves.items() if cls[n] == n] + [f.out_sort for f, _ in nulls])
+        for s, k in count.items():
+            if k > limits.max_classes_per_sort:
+                raise ResourceLimit(
+                    f"carrier of {s.name} in {name} exceeded {limits.max_classes_per_sort} classes"
+                    " (the term model may be infinite)")
+    if nulls and limits.max_rounds < 2:  # saturate would find the nulls in its first round, and stop in its second
+        raise ResourceLimit(f"saturation of {name} exceeded {limits.max_rounds} rounds")
+    return TermModel(schema, name, _Written(tables, cls, leaves, nulls), tuple(generators), chains)
 
 
 def build_term_model(inst: InstancePresentation,

@@ -9,7 +9,10 @@ rows are put together from those lists.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _json_string  # the C encoder, when built
+try:  # the C encoder, imported from its extension module so that no catq process loads `json`
+    from _json import encode_basestring_ascii as _json_string
+except ImportError:  # an interpreter built without `_json`: the pure-Python encoder
+    from json.encoder import encode_basestring_ascii as _json_string
 
 from .mappings import Mapping, render_open_term
 from .model import TermModel

@@ -294,7 +294,7 @@ def test_reversed_merge_chain_work_grows_linearly(monkeypatch):
 
 def _assert_named_by_least_node(m):
     first: dict[int, int] = {}  # class -> the least node seen in it
-    for n in range(len(m._eng.parent)):
+    for n in range(len(m._cls)):  # every node, saturated or written
         assert first.setdefault(m.find(n), n) == m.find(n), n
 
 

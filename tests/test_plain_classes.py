@@ -7,8 +7,10 @@ them shares the read-only guard `terms.ReadOnly`.
 """
 
 import dataclasses
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +176,12 @@ def test_results_and_morphisms_take_new_attributes_and_weak_references():
     h = _held(InstanceMorphism(None, None, {}), *results)
     assert h._built == tuple(results)
     assert [weakref.ref(res)() for res in results] == results
+
+
+def test_a_catq_process_loads_no_json_module():
+    # the JSON renderer takes the C string encoder from `_json`, not from the `json` package
+    src = str(Path(catq.cli.__file__).resolve().parent.parent)
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import catq.cli; " \
+            "print(sorted(m for m in sys.modules if m.startswith('json')))"
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

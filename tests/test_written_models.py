@@ -9,17 +9,21 @@ diagnostics as before.
 
 import importlib
 import importlib.util
+import inspect
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from catq import (
     Equation,
     InstancePresentation,
     ResourceLimit,
     SaturationLimits,
+    UnknownSymbol,
     build_term_model,
     delta,
     elaborate,
@@ -33,10 +37,11 @@ from catq import (
     sigma,
     string_literal,
 )
+from catq import cli
 from catq.parser import InstanceDecl
 from catq.terms import App, free_vars, substitute
 
-from test_cli import CHAIN, COLLIDING, CYCLIC, IDEMPOTENT
+from test_cli import CHAIN, COLLIDING, CYCLIC, IDEMPOTENT, write
 from test_dsl import EXAMPLE
 
 SCHEMAS = """\
@@ -161,6 +166,75 @@ instance I = literal : S {
 instance J = sigma F I
 """
 
+# a target constraint that equates pi's fresh nulls: a(N_1), a(N_2) and b(M_1) are one class
+CONSTRAINED_NULLS = """\
+typeside Ty = literal { }
+schema S = literal : Ty { entities E }
+schema T = literal : Ty {
+    entities N M
+    foreign_keys h : N -> M
+    attributes a : N -> Int  b : M -> Int
+    equations forall x:N. a(x) = b(h(x))
+}
+mapping F = literal : S -> T { entities E -> N }
+instance I = literal : S { generators e1 e2 : E }
+instance P = pi F I
+"""
+
+# ground typeside equations, between two constants and between a constant and a literal
+TYPESIDE_EQUATIONS = """\
+typeside Ty = literal {
+    types Color
+    constants red crimson blue : Color  zero : Int
+    equations crimson = red  zero = 0
+}
+schema S = literal : Ty {
+    entities E
+    attributes c : E -> Color  n : E -> Int  s : E -> String
+}
+instance I = literal : S {
+    generators e1 e2 e3 : E
+    equations c(e1) = crimson  c(e2) = blue  n(e1) = zero  n(e2) = 5  s(e1) = x
+}
+mapping Id = identity S
+instance K = delta Id I
+instance P = pi Id I
+"""
+
+# constants equated with each other and with literals in the inputs, so that delta and pi pin
+# them to their class's anchor; pi leaves four attributes with no factorization, three on N;
+# J holds a String literal named like the first String null that delta makes of J
+PINNED = """\
+typeside Ty = literal { types Color constants red blue green : Color  zero one : Int }
+schema S = literal : Ty {
+    entities E
+    attributes c : E -> Color  n : E -> Int
+}
+schema T = literal : Ty {
+    entities N M
+    foreign_keys h : N -> M
+    attributes c : N -> Color  n : N -> Int  note : N -> String  rank : N -> Int  size : M -> Int
+}
+mapping F = literal : S -> T {
+    entities E -> N
+    attributes c -> lambda x:N. c(x)  n -> lambda x:N. n(x)
+}
+instance I = literal : S {
+    generators e1 e2 e3 : E
+    equations c(e1) = red  c(e1) = blue  c(e2) = green  n(e1) = zero  n(e1) = 0  n(e2) = one  n(e3) = 7
+}
+instance J = literal : T {
+    generators u1 u2 u3 : N  m : M
+    equations
+        h(u1) = m  c(u1) = blue  c(u1) = green  c(u2) = red  n(u1) = 0  n(u1) = zero  n(u2) = one
+        size(m) = 4  note(u2) = hi  rank(u3) = 4  note(u3) = String_null1
+}
+instance P = pi F I
+instance K = delta F J
+instance Q = delta F P
+instance R = pi F K
+"""
+
 # the module, which the package's attribute `elaborate` (the function) hides
 elaborate_module = importlib.import_module("catq.elaborate")
 
@@ -183,6 +257,9 @@ PROGRAMS = {
     **{f"laws-{seed}-{rows}": laws_program(seed, rows) for seed in (1, 2, 3) for rows in (2, 3)},
     "NULLS": NULLS,
     "SIGMA_COLLIDES": SIGMA_COLLIDES,
+    "CONSTRAINED_NULLS": CONSTRAINED_NULLS,
+    "TYPESIDE_EQUATIONS": TYPESIDE_EQUATIONS,
+    "PINNED": PINNED,
     **IDENTITIES,
 }
 
@@ -472,3 +549,284 @@ def test_resolution_errors_are_pinned_and_the_rest_is_saturated(case):
     assert _shown(m.instance)[2] == ["name(e1) = Alice", "f(e1) = t", "salary(e2) = 7",
                                      "c(e2) = blue"]
     assert_agrees(m, build_term_model(m.instance))
+
+
+# ---------------------------------------------------------------------------
+# delta and pi write their models with no saturation: the direct build
+# against `saturate` on the same pins and rows
+
+model_module = importlib.import_module("catq.model")
+migrate_module = importlib.import_module("catq.migrate")
+_spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+sys.modules.setdefault("gen", bench_gen)  # the name bench/workloads.py imports its generators by
+bench_workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_workloads)
+
+
+def _column(m, f):
+    try:
+        return m.column(f)
+    except UnknownSymbol as e:
+        return str(e)
+
+
+def assert_same_model(direct, saturated):
+    """Two term models agree in every piece: node classes, canonical terms and their order, tables, facts."""
+    assert direct._cls == saturated._cls
+    assert list(direct._chosen.items()) == list(saturated._chosen.items())
+    assert list(direct.carriers.items()) == list(saturated.carriers.items())
+    assert list(direct.id_label.items()) == list(saturated.id_label.items())
+    assert list(direct.literal_of.items()) == list(saturated.literal_of.items())
+    assert [(k.sort, k.lit1, k.lit2, k.class_id) for k in direct.collisions] == \
+        [(k.sort, k.lit1, k.lit2, k.class_id) for k in saturated.collisions]
+    for f in direct.schema.symbols:
+        assert _column(direct, f) == _column(saturated, f)
+    assert direct.labels(direct.all_classes()) == saturated.labels(saturated.all_classes())
+    assert [direct.class_of(g) for g in direct.generators] == [saturated.class_of(g) for g in saturated.generators]
+    assert direct.generators == saturated.generators
+    assert direct.chains == saturated.chains
+    assert direct.instance == saturated.instance
+
+
+@pytest.fixture()
+def differential(monkeypatch):
+    """Checks every model delta and pi write against `saturate` on the same pins and rows.
+
+    Counts `written` models and the `saturated` ones among them: the
+    `saturate` calls made inside `write_model`, its fallbacks.  A
+    `ResourceLimit` must be the one `saturate` raises.  The memo of
+    migration results is emptied first, so every call writes its model.
+    """
+    count = Counter()
+    real_write, real_saturate = model_module.write_model, model_module.saturate
+    inside = []
+
+    def saturate(*args, **kwargs):
+        count["saturated"] += bool(inside)
+        return real_saturate(*args, **kwargs)
+
+    def write_model(schema, name, generators, pins, rows, *, limits):
+        chains = [((a,), (b,)) for a, b in pins] + [((g, q), (v,)) for q, g, v in rows]
+        try:
+            expected = real_saturate(schema, name, generators, chains, limits=limits)
+        except ResourceLimit as e:
+            expected = e
+        inside.append(name)
+        try:
+            got = real_write(schema, name, generators, pins, rows, limits=limits)
+        except ResourceLimit as e:
+            got = e
+        finally:
+            inside.pop()
+        count["written"] += 1
+        assert type(got) is type(expected)
+        if isinstance(got, ResourceLimit):
+            assert str(got) == str(expected)
+            raise got
+        assert_same_model(got, expected)
+        return got
+
+    monkeypatch.setattr(model_module, "saturate", saturate)
+    monkeypatch.setattr(migrate_module, "write_model", write_model)
+    migrate_module._results.clear()
+    return count
+
+
+def test_direct_builds_of_the_fixture_migrations(differential, mapping_f, mapping_f0, mapping_r,
+                                                 model_i, model_i0, model_j):
+    for res in (delta(mapping_f, model_j), pi(mapping_f, model_i), delta(mapping_f0, model_j),
+                pi(mapping_f0, model_i0), pi(mapping_r, model_i)):
+        assert_agrees(res.model, build_term_model(res.presentation))
+    assert differential == Counter(written=5)
+
+
+def test_direct_builds_of_the_acceptance_corpus(differential, request):
+    import test_acceptance
+    for criterion in (test_acceptance.test_criterion_1_join_round_trip,
+                      test_acceptance.test_criterion_2_functor_trio_without_foreign_key,
+                      test_acceptance.test_criterion_3_adjunctions_on_corpus,
+                      test_acceptance.test_criterion_4_functoriality):
+        criterion(**{arg: request.getfixturevalue(arg) for arg in inspect.signature(criterion).parameters})
+    assert differential["written"] > 30 and differential["saturated"] == 0
+
+
+@pytest.mark.parametrize("name", ["CONSTRAINED_NULLS", "TYPESIDE_EQUATIONS", "PINNED", "NULLS", "IDEMPOTENT",
+                                  "CHAIN", "CYCLIC", *(f"laws-{seed}-3" for seed in (1, 2, 3))])
+def test_direct_builds_of_the_programs(differential, name):
+    derived(PROGRAMS[name])
+    assert differential["written"] > 0
+    # merges decide the first two: a constraint that equates pi's nulls, and typeside equations
+    assert differential["saturated"] == {"CONSTRAINED_NULLS": 1, "TYPESIDE_EQUATIONS": 2}.get(name, 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_wide_runs_no_saturation_in_delta_and_pi(differential, seed):
+    derived(bench_gen.wide(seed, 80).text)
+    assert differential == Counter(written=2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_laws_runs_no_saturation_in_delta_and_pi(differential, tmp_path, seed):
+    state = bench_workloads.prepare_laws(seed, tmp_path)
+    for k in range(state.cycle):
+        bench_workloads.run_laws(state, k)
+    assert differential["written"] >= 4 * state.cycle and differential["saturated"] == 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_direct_builds_along_identities_of_random_schemas(differential, seed):
+    from test_model import random_instance  # test_model imports this module
+    inst = random_instance(seed)
+    m = build_term_model(inst)
+    if m.collisions:
+        return
+    ident = identity_mapping(inst.schema, "Id")
+    delta(ident, m)
+    pi(ident, m)
+    assert differential == Counter(written=2)
+
+
+# TX is T with two more attributes, which no attribute of S factors through
+SCHEMA_ENV = elaborate(parse(SCHEMAS + """\
+schema TX = literal : Ty {
+    entities N
+    attributes name : N -> String  salary : N -> Int  age : N -> Int  note : N -> String  rank : N -> Int
+}
+mapping FX = literal : S -> TX {
+    entities N1 -> N  N2 -> N
+    foreign_keys f -> lambda x:N. x
+    attributes name -> lambda x:N. name(x)  salary -> lambda x:N. salary(x)  age -> lambda x:N. age(x)
+}
+""")[0])[0]
+# the mappings each schema is pushed along: (functor, mapping name or None for its identity)
+PUSHED = {"S": [(pi, "F"), (pi, "FX"), (delta, None), (pi, None)],
+          "S0": [(pi, "F0"), (delta, None), (pi, None)],
+          "T": [(delta, "F"), (delta, "F0"), (delta, None), (pi, None)],
+          "TX": [(delta, "FX"), (delta, None), (pi, None)]}
+
+
+@st.composite
+def small_instances(draw):
+    """A small instance on S, S0 or T: a few generators and equations between their terms and literals."""
+    sch = SCHEMA_ENV.schemas[draw(st.sampled_from(sorted(PUSHED)))]
+    gens = [generator(f"{e.name.lower()}{k}", e) for e in sch.entities for k in range(draw(st.integers(0, 3)))]
+    terms = [App(g) for g in gens]
+    for fk in sch.foreign_keys:
+        terms += [App(fk, (t,)) for t in terms if t.sort == fk.arg_sorts[0]]
+    terms += [App(att, (t,)) for att in sch.attributes for t in terms if t.sort == att.arg_sorts[0]]
+    terms += [string_literal(w) for w in ("A", "B")] + [int_literal(n) for n in (1, 2, 3)]
+    eqs = []
+    for _ in range(draw(st.integers(0, 6))):
+        lhs = draw(st.sampled_from(terms))
+        eqs.append(ground_eq(lhs, draw(st.sampled_from([t for t in terms if t.sort == lhs.sort]))))
+    return InstancePresentation("H", sch, gens, eqs)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_instances())
+def test_direct_builds_of_generated_instances(differential, inst):
+    m = build_term_model(inst)
+    if m.collisions:
+        return
+    migrate_module._results.clear()
+    before = differential["written"]
+    for functor, name in PUSHED[inst.schema.name]:
+        f_map = SCHEMA_ENV.mappings[name] if name else identity_mapping(inst.schema, "Id")
+        functor(f_map, m)
+    assert differential["written"] - before == len(PUSHED[inst.schema.name])
+    assert differential["saturated"] == 0
+
+
+def test_fallback_output_is_pinned(tmp_path, capsys, monkeypatch):
+    # saturation merges pi's three fresh nulls through the constraint; the direct build leaves that to it
+    count = Counter()
+    real = model_module.saturate
+
+    def counting(schema, name, *args, **kwargs):
+        count[name] += 1
+        return real(schema, name, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "saturate", counting)
+    assert cli.main(["eval", write(tmp_path, CONSTRAINED_NULLS)]) == 0
+    assert capsys.readouterr() == ("""\
+# instance I
+## E
+| ID |
+|---|
+| 1 |
+| 2 |
+
+# instance P
+## N
+| ID | a | h |
+|---|---|---|
+| 1 | a(1) | 1 |
+| 2 | a(1) | 1 |
+
+## M
+| ID | b |
+|---|---|
+| 1 | a(1) |
+
+""", "")
+    assert count == {"I": 1, "P": 1}
+    count.clear()
+    assert cli.main(["eval", write(tmp_path, TYPESIDE_EQUATIONS)]) == 0
+    assert capsys.readouterr() == ("""\
+# instance I
+## E
+| ID | c | n | s |
+|---|---|---|---|
+| 1 | crimson | 0 | x |
+| 2 | blue | 5 | s(2) |
+| 3 | c(3) | n(3) | s(3) |
+
+# instance K
+## E
+| ID | c | n | s |
+|---|---|---|---|
+| 1 | crimson | 0 | x |
+| 2 | blue | 5 | String_null1 |
+| 3 | Color_null1 | Int_null1 | String_null2 |
+
+# instance P
+## E
+| ID | c | n | s |
+|---|---|---|---|
+| 1 | crimson | 0 | x |
+| 2 | blue | 5 | String_null1 |
+| 3 | Color_null1 | Int_null1 | String_null2 |
+
+""", "")
+    assert count == {"I": 1, "K": 1, "P": 1}
+
+
+LIMITED = {  # (program, functor, its mapping and input, limits) -> the message saturating the tables gave
+    ("EXAMPLE", "delta F J", SaturationLimits(max_classes_per_sort=2)):
+        "carrier of N1 in X exceeded 2 classes (the term model may be infinite)",
+    ("EXAMPLE", "delta F J", SaturationLimits(max_classes_per_sort=3)):
+        "carrier of Int in X exceeded 3 classes (the term model may be infinite)",
+    ("EXAMPLE", "pi F I", SaturationLimits(max_classes_per_sort=2)): "family carrier at N exceeded limits",
+    ("EXAMPLE", "pi F I", SaturationLimits(max_classes_per_sort=4)):
+        "carrier of Int in X exceeded 4 classes (the term model may be infinite)",
+    ("NULLS", "delta F J", SaturationLimits(max_classes_per_sort=1)):
+        "carrier of Color in X exceeded 1 classes (the term model may be infinite)",
+    ("NULLS", "pi F I", SaturationLimits(max_classes_per_sort=2)):
+        "carrier of Color in X exceeded 2 classes (the term model may be infinite)",
+    # pi's nulls are made in the first round, so saturating them takes a second
+    ("NULLS", "pi F I", SaturationLimits(max_rounds=1)): "saturation of X exceeded 1 rounds",
+    # the fallbacks: saturate's first round merges the nulls, so a second must run; typeside equations
+    ("CONSTRAINED_NULLS", "pi F I", SaturationLimits(max_rounds=1)): "saturation of X exceeded 1 rounds",
+    ("TYPESIDE_EQUATIONS", "delta Id I", SaturationLimits(max_classes_per_sort=2)):
+        "carrier of Color in X exceeded 2 classes (the term model may be infinite)",
+}
+
+
+@pytest.mark.parametrize("case", LIMITED, ids=lambda case: f"{case[0]}-{case[1]}-{case[2]}".replace(" ", "-"))
+def test_delta_and_pi_raise_the_limits_of_saturation(differential, case):
+    program, call, limits = case
+    functor, mapping, arg = call.split()
+    env, _ = derived(PROGRAMS[program])
+    with pytest.raises(ResourceLimit) as err:
+        {"delta": delta, "pi": pi}[functor](env.mappings[mapping], env.models[arg], limits, name="X")
+    assert str(err.value) == LIMITED[case]

@@ -213,9 +213,11 @@ def _type_anchors(src: TermModel):
     """A 0-ary symbol anchoring every type class of `src` in a new instance.
 
     Literal and constant classes are anchored by their own symbols;
-    every other class (a labeled null) gets a fresh generator.  The
-    returned pins, pairs of symbols to equate, make every anchored
-    literal present and each constant equal to its class's anchor.
+    every other class (a labeled null) gets a fresh generator named
+    `<type>_null<k>`, with k counting from 1 and skipping every name a
+    literal or constant of the type in `src` has.  The returned pins,
+    pairs of symbols to equate, make every anchored literal present and
+    each constant equal to its class's anchor.
     """
     gens: list[FunctionSymbol] = []
     pins: list[tuple[FunctionSymbol, FunctionSymbol]] = []
@@ -224,8 +226,11 @@ def _type_anchors(src: TermModel):
     for const in src.schema.typeside.constants:
         const_class.setdefault(src.class_of(const), const)
     for tau in src.schema.typeside.types:
+        carrier = src.carrier(tau)
+        taken = {src.literal_of[c].name for c in carrier if c in src.literal_of}
+        taken.update(const.name for const in src.schema.typeside.constants if const.out_sort == tau)
         n = 0
-        for c in src.carrier(tau):
+        for c in carrier:
             if c in src.literal_of:
                 sym = src.literal_of[c]
                 pins.append((sym, sym))
@@ -233,6 +238,8 @@ def _type_anchors(src: TermModel):
                 sym = const_class[c]
             else:
                 n += 1
+                while f"{tau.name}_null{n}" in taken:
+                    n += 1
                 sym = generator(f"{tau.name}_null{n}", tau)
                 gens.append(sym)
             anchor[c] = sym

@@ -28,34 +28,38 @@ Congruence Closure", JACM 1980; Downey, Sethi and Tarjan, JACM 1980).
 Which root survives never shows: each root keeps the least node id of its
 class, and that id names the class once frozen.
 
-Term models have two constructors.  `saturate` takes chains and runs
-generations, then the freeze.  `build_term_model` is `saturate` on the
-chains of a presentation's equations; the elaborator passes the chains
-it resolves a literal instance to, and sigma the chains it translates
-(`catq.migrate`).  `write_model` takes the operation tables delta and pi
-compute: it numbers the nodes as `saturate` would, joins the classes its
-pins equate, and freezes the tables with no congruence repair and no
-closure round, into the model `saturate` gives on them, class ids
-included.  It leaves to `saturate` the inputs where merges decide the
-model: a typeside with equations, and a schema constraint whose two
-sides walk to different classes.  A model keeps its generators and
-chains, so the morphism search reads them directly, and builds its
-presentation from them the first time `TermModel.instance` is read,
-unless it was saturated from one.
+A `TermModel` is its operation tables over classes: `tables[sym]` maps
+the class sym applies to (-1 for a 0-ary symbol) to the class of the
+application, and `_cls` maps each node to its class.  Two functions fill
+them.  `saturate` takes chains, runs generations and hands over the
+engine's tables, keyed by class; the engine is not kept.
+`build_term_model` is `saturate` on the chains of a presentation's
+equations; the elaborator passes the chains it resolves a literal
+instance to, and sigma the chains it translates (`catq.migrate`).
+`write_model` takes the operation tables delta and pi compute: it numbers
+the nodes as `saturate` would, joins the classes its pins equate, and
+writes the tables with no congruence repair and no closure round, the
+tables `saturate` gives on them, class ids included.  It leaves to
+`saturate` the inputs where merges decide the model: a typeside with
+equations, and a schema constraint whose two sides walk to different
+classes.  A model keeps its generators and chains, so the morphism search
+reads them directly, and builds its presentation from them the first time
+`TermModel.instance` is read, unless it was saturated from one.
 
-Freezing turns the saturated engine into a `TermModel`
-(`_Engine.freeze`).  It records, for every node, its class (the least
-node id) and its engine root, which keys the symbol tables.  It then
-resolves classes level by level in the depth of their least term: a node
-becomes a candidate when its child class is resolved, each class takes
-its least candidate under (symbol name, child rank), and the classes of
-a level get integer ranks in that order.  Ranks order classes as their
-canonical terms are ordered by depth, then symbol name, then arguments
-(the order `term_key` in the tests' oracle spells out), which fixes the
-carrier order and the entity ids.  The freeze records only the symbol
-and child class of each class's canonical term; `TermModel.canonical`
-builds the terms themselves the first time it is read, and the labels
-are built once, on first use, from the same record.
+Both kinds of model go through one freeze, in the `TermModel`
+constructor.  It resolves classes level by level in the depth of their
+least term.  Level 0 is the classes of 0-ary symbols.  The candidates of
+level d + 1 are every attribute and foreign key on the sort of a class
+resolved at level d, read from its table: both functions apply every
+such symbol to every entity class.  Each class takes its least candidate
+under (symbol name, child rank), and the classes of a level get integer
+ranks in that order.  Ranks order classes as their canonical terms are
+ordered by depth, then symbol name, then arguments (the order `term_key`
+in the tests' oracle spells out), which fixes the carrier order and the
+entity ids.  The freeze records only the symbol and child class of each
+class's canonical term; `TermModel.canonical` builds the terms themselves
+the first time it is read, and the labels are built once, on first use,
+from the same record.
 """
 
 from __future__ import annotations
@@ -251,100 +255,16 @@ class _Engine:
             else:
                 ux.extend(uy)
 
-    def freeze(self, m: "TermModel") -> None:
-        """Fill m's classes, canonical terms and carriers, resolving classes level by level."""
-        key = m._key = list(map(self.find, range(len(self.parent))))
-        least = self.least
-        cls = m._cls = [least[r] for r in key]
-        syms, child, uses = self.node_sym, self.node_child, self.uses
-        leaves = [n for n, k in enumerate(child) if k < 0]
+    def class_tables(self) -> tuple[dict[FunctionSymbol, dict[int, int]], list[int]]:
+        """The symbol tables keyed and valued by class (the least node id), and each node's class.
 
-        # level d resolves the classes whose least term has depth d; the
-        # candidates of level d are the nodes whose child resolved at d - 1
-        rank = [0] * len(cls)  # class -> rank, 0 until resolved
-        chosen = m._chosen
-        level = leaves
-        next_rank = 0
-        while level:
-            best: dict[int, tuple[tuple[str, int], int]] = {}
-            for n in level:
-                c = cls[n]
-                if rank[c]:
-                    continue
-                k = child[n]
-                order = (syms[n].name, rank[cls[k]] if k >= 0 else 0)
-                b = best.get(c)
-                if b is None or order < b[0]:
-                    best[c] = (order, n)
-            level = []
-            prev = None
-            for c, (order, n) in sorted(best.items(), key=lambda kv: kv[1][0]):
-                if order != prev:
-                    next_rank += 1
-                    prev = order
-                rank[c] = next_rank
-                k = child[n]
-                chosen[c] = (syms[n], cls[k] if k >= 0 else -1)
-                level += uses.get(key[c], ())  # the nodes over c
-
-        by_sort: dict[int, list[int]] = {}
-        for n, c in enumerate(cls):
-            if n == c:
-                by_sort.setdefault(self.sort_of[c], []).append(c)
-        for s in m.schema.entities + m.schema.typeside.types:
-            m.carriers[s] = sorted(by_sort.get(self.sort_id(s), []), key=rank.__getitem__)
-        # a literal is one node (hash-consed), so a class's literal nodes are its distinct literals
-        m._index([(cls[n], syms[n]) for n in leaves if syms[n].flavor == LITERAL])
-
-
-class _Written:
-    """Operation tables written with no congruence closure, as `write_model` fills them.
-
-    Nodes are numbered as `saturate` numbers them: the 0-ary symbols, the
-    rows, then the fresh labeled nulls.  `cls[n]` is node n's class, its
-    least node, and `tables[sym]` maps a child class (-1 for none) to the
-    node applying sym to it, so each class keys the tables itself.
-    """
-
-    __slots__ = ("tables", "cls", "leaves", "nulls")
-
-    def __init__(self, tables: dict[FunctionSymbol, dict[int, int]], cls: list[int],
-                 leaves: dict[FunctionSymbol, int], nulls: list[tuple[FunctionSymbol, int]]):
-        self.tables = tables
-        self.cls = cls
-        self.leaves = leaves  # each 0-ary symbol -> its node, in node order
-        self.nulls = nulls  # (attribute, entity class) of each fresh labeled null, in node order
-
-    def freeze(self, m: "TermModel") -> None:
-        """Fill m's canonical terms and carriers: the classes of 0-ary symbols by name, then the nulls.
-
-        This is the order the level-by-level freeze gives when every class
-        but the nulls holds a 0-ary symbol: a null att(c) ranks after them,
-        by attribute name and then by the rank of c.
+        An absorbed root's keys are stale, so only a root's entry is kept.
         """
-        cls = m._cls = m._key = self.cls
-        least: dict[int, FunctionSymbol] = {}  # class -> its least-named 0-ary symbol, the first on ties
-        for sym, n in self.leaves.items():
-            c = cls[n]
-            b = least.get(c)
-            if b is None or sym.name < b.name:
-                least[c] = sym
-        # `least` lists the classes by id, and the sort is stable
-        order = sorted(least.items(), key=lambda kv: kv[1].name)
-        chosen = m._chosen
-        by_sort: dict[Sort, list[int]] = {}
-        for c, sym in order:
-            chosen[c] = (sym, -1)
-            by_sort.setdefault(sym.out_sort, []).append(c)
-        if self.nulls:
-            rank = {c: i for i, (c, _) in enumerate(order)}
-            first = len(cls) - len(self.nulls)
-            for n, (att, c) in sorted(enumerate(self.nulls, first), key=lambda kv: (kv[1][0].name, rank[kv[1][1]])):
-                chosen[n] = (att, c)
-                by_sort.setdefault(att.out_sort, []).append(n)
-        for s in m.schema.entities + m.schema.typeside.types:
-            m.carriers[s] = by_sort.get(s, [])
-        m._index([(cls[n], sym) for sym, n in self.leaves.items() if sym.flavor == LITERAL])
+        root = list(map(self.find, range(len(self.parent))))
+        cls = list(map(self.least.__getitem__, root))
+        tables = {sym: {cls[k]: cls[n] for k, n in tab.items() if root[k] == k} if sym.arg_sorts
+                  else {-1: cls[tab[-1]]} for sym, tab in self.tables.items()}
+        return tables, cls
 
 
 # presentation id -> the first live model that read it as its `instance`, while that model lives
@@ -363,19 +283,19 @@ def model_read_as(inst: InstancePresentation) -> Optional["TermModel"]:
 
 
 class TermModel:
-    """The computed initial algebra of an instance presentation.
+    """The computed initial algebra of an instance presentation: its operation tables over classes.
 
     Immutable after construction; safe to share across threads.  A class
-    is named by the least id among its nodes.  Queries read two arrays
-    frozen at construction, the class of each node and the key of its
-    class in the symbol tables (its engine root, or for written tables the
-    class itself), and never write to the engine.  `canonical`, `instance`
-    and the labels are computed on first read and cached; two threads
-    reading one first at once build equal values.  `generators` and
-    `chains` are what the model was saturated or written from.
+    is named by the least id among its nodes.  `tables[sym]` maps the
+    class sym applies to (-1 for a 0-ary symbol) to the class of the
+    application, and `_cls` maps each node to its class; queries only
+    read them.  `canonical`, `instance` and the labels are computed on
+    first read and cached; two threads reading one first at once build
+    equal values.  `generators` and `chains` are what the model was
+    saturated or written from.
     """
 
-    def __init__(self, schema: Schema, name: str, engine: _Engine | _Written,
+    def __init__(self, schema: Schema, name: str, tables: dict[FunctionSymbol, dict[int, int]], cls: list[int],
                  generators: tuple[FunctionSymbol, ...], chains: Sequence[tuple[Chain, Chain]],
                  presentation: Optional[InstancePresentation] = None):
         self.schema = schema
@@ -383,30 +303,73 @@ class TermModel:
         self.generators = generators
         self.chains = chains
         self._presentation = presentation
-        self._eng = engine
-        self._cls: list[int] = []  # node -> its class
-        self._key: list[int] = []  # node -> the engine root of its class, its key in the tables
+        self.tables = tables
+        self._cls = cls  # node -> its class
         # per class, children first: the symbol and child class (or -1) of its canonical term
         self._chosen: dict[int, tuple[FunctionSymbol, int]] = {}
-        self.carriers: dict[Sort, list[int]] = {}
         self.id_label: dict[int, int] = {}
         self.literal_of: dict[int, FunctionSymbol] = {}  # class -> its least literal
         self.collisions: list[Collision] = []
-        engine.freeze(self)
 
-    def _index(self, literals: Iterable[tuple[int, FunctionSymbol]]) -> None:
-        """Entity ids from the carriers, and each class's least literal from its (class, literal) pairs."""
-        for s in self.schema.entities:
+        # level 0: each class of 0-ary symbols takes its least-named one, the first on ties
+        least: dict[int, FunctionSymbol] = {}
+        literals: dict[int, list[FunctionSymbol]] = {}  # class -> its literals, in table order
+        for sym, tab in tables.items():
+            if sym.arg_sorts:
+                continue
+            c = tab[-1]
+            b = least.get(c)
+            if b is None or sym.name < b.name:
+                least[c] = sym
+            if sym.flavor == LITERAL:
+                literals.setdefault(c, []).append(sym)
+        level = [(sym.name, 0, c, sym, -1) for c, sym in least.items()]
+
+        # level d + 1: the unresolved classes that a symbol on the sort of a class
+        # resolved at level d reaches, each by its least (name, child rank) candidate
+        rank = [0] * len(cls)  # class -> rank, 0 until resolved
+        chosen = self._chosen
+        self.carriers = carriers = {s: [] for s in schema.entities + schema.typeside.types}  # by rank, then by class
+        on: dict[int, tuple] = {}  # id() of a sort -> its carrier, and its symbols with their tables
+        next_rank, prev_name, prev_r = 0, None, 0
+        while level:
+            level.sort()  # by (name, child rank), then by class: no two entries tie
+            here: dict[int, list[int]] = {}  # id() of a sort -> its classes in this level
+            for name, r, c, sym, k in level:
+                if name != prev_name or r != prev_r:
+                    next_rank += 1
+                    prev_name, prev_r = name, r
+                rank[c] = next_rank
+                chosen[c] = (sym, k)
+                i = id(sym.out_sort)  # a sort hashes with a Python call, its id() does not
+                cs = here.get(i)
+                if cs is None:
+                    cs = here[i] = []
+                    if i not in on:
+                        s = sym.out_sort
+                        on[i] = carriers.get(s, []), [(f, tables[f]) for f in schema.symbols_on(s)]
+                cs.append(c)
+            best: dict[int, tuple] = {}
+            for i, cs in here.items():
+                carrier, symbols = on[i]
+                carrier += cs
+                for f, tab in symbols:
+                    ds = list(map(tab.__getitem__, cs))
+                    if all(map(rank.__getitem__, ds)):  # as for most of delta's and pi's rows
+                        continue
+                    name = f.name
+                    for c, d in zip(cs, ds):
+                        if not rank[d]:
+                            r = rank[c]
+                            b = best.get(d)
+                            if b is None or (name, r) < b[:2]:
+                                best[d] = (name, r, d, f, c)
+            level = list(best.values())
+
+        for s in schema.entities:
             self.id_label.update(zip(self.carriers[s], itertools.count(1)))
-        by_class: dict[int, list[FunctionSymbol]] = {}
-        for c, lit in literals:
-            group = by_class.get(c)
-            if group is None:
-                by_class[c] = [lit]
-            else:
-                group.append(lit)
-        for c in sorted(by_class):
-            first, *others = group = by_class[c]
+        for c in sorted(literals):
+            first, *others = group = literals[c]
             if others:
                 first, *others = sorted(group, key=_name)
             self.literal_of[c] = first
@@ -466,8 +429,7 @@ class TermModel:
 
     def _lookup(self, sym: FunctionSymbol, c: int = -1) -> Optional[int]:
         """Class of sym applied to class c (-1: sym is 0-ary), or None when the model has no such term."""
-        hit = self._eng.tables.get(sym, _NO_NODES).get(self._key[c] if sym.arg_sorts else -1)
-        return None if hit is None else self._cls[hit]
+        return self.tables.get(sym, _NO_NODES).get(self._cls[c] if sym.arg_sorts else -1)
 
     def op(self, sym: FunctionSymbol, c: int) -> int:
         """Apply a unary symbol's operation table to a class."""
@@ -478,25 +440,25 @@ class TermModel:
 
     def column(self, sym: FunctionSymbol) -> dict[int, int]:
         """Class c -> `op(sym, c)`, for c in the carrier of sym's argument sort, in carrier order."""
-        tab, key, cls = self._eng.tables.get(sym, _NO_NODES), self._key, self._cls
+        tab = self.tables.get(sym, _NO_NODES)
         carrier = self.carrier(sym.arg_sorts[0])
         try:
-            return {c: cls[tab[key[c]]] for c in carrier}
+            return {c: tab[c] for c in carrier}
         except KeyError:
             raise self._unapplied(sym, carrier, tab) from None
 
     def column_classes(self, sym: FunctionSymbol) -> list[int]:
         """The values of `column(sym)`, read with C-level maps and no dict."""
-        tab = self._eng.tables.get(sym, _NO_NODES)
+        tab = self.tables.get(sym, _NO_NODES)
         carrier = self.carrier(sym.arg_sorts[0])
         try:
-            return list(map(self._cls.__getitem__, map(tab.__getitem__, map(self._key.__getitem__, carrier))))
+            return list(map(tab.__getitem__, carrier))
         except KeyError:
             raise self._unapplied(sym, carrier, tab) from None
 
     def _unapplied(self, sym: FunctionSymbol, carrier: list[int], tab: dict[int, int]) -> UnknownSymbol:
         """The error for the first class of `carrier` that `sym`'s table does not hold."""
-        c = next(c for c in carrier if self._key[c] not in tab)
+        c = next(c for c in carrier if c not in tab)
         return UnknownSymbol(f"no {sym.name} application on class {c}")
 
     def table(self, sort: Sort, chain: Chain) -> dict[int, int]:
@@ -518,20 +480,16 @@ class TermModel:
         A chain that starts with a unary symbol applies it to class `start`,
         and an empty one is `start`.  `genmap` re-routes generators to classes.
         """
-        tables, key, cls = self._eng.tables, self._key, self._cls
+        tables = self.tables
         c = start
         for sym in chain:
             if sym.arg_sorts:
-                hit = tables.get(sym, _NO_NODES).get(key[c])
+                c = tables.get(sym, _NO_NODES).get(c)
             else:
                 d = genmap.get(sym) if genmap else None
-                if d is not None:
-                    c = cls[d]
-                    continue
-                hit = tables.get(sym, _NO_NODES).get(-1)
-            if hit is None:
+                c = self._cls[d] if d is not None else tables.get(sym, _NO_NODES).get(-1)
+            if c is None:
                 return None
-            c = cls[hit]
         return c
 
     def eval(self, t: Term, genmap: Optional[Mapping[FunctionSymbol, int]] = None,
@@ -564,19 +522,18 @@ class TermModel:
         first, so each class costs one lookup in tgt.
         """
         out: dict[int, int] = {}
-        tables, key, cls = tgt._eng.tables, tgt._key, tgt._cls
+        tables, cls = tgt.tables, tgt._cls
         for c, (sym, k) in self._chosen.items():
             if k < 0 and sym in genmap:
                 out[c] = cls[genmap[sym]]
                 continue
-            tab = tables.get(sym)
-            hit = None if tab is None else tab.get(key[out[k]] if k >= 0 else -1)
+            hit = tables.get(sym, _NO_NODES).get(out[k] if k >= 0 else -1)
             if hit is None:
                 if sym.flavor == LITERAL:
                     return None
                 raise UnknownSymbol(
                     f"term {render_term(self.canonical[c])} does not denote in {tgt.name}")
-            out[c] = cls[hit]
+            out[c] = hit
         return out
 
     def satisfied_by(self, tgt: "TermModel", genmap: Mapping[FunctionSymbol, int]) -> bool:
@@ -682,7 +639,7 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
                     " (the term model may be infinite)")
         if not (eng.created or merged):
             break
-    return TermModel(schema, name, eng, tuple(generators), chains, presentation)
+    return TermModel(schema, name, *eng.class_tables(), tuple(generators), chains, presentation)
 
 
 def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
@@ -732,20 +689,20 @@ def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
             if ra != rb:
                 cls[max(ra, rb)] = min(ra, rb)
         cls = list(map(root, cls))
-    tables: dict[FunctionSymbol, dict[int, int]] = {sym: {-1: n} for sym, n in leaves.items()}
+    tables: dict[FunctionSymbol, dict[int, int]] = {sym: {-1: cls[n]} for sym, n in leaves.items()}
     for q, g, v in rows:
         tab = tables.get(q)
         if tab is None:
             tab = tables[q] = {}
-        tab[cls[leaves[g]]] = len(cls)
-        cls.append(cls[leaves[v]])
+        tab[cls[leaves[g]]] = c = cls[leaves[v]]
+        cls.append(c)
 
     entity_classes = [(n, sym.out_sort) for sym, n in leaves.items()
                       if sym.out_sort.is_entity and cls[n] == n]
     # per entity sort, its symbols with a row at fewer of its classes than it has
     missing = {s: [f for f in schema.symbols_on(s) if len(tables.get(f, _NO_NODES)) < k]
                for s, k in Counter(s for _, s in entity_classes).items()}
-    nulls: list[tuple[FunctionSymbol, int]] = []
+    nulls: list[FunctionSymbol] = []  # the attribute of each fresh labeled null, in node order
     if any(missing.values()):
         for n, s in entity_classes:
             for f in missing[s]:
@@ -753,27 +710,19 @@ def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
                 if n not in tab:
                     tab[n] = len(cls)
                     cls.append(len(cls))
-                    nulls.append((f, n))
+                    nulls.append(f)
 
-    def walk(chain: Chain, c: int) -> Optional[int]:
-        for sym in chain:
-            hit = tables.get(sym, _NO_NODES).get(c if sym.arg_sorts else -1)
-            if hit is None:
-                return None
-            c = cls[hit]
-        return c
-
+    model = TermModel(schema, name, tables, cls, tuple(generators), chains)
     for con in schema.constraints:
-        s, lhs, rhs = con.free[0].sort, open_chain(con.lhs), open_chain(con.rhs)
-        for n, sort in entity_classes:
-            if sort == s:
-                c = walk(lhs, n)
-                if c is None or c != walk(rhs, n):
-                    return saturate(schema, name, generators, chains, limits=limits)
+        lhs, rhs = open_chain(con.lhs), open_chain(con.rhs)
+        for c in model.carrier(con.free[0].sort):
+            d = model.walk(lhs, None, c)
+            if d is None or d != model.walk(rhs, None, c):
+                return saturate(schema, name, generators, chains, limits=limits)
 
     if len(leaves) + len(nulls) > limits.max_classes_per_sort:  # then some sort may exceed it
         # sort -> its classes, in the order of the sorts' least classes, as `saturate` counts them
-        count = Counter([sym.out_sort for sym, n in leaves.items() if cls[n] == n] + [f.out_sort for f, _ in nulls])
+        count = Counter([sym.out_sort for sym, n in leaves.items() if cls[n] == n] + [f.out_sort for f in nulls])
         for s, k in count.items():
             if k > limits.max_classes_per_sort:
                 raise ResourceLimit(
@@ -781,7 +730,7 @@ def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
                     " (the term model may be infinite)")
     if nulls and limits.max_rounds < 2:  # saturate would find the nulls in its first round, and stop in its second
         raise ResourceLimit(f"saturation of {name} exceeded {limits.max_rounds} rounds")
-    return TermModel(schema, name, _Written(tables, cls, leaves, nulls), tuple(generators), chains)
+    return model
 
 
 def build_term_model(inst: InstancePresentation,

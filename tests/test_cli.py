@@ -182,6 +182,29 @@ def test_generator_shadowing_a_typeside_constant_exits_1(tmp_path, capsys):
         f"{path}:3:1: error: DuplicateName: generator red shadows another declaration\n"
 
 
+# a literal or a typeside constant already named like the first fresh null of its type
+NAMED_LIKE_A_NULL = {
+    "literal": ("typeside Ty = literal { }\n", "s : E -> String", "String_null"),
+    "constant": ("typeside Ty = literal { types Color constants Color_null1 : Color }\n", "s : E -> Color",
+                 "Color_null"),
+}
+
+
+@pytest.mark.parametrize("case", NAMED_LIKE_A_NULL)
+def test_a_fresh_null_takes_a_name_no_literal_or_constant_has(tmp_path, capsys, case):
+    typeside, attribute, null = NAMED_LIKE_A_NULL[case]
+    path = write(tmp_path, typeside + (
+        f"schema S = literal : Ty {{ entities E attributes {attribute} }}\n"
+        f"instance J = literal : S {{ generators u1 u2 : E equations s(u1) = {null}1 }}\n"
+        "mapping Id = identity S\n"
+        "instance K = delta Id J\n"
+        "instance P = pi Id J\n"))
+    assert main(["eval", path, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"# instance {name}\n# E\nID,s\n1,{null}1\n2,{second}\n\n"
+        for name, second in (("J", "s(2)"), ("K", f"{null}2"), ("P", f"{null}2")))
+
+
 # an Int literal is what `int` reads: `٣` (an Arabic-Indic digit) is 3, `²1` is no number
 SUPERSCRIPT = """\
 typeside Ty = literal { }

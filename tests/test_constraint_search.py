@@ -2,8 +2,8 @@
 
 pi's families are checked against a brute-force filter of the full
 product, list for list, so the join keeps the product's order.  The
-work-bound test counts the term-model lookups pi makes, which grow
-linearly once foreign keys are followed instead of filtered.
+work-bound test counts the chain evaluations of pi's search (`_value`),
+which grow linearly once foreign keys are followed instead of filtered.
 """
 
 import itertools
@@ -26,7 +26,7 @@ from catq import (
     string_literal,
 )
 from catq import migrate
-from catq.model import DEFAULT_LIMITS, TermModel
+from catq.model import DEFAULT_LIMITS
 
 from conftest import N1, ap, count_calls
 from test_model import random_instance
@@ -111,14 +111,14 @@ def wide_model(schema_s, n):
 
 
 def test_pi_work_grows_linearly(monkeypatch, schema_s, mapping_f):
-    # following f as a functional dependency costs one lookup per employee;
-    # filtering N1 x N2 cost one per pair, about 15x from 80 to 320 rows
-    lookups = {}
+    # following f as a functional dependency evaluates one chain per employee;
+    # filtering N1 x N2 evaluates two per pair, 16x from 80 to 320 rows
+    steps = {}
     for n in (80, 320):
         m = wide_model(schema_s, n)
-        lookups[n] = count_calls(monkeypatch, TermModel, "_lookup", lambda: pi(mapping_f, m))
+        steps[n] = count_calls(monkeypatch, migrate, "_value", lambda: pi(mapping_f, m))
         assert len(pi(mapping_f, m).families["N"]) == n
-    assert lookups[320] < 8 * lookups[80]
+    assert steps[320] < 8 * steps[80]
 
 
 def test_pi_family_carrier_is_bounded(mapping_f0, model_i0):

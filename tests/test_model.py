@@ -1,6 +1,8 @@
 """Saturation engine: carriers, labels, consistency, and oracle equivalence."""
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -151,21 +153,11 @@ def test_saturation_builds_no_terms(monkeypatch):
     assert count_calls(monkeypatch, App, "__post_init__", lambda: m.canonical) == 0
 
 
-def test_queries_never_write_the_engine(schema_s):
+def test_queries_never_write_the_model(schema_s):
     gens = [generator(f"e{i}", N1) for i in range(6)]
     eqs = [ground_eq(App(a), App(b)) for a, b in zip(gens, gens[1:])]
     m = build_term_model(InstancePresentation("chain", schema_s, gens, eqs))
-    # re-point each class's nodes into one chain (same partition), so
-    # that path compression by any query would change the array
-    eng = m._eng
-    classes: dict[int, list[int]] = {}
-    for n in range(len(eng.parent)):
-        classes.setdefault(m.find(n), []).append(n)
-    for nodes in classes.values():
-        for prev, n in zip(nodes, nodes[1:]):
-            eng.parent[n] = prev
-    parent = list(eng.parent)
-    assert any(parent[parent[i]] != parent[i] for i in range(len(parent)))
+    tables, cls = {sym: dict(tab) for sym, tab in m.tables.items()}, list(m._cls)
     f, name = schema_s.symbol_named("f"), schema_s.symbol_named("name")
     for g in gens:
         c = m.find(m.class_of(g))
@@ -173,10 +165,30 @@ def test_queries_never_write_the_engine(schema_s):
         assert m.label(m.op(name, c)) == "name(1)"
         assert m.eval(ap(name, g)) == m.op(name, c)
         assert m.decide_equal(ap(f, g), ap(f, gens[0]))
-    assert [m.find(i) for i in range(len(parent))] == [m.find(p) for p in parent]
+        assert m.walk((f,), None, c) == m.op(f, c)
+    assert m.column(name) == {c: m.op(name, c) for c in m.carrier(N1)}
+    assert m.image(m, {g: m.class_of(g) for g in gens}) == {c: c for c in m.all_classes()}
     render_model(m, "markdown")
     render_model(m, "json")
-    assert eng.parent == parent
+    assert m.tables == tables and m._cls == cls
+
+
+def test_a_frozen_model_holds_no_engine(monkeypatch, schema_s):
+    engines = []
+    real_init = _Engine.__init__
+
+    def init(self):
+        real_init(self)
+        engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(_Engine, "__init__", init)
+    gens = [generator(f"e{i}", N1) for i in range(6)]
+    eqs = [ground_eq(App(a), App(b)) for a, b in zip(gens, gens[1:])]
+    m = build_term_model(InstancePresentation("chain", schema_s, gens, eqs))
+    gc.collect()
+    (eng,) = engines
+    assert eng() is None
+    assert m.carrier(N1)  # the model is still alive
 
 
 def test_constraint_saturation_collapses_classes():

@@ -23,6 +23,8 @@ from catq import (
     InstancePresentation,
     ResourceLimit,
     SaturationLimits,
+    Sort,
+    TermModel,
     UnknownSymbol,
     build_term_model,
     delta,
@@ -571,8 +573,10 @@ def _column(m, f):
 
 
 def assert_same_model(direct, saturated):
-    """Two term models agree in every piece: node classes, canonical terms and their order, tables, facts."""
+    """Two term models agree in every piece: node classes, operation tables, canonical terms and their order, facts."""
     assert direct._cls == saturated._cls
+    # saturating keeps a table, empty, for a symbol on a sort with no classes
+    assert direct.tables == {f: tab for f, tab in saturated.tables.items() if tab or f in direct.tables}
     assert list(direct._chosen.items()) == list(saturated._chosen.items())
     assert list(direct.carriers.items()) == list(saturated.carriers.items())
     assert list(direct.id_label.items()) == list(saturated.id_label.items())
@@ -830,3 +834,35 @@ def test_delta_and_pi_raise_the_limits_of_saturation(differential, case):
     with pytest.raises(ResourceLimit) as err:
         {"delta": delta, "pi": pi}[functor](env.mappings[mapping], env.models[arg], limits, name="X")
     assert str(err.value) == LIMITED[case]
+
+
+# ---------------------------------------------------------------------------
+# The freeze keys its per-sort state by id(): `Sort.__hash__` is a Python call
+
+
+@pytest.mark.parametrize("workload", ["wide", "deep"])
+def test_the_freeze_hashes_sorts_a_number_of_times_bounded_by_the_sorts(monkeypatch, workload):
+    hashes: Counter = Counter()  # model name -> Sort.__hash__ calls inside its freeze
+    inside: list[str] = []
+    real_hash, real_init = Sort.__hash__, TermModel.__init__
+
+    def counting_hash(self):
+        if inside:
+            hashes[inside[-1]] += 1
+        return real_hash(self)
+
+    def freeze(self, schema, name, *args, **kwargs):
+        inside.append(name)
+        try:
+            real_init(self, schema, name, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Sort, "__hash__", counting_hash)
+    monkeypatch.setattr(TermModel, "__init__", freeze)
+    text = bench_gen.wide(1, 80).text if workload == "wide" else bench_gen.deep(1, 10).text
+    env, diags = elaborate(parse(text)[0])
+    assert diags == []
+    for m in env.models.values():
+        sorts = len(m.schema.entities) + len(m.schema.typeside.types)
+        assert 0 < hashes[m.name] <= 4 * sorts < len(m.all_classes()), m.name

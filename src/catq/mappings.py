@@ -248,24 +248,24 @@ def render_open_term(t: Term) -> str:
 
 
 class InstanceMorphism:
-    """A sort-indexed map between term-model carriers commuting with all ops."""
+    """A sort-indexed map between term-model carriers commuting with all ops.
+
+    `cmap` maps each class of the source to a class of the target.
+    """
 
     def __init__(self, source: TermModel, target: TermModel, cmap: dict[int, int]):
         self.source, self.target, self.cmap = source, target, cmap
 
     def apply(self, c: int) -> int:
-        return self.target.find(self.cmap[self.source.find(c)])
-
-    def normalized(self) -> dict[int, int]:
-        return {self.source.find(k): self.target.find(v) for k, v in self.cmap.items()}
+        return self.cmap[c]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InstanceMorphism):
             return NotImplemented
-        return self.normalized() == other.normalized()
+        return self.cmap == other.cmap
 
     def __hash__(self):
-        return hash(frozenset(self.normalized().items()))
+        return hash(frozenset(self.cmap.items()))
 
     def violations(self) -> list[str]:
         out: list[str] = []
@@ -273,7 +273,7 @@ class InstanceMorphism:
         if src.schema != tgt.schema:
             return ["source and target live on different schemas"]
         for c in src.all_classes():
-            if src.find(c) not in self.cmap:
+            if c not in self.cmap:
                 out.append(f"class {c} has no image")
         if out:  # the rest applies the map to every class
             return out
@@ -291,10 +291,10 @@ class InstanceMorphism:
                  for k in src.collisions]
         for c, sym in lits:
             img = tgt._lookup(sym)
-            if img is None or tgt.find(self.apply(c)) != tgt.find(img):
+            if img is None or self.apply(c) != img:
                 out.append(f"does not fix literal {sym.name}")
         for const in src.schema.typeside.constants:
-            if tgt.find(self.apply(src.class_of(const))) != tgt.find(tgt.class_of(const)):
+            if self.apply(src.class_of(const)) != tgt.class_of(const):
                 out.append(f"does not preserve constant {const.name}")
         return out
 
@@ -303,7 +303,7 @@ class InstanceMorphism:
         return len(imgs) == len(self.source.all_classes()) == len(self.target.all_classes())
 
     def is_identity(self) -> bool:
-        return all(self.apply(c) == self.source.find(c) for c in self.source.all_classes())
+        return all(self.apply(c) == c for c in self.source.all_classes())
 
 
 def identity_morphism(m: TermModel) -> InstanceMorphism:
@@ -314,8 +314,10 @@ def morphism_from_genmap(src: TermModel, tgt: TermModel,
                          genmap: dict[FunctionSymbol, int]) -> InstanceMorphism:
     """Homomorphic extension of a generator assignment, verified once.
 
-    src is initial, so the extension is a morphism exactly when tgt
-    satisfies the equations src was saturated from under the assignment
+    genmap sends each generator of src to a class of tgt, and the
+    morphism sends each class of src to a class of tgt.  src is initial,
+    so the extension is a morphism exactly when tgt satisfies the
+    equations src was saturated from under the assignment
     (`TermModel.satisfied_by`).  When it does not, NoMorphismExists gives
     the first fault of the definitional check: a generator sent elsewhere
     than genmap[g] (the assignment breaks an equation of src), else the
@@ -329,7 +331,7 @@ def morphism_from_genmap(src: TermModel, tgt: TermModel,
     h = InstanceMorphism(src, tgt, cmap)
     if not src.satisfied_by(tgt, genmap):
         bad = [f"the assignment of {g.name} breaks an equation of {src.name}"
-               for g, d in genmap.items() if h.apply(src.class_of(g)) != tgt.find(d)] or h.violations()
+               for g, d in genmap.items() if h.apply(src.class_of(g)) != d] or h.violations()
         if bad:
             raise NoMorphismExists(bad[0])
     return h

@@ -276,10 +276,13 @@ def delta(f_map: Mapping, j: TermModel,
     # q(row) = value: q's image in j at the row's class, as a generator or an anchor
     images = {q: j.table(f_map.sort_image(q.arg_sorts[0]), f_map._image_chains[q]) for q in src.symbols}
     rows = []
-    for (_, c), g in ent_gen.items():
-        for q in src.symbols_on(g.out_sort):
-            img = images[q][c]
-            rows.append((q, g, ent_gen[(q.out_sort.name, img)] if q.out_sort.is_entity else anchor[img]))
+    for e in src.entities:
+        qs = src.symbols_on(e)
+        for c in j.carrier(f_map.entity_image(e)):
+            g = ent_gen[(e.name, c)]
+            for q in qs:
+                img = images[q][c]
+                rows.append((q, g, ent_gen[(q.out_sort.name, img)] if q.out_sort.is_entity else anchor[img]))
     model = write_model(src, name, [*ent_gen.values(), *ty_gens], pins, rows, limits=limits)
     ent_class = {key: model.class_of(g) for key, g in ent_gen.items()}
     ty_class = {c: model.class_of(sym) for c, sym in anchor.items()}
@@ -724,7 +727,7 @@ def transpose_pi_up(f_map: Mapping, g: InstanceMorphism, i_model: TermModel,
     ident = {s: pires.index[f_map.entity_image(s).name].index((s, ())) for s in f_map.source.entities}
     genmap: dict[FunctionSymbol, int] = {}
     for gen in dres.model.generators:
-        img = pires.model.find(g.apply(dres.to_target[dres.model.class_of(gen)]))
+        img = g.apply(dres.to_target[dres.model.class_of(gen)])
         if gen.out_sort.is_entity:
             genmap[gen] = pires.fam_of[img][1][ident[gen.out_sort]]
         elif img in pires.ty_origin:

@@ -30,9 +30,10 @@ class, and that id names the class once frozen.
 
 A `TermModel` is its operation tables over classes: `tables[sym]` maps
 the class sym applies to (-1 for a 0-ary symbol) to the class of the
-application, and `_cls` maps each node to its class.  Two functions fill
-them.  `saturate` takes chains, runs generations and hands over the
-engine's tables, keyed by class; the engine is not kept.
+application.  Every id a model hands out is a class; nodes stay in the
+engine.  Two functions fill the tables.  `saturate` takes chains, runs
+generations and hands over the engine's tables, keyed by class, and its
+node count; the engine is not kept.
 `build_term_model` is `saturate` on the chains of a presentation's
 equations; the elaborator passes the chains it resolves a literal
 instance to, and sigma the chains it translates (`catq.migrate`).
@@ -126,22 +127,19 @@ class Collision(ReadOnly):
 class _Engine:
     """Union-find over unary and 0-ary nodes, with one table per symbol and congruence repair.
 
-    Node n applies `node_sym[n]` to the class of node `node_child[n]`, or
-    to nothing when that is -1.  `tables[sym]` maps the root of a child
-    class (-1 for none) to the node applying sym to it, and `node_table[n]`
-    is node n's table, so repair never hashes a symbol.  `uses[r]` holds
-    every node over the class of root r.  A union makes the root with the
-    shorter use list a child of the other and re-keys that list's nodes:
-    only their keys change.  `least[r]` is the least node id of root r's
-    class.  `sort_of[n]` is the index in `sorts` of node n's sort, so no
-    node hashes a `Sort`.
+    Each node applies one symbol to one child class, or to none.
+    `tables[sym]` maps the root of a child class (-1 for none) to the node
+    applying sym to it, and `node_table[n]` is node n's table, so repair
+    never hashes a symbol.  `uses[r]` holds every node over the class of
+    root r.  A union makes the root with the shorter use list a child of
+    the other and re-keys that list's nodes: only their keys change.
+    `least[r]` is the least node id of root r's class.  `sort_of[n]` is the
+    index in `sorts` of node n's sort, so no node hashes a `Sort`.
     """
 
     def __init__(self):
         self.parent: list[int] = []
         self.least: list[int] = []
-        self.node_sym: list[FunctionSymbol] = []
-        self.node_child: list[int] = []
         self.node_table: list[dict[int, int]] = []
         self.sort_of: list[int] = []
         self.sorts: list[Sort] = []  # each sort once, in the order first seen
@@ -184,8 +182,6 @@ class _Engine:
         n = len(self.parent)
         self.parent.append(n)
         self.least.append(n)
-        self.node_sym.append(sym)
-        self.node_child.append(r)
         self.node_table.append(tab)
         s = self.sort_id(sym.out_sort)
         self.sort_of.append(s)
@@ -250,13 +246,10 @@ class _Engine:
                     tab[rx] = p
                 elif self.find(q) != self.find(p):
                     work.append((p, q))
-            if ux is None:
-                uses[rx] = uy
-            else:
-                ux.extend(uy)
+            ux.extend(uy)  # after the swap, ux is None only when uy is
 
-    def class_tables(self) -> tuple[dict[FunctionSymbol, dict[int, int]], list[int]]:
-        """The symbol tables keyed and valued by class (the least node id), and each node's class.
+    def class_tables(self) -> tuple[dict[FunctionSymbol, dict[int, int]], int]:
+        """The symbol tables keyed and valued by class (the least node id), and the node count.
 
         An absorbed root's keys are stale, so only a root's entry is kept.
         """
@@ -264,7 +257,7 @@ class _Engine:
         cls = list(map(self.least.__getitem__, root))
         tables = {sym: {cls[k]: cls[n] for k, n in tab.items() if root[k] == k} if sym.arg_sorts
                   else {-1: cls[tab[-1]]} for sym, tab in self.tables.items()}
-        return tables, cls
+        return tables, len(root)
 
 
 # presentation id -> the first live model that read it as its `instance`, while that model lives
@@ -286,16 +279,16 @@ class TermModel:
     """The computed initial algebra of an instance presentation: its operation tables over classes.
 
     Immutable after construction; safe to share across threads.  A class
-    is named by the least id among its nodes.  `tables[sym]` maps the
-    class sym applies to (-1 for a 0-ary symbol) to the class of the
-    application, and `_cls` maps each node to its class; queries only
-    read them.  `canonical`, `instance` and the labels are computed on
-    first read and cached; two threads reading one first at once build
-    equal values.  `generators` and `chains` are what the model was
+    is named by the least id among its nodes, which is less than `nodes`,
+    the node count; classes are the only ids a model takes or hands out.
+    `tables[sym]` maps the class sym applies to (-1 for a 0-ary symbol) to
+    the class of the application; queries only read them.  `canonical`,
+    `instance` and the labels are computed on first read and cached; two
+    threads reading one first at once build equal values.  `generators` and `chains` are what the model was
     saturated or written from.
     """
 
-    def __init__(self, schema: Schema, name: str, tables: dict[FunctionSymbol, dict[int, int]], cls: list[int],
+    def __init__(self, schema: Schema, name: str, tables: dict[FunctionSymbol, dict[int, int]], nodes: int,
                  generators: tuple[FunctionSymbol, ...], chains: Sequence[tuple[Chain, Chain]],
                  presentation: Optional[InstancePresentation] = None):
         self.schema = schema
@@ -304,7 +297,6 @@ class TermModel:
         self.chains = chains
         self._presentation = presentation
         self.tables = tables
-        self._cls = cls  # node -> its class
         # per class, children first: the symbol and child class (or -1) of its canonical term
         self._chosen: dict[int, tuple[FunctionSymbol, int]] = {}
         self.id_label: dict[int, int] = {}
@@ -327,7 +319,7 @@ class TermModel:
 
         # level d + 1: the unresolved classes that a symbol on the sort of a class
         # resolved at level d reaches, each by its least (name, child rank) candidate
-        rank = [0] * len(cls)  # class -> rank, 0 until resolved
+        rank = [0] * nodes  # class -> rank, 0 until resolved
         chosen = self._chosen
         self.carriers = carriers = {s: [] for s in schema.entities + schema.typeside.types}  # by rank, then by class
         on: dict[int, tuple] = {}  # id() of a sort -> its carrier, and its symbols with their tables
@@ -415,9 +407,6 @@ class TermModel:
 
     # -- queries -------------------------------------------------------
 
-    def find(self, c: int) -> int:
-        return self._cls[c]
-
     def carrier(self, sort: Sort) -> list[int]:
         return self.carriers.get(sort, [])
 
@@ -429,7 +418,7 @@ class TermModel:
 
     def _lookup(self, sym: FunctionSymbol, c: int = -1) -> Optional[int]:
         """Class of sym applied to class c (-1: sym is 0-ary), or None when the model has no such term."""
-        return self.tables.get(sym, _NO_NODES).get(self._cls[c] if sym.arg_sorts else -1)
+        return self.tables.get(sym, _NO_NODES).get(c if sym.arg_sorts else -1)
 
     def op(self, sym: FunctionSymbol, c: int) -> int:
         """Apply a unary symbol's operation table to a class."""
@@ -487,26 +476,21 @@ class TermModel:
                 c = tables.get(sym, _NO_NODES).get(c)
             else:
                 d = genmap.get(sym) if genmap else None
-                c = self._cls[d] if d is not None else tables.get(sym, _NO_NODES).get(-1)
+                c = d if d is not None else tables.get(sym, _NO_NODES).get(-1)
             if c is None:
                 return None
         return c
 
-    def eval(self, t: Term, genmap: Optional[Mapping[FunctionSymbol, int]] = None,
-             varmap: Optional[Mapping[str, int]] = None) -> Optional[int]:
+    def eval(self, t: Term, genmap: Optional[Mapping[FunctionSymbol, int]] = None) -> Optional[int]:
         """Class denoted by a ground term, or None for a never-seen literal.
 
         `genmap` re-routes generator symbols to existing classes (used
-        when extending morphisms homomorphically); `varmap` binds
-        variables of open terms to classes.
+        when extending morphisms homomorphically).
         """
-        chain, c, lead = term_chain(t), -1, 0
+        chain, c = term_chain(t), -1
         if isinstance(chain[0], Var):
-            v = chain[0]
-            if varmap is None or v.name not in varmap:
-                raise UnknownSymbol(f"unbound variable {v.name}")
-            c, lead = self.find(varmap[v.name]), 1
-        for i in range(lead, len(chain)):  # a step at a time, to name the application the model lacks
+            raise UnknownSymbol(f"unbound variable {chain[0].name}")
+        for i in range(len(chain)):  # a step at a time, to name the application the model lacks
             c = self.walk(chain[i:i + 1], genmap, c)
             if c is None:
                 if chain[i].flavor == LITERAL:
@@ -522,10 +506,10 @@ class TermModel:
         first, so each class costs one lookup in tgt.
         """
         out: dict[int, int] = {}
-        tables, cls = tgt.tables, tgt._cls
+        tables = tgt.tables
         for c, (sym, k) in self._chosen.items():
             if k < 0 and sym in genmap:
-                out[c] = cls[genmap[sym]]
+                out[c] = genmap[sym]
                 continue
             hit = tables.get(sym, _NO_NODES).get(out[k] if k >= 0 else -1)
             if hit is None:
@@ -568,11 +552,11 @@ class TermModel:
 
     def label(self, c: int) -> str:
         """Display string: entity id, literal value, or labeled-null term (entity subterms as ids)."""
-        return self._labels[self._cls[c]]
+        return self._labels[c]
 
     def labels(self, classes: Iterable[int]) -> list[str]:
         """The `label` of each of `classes`, in order, read with no Python call per class."""
-        return list(map(self._labels.__getitem__, map(self._cls.__getitem__, classes)))
+        return list(map(self._labels.__getitem__, classes))
 
     def __repr__(self) -> str:
         sizes = ", ".join(f"{s.name}:{len(cs)}" for s, cs in self.carriers.items() if cs)
@@ -694,25 +678,27 @@ def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
         tab = tables.get(q)
         if tab is None:
             tab = tables[q] = {}
-        tab[cls[leaves[g]]] = c = cls[leaves[v]]
-        cls.append(c)
+        tab[cls[leaves[g]]] = cls[leaves[v]]
+    nodes = len(leaves) + len(rows)  # saturate adds a node per row, which the row's value absorbs
 
-    entity_classes = [(n, sym.out_sort) for sym, n in leaves.items()
+    # each entity class in node order, with the id() of its sort: a sort of the schema, so its id is its own
+    entity_classes = [(n, id(sym.out_sort)) for sym, n in leaves.items()
                       if sym.out_sort.is_entity and cls[n] == n]
+    sort_at = {id(s): s for s in schema.entities}
     # per entity sort, its symbols with a row at fewer of its classes than it has
-    missing = {s: [f for f in schema.symbols_on(s) if len(tables.get(f, _NO_NODES)) < k]
-               for s, k in Counter(s for _, s in entity_classes).items()}
+    missing = {i: [f for f in schema.symbols_on(sort_at[i]) if len(tables.get(f, _NO_NODES)) < k]
+               for i, k in Counter(i for _, i in entity_classes).items()}
     nulls: list[FunctionSymbol] = []  # the attribute of each fresh labeled null, in node order
     if any(missing.values()):
-        for n, s in entity_classes:
-            for f in missing[s]:
+        for n, i in entity_classes:
+            for f in missing[i]:
                 tab = tables.setdefault(f, {})
                 if n not in tab:
-                    tab[n] = len(cls)
-                    cls.append(len(cls))
+                    tab[n] = nodes
+                    nodes += 1
                     nulls.append(f)
 
-    model = TermModel(schema, name, tables, cls, tuple(generators), chains)
+    model = TermModel(schema, name, tables, nodes, tuple(generators), chains)
     for con in schema.constraints:
         lhs, rhs = open_chain(con.lhs), open_chain(con.rhs)
         for c in model.carrier(con.free[0].sort):

@@ -467,6 +467,42 @@ mapping Id = identity L
     assert "nxt -> lambda p:E. nxt(p)" in out and "k -> lambda p:F. k(p)" in out
 
 
+# nxt is its own image and a is the image of both a and b, so no inverse sends b anywhere
+SWAP = """\
+typeside Ty = literal { }
+schema L = literal : Ty {
+    entities E
+    foreign_keys nxt : E -> E
+    attributes a b : E -> Int
+}
+mapping Swap = literal : L -> L {
+    entities E -> E
+    foreign_keys nxt -> lambda x:E. nxt(x)
+    attributes a -> lambda x:E. a(x)  b -> lambda x:E. a(x)
+}
+"""
+
+UNMATCHED = """\
+typeside Ty = literal { }
+schema A = literal : Ty { entities X attributes s : X -> String }
+schema B = literal : Ty { entities F attributes n : F -> Int }
+"""
+
+
+@pytest.mark.parametrize("text, argv, code, err", [
+    (SWAP, ["invert", "--mapping", "Swap", "--depth", "1"], 2,
+     "invert Swap: inversion search space truncated by depth bound\n"),
+    (SWAP, ["invert", "--mapping", "Nope"], 1, "error: no mapping named Nope\n"),
+    (UNMATCHED, ["match", "--source", "A", "--target", "B"], 1,
+     "match A B: failed: no symbol or path from F to String for s\n"),
+    (COLLIDING + "check B\n", ["eval"], 3,
+     "check B: inconsistent: Collision(20, 30) at sort Int\nB: inconsistent: Collision(20, 30) at sort Int\n"),
+], ids=["invert-truncated", "invert-unknown-mapping", "match-failed", "eval-check-inconsistent"])
+def test_failing_commands_exit_with_their_code(tmp_path, capsys, text, argv, code, err):
+    assert main([argv[0], write(tmp_path, text), *argv[1:]]) == code
+    assert capsys.readouterr().err == err
+
+
 def test_export_writes_files(example_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["export", example_file, "--format", "csv",

@@ -381,7 +381,7 @@ def test_delta_pi_hom_bijection(corpus, monkeypatch):
             for tau in f_map.target.typeside.types:
                 for c in jm.carrier(tau):
                     cmap[c] = pires.ty_class[h.apply(dres.ty_class[c])]
-            assert transpose_pi_down(f_map, jm, h).normalized() == cmap
+            assert transpose_pi_down(f_map, jm, h).cmap == cmap
         # one enumeration per distinct path set: pi on the running example used to make 8
         enumerations[f_map.name] = count_calls(monkeypatch, migrate, "enumerate_paths",
                                                lambda: pi(f_map, im, name="uncached"))

@@ -65,6 +65,12 @@ def test_decide_equal_on_running_example(model_i, schema_s, inst_i):
     assert not model_i.decide_equal(ap(f, e1), ap(f, e2))
 
 
+def test_decide_equal_rejects_an_open_term(model_i, schema_s, inst_i):
+    age, f = schema_s.symbol_named("age"), schema_s.symbol_named("f")
+    with pytest.raises(UnknownSymbol, match="^unbound variable x$"):
+        model_i.decide_equal(ap(age, ap(f, Var("x", N1))), ap(age, ap(f, inst_i.generators[0])))
+
+
 def test_labels_are_ids_literals_or_null_terms(model_i, schema_s, inst_i):
     f = schema_s.symbol_named("f")
     e1 = inst_i.generators[0]
@@ -157,10 +163,10 @@ def test_queries_never_write_the_model(schema_s):
     gens = [generator(f"e{i}", N1) for i in range(6)]
     eqs = [ground_eq(App(a), App(b)) for a, b in zip(gens, gens[1:])]
     m = build_term_model(InstancePresentation("chain", schema_s, gens, eqs))
-    tables, cls = {sym: dict(tab) for sym, tab in m.tables.items()}, list(m._cls)
+    tables = {sym: dict(tab) for sym, tab in m.tables.items()}
     f, name = schema_s.symbol_named("f"), schema_s.symbol_named("name")
     for g in gens:
-        c = m.find(m.class_of(g))
+        c = m.class_of(g)
         assert m.label(c) == "1"
         assert m.label(m.op(name, c)) == "name(1)"
         assert m.eval(ap(name, g)) == m.op(name, c)
@@ -170,7 +176,7 @@ def test_queries_never_write_the_model(schema_s):
     assert m.image(m, {g: m.class_of(g) for g in gens}) == {c: c for c in m.all_classes()}
     render_model(m, "markdown")
     render_model(m, "json")
-    assert m.tables == tables and m._cls == cls
+    assert m.tables == tables
 
 
 def test_a_frozen_model_holds_no_engine(monkeypatch, schema_s):
@@ -304,22 +310,39 @@ def test_reversed_merge_chain_work_grows_linearly(monkeypatch):
 # Classes are named by their least node, whichever root the unions keep
 
 
-def _assert_named_by_least_node(m):
-    first: dict[int, int] = {}  # class -> the least node seen in it
-    for n in range(len(m._cls)):  # every node, saturated or written
-        assert first.setdefault(m.find(n), n) == m.find(n), n
+def _assert_named_by_least_node(monkeypatch, build):
+    """Run build() and check, at every engine freeze, that each node's class is the least node of its root.
+
+    Written models number their classes as saturation would; the written-model
+    tests compare their tables with saturation's.
+    """
+    freezes = 0
+    real = _Engine.class_tables
+
+    def class_tables(self):
+        nonlocal freezes
+        freezes += 1
+        least: dict[int, int] = {}  # union-find root -> the least node under it
+        for n in range(len(self.parent)):
+            r = self.find(n)
+            assert self.least[r] == least.setdefault(r, n), n
+        return real(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_Engine, "class_tables", class_tables)
+        out = build()
+    assert freezes
+    return out
 
 
 @pytest.mark.parametrize("name", LITERAL_PROGRAMS)
-def test_every_class_is_named_by_its_least_node(name):
-    env, _ = literal_models(LITERAL_PROGRAMS[name])
-    for m in env.models.values():
-        _assert_named_by_least_node(m)
+def test_every_class_is_named_by_its_least_node(monkeypatch, name):
+    _assert_named_by_least_node(monkeypatch, lambda: literal_models(LITERAL_PROGRAMS[name]))
 
 
-def test_fixture_classes_are_named_by_their_least_node(model_i, model_i0, model_j):
-    for m in (model_i, model_i0, model_j):
-        _assert_named_by_least_node(m)
+def test_fixture_classes_are_named_by_their_least_node(monkeypatch, inst_i, inst_i0, inst_j):
+    for inst in (inst_i, inst_i0, inst_j):
+        _assert_named_by_least_node(monkeypatch, lambda: build_term_model(inst))
 
 
 def colliding_chain_instance(m):
@@ -351,7 +374,7 @@ def _observed(m):
     (partial(merge_chain_instance, 12, 0), []),
     (partial(colliding_chain_instance, 12), [("30", "31"), ("p0", "p1"), ("p0", "p2")]),
 ], ids=["chain", "colliding"])
-def test_equation_order_changes_no_observable(make, collisions):
+def test_equation_order_changes_no_observable(monkeypatch, make, collisions):
     inst = make()
     base = _observed(build_term_model(inst))
     assert base[2] == collisions
@@ -360,9 +383,8 @@ def test_equation_order_changes_no_observable(make, collisions):
     for seed in range(1, 21):
         eqs = list(inst.equations)
         random.Random(seed).shuffle(eqs)
-        m = build_term_model(replace(inst, equations=eqs))
+        m = _assert_named_by_least_node(monkeypatch, lambda: build_term_model(replace(inst, equations=eqs)))
         assert _observed(m) == base, seed
-        _assert_named_by_least_node(m)
         for i, t1 in enumerate(universe):
             for t2 in universe[i:]:
                 if t1.sort == t2.sort:

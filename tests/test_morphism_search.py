@@ -84,7 +84,7 @@ def first_fault(a, b, genmap):
         return f"a literal of {a.name} does not denote in the target"
     h = InstanceMorphism(a, b, cmap)
     bad = [f"the assignment of {g.name} breaks an equation of {a.name}"
-           for g, d in genmap.items() if h.apply(a.class_of(g)) != b.find(d)] or h.violations()
+           for g, d in genmap.items() if h.apply(a.class_of(g)) != d] or h.violations()
     return bad[0] if bad else None
 
 
@@ -116,7 +116,7 @@ def random_pairs():
 def assert_search_matches_brute_force(a, b):
     ref = reference_morphisms(a, b)
     found = enumerate_morphisms(a, b)
-    assert [h.normalized() for h in found] == [h.normalized() for h in ref]
+    assert [h.cmap for h in found] == [h.cmap for h in ref]
     iso = instances_isomorphic(a, b)
     assert (iso is not None) == any(h.is_bijective() for h in ref)
     if iso is not None:
@@ -168,7 +168,7 @@ def assert_check_agrees_with_the_definition(a, b) -> tuple[int, int]:
             assert ref is None and str(err) == first_fault(a, b, genmap)
             refused += 1
         else:
-            assert ref is not None and h.normalized() == ref.normalized()
+            assert ref is not None and h.cmap == ref.cmap
             accepted += 1
     return accepted, refused
 
@@ -268,7 +268,7 @@ def test_search_reads_chains_not_presentations_on_the_laws_corpus():
         # the reference reads the presentations
         for (a, b), homs in zip(pairs, found):
             if small(a, b):
-                assert [h.normalized() for h in homs] == \
-                    [h.normalized() for h in reference_morphisms(a, b)]
+                assert [h.cmap for h in homs] == \
+                    [h.cmap for h in reference_morphisms(a, b)]
                 checked += 1
     assert checked >= 10

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from catq import (
     Equation,
+    FunctionSymbol,
     InstancePresentation,
     ResourceLimit,
     SaturationLimits,
@@ -573,8 +574,7 @@ def _column(m, f):
 
 
 def assert_same_model(direct, saturated):
-    """Two term models agree in every piece: node classes, operation tables, canonical terms and their order, facts."""
-    assert direct._cls == saturated._cls
+    """Two term models agree in every piece: operation tables, canonical terms and their order, facts."""
     # saturating keeps a table, empty, for a symbol on a sort with no classes
     assert direct.tables == {f: tab for f, tab in saturated.tables.items() if tab or f in direct.tables}
     assert list(direct._chosen.items()) == list(saturated._chosen.items())
@@ -837,7 +837,7 @@ def test_delta_and_pi_raise_the_limits_of_saturation(differential, case):
 
 
 # ---------------------------------------------------------------------------
-# The freeze keys its per-sort state by id(): `Sort.__hash__` is a Python call
+# The freeze, delta and write_model key their per-sort state by id(): `Sort.__hash__` is a Python call
 
 
 @pytest.mark.parametrize("workload", ["wide", "deep"])
@@ -866,3 +866,37 @@ def test_the_freeze_hashes_sorts_a_number_of_times_bounded_by_the_sorts(monkeypa
     for m in env.models.values():
         sorts = len(m.schema.entities) + len(m.schema.typeside.types)
         assert 0 < hashes[m.name] <= 4 * sorts < len(m.all_classes()), m.name
+
+
+def _sort_hashes(monkeypatch, run) -> int:
+    """`Sort.__hash__` calls made by run(), less those made constructing a `FunctionSymbol` (one per generator)."""
+    calls, building = 0, []
+    real_hash, real_post_init = Sort.__hash__, FunctionSymbol.__post_init__
+
+    def counting_hash(self):
+        nonlocal calls
+        calls += not building
+        return real_hash(self)
+
+    def post_init(self):
+        building.append(self)
+        try:
+            real_post_init(self)
+        finally:
+            building.pop()
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Sort, "__hash__", counting_hash)
+        mp.setattr(FunctionSymbol, "__post_init__", post_init)
+        run()
+    return calls
+
+
+def test_delta_and_pi_hash_sorts_as_often_at_any_size(monkeypatch):
+    counts = {}
+    for n in (80, 320):
+        env, _ = derived(bench_gen.wide(1, n).text)
+        f_map, i, j = env.mappings["F"], env.models["I"], env.models["J"]
+        counts[n] = (_sort_hashes(monkeypatch, lambda: delta(f_map, j)),
+                     _sort_hashes(monkeypatch, lambda: pi(f_map, i)))
+    assert all(counts[80]) and counts[80] == counts[320]

@@ -12,6 +12,7 @@ from .errors import (
     InvariantViolation,
     NoMorphismExists,
     NoPathForSymbol,
+    ReadOnlyError,
     ResourceLimit,
     SchemaMismatch,
     SortMismatch,
@@ -37,6 +38,7 @@ from .terms import (
     ground_eq,
     int_literal,
     literal,
+    replace,
     string_literal,
 )
 from .schema import (

@@ -46,7 +46,7 @@ from .schema import (
     Schema,
     Typeside,
     generator,
-    validate_instance,
+    instance_issues as validate_instance,  # an instance's own checks, under the name `bench/spans.py` times
     validate_schema,
     validate_typeside,
 )
@@ -413,7 +413,9 @@ class _Elaborator:
         leaves: dict = {}
         sides = [self.resolve_sides(raw, sch, gens, {}, leaves) for raw in d.equations]
         # the equations resolve to symbols of the schema and generators only, so
-        # validating the generators checks all that the equations could break
+        # validating the generators checks all that the equations could break;
+        # the schema was validated when it was declared, so only the instance's
+        # own checks run here
         pres = InstancePresentation(d.name, sch, generators)
         if self.issues_to_diags(validate_instance(pres), d):
             return

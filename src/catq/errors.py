@@ -35,3 +35,10 @@ class NoMorphismExists(CatqError):
 
 class NoPathForSymbol(CatqError):
     """Schema matching found no target symbol or path for a source symbol."""
+
+
+class ReadOnlyError(AttributeError):
+    """An attribute of a read-only value was assigned or deleted.
+
+    A fault of the calling code, not of its input, so not a `CatqError`.
+    """

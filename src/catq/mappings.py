@@ -10,7 +10,6 @@ and every decision of path equality compares the paths' `path_key`s.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Callable, Hashable, Optional
 
@@ -19,8 +18,11 @@ from .model import DEFAULT_LIMITS, SaturationLimits, TermModel, build_term_model
 from .schema import InstancePresentation, Issue, Schema, generator
 from .terms import (
     GENERATOR,
+    LITERAL,
     App,
     FunctionSymbol,
+    ReadOnly,
+    Record,
     Sort,
     Term,
     Var,
@@ -32,19 +34,19 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, repr=False)
-class Mapping:
+class Mapping(ReadOnly, Record):
     """A frozen value; `entity_map` and `symbol_map` are read-only copies of the dicts given."""
 
-    name: str
-    source: Schema
-    target: Schema
-    entity_map: MappingProxyType[Sort, Sort] = field(default_factory=dict)
-    symbol_map: MappingProxyType[FunctionSymbol, Term] = field(default_factory=dict)
+    _fields = ("name", "source", "target", "entity_map", "symbol_map")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entity_map", MappingProxyType(dict(self.entity_map)))
-        object.__setattr__(self, "symbol_map", MappingProxyType(dict(self.symbol_map)))
+    def __init__(self, name: str, source: Schema, target: Schema,
+                 entity_map: Optional[dict[Sort, Sort]] = None,
+                 symbol_map: Optional[dict[FunctionSymbol, Term]] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "entity_map", MappingProxyType(dict(entity_map or {})))
+        object.__setattr__(self, "symbol_map", MappingProxyType(dict(symbol_map or {})))
 
     @functools.cached_property
     def _image_chains(self) -> dict[FunctionSymbol, tuple]:
@@ -287,8 +289,7 @@ class InstanceMorphism:
                         out.append(f"does not commute with {f.name} at class {c}")
         # every literal of a class: the least one, and the others it collides with
         lits = list(src.literal_of.items())
-        lits += [(k.class_id, replace(src.literal_of[k.class_id], name=k.lit2))
-                 for k in src.collisions]
+        lits += [(k.class_id, FunctionSymbol(k.lit2, (), k.sort, LITERAL)) for k in src.collisions]
         for c, sym in lits:
             img = tgt._lookup(sym)
             if img is None or self.apply(c) != img:

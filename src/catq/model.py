@@ -68,7 +68,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
@@ -80,6 +79,7 @@ from .terms import (
     App,
     FunctionSymbol,
     ReadOnly,
+    Record,
     Sort,
     Term,
     Var,
@@ -96,14 +96,14 @@ _NO_NODES: dict[int, int] = {}  # the table of a symbol the model never applied
 _name = attrgetter("name")
 
 
-@dataclass(frozen=True)
-class SaturationLimits:
-    max_classes_per_sort: int = 10000
-    max_rounds: int = 1000
+class SaturationLimits(ReadOnly, Record):
+    _fields = ("max_classes_per_sort", "max_rounds")
 
-    def __post_init__(self):
-        if self.max_classes_per_sort <= 0 or self.max_rounds <= 0:
+    def __init__(self, max_classes_per_sort: int = 10000, max_rounds: int = 1000):
+        if max_classes_per_sort <= 0 or max_rounds <= 0:
             raise ValueError("saturation limits must be strictly positive")
+        object.__setattr__(self, "max_classes_per_sort", max_classes_per_sort)
+        object.__setattr__(self, "max_rounds", max_rounds)
 
 
 DEFAULT_LIMITS = SaturationLimits()
@@ -128,11 +128,13 @@ class _Engine:
     """Union-find over unary and 0-ary nodes, with one table per symbol and congruence repair.
 
     Each node applies one symbol to one child class, or to none.
-    `tables[sym]` maps the root of a child class (-1 for none) to the node
-    applying sym to it, and `node_table[n]` is node n's table, so repair
-    never hashes a symbol.  `uses[r]` holds every node over the class of
-    root r.  A union makes the root with the shorter use list a child of
-    the other and re-keys that list's nodes: only their keys change.
+    `tables[sym]` is sym's table, which maps the root of a child class (-1
+    for none) to the node applying sym to it, with the index in `sorts` of
+    sym's output sort, resolved once per symbol.  `node_table[n]` is node
+    n's table, so repair never hashes a symbol.  `uses[r]` holds every
+    node over the class of root r.  A union makes the root with the
+    shorter use list a child of the other and re-keys that list's nodes:
+    only their keys change.
     `least[r]` is the least node id of root r's class.  `sort_of[n]` is the
     index in `sorts` of node n's sort, so no node hashes a `Sort`.
     """
@@ -144,7 +146,7 @@ class _Engine:
         self.sort_of: list[int] = []
         self.sorts: list[Sort] = []  # each sort once, in the order first seen
         self.sort_at: dict[int, int] = {}  # id() of each Sort object seen -> its sort's index
-        self.tables: dict[FunctionSymbol, dict[int, int]] = {}
+        self.tables: dict[FunctionSymbol, tuple[dict[int, int], int]] = {}
         self.uses: dict[int, list[int]] = {}
         self.class_count: dict[int, int] = {}  # sort index -> classes, in the order of the sorts' first nodes
         self.created: list[int] = []  # nodes added since the worklist last took them
@@ -164,18 +166,20 @@ class _Engine:
             i = self.sort_at[id(s)] = self.sorts.index(s)
         return i
 
-    def table(self, sym: FunctionSymbol) -> dict[int, int]:
-        tab = self.tables.get(sym)
-        if tab is None:
-            tab = self.tables[sym] = {}
-        return tab
+    def table(self, sym: FunctionSymbol) -> tuple[dict[int, int], int]:
+        """sym's table and the index of its output sort."""
+        entry = self.tables.get(sym)
+        if entry is None:
+            entry = self.tables[sym] = ({}, self.sort_id(sym.out_sort))
+        return entry
 
     def add(self, sym: FunctionSymbol, c: int = -1) -> int:
         """Class of sym applied to the class of c (-1: sym is 0-ary), adding the node if it is new."""
-        return self.apply(self.table(sym), sym, self.find(c) if c >= 0 else -1)
+        tab, s = self.table(sym)
+        return self.apply(tab, s, self.find(c) if c >= 0 else -1)
 
-    def apply(self, tab: dict[int, int], sym: FunctionSymbol, r: int) -> int:
-        """`add` with sym's table `tab` resolved and the child class given by its root r (or -1)."""
+    def apply(self, tab: dict[int, int], s: int, r: int) -> int:
+        """`add` with a symbol's table `tab` and sort index s resolved, and the child class's root r (or -1)."""
         hit = tab.get(r)
         if hit is not None:
             return self.find(hit)
@@ -183,7 +187,6 @@ class _Engine:
         self.parent.append(n)
         self.least.append(n)
         self.node_table.append(tab)
-        s = self.sort_id(sym.out_sort)
         self.sort_of.append(s)
         tab[r] = n
         if r >= 0:
@@ -256,7 +259,7 @@ class _Engine:
         root = list(map(self.find, range(len(self.parent))))
         cls = list(map(self.least.__getitem__, root))
         tables = {sym: {cls[k]: cls[n] for k, n in tab.items() if root[k] == k} if sym.arg_sorts
-                  else {-1: cls[tab[-1]]} for sym, tab in self.tables.items()}
+                  else {-1: cls[tab[-1]]} for sym, (tab, _) in self.tables.items()}
         return tables, len(root)
 
 
@@ -586,9 +589,9 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
     for lhs, rhs in chains:
         eng.merge(add(lhs), add(rhs))
 
-    # per entity, its symbols with their tables; per constraint, its sort and
+    # per entity, the tables and sort indices of its symbols; per constraint, its sort and
     # the chains of its sides, a variable leaf left out (`add_chain` starts them at its class)
-    closure = {eng.sort_id(s): [(eng.table(f), f) for f in schema.symbols_on(s)] for s in schema.entities}
+    closure = {eng.sort_id(s): [eng.table(f) for f in schema.symbols_on(s)] for s in schema.entities}
     constraints = [(eng.sort_id(con.free[0].sort), open_chain(con.lhs), open_chain(con.rhs))
                    for con in schema.constraints]
     find, least, sort_of, apply = eng.find, eng.least, eng.sort_of, eng.apply
@@ -604,8 +607,8 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
             r = find(n)
             if least[r] != n:
                 continue
-            for tab, f in closure.get(sort_of[r], ()):
-                apply(tab, f, r)
+            for tab, s in closure.get(sort_of[r], ()):
+                apply(tab, s, r)
         merged = False
         for s, lhs, rhs in constraints:
             for n in frontier:

@@ -25,11 +25,10 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from .terms import ReadOnly, render_tree
+from .terms import ReadOnly, Record, render_tree
 
 # token kinds
 IDENT = "ident"
@@ -146,14 +145,17 @@ def _span(node) -> SourceSpan:
     return node._span
 
 
-@dataclass
-class RawTerm:
-    """An unresolved application tree; a leaf has no arguments."""
+class RawTerm(Record):
+    """An unresolved application tree; a leaf has no arguments.  Mutable, so unhashable."""
 
-    name: str
-    span: SourceSpan
-    args: list["RawTerm"] = field(default_factory=list)
-    quoted: bool = False  # came from a double-quoted string
+    _fields = ("name", "span", "args", "quoted")
+    __hash__ = None
+
+    def __init__(self, name: str, span: SourceSpan, args: Optional[list["RawTerm"]] = None,
+                 quoted: bool = False):
+        self.name, self._span = name, span
+        self.args = [] if args is None else args
+        self.quoted = quoted  # came from a double-quoted string
 
     def render(self) -> str:
         return render_tree(self, lambda u: (f'"{u.name}"' if u.quoted else u.name, u.args))

@@ -9,9 +9,8 @@ the DSL elaborator attaches source spans to these issues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .terms import (
     ENTITY,
@@ -25,6 +24,7 @@ from .terms import (
     Equation,
     FunctionSymbol,
     ReadOnly,
+    Record,
     Sort,
     Term,
     render_term,
@@ -42,10 +42,10 @@ class Issue(ReadOnly):
         return f"{self.code}: {self.message}"
 
 
-def _tuples(obj, *names: str) -> None:
-    """Store the named fields of a frozen dataclass as tuples."""
-    for n in names:
-        object.__setattr__(obj, n, tuple(getattr(obj, n)))
+def _tuples(obj, **fields: Iterable) -> None:
+    """Store the given fields of a read-only value, each as a tuple."""
+    for n, items in fields.items():
+        object.__setattr__(obj, n, tuple(items))
 
 
 def _by_name(items) -> dict:
@@ -53,15 +53,13 @@ def _by_name(items) -> dict:
     return {x.name: x for x in reversed(items)}
 
 
-@dataclass(frozen=True)
-class Typeside:
-    name: str
-    types: tuple[Sort, ...] = (STRING, INT)
-    constants: tuple[FunctionSymbol, ...] = ()
-    equations: tuple[Equation, ...] = ()
+class Typeside(ReadOnly, Record):
+    _fields = ("name", "types", "constants", "equations")
 
-    def __post_init__(self):
-        _tuples(self, "types", "constants", "equations")
+    def __init__(self, name: str, types: Iterable[Sort] = (STRING, INT),
+                 constants: Iterable[FunctionSymbol] = (), equations: Iterable[Equation] = ()):
+        object.__setattr__(self, "name", name)
+        _tuples(self, types=types, constants=constants, equations=equations)
 
     @cached_property
     def _types(self) -> dict[str, Sort]:
@@ -109,17 +107,16 @@ def validate_typeside(ts: Typeside) -> list[Issue]:
     return issues
 
 
-@dataclass(frozen=True)
-class Schema:
-    name: str
-    typeside: Typeside
-    entities: tuple[Sort, ...] = ()
-    attributes: tuple[FunctionSymbol, ...] = ()
-    foreign_keys: tuple[FunctionSymbol, ...] = ()
-    constraints: tuple[Equation, ...] = ()
+class Schema(ReadOnly, Record):
+    _fields = ("name", "typeside", "entities", "attributes", "foreign_keys", "constraints")
 
-    def __post_init__(self):
-        _tuples(self, "entities", "attributes", "foreign_keys", "constraints")
+    def __init__(self, name: str, typeside: Typeside, entities: Iterable[Sort] = (),
+                 attributes: Iterable[FunctionSymbol] = (), foreign_keys: Iterable[FunctionSymbol] = (),
+                 constraints: Iterable[Equation] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "typeside", typeside)
+        _tuples(self, entities=entities, attributes=attributes, foreign_keys=foreign_keys,
+                constraints=constraints)
 
     @cached_property
     def symbols(self) -> tuple[FunctionSymbol, ...]:
@@ -203,17 +200,16 @@ def validate_schema(s: Schema) -> list[Issue]:
     return issues
 
 
-@dataclass(frozen=True)
-class InstancePresentation:
+class InstancePresentation(ReadOnly, Record):
     """A schema extended with 0-ary generators and ground equations."""
 
-    name: str
-    schema: Schema
-    generators: tuple[FunctionSymbol, ...] = ()
-    equations: tuple[Equation, ...] = ()
+    _fields = ("name", "schema", "generators", "equations")
 
-    def __post_init__(self):
-        _tuples(self, "generators", "equations")
+    def __init__(self, name: str, schema: Schema, generators: Iterable[FunctionSymbol] = (),
+                 equations: Iterable[Equation] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "schema", schema)
+        _tuples(self, generators=generators, equations=equations)
 
 
 def generator(name: str, sort: Sort) -> FunctionSymbol:
@@ -242,7 +238,13 @@ def _check_symbols(s: Schema, gens: AbstractSet[FunctionSymbol], t: Term) -> lis
 
 
 def validate_instance(i: InstancePresentation) -> list[Issue]:
-    issues = validate_schema(i.schema)
+    """The issues of i's schema, then those of its own generators and equations."""
+    return validate_schema(i.schema) + instance_issues(i)
+
+
+def instance_issues(i: InstancePresentation) -> list[Issue]:
+    """The issues of i's generators and equations, its schema taken as valid."""
+    issues: list[Issue] = []
     names = {e.name for e in i.schema.entities} | {f.name for f in i.schema.symbols} \
         | {c.name for c in i.schema.typeside.constants}
     for g in i.generators:

@@ -2,10 +2,10 @@
 
 Terms are immutable and hashable.  Sorts, symbols and applications
 compute their hash once, at construction, so hashing a symbol or a term
-of any depth takes constant time; `dataclasses.replace` on a sort or a
-symbol constructs anew and so hashes anew.  Equality is decided at once
-on identity or on unequal hashes, and compares fields only otherwise;
-equality of applications walks an explicit stack.
+of any depth takes constant time; `replace` (or `copy.replace`) on a
+sort or a symbol constructs anew and so hashes anew.  Equality is
+decided at once on identity or on unequal hashes, and compares fields
+only otherwise; equality of applications walks an explicit stack.
 All schema-level symbols are unary (attributes, foreign keys) or 0-ary
 (generators, literals, typeside constants), so most code in this
 package only ever builds chains of unary applications over constants.
@@ -13,10 +13,10 @@ package only ever builds chains of unary applications over constants.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import SortMismatch, UnboundVariable
+from .errors import ReadOnlyError, SortMismatch, UnboundVariable
 
 TYPE = "type"
 ENTITY = "entity"
@@ -29,13 +29,71 @@ FOREIGN_KEY = "foreign_key"
 TYPESIDE = "typeside"
 
 
-@dataclass(frozen=True, eq=False, repr=False)  # __eq__, __hash__ and __repr__ are its own
-class Sort:
-    name: str
-    kind: str  # TYPE or ENTITY
+class ReadOnly:
+    """A value whose attributes its constructor sets once, with `object.__setattr__`.
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
+    The plain classes of this package that are values share this guard:
+    assigning or deleting an attribute raises `ReadOnlyError`, an
+    `AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise ReadOnlyError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise ReadOnlyError(f"cannot delete field {name!r}")
+
+
+class Record:
+    """Equality, hash, repr and `__replace__` over the fields a class names in `_fields`.
+
+    `_fields` names the constructor's parameters in order, each stored
+    under its own name.  Two records are equal when they are of one class
+    and their fields are equal; the hash is that of the tuple of fields.
+    `__replace__` is the protocol of `copy.replace` (Python 3.13), and
+    `replace` below calls it on any Python.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls._fields)  # a plain callable on the class: call it with the record
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __replace__(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+
+
+def replace(obj, /, **changes):
+    """A copy of obj built by its constructor, with the named fields changed: `copy.replace` before Python 3.13."""
+    func = getattr(type(obj), "__replace__", None)
+    if func is None:
+        raise TypeError(f"replace() does not support {type(obj).__name__} objects")
+    return func(obj, **changes)
+
+
+class Sort(ReadOnly, Record):
+    _fields = ("name", "kind")
+
+    def __init__(self, name: str, kind: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)  # TYPE or ENTITY
+        object.__setattr__(self, "_hash", hash((name, kind)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -55,15 +113,15 @@ class Sort:
         return f"Sort({self.name!r}, {self.kind})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)  # __eq__, __hash__ and __repr__ are its own
-class FunctionSymbol:
-    name: str
-    arg_sorts: tuple[Sort, ...]
-    out_sort: Sort
-    flavor: str
+class FunctionSymbol(ReadOnly, Record):
+    _fields = ("name", "arg_sorts", "out_sort", "flavor")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.arg_sorts, self.out_sort, self.flavor)))
+    def __init__(self, name: str, arg_sorts: tuple[Sort, ...], out_sort: Sort, flavor: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arg_sorts", arg_sorts)
+        object.__setattr__(self, "out_sort", out_sort)
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "_hash", hash((name, arg_sorts, out_sort, flavor)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -86,30 +144,15 @@ class FunctionSymbol:
         return f"{self.name}:{args}->{self.out_sort.name}"
 
 
-@dataclass(frozen=True, repr=False)
-class Var:
-    name: str
-    sort: Sort
+class Var(ReadOnly, Record):
+    _fields = ("name", "sort")
+
+    def __init__(self, name: str, sort: Sort):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sort", sort)
 
     def __repr__(self) -> str:
         return f"?{self.name}:{self.sort.name}"
-
-
-class ReadOnly:
-    """A value whose attributes its constructor sets once, with `object.__setattr__`.
-
-    The plain classes of this package that are values share this guard:
-    assigning or deleting an attribute raises `FrozenInstanceError`, an
-    `AttributeError`, as on a frozen dataclass.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class App(ReadOnly):
@@ -267,23 +310,23 @@ def subterms(t: Term) -> Iterable[Term]:
             yield from subterms(a)
 
 
-@dataclass(frozen=True, repr=False)
-class Equation:
+class Equation(ReadOnly, Record):
     """lhs = rhs with at most one universally quantified variable."""
 
-    free: tuple[Var, ...]
-    lhs: Term
-    rhs: Term
+    _fields = ("free", "lhs", "rhs")
 
-    def __post_init__(self):
-        if term_sort(self.lhs) != term_sort(self.rhs):
+    def __init__(self, free: tuple[Var, ...], lhs: Term, rhs: Term):
+        if term_sort(lhs) != term_sort(rhs):
             raise SortMismatch(
-                f"equation sides have different sorts: {render_term(self.lhs)} = {render_term(self.rhs)}")
-        declared = set(self.free)
-        for side in (self.lhs, self.rhs):
+                f"equation sides have different sorts: {render_term(lhs)} = {render_term(rhs)}")
+        declared = set(free)
+        for side in (lhs, rhs):
             for v in free_vars(side):
                 if v not in declared:
                     raise UnboundVariable(f"variable {v.name} not quantified in equation")
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def is_ground(self) -> bool:

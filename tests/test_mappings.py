@@ -1,7 +1,6 @@
 """Schema mappings, composition, equality, and instance morphisms."""
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -26,6 +25,7 @@ from catq import (
     int_literal,
     mappings_equal,
     morphism_from_genmap,
+    replace,
     validate_mapping,
 )
 from catq.errors import NoMorphismExists

@@ -3,7 +3,6 @@
 import gc
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -17,6 +16,7 @@ from catq import (
     Mapping,
     NoMorphismExists,
     PathCaps,
+    ReadOnlyError,
     ResourceLimit,
     STRING,
     Var,
@@ -38,6 +38,7 @@ from catq import (
     mappings_equal,
     parse,
     pi,
+    replace,
     sigma,
     transpose_pi_down,
     transpose_pi_up,
@@ -541,12 +542,12 @@ def test_migration_inputs_cannot_change(mapping_f, model_i):
     # which is sound because mappings and presentations cannot change
     inst = model_i.instance
     for obj in (inst.schema.typeside, inst.schema, inst, mapping_f):
-        for f in fields(obj):
-            with pytest.raises(FrozenInstanceError):
-                setattr(obj, f.name, getattr(obj, f.name))
-            with pytest.raises(FrozenInstanceError):
-                delattr(obj, f.name)
-            assert not isinstance(getattr(obj, f.name), (list, dict, set))
+        for name in obj._fields:
+            with pytest.raises(ReadOnlyError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(ReadOnlyError):
+                delattr(obj, name)
+            assert not isinstance(getattr(obj, name), (list, dict, set))
     f_sym = inst.schema.symbol_named("f")
     with pytest.raises(TypeError):
         mapping_f.entity_map[N1] = N
@@ -581,7 +582,6 @@ def test_mutated_mapping_is_migrated_again(builds, mapping_f, model_j, schema_t)
 
 
 def test_mutated_presentation_is_migrated_again(builds, mapping_f, schema_s):
-    from dataclasses import replace
     from catq import ground_eq
     inst = employees_instance(schema_s)
     first = sigma(mapping_f, inst)

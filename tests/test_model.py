@@ -3,7 +3,6 @@
 import gc
 import random
 import weakref
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -29,6 +28,7 @@ from catq import (
     ground_eq,
     int_literal,
     render_model,
+    replace,
     string_literal,
 )
 from catq.model import _Engine, saturate
@@ -294,6 +294,17 @@ def test_merge_chain_work_grows_linearly(monkeypatch):
         calls[m] = count_calls(monkeypatch, _Engine, "find", lambda: build_term_model(inst))
     # 4x the records: linear work grows 4x (4.9x here), re-keying both classes 15x
     assert calls[400] < 8 * calls[100]
+
+
+def test_the_engine_resolves_a_sort_once_per_symbol(monkeypatch):
+    # a node's sort index is its symbol's, read with the symbol's table;
+    # the closure resolves each entity once, and each constraint its variable's
+    for m in (100, 400):
+        inst = merge_chain_instance(m, 0)
+        calls = count_calls(monkeypatch, _Engine, "sort_id", lambda: build_term_model(inst))
+        model = build_term_model(inst)
+        assert calls == len(model.tables) + len(inst.schema.entities) + len(inst.schema.constraints)
+        assert len(model.tables) == m + 5  # the generators, f, name, age and the literals "p" and 30
 
 
 def test_reversed_merge_chain_work_grows_linearly(monkeypatch):

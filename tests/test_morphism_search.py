@@ -10,7 +10,6 @@ visits assignments in `itertools.product` order, which is the order
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -38,6 +37,7 @@ from catq import (
     morphism_from_genmap,
     parse,
     pi,
+    replace,
     sigma,
     string_literal,
 )

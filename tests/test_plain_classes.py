@@ -1,23 +1,27 @@
 """Start-up cost and the plainly written classes.
 
 `@dataclass` generates a class's methods by `exec` when its module is
-imported, so only the classes whose dataclass API is read are
-dataclasses.  Every other class is a plain `__init__`, and a value among
-them shares the read-only guard `terms.ReadOnly`.
+imported, and `dataclasses` loads `inspect` and `ast`, so no class of
+catq is a dataclass.  Every class is a plain `__init__`; a value among
+them shares the read-only guard `terms.ReadOnly`, and the theory values
+read their equality, hash, repr and `__replace__` from `terms.Record`.
 """
 
+import copy
 import dataclasses
+import pickle
 import subprocess
 import sys
 import weakref
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 import catq.cli  # noqa: F401  (what a `catq` process imports)
-from catq import INT, App, Var, int_literal
+from catq import INT, STRING, App, Var, generator, ground_eq, int_literal, replace
 from catq.elaborate import Environment
-from catq.mappings import InstanceMorphism
+from catq.mappings import InstanceMorphism, Mapping
 from catq.matcher import CandidateMapping, SimilarityConfig, SpanMatch
 from catq.migrate import (
     DeltaResult,
@@ -29,7 +33,7 @@ from catq.migrate import (
     SigmaResult,
     _held,
 )
-from catq.model import Collision
+from catq.model import Collision, SaturationLimits
 from catq.parser import (
     DerivedDecl,
     Diagnostic,
@@ -38,21 +42,16 @@ from catq.parser import (
     MappingDecl,
     Program,
     RawImage,
+    RawTerm,
     SchemaDecl,
     TypesideDecl,
 )
-from catq.schema import Issue
+from catq.schema import InstancePresentation, Issue, Schema, Typeside
+from catq.terms import Equation, FunctionSymbol, Record, Sort
 
 from conftest import N1, N2, attr, fkey
 
-# the classes whose dataclass API is read: `replace`, `fields` and
-# `FrozenInstanceError` on the theory values, generated equality, hashing
-# or repr on the others
-DATACLASSES = {
-    "catq.terms.Sort", "catq.terms.FunctionSymbol", "catq.terms.Var", "catq.terms.Equation",
-    "catq.schema.Typeside", "catq.schema.Schema", "catq.schema.InstancePresentation",
-    "catq.mappings.Mapping", "catq.model.SaturationLimits", "catq.parser.RawTerm",
-}
+DATACLASSES: set[str] = set()
 
 
 def test_only_the_kept_classes_are_dataclasses():
@@ -66,6 +65,8 @@ def test_only_the_kept_classes_are_dataclasses():
 REQUIRED = object()
 f = fkey("f", N1, N2)
 age = attr("age", N2, INT)
+x = Var("x", N1)
+EMPTY = MappingProxyType({})
 
 # each plainly written class, its parameters in order with their defaults,
 # and the arguments to build it with where any object would not do
@@ -107,12 +108,38 @@ SIGNATURES = [
     (Environment, [("typesides", {}), ("schemas", {}), ("models", {}), ("mappings", {}), ("order", []),
                    ("directives", [])], {}),
 ]
-FROZEN = {App, Diagnostic, Issue, Collision, PathCaps, InversionBounds, SimilarityConfig}
+# the classes that were dataclasses: they read equality, hash, repr and `__replace__` from `Record`
+RECORDS = [
+    (Sort, [("name", REQUIRED), ("kind", REQUIRED)], {}),
+    (FunctionSymbol, [("name", REQUIRED), ("arg_sorts", REQUIRED), ("out_sort", REQUIRED), ("flavor", REQUIRED)],
+     {}),
+    (Var, [("name", REQUIRED), ("sort", REQUIRED)], {}),
+    (Equation, [("free", REQUIRED), ("lhs", REQUIRED), ("rhs", REQUIRED)],
+     {"free": (x,), "lhs": App(f, (x,)), "rhs": App(f, (x,))}),
+    (Typeside, [("name", REQUIRED), ("types", (STRING, INT)), ("constants", ()), ("equations", ())],
+     {"types": (INT,), "constants": (), "equations": (ground_eq(int_literal(1), int_literal(1)),)}),
+    (Schema, [("name", REQUIRED), ("typeside", REQUIRED), ("entities", ()), ("attributes", ()),
+              ("foreign_keys", ()), ("constraints", ())],
+     {"entities": (N1, N2), "attributes": (age,), "foreign_keys": (f,), "constraints": ()}),
+    (InstancePresentation, [("name", REQUIRED), ("schema", REQUIRED), ("generators", ()), ("equations", ())],
+     {"generators": (), "equations": ()}),
+    (Mapping, [("name", REQUIRED), ("source", REQUIRED), ("target", REQUIRED), ("entity_map", EMPTY),
+               ("symbol_map", EMPTY)], {"entity_map": {N1: N1}, "symbol_map": {f: App(f, (x,))}}),
+    (SaturationLimits, [("max_classes_per_sort", 10000), ("max_rounds", 1000)],
+     {"max_classes_per_sort": 3, "max_rounds": 4}),
+    (RawTerm, [("name", REQUIRED), ("span", REQUIRED), ("args", []), ("quoted", False)], {}),
+]
+SIGNATURES += RECORDS
+FROZEN = {App, Diagnostic, Issue, Collision, PathCaps, InversionBounds, SimilarityConfig} | \
+    {cls for cls, _, _ in RECORDS if cls is not RawTerm}
+# fields a constructor stores as a read-only copy of the dict given, not as given
+COPIED = {(Mapping, "entity_map"), (Mapping, "symbol_map")}
 
 
 def test_the_table_covers_every_converted_class():
-    assert len(SIGNATURES) == 24
+    assert len(SIGNATURES) == 34
     assert not any(dataclasses.is_dataclass(cls) for cls, _, _ in SIGNATURES)
+    assert [cls for cls, _, _ in SIGNATURES if issubclass(cls, Record)] == [cls for cls, _, _ in RECORDS]
 
 
 @pytest.mark.parametrize("cls, params, given", SIGNATURES, ids=[s[0].__name__ for s in SIGNATURES])
@@ -121,7 +148,11 @@ def test_constructors_keep_their_order_keywords_and_defaults(cls, params, given)
     by_position = cls(*values.values())
     by_keyword = cls(**values)
     for name, _ in params:
-        assert getattr(by_position, name) is getattr(by_keyword, name) is values[name], name
+        if (cls, name) in COPIED:
+            assert getattr(by_position, name) == getattr(by_keyword, name) == values[name], name
+            assert getattr(by_position, name) is not values[name], name
+        else:
+            assert getattr(by_position, name) is getattr(by_keyword, name) is values[name], name
     required = {name: values[name] for name, default in params if default is REQUIRED}
     first, second = cls(**required), cls(**required)
     for name, default in params:
@@ -169,6 +200,45 @@ def test_application_equality_and_hash_are_structural():
     assert repr(t) == "age(f(x))"
 
 
+@pytest.mark.parametrize("cls, params, given", RECORDS, ids=[s[0].__name__ for s in RECORDS])
+def test_records_compare_hash_show_and_replace_by_their_fields(cls, params, given):
+    assert cls._fields == tuple(name for name, _ in params)
+    values = {name: given.get(name, object()) for name, _ in params}
+    a, b = cls(**values), cls(**values)
+    assert a is not b and a == b and not a != b
+    assert a.__eq__(object()) is NotImplemented and a != object()
+    if cls in (Mapping, RawTerm):  # a field is a dict view or a list
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(tuple(getattr(a, n) for n in cls._fields))
+    if cls.__repr__ is Record.__repr__:
+        shown = ", ".join(f"{n}={getattr(a, n)!r}" for n in cls._fields)
+        assert repr(a) == f"{cls.__qualname__}({shown})"
+    # `replace` builds anew by the constructor, keeping every field it is not given
+    assert replace(a) is not a and replace(a) == a.__replace__() == a
+    for name, _ in params:
+        if name in given:
+            continue
+        c = replace(a, **{name: object()})
+        assert type(c) is cls and c != a and getattr(c, name) is not getattr(a, name)
+        assert all(getattr(c, n) is getattr(a, n) for n in cls._fields if n != name and (cls, n) not in COPIED)
+    with pytest.raises(TypeError):
+        replace(a, no_such_field=1)
+
+
+def test_replace_refuses_what_has_no_replace():
+    with pytest.raises(TypeError):
+        replace(int_literal(7))
+
+
+def test_theory_values_survive_copy_and_pickle(schema_s, mapping_f):
+    inst = InstancePresentation("I", schema_s, [generator("a", N1)])
+    for v in (N1, f, Var("x", N1), schema_s.typeside, schema_s, inst, SaturationLimits(3, 4)):
+        assert copy.copy(v) == v and copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
+    assert copy.copy(mapping_f) == mapping_f
+
+
 def test_results_and_morphisms_take_new_attributes_and_weak_references():
     # a morphism holds the migration results its transpose used (`_held`),
     # and the migration memo holds results weakly
@@ -183,5 +253,14 @@ def test_a_catq_process_loads_no_json_module():
     src = str(Path(catq.cli.__file__).resolve().parent.parent)
     probe = "import sys; sys.path.insert(0, sys.argv[1]); import catq.cli; " \
             "print(sorted(m for m in sys.modules if m.startswith('json')))"
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_a_catq_process_loads_no_dataclass_machinery():
+    # `dataclasses` loads `inspect`, and `inspect` loads `ast`, `dis` and `tokenize`
+    src = str(Path(catq.cli.__file__).resolve().parent.parent)
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import catq.cli; " \
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules))"
     done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"

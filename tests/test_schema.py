@@ -1,6 +1,6 @@
 """Validators for typesides, schemas and instance presentations."""
 
-from dataclasses import replace
+import importlib
 from functools import cached_property
 
 from catq import (
@@ -14,13 +14,18 @@ from catq import (
     Sort,
     Var,
     builtin_typeside,
+    elaborate,
     generator,
     ground_eq,
     int_literal,
+    parse,
+    replace,
     validate_instance,
     validate_schema,
     validate_typeside,
 )
+from catq import schema as schema_module
+from catq.schema import instance_issues
 from catq.terms import ATTRIBUTE, ENTITY, TYPE, TYPESIDE
 
 from conftest import N1, N2, ap, attr, count_calls, fkey, merge_chain_instance
@@ -78,6 +83,33 @@ def test_instance_validation(schema_s):
 
     shadow = InstancePresentation("S", schema_s, [generator("name", N1)], [])
     assert "DuplicateName" in codes(validate_instance(shadow))
+
+
+def test_instance_validation_is_the_schemas_then_the_instances_own(schema_s):
+    # an attribute from an undeclared entity, and a generator shadowing the schema's symbol
+    loose = Schema("L", schema_s.typeside, [N1], [attr("name", N1, STRING), attr("age", N2, INT)])
+    inst = InstancePresentation("I", loose, [generator("name", N1)])
+    issues = [(i.code, i.message) for i in validate_instance(inst)]
+    assert issues == [(i.code, i.message) for i in validate_schema(loose) + instance_issues(inst)] == [
+        ("TypeToEntityFunction", "attribute age must go from an entity"),
+        ("DuplicateName", "generator name shadows another declaration")]
+
+
+def test_the_elaborator_validates_each_schema_once(monkeypatch):
+    elaborate_module = importlib.import_module("catq.elaborate")  # `catq.elaborate` is the function
+    text = """typeside Ty = literal { }
+schema S = literal : Ty {
+    entities Emp
+    attributes name : Emp -> String
+}
+instance I = literal : S { generators a : Emp }
+instance J = literal : S { generators b c : Emp  equations name(b) = Bob }
+"""
+    run = lambda: elaborate(parse(text)[0])  # noqa: E731
+    assert count_calls(monkeypatch, elaborate_module, "validate_schema", run) == 1
+    assert count_calls(monkeypatch, schema_module, "validate_schema", run) == 0
+    env, diags = run()
+    assert diags == [] and sorted(env.models) == ["I", "J"]
 
 
 def test_generator_may_not_shadow_a_typeside_constant(schema_s):

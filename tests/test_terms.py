@@ -1,6 +1,5 @@
 """Terms, sorts, substitution and equations."""
 
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +16,7 @@ from catq import (
     Var,
     ground_eq,
     int_literal,
+    replace,
     string_literal,
 )
 from catq.terms import (

@@ -349,13 +349,13 @@ def test_written_sigma_hits_the_limit_of_its_presentation():
 def equations_in_migrations(monkeypatch):
     """Counts the equations constructed while sigma, delta or pi runs in the elaborator."""
     count = {"inside": 0, "equations": 0}
-    real_post_init = Equation.__post_init__
+    real_init = Equation.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         count["equations"] += bool(count["inside"])
-        real_post_init(self)
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Equation, "__post_init__", counting)
+    monkeypatch.setattr(Equation, "__init__", counting)
     for op in ("sigma", "delta", "pi"):
         real = getattr(elaborate_module, op)
 
@@ -456,13 +456,13 @@ def test_colliding_literal_instance_keeps_its_collision():
 def test_literal_instances_build_no_term(monkeypatch):
     count = {"inside": 0, "terms": 0}
     for cls in (App, Equation):
-        real_post_init = cls.__post_init__
+        real_init = cls.__init__
 
-        def counting(self, _real=real_post_init):
+        def counting(self, *args, _real=real_init, **kwargs):
             count["terms"] += bool(count["inside"])
-            _real(self)
+            _real(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     real_do_instance = elaborate_module._Elaborator.do_instance
 
     def traced(self, d):
@@ -871,23 +871,23 @@ def test_the_freeze_hashes_sorts_a_number_of_times_bounded_by_the_sorts(monkeypa
 def _sort_hashes(monkeypatch, run) -> int:
     """`Sort.__hash__` calls made by run(), less those made constructing a `FunctionSymbol` (one per generator)."""
     calls, building = 0, []
-    real_hash, real_post_init = Sort.__hash__, FunctionSymbol.__post_init__
+    real_hash, real_init = Sort.__hash__, FunctionSymbol.__init__
 
     def counting_hash(self):
         nonlocal calls
         calls += not building
         return real_hash(self)
 
-    def post_init(self):
+    def init(self, *args, **kwargs):
         building.append(self)
         try:
-            real_post_init(self)
+            real_init(self, *args, **kwargs)
         finally:
             building.pop()
 
     with monkeypatch.context() as mp:
         mp.setattr(Sort, "__hash__", counting_hash)
-        mp.setattr(FunctionSymbol, "__post_init__", post_init)
+        mp.setattr(FunctionSymbol, "__init__", init)
         run()
     return calls
 

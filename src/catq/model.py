@@ -17,9 +17,11 @@ foreign key on its sort and (b) instantiates every schema constraint of
 its sort.  Nothing else needs revisiting: congruence carries both the
 closure and the constraint instances of a class across a merge.  One
 generation is one round for `SaturationLimits.max_rounds`, and per-sort
-class counts are kept as nodes are added and merged.  Finiteness of the
-term model is undecidable in general, so the limits turn potential
-divergence into an explicit ResourceLimit error.
+class counts are kept as nodes are added and merged.  With no schema
+constraint nothing merges after the seeding, so `_close` runs the
+generations on the class tables instead.  Finiteness of the term model
+is undecidable in general, so the limits turn potential divergence into
+an explicit ResourceLimit error.
 
 A union absorbs the class with fewer uses (the nodes over it), so a node
 changes its table key at most logarithmically often, whatever order the
@@ -31,15 +33,14 @@ class, and that id names the class once frozen.
 A `TermModel` is its operation tables over classes: `tables[sym]` maps
 the class sym applies to (-1 for a 0-ary symbol) to the class of the
 application.  Every id a model hands out is a class; nodes stay in the
-engine.  Two functions fill the tables.  `saturate` takes chains, runs
-generations and hands over the engine's tables, keyed by class, and its
-node count; the engine is not kept.
-`build_term_model` is `saturate` on the chains of a presentation's
-equations; the elaborator passes the chains it resolves a literal
-instance to, and sigma the chains it translates (`catq.migrate`).
+engine, which is not kept.  Two functions fill the tables.  `saturate`
+takes chains and hands over its tables, keyed by class, and the node
+count.  `build_term_model` is `saturate` on the chains of a
+presentation's equations; the elaborator passes the chains it resolves a
+literal instance to, and sigma the chains it translates (`catq.migrate`).
 `write_model` takes the operation tables delta and pi compute: it numbers
 the nodes as `saturate` would, joins the classes its pins equate, and
-writes the tables with no congruence repair and no closure round, the
+closes the tables with `_close`, which adds the labeled nulls: the
 tables `saturate` gives on them, class ids included.  It leaves to
 `saturate` the inputs where merges decide the model: a typeside with
 equations, and a schema constraint whose two sides walk to different
@@ -69,7 +70,7 @@ import itertools
 import weakref
 from collections import Counter
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ResourceLimit, SortMismatch, UnknownSymbol
@@ -251,8 +252,8 @@ class _Engine:
                     work.append((p, q))
             ux.extend(uy)  # after the swap, ux is None only when uy is
 
-    def class_tables(self) -> tuple[dict[FunctionSymbol, dict[int, int]], int]:
-        """The symbol tables keyed and valued by class (the least node id), and the node count.
+    def class_tables(self) -> tuple[dict[FunctionSymbol, dict[int, int]], list[int]]:
+        """The symbol tables keyed and valued by class (the least node id), and each node's class.
 
         An absorbed root's keys are stale, so only a root's entry is kept.
         """
@@ -260,7 +261,7 @@ class _Engine:
         cls = list(map(self.least.__getitem__, root))
         tables = {sym: {cls[k]: cls[n] for k, n in tab.items() if root[k] == k} if sym.arg_sorts
                   else {-1: cls[tab[-1]]} for sym, (tab, _) in self.tables.items()}
-        return tables, len(root)
+        return tables, cls
 
 
 # presentation id -> the first live model that read it as its `instance`, while that model lives
@@ -566,6 +567,38 @@ class TermModel:
         return f"TermModel({self.name}; {sizes})"
 
 
+def _close(schema: Schema, name: str, tables: dict[FunctionSymbol, dict[int, int]], classes: Sequence[tuple[int, int]],
+           nodes: int, ids: _Engine, limits: SaturationLimits) -> tuple[int, Optional[ResourceLimit]]:
+    """Saturation's generations where nothing merges, written straight into the class-keyed `tables`.
+
+    `classes` are the classes so far in node order, each with its sort's index as `ids` numbers the sorts.
+    With no schema constraint a fresh f(c) can equal only the f-node over c that f's table holds, so an
+    application is a membership test and a store.  Nodes, rounds and classes count as in the engine's
+    generations; returns the node count and the limit hit, or None.
+    """
+    on = {ids.sort_id(s): [(tables.setdefault(f, {}), ids.table(f)[1]) for f in schema.symbols_on(s)]
+          for s in schema.entities}
+    count = Counter(map(itemgetter(1), classes))  # in the order of the sorts' first classes, as the engine counts
+    for rounds in itertools.count(1):
+        if rounds > limits.max_rounds:
+            return nodes, ResourceLimit(f"saturation of {name} exceeded {limits.max_rounds} rounds")
+        start, fresh = nodes, []  # the sort of each node this generation creates, numbered from start
+        for c, s in classes:
+            for tab, t in on.get(s, ()):
+                if c not in tab:
+                    tab[c] = nodes
+                    nodes += 1
+                    fresh.append(t)
+        count.update(fresh)
+        for s, k in count.items():
+            if k > limits.max_classes_per_sort:
+                return nodes, ResourceLimit(f"carrier of {ids.sorts[s].name} in {name} exceeded"
+                                            f" {limits.max_classes_per_sort} classes (the term model may be infinite)")
+        if not fresh:
+            return nodes, None
+        classes = zip(range(start, nodes), fresh)
+
+
 def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
              chains: Sequence[tuple[Chain, Chain]],
              presentation: Optional[InstancePresentation] = None, *,
@@ -588,6 +621,14 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
         eng.merge(add(term_chain(eq.lhs)), add(term_chain(eq.rhs)))
     for lhs, rhs in chains:
         eng.merge(add(lhs), add(rhs))
+
+    if not schema.constraints:  # nothing merges after the seeding, so `_close` closes the class tables
+        tables, cls = eng.class_tables()
+        classes = [(n, s) for n, (c, s) in enumerate(zip(cls, eng.sort_of)) if c == n]
+        nodes, over = _close(schema, name, tables, classes, len(cls), eng, limits)
+        if over:
+            raise over
+        return TermModel(schema, name, tables, nodes, tuple(generators), chains, presentation)
 
     # per entity, the tables and sort indices of its symbols; per constraint, its sort and
     # the chains of its sides, a variable leaf left out (`add_chain` starts them at its class)
@@ -626,7 +667,8 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
                     " (the term model may be infinite)")
         if not (eng.created or merged):
             break
-    return TermModel(schema, name, *eng.class_tables(), tuple(generators), chains, presentation)
+    tables, cls = eng.class_tables()
+    return TermModel(schema, name, tables, len(cls), tuple(generators), chains, presentation)
 
 
 def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
@@ -640,9 +682,8 @@ def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
     where g is a generator and v a generator or a symbol of a pin; no two
     rows apply one symbol to one class, and every foreign key has a row
     at every generator of its sort.  So the classes are those of the pins'
-    and generators' symbols, and saturating would add only the fresh
-    labeled nulls: att(g) for each entity class g and attribute att with
-    no row at it, numbered in generator order and then `symbols_on` order.
+    and generators' symbols, and `_close` adds only the fresh labeled
+    nulls: att(g) for each entity class g and attribute att with no row.
     The model and its `chains` (pins, then rows) are those `saturate`
     gives, class ids included.  Two cases go to `saturate` itself, since
     merges decide them: a typeside with equations, and a schema constraint
@@ -683,23 +724,9 @@ def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
             tab = tables[q] = {}
         tab[cls[leaves[g]]] = cls[leaves[v]]
     nodes = len(leaves) + len(rows)  # saturate adds a node per row, which the row's value absorbs
-
-    # each entity class in node order, with the id() of its sort: a sort of the schema, so its id is its own
-    entity_classes = [(n, id(sym.out_sort)) for sym, n in leaves.items()
-                      if sym.out_sort.is_entity and cls[n] == n]
-    sort_at = {id(s): s for s in schema.entities}
-    # per entity sort, its symbols with a row at fewer of its classes than it has
-    missing = {i: [f for f in schema.symbols_on(sort_at[i]) if len(tables.get(f, _NO_NODES)) < k]
-               for i, k in Counter(i for _, i in entity_classes).items()}
-    nulls: list[FunctionSymbol] = []  # the attribute of each fresh labeled null, in node order
-    if any(missing.values()):
-        for n, i in entity_classes:
-            for f in missing[i]:
-                tab = tables.setdefault(f, {})
-                if n not in tab:
-                    tab[n] = nodes
-                    nodes += 1
-                    nulls.append(f)
+    ids = _Engine()  # numbers the sorts as saturation does
+    classes = [(n, ids.sort_id(sym.out_sort)) for sym, n in leaves.items() if cls[n] == n]
+    nodes, over = _close(schema, name, tables, classes, nodes, ids, limits)
 
     model = TermModel(schema, name, tables, nodes, tuple(generators), chains)
     for con in schema.constraints:
@@ -708,17 +735,8 @@ def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
             d = model.walk(lhs, None, c)
             if d is None or d != model.walk(rhs, None, c):
                 return saturate(schema, name, generators, chains, limits=limits)
-
-    if len(leaves) + len(nulls) > limits.max_classes_per_sort:  # then some sort may exceed it
-        # sort -> its classes, in the order of the sorts' least classes, as `saturate` counts them
-        count = Counter([sym.out_sort for sym, n in leaves.items() if cls[n] == n] + [f.out_sort for f in nulls])
-        for s, k in count.items():
-            if k > limits.max_classes_per_sort:
-                raise ResourceLimit(
-                    f"carrier of {s.name} in {name} exceeded {limits.max_classes_per_sort} classes"
-                    " (the term model may be infinite)")
-    if nulls and limits.max_rounds < 2:  # saturate would find the nulls in its first round, and stop in its second
-        raise ResourceLimit(f"saturation of {name} exceeded {limits.max_rounds} rounds")
+    if over:  # reported only once no fallback to `saturate` can report its own
+        raise over
     return model
 
 

@@ -45,6 +45,10 @@ class ReadOnly:
     def __delattr__(self, name):
         raise ReadOnlyError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        """Copy and pickle by the constructor, from its parameters (`_fields`, else the slots), hash included."""
+        return type(self), tuple(getattr(self, n) for n in getattr(self, "_fields", self.__slots__))
+
 
 class Record:
     """Equality, hash, repr and `__replace__` over the fields a class names in `_fields`.
@@ -157,6 +161,7 @@ class Var(ReadOnly, Record):
 
 class App(ReadOnly):
     __slots__ = ("sym", "args", "_hash")
+    _fields = ("sym", "args")
 
     def __init__(self, sym: FunctionSymbol, args: tuple["Term", ...] = ()):
         object.__setattr__(self, "sym", sym)

@@ -233,10 +233,41 @@ def test_replace_refuses_what_has_no_replace():
 
 
 def test_theory_values_survive_copy_and_pickle(schema_s, mapping_f):
-    inst = InstancePresentation("I", schema_s, [generator("a", N1)])
-    for v in (N1, f, Var("x", N1), schema_s.typeside, schema_s, inst, SaturationLimits(3, 4)):
+    a = generator("a", N1)
+    inst = InstancePresentation("I", schema_s, [a])
+    eq = ground_eq(App(age, (App(f, (App(a),)),)), int_literal(7))
+    with_eqs = replace(inst, equations=[eq])
+    # nxt(nxt(x)) = x
+    nxt = fkey("nxt", N1, N1)
+    constrained = replace(schema_s, foreign_keys=[f, nxt],
+                          constraints=[Equation((x,), App(nxt, (App(nxt, (x,)),)), x)])
+    for v in (N1, f, Var("x", N1), schema_s.typeside, schema_s, inst, SaturationLimits(3, 4),
+              int_literal(7), eq.lhs, eq, with_eqs, constrained):
         assert copy.copy(v) == v and copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
+        assert hash(copy.deepcopy(v)) == hash(v)
     assert copy.copy(mapping_f) == mapping_f
+    # the slotted values compare by identity: their copies are built anew with equal fields
+    for v in (Issue("E1", "m"), Collision(INT, "20", "30", 4), Diagnostic("error", "E2", "m"),
+              SimilarityConfig(0.3, True), PathCaps(2, 3), InversionBounds(2, 5)):
+        for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(c) is type(v) and c is not v
+            assert [getattr(c, n) for n in type(v).__slots__] == [getattr(v, n) for n in type(v).__slots__]
+
+
+def test_an_unpickled_term_hashes_as_one_built_in_its_own_process():
+    # string hashes differ between processes, so a term must compute its hash anew when unpickled
+    src = str(Path(catq.cli.__file__).resolve().parent.parent)
+    dump = "import pickle, sys; sys.path.insert(0, sys.argv[1]); from catq import string_literal; " \
+           "sys.stdout.write(pickle.dumps(string_literal('ab')).hex())"
+    load = "import pickle, sys; sys.path.insert(0, sys.argv[1]); from catq import string_literal; " \
+           "t = pickle.loads(bytes.fromhex(sys.stdin.read())); " \
+           "print(t == string_literal('ab') and hash(t) == hash(string_literal('ab')))"
+    run = [sys.executable, "-I", "-c"]
+    pickled = subprocess.run(run + [dump, src], capture_output=True, text=True, check=True,
+                             env={"PYTHONHASHSEED": "1"}).stdout
+    done = subprocess.run(run + [load, src], input=pickled, capture_output=True, text=True, check=True,
+                          env={"PYTHONHASHSEED": "2"})
+    assert done.stdout == "True\n"
 
 
 def test_results_and_morphisms_take_new_attributes_and_weak_references():

@@ -836,6 +836,15 @@ def test_delta_and_pi_raise_the_limits_of_saturation(differential, case):
     assert str(err.value) == LIMITED[case]
 
 
+def test_a_fallback_to_saturate_comes_before_the_written_closures_limit(differential):
+    # the written tables hold three Int nulls, over the limit; a(x) = b(h(x)) merges them into one, within it
+    env, _ = derived(PROGRAMS["CONSTRAINED_NULLS"])
+    differential.clear()
+    p = pi(env.mappings["F"], env.models["I"], SaturationLimits(max_classes_per_sort=2), name="X").model
+    assert len(p.carrier(p.schema.symbol_named("a").out_sort)) == 1
+    assert differential == {"written": 1, "saturated": 1}
+
+
 # ---------------------------------------------------------------------------
 # The freeze, delta and write_model key their per-sort state by id(): `Sort.__hash__` is a Python call
 

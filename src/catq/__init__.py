@@ -75,7 +75,6 @@ from .mappings import (
 from .migrate import (
     DeltaResult,
     InversionBounds,
-    PathCaps,
     PiResult,
     SigmaResult,
     coproduct,

@@ -131,7 +131,7 @@ def _do_match(env: Environment, src: str, tgt: str, span: bool, cfg: SimilarityC
             print("  (empty apex)")
         return EXIT_OK
     try:
-        res = match_mapping(s, t, cfg)
+        res = match_mapping(s, t)
     except NoPathForSymbol as e:
         print(f"match {src} {tgt}: failed: {e}", file=sys.stderr)
         return EXIT_DIAGNOSTICS

@@ -18,7 +18,7 @@ class UnknownSymbol(CatqError):
 
 
 class ResourceLimit(CatqError):
-    """A saturation or enumeration exceeded its configured limits."""
+    """A saturation or search exceeded one of its bounds: a constant, or a value set by option or environment."""
 
 
 class InvariantViolation(CatqError):

@@ -48,6 +48,14 @@ class Mapping(ReadOnly, Record):
         object.__setattr__(self, "entity_map", MappingProxyType(dict(entity_map or {})))
         object.__setattr__(self, "symbol_map", MappingProxyType(dict(symbol_map or {})))
 
+    def __hash__(self) -> int:  # the maps as sets, so order does not count, as it does not for equality
+        return hash((self.name, self.source, self.target, frozenset(self.entity_map.items()),
+                     frozenset(self.symbol_map.items())))
+
+    def __reduce__(self):
+        """Copy and pickle by the constructor, the maps given as plain dicts."""
+        return type(self), (self.name, self.source, self.target, dict(self.entity_map), dict(self.symbol_map))
+
     @functools.cached_property
     def _image_chains(self) -> dict[FunctionSymbol, tuple]:
         """Symbol -> the chain of its image, without the variable of an open image."""

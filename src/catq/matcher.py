@@ -3,7 +3,7 @@
 Two techniques: inferring a candidate mapping S -> T directly, and
 building a span A -> S, A -> T whose apex pairs up similarly named
 elements.  Similarity is normalized Levenshtein distance over names,
-case-insensitive by default.
+case-insensitive.  Only the span takes a cutoff.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from .terms import ATTRIBUTE, ENTITY, FOREIGN_KEY, App, FunctionSymbol, ReadOnly
 
 
 class SimilarityConfig(ReadOnly):
-    __slots__ = ("cutoff", "case_sensitive")
+    __slots__ = ("cutoff",)
 
-    def __init__(self, cutoff: float = 0.5, case_sensitive: bool = False):
+    def __init__(self, cutoff: float = 0.5):
         if not 0.0 <= cutoff <= 1.0:
             raise ValueError(f"cutoff must lie in [0, 1], got {cutoff}")
         object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "case_sensitive", case_sensitive)
 
 
 DEFAULT_SIMILARITY = SimilarityConfig()
@@ -42,10 +41,9 @@ def _edit_distance(a: str, b: str) -> int:
     return prev[-1]
 
 
-def similarity(a: str, b: str, cfg: SimilarityConfig = DEFAULT_SIMILARITY) -> float:
-    """1 - editDistance(a, b) / max(|a|, |b|); two empty strings score 1."""
-    if not cfg.case_sensitive:
-        a, b = a.lower(), b.lower()
+def similarity(a: str, b: str) -> float:
+    """1 - editDistance(a, b) / max(|a|, |b|) over the lower-cased names; two empty strings score 1."""
+    a, b = a.lower(), b.lower()
     if not a and not b:
         return 1.0
     return 1.0 - _edit_distance(a, b) / max(len(a), len(b))
@@ -88,8 +86,7 @@ def _argmax(candidates, score):
     return best, best_s
 
 
-def match_mapping(src: Schema, tgt: Schema,
-                  cfg: SimilarityConfig = DEFAULT_SIMILARITY) -> CandidateMapping:
+def match_mapping(src: Schema, tgt: Schema) -> CandidateMapping:
     """Infer a candidate mapping by name similarity.
 
     Entities go to their most similar target entity.  A symbol goes to
@@ -101,7 +98,7 @@ def match_mapping(src: Schema, tgt: Schema,
     scores: dict[str, float] = {}
     ent_map: dict[Sort, Sort] = {}
     for s in src.entities:
-        t, sc = _argmax(tgt.entities, lambda t: similarity(s.name, t.name, cfg))
+        t, sc = _argmax(tgt.entities, lambda t: similarity(s.name, t.name))
         if t is None:
             raise NoPathForSymbol(f"target schema {tgt.name} has no entities")
         ent_map[s] = t
@@ -113,7 +110,7 @@ def match_mapping(src: Schema, tgt: Schema,
         var = Var("x", frm)
         xs = [g for g in tgt.symbols if g.arg_sorts == (frm,) and g.out_sort == to]
         if xs:
-            g, sc = _argmax(xs, lambda g: similarity(f.name, g.name, cfg))
+            g, sc = _argmax(xs, lambda g: similarity(f.name, g.name))
             sym_map[f] = App(g, (var,))
             scores[f.name] = sc
         else:
@@ -142,7 +139,7 @@ def match_span(src: Schema, tgt: Schema,
     pairs: dict[tuple[Sort, Sort], Sort] = {}
     for s in src.entities:
         for t in tgt.entities:
-            sc = similarity(s.name, t.name, cfg)
+            sc = similarity(s.name, t.name)
             if sc > cfg.cutoff:
                 e = Sort(f"{s.name}_{t.name}", ENTITY)
                 pairs[(s, t)] = e
@@ -169,7 +166,7 @@ def match_span(src: Schema, tgt: Schema,
                 if f.out_sort != g.out_sort:
                     continue
                 out = f.out_sort
-            sc = similarity(f.name, g.name, cfg)
+            sc = similarity(f.name, g.name)
             if sc <= cfg.cutoff:
                 continue
             h = FunctionSymbol(f"{f.name}_{g.name}", (frm,), out,

@@ -67,21 +67,11 @@ from .terms import (
     term_chain,
 )
 
+MAX_MORPHISMS = 100000  # morphisms one search finds before a ResourceLimit
+MAX_CANDIDATES = 10 ** 6  # paths per symbol, and inverse mappings tried, before inversion gives up
+
 # ---------------------------------------------------------------------------
 # Path enumeration
-
-
-class PathCaps(ReadOnly):
-    __slots__ = ("max_depth", "max_paths")
-
-    def __init__(self, max_depth: int = 6, max_paths: int = 256):
-        if max_depth <= 0 or max_paths <= 0:
-            raise ValueError("path caps must be strictly positive")
-        object.__setattr__(self, "max_depth", max_depth)
-        object.__setattr__(self, "max_paths", max_paths)
-
-
-DEFAULT_CAPS = PathCaps()
 
 
 class PathSet:
@@ -91,17 +81,19 @@ class PathSet:
         self.source, self.target, self.terms, self.truncated = source, target, terms, truncated
 
 
-def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
-                    caps: PathCaps = DEFAULT_CAPS,
+def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max_paths: int = 256,
                     limits: SaturationLimits = DEFAULT_LIMITS) -> PathSet:
     """All one-variable terms from `frm` to `to`, one for each class of provably equal ones.
 
-    Breadth-first over foreign keys, optionally terminated by a single
-    attribute when `to` is a type.  A path is kept when its `path_key` is
-    new; the first path of a sort is keyed only when a second one arrives,
-    so no probe is built unless two paths can meet.  The truncated flag is
-    set when the caps cut the search short.
+    Breadth-first over foreign keys, at most `max_depth` of them, optionally
+    terminated by a single attribute when `to` is a type.  A path is kept
+    when its `path_key` is new; the first path of a sort is keyed only when
+    a second one arrives, so no probe is built unless two paths can meet.
+    The truncated flag is set when the caps cut the search short: the depth,
+    or more than `max_paths` entity paths kept or terms found.
     """
+    if max_depth <= 0 or max_paths <= 0:
+        raise ValueError("path caps must be strictly positive")
     key = path_key(schema, frm, limits)
     seen: set = set()
     lone: dict[Sort, Optional[tuple]] = {frm: ()}  # sort -> its one path kept so far, None once keyed
@@ -123,7 +115,7 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
     truncated = False
     depth = 0
     while frontier:
-        if depth >= caps.max_depth or len(reps) > caps.max_paths:
+        if depth >= max_depth or len(reps) > max_paths:
             truncated = True
             break
         depth += 1
@@ -140,8 +132,8 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
     else:
         terms = [App(att, (u,)) for u, chain in reps for att in schema.attributes
                  if att.arg_sorts == (u.sort,) and att.out_sort == to and new(chain + (att,), to)]
-    if len(terms) > caps.max_paths:
-        terms = terms[: caps.max_paths]
+    if len(terms) > max_paths:
+        terms = terms[:max_paths]
         truncated = True
     return PathSet(frm, to, terms, truncated)
 
@@ -424,7 +416,7 @@ def pi(f_map: Mapping, i_model: TermModel,
         # ResourceLimit, `truncated` formatted with the two sorts' names, when the caps cut the set
         k = (schema is src, frm, to)
         if k not in enumerated:
-            ps = enumerate_paths(schema, frm, to, DEFAULT_CAPS, limits)
+            ps = enumerate_paths(schema, frm, to, limits=limits)
             if ps.truncated:
                 raise ResourceLimit(truncated.format(frm.name, to.name))
             enumerated[k] = [open_chain(p) for p in ps.terms]
@@ -538,8 +530,7 @@ def coproduct(i1: InstancePresentation, i2: InstancePresentation,
 # Morphism enumeration and isomorphism
 
 
-def _search_morphisms(a: TermModel, b: TermModel, injective: bool,
-                      cap: int, first_only: bool) -> list[InstanceMorphism]:
+def _search_morphisms(a: TermModel, b: TermModel, injective: bool, first_only: bool) -> list[InstanceMorphism]:
     """Morphisms a -> b, by a `_search` over the generators of a.
 
     a is initial: an assignment under which b satisfies every equation of
@@ -580,26 +571,24 @@ def _search_morphisms(a: TermModel, b: TermModel, injective: bool,
         cmap = a.image(b, dict(zip(gens, acc)))
         if not injective or len(set(cmap.values())) == len(cmap):
             solutions.append(InstanceMorphism(a, b, cmap))
-            if len(solutions) > cap:
-                raise ResourceLimit(f"more than {cap} morphisms")
+            if len(solutions) > MAX_MORPHISMS:
+                raise ResourceLimit(f"more than {MAX_MORPHISMS} morphisms")
             if first_only:
                 break
     return solutions
 
 
-def enumerate_morphisms(a: TermModel, b: TermModel,
-                        cap: int = 100000) -> list[InstanceMorphism]:
+def enumerate_morphisms(a: TermModel, b: TermModel) -> list[InstanceMorphism]:
     """All instance morphisms a -> b, one per generator assignment that b satisfies.
 
     The order is lexicographic in the generators' images, the generators
     taken in declaration order and each image by its position in b's
     carrier.
     """
-    return _search_morphisms(a, b, injective=False, cap=cap, first_only=False)
+    return _search_morphisms(a, b, injective=False, first_only=False)
 
 
-def instances_isomorphic(a: TermModel, b: TermModel,
-                         cap: int = 100000) -> Optional[InstanceMorphism]:
+def instances_isomorphic(a: TermModel, b: TermModel) -> Optional[InstanceMorphism]:
     """A bijective commuting morphism, or None."""
     if a.schema != b.schema:
         raise SchemaMismatch("isomorphism requires a common schema")
@@ -609,7 +598,7 @@ def instances_isomorphic(a: TermModel, b: TermModel,
     if sorted(l.name for l in a.literal_of.values()) != \
             sorted(l.name for l in b.literal_of.values()):
         return None
-    found = _search_morphisms(a, b, injective=True, cap=cap, first_only=True)
+    found = _search_morphisms(a, b, injective=True, first_only=True)
     return found[0] if found else None
 
 
@@ -742,14 +731,12 @@ def transpose_pi_up(f_map: Mapping, g: InstanceMorphism, i_model: TermModel,
 
 
 class InversionBounds(ReadOnly):
-    __slots__ = ("depth", "max_candidates")
+    __slots__ = ("depth",)
 
-    def __init__(self, depth: int = 3, max_candidates: int = 10 ** 6):
-        for name, value in (("depth", depth), ("max_candidates", max_candidates)):
-            if value <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {value}")
+    def __init__(self, depth: int = 3):
+        if depth <= 0:
+            raise ValueError(f"depth must be a positive integer, got {depth}")
         object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "max_candidates", max_candidates)
 
 
 def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds(),
@@ -767,19 +754,19 @@ def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds(),
     if len(back) != len(src.entities) or set(back) != set(tgt.entities):
         return None
     ent = {t: back[t] for t in tgt.entities}
-    caps = PathCaps(max_depth=bounds.depth, max_paths=bounds.max_candidates)
     id_src, id_tgt = identity_mapping(src), identity_mapping(tgt)
     truncated = False
     candidate_terms: list[list[Term]] = []
     for f in tgt.symbols:
-        ps = enumerate_paths(src, ent[f.arg_sorts[0]], ent.get(f.out_sort, f.out_sort), caps, limits)
+        frm, to = ent[f.arg_sorts[0]], ent.get(f.out_sort, f.out_sort)
+        ps = enumerate_paths(src, frm, to, bounds.depth, MAX_CANDIDATES, limits)
         truncated = truncated or ps.truncated
         if not ps.terms:
             break
         candidate_terms.append(ps.terms)
     else:
         for count, combo in enumerate(itertools.product(*candidate_terms), 1):
-            if count > bounds.max_candidates:
+            if count > MAX_CANDIDATES:
                 raise ResourceLimit("inversion search exceeded the candidate cap")
             g_map = Mapping(f"{f_map.name}_inv", tgt, src, ent, dict(zip(tgt.symbols, combo)))
             if validate_mapping(g_map, limits):

@@ -16,12 +16,12 @@ still the least node of its class, (a) applies every attribute and
 foreign key on its sort and (b) instantiates every schema constraint of
 its sort.  Nothing else needs revisiting: congruence carries both the
 closure and the constraint instances of a class across a merge.  One
-generation is one round for `SaturationLimits.max_rounds`, and per-sort
-class counts are kept as nodes are added and merged.  With no schema
-constraint nothing merges after the seeding, so `_close` runs the
-generations on the class tables instead.  Finiteness of the term model
-is undecidable in general, so the limits turn potential divergence into
-an explicit ResourceLimit error.
+generation is one round for `MAX_ROUNDS`, and per-sort class counts are
+kept as nodes are added and merged; `_over` checks both limits at the end
+of each round.  With no schema constraint nothing merges after the
+seeding, so `_close` runs the generations on the class tables instead.
+Finiteness of the term model is undecidable in general, so the limits
+turn potential divergence into an explicit ResourceLimit error.
 
 A union absorbs the class with fewer uses (the nodes over it), so a node
 changes its table key at most logarithmically often, whatever order the
@@ -95,16 +95,16 @@ from .terms import (
 Chain = tuple[FunctionSymbol, ...]
 _NO_NODES: dict[int, int] = {}  # the table of a symbol the model never applied
 _name = attrgetter("name")
+MAX_ROUNDS = 1000  # saturation generations before a ResourceLimit
 
 
 class SaturationLimits(ReadOnly, Record):
-    _fields = ("max_classes_per_sort", "max_rounds")
+    _fields = ("max_classes_per_sort",)
 
-    def __init__(self, max_classes_per_sort: int = 10000, max_rounds: int = 1000):
-        if max_classes_per_sort <= 0 or max_rounds <= 0:
+    def __init__(self, max_classes_per_sort: int = 10000):
+        if max_classes_per_sort <= 0:
             raise ValueError("saturation limits must be strictly positive")
         object.__setattr__(self, "max_classes_per_sort", max_classes_per_sort)
-        object.__setattr__(self, "max_rounds", max_rounds)
 
 
 DEFAULT_LIMITS = SaturationLimits()
@@ -567,6 +567,22 @@ class TermModel:
         return f"TermModel({self.name}; {sizes})"
 
 
+def _over(name: str, rounds: int, more: bool, count: Mapping[int, int], sorts: Sequence[Sort],
+          limits: SaturationLimits) -> Optional[ResourceLimit]:
+    """The limit that round `rounds` of saturating `name` ends over, or None.
+
+    The first sort of `count` (index into `sorts` -> classes) over the class cap, else MAX_ROUNDS if `more` are due.
+    """
+    cap = limits.max_classes_per_sort
+    for s, k in count.items():
+        if k > cap:
+            return ResourceLimit(f"carrier of {sorts[s].name} in {name} exceeded {cap} classes"
+                                 " (the term model may be infinite)")
+    if more and rounds >= MAX_ROUNDS:
+        return ResourceLimit(f"saturation of {name} exceeded {MAX_ROUNDS} rounds")
+    return None
+
+
 def _close(schema: Schema, name: str, tables: dict[FunctionSymbol, dict[int, int]], classes: Sequence[tuple[int, int]],
            nodes: int, ids: _Engine, limits: SaturationLimits) -> tuple[int, Optional[ResourceLimit]]:
     """Saturation's generations where nothing merges, written straight into the class-keyed `tables`.
@@ -580,8 +596,6 @@ def _close(schema: Schema, name: str, tables: dict[FunctionSymbol, dict[int, int
           for s in schema.entities}
     count = Counter(map(itemgetter(1), classes))  # in the order of the sorts' first classes, as the engine counts
     for rounds in itertools.count(1):
-        if rounds > limits.max_rounds:
-            return nodes, ResourceLimit(f"saturation of {name} exceeded {limits.max_rounds} rounds")
         start, fresh = nodes, []  # the sort of each node this generation creates, numbered from start
         for c, s in classes:
             for tab, t in on.get(s, ()):
@@ -590,12 +604,9 @@ def _close(schema: Schema, name: str, tables: dict[FunctionSymbol, dict[int, int
                     nodes += 1
                     fresh.append(t)
         count.update(fresh)
-        for s, k in count.items():
-            if k > limits.max_classes_per_sort:
-                return nodes, ResourceLimit(f"carrier of {ids.sorts[s].name} in {name} exceeded"
-                                            f" {limits.max_classes_per_sort} classes (the term model may be infinite)")
-        if not fresh:
-            return nodes, None
+        over = _over(name, rounds, bool(fresh), count, ids.sorts, limits)
+        if over or not fresh:
+            return nodes, over
         classes = zip(range(start, nodes), fresh)
 
 
@@ -636,12 +647,7 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
     constraints = [(eng.sort_id(con.free[0].sort), open_chain(con.lhs), open_chain(con.rhs))
                    for con in schema.constraints]
     find, least, sort_of, apply = eng.find, eng.least, eng.sort_of, eng.apply
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > limits.max_rounds:
-            raise ResourceLimit(
-                f"saturation of {name} exceeded {limits.max_rounds} rounds")
+    for rounds in itertools.count(1):
         # the nodes the previous generation created, in creation order
         frontier, eng.created = eng.created, []
         for n in frontier:
@@ -660,12 +666,11 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
                 if find(a) != find(b):
                     eng.merge(a, b)
                     merged = True
-        for s, k in eng.class_count.items():
-            if k > limits.max_classes_per_sort:
-                raise ResourceLimit(
-                    f"carrier of {eng.sorts[s].name} in {name} exceeded {limits.max_classes_per_sort} classes"
-                    " (the term model may be infinite)")
-        if not (eng.created or merged):
+        more = merged or bool(eng.created)
+        over = _over(name, rounds, more, eng.class_count, eng.sorts, limits)
+        if over:
+            raise over
+        if not more:
             break
     tables, cls = eng.class_tables()
     return TermModel(schema, name, tables, len(cls), tuple(generators), chains, presentation)

@@ -65,7 +65,9 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._values = attrgetter(*cls._fields)  # a plain callable on the class: call it with the record
+        get = attrgetter(*cls._fields)  # a plain callable on the class: call it with the record
+        # the tuple of fields; `attrgetter` of one name gives the bare value, so a lone field is wrapped
+        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda record: (get(record),))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

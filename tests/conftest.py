@@ -6,6 +6,7 @@ The mapping F collapses N1 and N2 onto N, sending f to the identity.
 S0/F0 are the foreign-key-free variants; S2/R is a pure renaming.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -30,7 +31,8 @@ from catq import (
     int_literal,
     string_literal,
 )
-from catq import migrate
+from catq import migrate, model
+from catq.mappings import probe_model
 
 N1 = Sort("N1", ENTITY)
 N2 = Sort("N2", ENTITY)
@@ -186,15 +188,31 @@ def count_calls(monkeypatch, owner, name, run):
     calls = 0
     real = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
     with monkeypatch.context() as mp:
         mp.setattr(owner, name, counting)
         run()
     return calls
+
+
+@contextlib.contextmanager
+def max_rounds(n):
+    """Saturation stops after `n` rounds while the block runs.
+
+    The probe cache is keyed by the limits, which do not hold the round
+    cap, so it is cleared on the way in and on the way out.
+    """
+    probe_model.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "MAX_ROUNDS", n)
+            yield
+    finally:
+        probe_model.cache_clear()
 
 
 @pytest.fixture()
@@ -218,8 +236,8 @@ def paths_without_composites(monkeypatch):
     """
     real = migrate.enumerate_paths
 
-    def identity_only(schema, frm, to, *args):
-        ps = real(schema, frm, to, *args)
+    def identity_only(schema, frm, to, *args, **kwargs):
+        ps = real(schema, frm, to, *args, **kwargs)
         return migrate.PathSet(frm, to, [t for t in ps.terms if isinstance(t, Var)])
 
     monkeypatch.setattr(migrate, "enumerate_paths", identity_only)

@@ -11,6 +11,7 @@ and the same `ResourceLimit` message.
 from typing import Optional, Sequence
 
 from catq.errors import ResourceLimit
+from catq import model
 from catq.model import DEFAULT_LIMITS, Chain, SaturationLimits, TermModel, _Engine
 from catq.schema import InstancePresentation, Schema
 from catq.terms import FunctionSymbol, open_chain, term_chain
@@ -39,9 +40,9 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
     rounds = 0
     while True:
         rounds += 1
-        if rounds > limits.max_rounds:
+        if rounds > model.MAX_ROUNDS:
             raise ResourceLimit(
-                f"saturation of {name} exceeded {limits.max_rounds} rounds")
+                f"saturation of {name} exceeded {model.MAX_ROUNDS} rounds")
         frontier, eng.created = eng.created, []
         for n in frontier:
             r = find(n)

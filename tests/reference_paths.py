@@ -8,7 +8,7 @@ same truncated flag.
 """
 
 from catq.mappings import _constrained_from, probe_model
-from catq.migrate import DEFAULT_CAPS, PathCaps, PathSet
+from catq.migrate import PathSet
 from catq.model import DEFAULT_LIMITS, SaturationLimits
 from catq.schema import Schema, generator
 from catq.terms import App, Sort, Term, Var, free_vars, substitute
@@ -27,8 +27,7 @@ def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term,
     return close(t1) == close(t2)
 
 
-def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
-                    caps: PathCaps = DEFAULT_CAPS,
+def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max_paths: int = 256,
                     limits: SaturationLimits = DEFAULT_LIMITS) -> PathSet:
     start: Term = Var("p", frm)
     entity_reps: list[Term] = [start]
@@ -36,7 +35,7 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
     truncated = False
     depth = 0
     while frontier:
-        if depth >= caps.max_depth or len(entity_reps) > caps.max_paths:
+        if depth >= max_depth or len(entity_reps) > max_paths:
             truncated = True
             break
         depth += 1
@@ -62,7 +61,7 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort,
                     w = App(att, (u,))
                     if not any(open_terms_equal(schema, frm, w, r, limits) for r in terms):
                         terms.append(w)
-    if len(terms) > caps.max_paths:
-        terms = terms[: caps.max_paths]
+    if len(terms) > max_paths:
+        terms = terms[:max_paths]
         truncated = True
     return PathSet(frm, to, terms, truncated)

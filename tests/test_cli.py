@@ -387,6 +387,41 @@ def test_match_unknown_schema(example_file, capsys):
     assert main(["match", example_file, "--source", "S", "--target", "Zed"]) == 1
 
 
+def test_a_resource_limit_escaping_a_command_exits_2(tmp_path, capsys):
+    # validating the match of L with itself probes E, whose term model is infinite: nxt never stops
+    path = write(tmp_path, """\
+typeside Ty = literal { }
+schema L = literal : Ty {
+    entities E F
+    foreign_keys nxt : E -> E  f : E -> F
+    equations forall x:E. f(nxt(x)) = f(x)
+}
+""")
+    assert main(["match", path, "--source", "L", "--target", "L"]) == 2
+    assert capsys.readouterr() == ("", "error: saturation of _probe_L_E exceeded 1000 rounds\n")
+
+
+def test_match_span_reports_an_empty_apex(tmp_path, capsys):
+    path = write(tmp_path, """\
+typeside Ty = literal { }
+schema S = literal : Ty { entities Abc }
+schema T = literal : Ty { entities Xyz }
+""")
+    assert main(["match", path, "--source", "S", "--target", "T", "--span"]) == 0
+    assert capsys.readouterr() == ("match span S T: apex with 0 entities, 0 symbols\n  (empty apex)\n", "")
+
+
+def test_invert_on_a_program_with_a_diagnostic_exits_1(tmp_path, capsys):
+    path = write(tmp_path, """\
+typeside Ty = literal { }
+schema S = literal : Ty { entities E }
+mapping Id = identity S
+instance I = literal : Nope { }
+""")
+    assert main(["invert", path, "--mapping", "Id"]) == 1
+    assert capsys.readouterr() == ("", f"{path}:4:1: error: NameResolution: unknown schema Nope\n")
+
+
 def test_invert_finds_renaming_inverse(tmp_path, capsys):
     text = EXAMPLE + """
 schema S2 = literal : Ty {

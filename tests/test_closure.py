@@ -30,7 +30,7 @@ from catq import (
 from catq.model import TermModel, _Engine, saturate
 from catq.terms import ENTITY
 
-from conftest import attr, count_calls, fkey
+from conftest import attr, count_calls, fkey, max_rounds
 from test_written_models import bench_gen
 
 
@@ -94,16 +94,16 @@ def free_schemas(draw):
     for _ in range(draw(st.integers(0, 4))):
         lhs = draw(st.sampled_from(terms))
         chains.append((lhs, draw(st.sampled_from([t for t in terms if t[-1].out_sort == lhs[-1].out_sort]))))
-    limits = SaturationLimits(draw(st.integers(1, 40)), draw(st.integers(1, 12)))
-    return sch, gens, chains, limits
+    return sch, gens, chains, SaturationLimits(draw(st.integers(1, 40))), draw(st.integers(1, 12))
 
 
 @settings(max_examples=300, deadline=None)
 @given(free_schemas())
 def test_closure_agrees_with_the_engine_generations(case):
-    sch, gens, chains, limits = case
-    assert_same(saturated(sch, "I", gens, chains, limits=limits),
-                referenced(sch, "I", gens, chains, limits=limits))
+    sch, gens, chains, limits, rounds = case
+    with max_rounds(rounds):
+        assert_same(saturated(sch, "I", gens, chains, limits=limits),
+                    referenced(sch, "I", gens, chains, limits=limits))
 
 
 def cyclic_schema():
@@ -111,15 +111,18 @@ def cyclic_schema():
     return Schema("C", builtin_typeside(), [e], [attr("v", e, INT)], [fkey("nxt", e, e)]), e
 
 
-@pytest.mark.parametrize("limits", [SaturationLimits(), SaturationLimits(50), SaturationLimits(3),
-                                    SaturationLimits(max_rounds=1), SaturationLimits(max_rounds=2)])
+# each case is the limits and the round cap
+@pytest.mark.parametrize("limits", [(SaturationLimits(), 1000), (SaturationLimits(50), 1000),
+                                    (SaturationLimits(3), 1000), (SaturationLimits(), 1), (SaturationLimits(), 2)])
 def test_a_cyclic_schema_stops_where_the_engine_stops(limits):
+    limits, rounds = limits
     sch, e = cyclic_schema()
     gens = [generator("a", e), generator("b", e)]
     chains = [((gens[0], sch.symbol_named("v")), (int_literal(3).sym,))]
-    got = saturated(sch, "I", gens, chains, limits=limits)
-    assert isinstance(got, ResourceLimit)
-    assert_same(got, referenced(sch, "I", gens, chains, limits=limits))
+    with max_rounds(rounds):
+        got = saturated(sch, "I", gens, chains, limits=limits)
+        assert isinstance(got, ResourceLimit)
+        assert_same(got, referenced(sch, "I", gens, chains, limits=limits))
 
 
 def test_of_two_sorts_over_the_limit_the_one_with_the_first_class_is_reported():
@@ -164,3 +167,34 @@ def test_the_engine_only_seeds_a_constraint_free_chain(monkeypatch, length):
     referenced_applies = count_calls(monkeypatch, _Engine, "apply",
                                      lambda: reference_closure.saturate(m.schema, "I", m.generators, m.chains))
     assert nodes == 50 * (2 * length + 2) and referenced_applies == nodes
+
+
+def diverging_schemas():
+    """nxt : E -> E and f : E -> F, without a constraint and with f(nxt(x)) = f(x): E gains a class a round."""
+    e, f_sort = Sort("E", ENTITY), Sort("F", ENTITY)
+    nxt, f = fkey("nxt", e, e), fkey("f", e, f_sort)
+    x = Var("x", e)
+    free = Schema("L", builtin_typeside(), [e, f_sort], [], [nxt, f])
+    constrained = Schema("L", builtin_typeside(), [e, f_sort], [], [nxt, f],
+                         [Equation((x,), App(f, (App(nxt, (x,)),)), App(f, (x,)))])
+    return [generator("a", e)], free, constrained
+
+
+@pytest.mark.parametrize("loop", ["_close", "engine"])
+@pytest.mark.parametrize("cap", [3, 10000])
+def test_both_loops_stop_at_the_same_limit_in_the_same_round(monkeypatch, loop, cap):
+    # E holds 1 + r classes after round r, so a cap of 3 classes is exceeded in round 3;
+    # a round cap below that is reached first, after exactly that many rounds
+    gens, free, constrained = diverging_schemas()
+    sch = free if loop == "_close" else constrained
+    with max_rounds(1):
+        assert count_calls(monkeypatch, model_module, "_close", lambda: saturated(sch, "I", gens, [])) == \
+            (loop == "_close")
+    for rounds in range(1, 6):
+        with max_rounds(rounds):
+            got = saturated(sch, "I", gens, [], limits=SaturationLimits(cap))
+            assert_same(got, referenced(sch, "I", gens, [], limits=SaturationLimits(cap)))
+        if cap == 3 and rounds >= 3:
+            assert str(got) == "carrier of E in I exceeded 3 classes (the term model may be infinite)"
+        else:
+            assert str(got) == f"saturation of I exceeded {rounds} rounds"

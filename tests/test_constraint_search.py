@@ -128,10 +128,12 @@ def test_pi_family_carrier_is_bounded(mapping_f0, model_i0):
     assert len(pi(mapping_f0, model_i0, SaturationLimits(max_classes_per_sort=9)).families["N"]) == 9
 
 
-def test_morphism_enumeration_is_capped(schema_s, model_i):
+def test_morphism_enumeration_is_capped(schema_s, model_i, monkeypatch):
     # two free employees into three: nine morphisms
     free = build_term_model(InstancePresentation(
         "Free2", schema_s, [generator("a", N1), generator("b", N1)], []))
-    assert len(enumerate_morphisms(free, model_i, cap=9)) == 9
+    monkeypatch.setattr(migrate, "MAX_MORPHISMS", 9)
+    assert len(enumerate_morphisms(free, model_i)) == 9
+    monkeypatch.setattr(migrate, "MAX_MORPHISMS", 8)
     with pytest.raises(ResourceLimit, match="more than 8 morphisms"):
-        enumerate_morphisms(free, model_i, cap=8)
+        enumerate_morphisms(free, model_i)

@@ -87,7 +87,7 @@ def test_open_terms_equal_without_constraints_builds_no_probe(monkeypatch):
     # is provable: the terms are compared up to their variable's name, and
     # path enumeration, validation and mapping equality read no probe either
     import catq.mappings
-    from catq import PathCaps, enumerate_paths
+    from catq import enumerate_paths
     from catq.terms import ENTITY, Sort
     e = Sort("E", ENTITY)
     nxt = fkey("nxt", e, e)
@@ -101,8 +101,8 @@ def test_open_terms_equal_without_constraints_builds_no_probe(monkeypatch):
         open_terms_equal(free, e, App(nxt, (x,)), int_literal(1))
     with pytest.raises(SortMismatch, match="binding for x has sort E, expected F"):
         open_terms_equal(free, e, Var("x", Sort("F", ENTITY)), Var("y", Sort("F", ENTITY)))
-    assert len(enumerate_paths(free, e, e, PathCaps(max_depth=3)).terms) == 4
-    assert len(enumerate_paths(free, e, INT, PathCaps(max_depth=3)).terms) == 4
+    assert len(enumerate_paths(free, e, e, max_depth=3).terms) == 4
+    assert len(enumerate_paths(free, e, INT, max_depth=3).terms) == 4
     ident = identity_mapping(free)
     twice = Mapping("twice", free, free, ident.entity_map,
                     {nxt: App(nxt, (App(nxt, (x,)),)), free.symbol_named("a"): ap(free.symbol_named("a"), x)})

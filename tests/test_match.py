@@ -23,8 +23,7 @@ def test_similarity_examples():
     assert similarity("name", "age") == 0.5
     assert similarity("salary", "pay") == pytest.approx(1 - 4 / 6)
     assert similarity("age", "years") == pytest.approx(1 - 4 / 5)
-    assert similarity("Name", "name") == 1.0  # case-insensitive by default
-    assert similarity("Name", "name", SimilarityConfig(case_sensitive=True)) == 0.75
+    assert similarity("Name", "name") == 1.0  # case-insensitive
     assert similarity("", "") == 1.0
     assert similarity("", "abc") == 0.0
 

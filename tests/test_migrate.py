@@ -15,7 +15,6 @@ from catq import (
     InversionBounds,
     Mapping,
     NoMorphismExists,
-    PathCaps,
     ReadOnlyError,
     ResourceLimit,
     STRING,
@@ -63,6 +62,7 @@ from conftest import (
     employees_instance,
     fkey,
     joined_instance,
+    max_rounds,
     split_instance,
 )
 from test_cli import IDEMPOTENT
@@ -102,7 +102,7 @@ def test_enumerate_paths_truncates_on_cycles():
     from conftest import fkey
     e = Sort("E", ENTITY)
     sch = Schema("L", builtin_typeside(), [e], [], [fkey("nxt", e, e)])
-    ps = enumerate_paths(sch, e, e, PathCaps(max_depth=3))
+    ps = enumerate_paths(sch, e, e, max_depth=3)
     assert ps.truncated and len(ps.terms) == 4
 
 
@@ -116,7 +116,7 @@ def test_enumerate_paths_dedups_modulo_constraints():
     sch = Schema("C2", builtin_typeside(), [e], [], [nxt],
                  [Equation((x,), App(nxt, (App(nxt, (x,)),)), x)])
     from catq.terms import render_term
-    ps = enumerate_paths(sch, e, e, PathCaps(max_depth=6))
+    ps = enumerate_paths(sch, e, e, max_depth=6)
     assert [render_term(t) for t in ps.terms] == ["p", "nxt(p)"]
     assert not ps.truncated
 
@@ -158,18 +158,19 @@ def path_outcome(enumerate_paths, *args):
 def test_enumerate_paths_matches_the_pairwise_reference():
     # keys in a set must keep what comparing each path with every kept one kept
     import reference_paths
-    limits = SaturationLimits(max_classes_per_sort=100, max_rounds=20)
+    limits = SaturationLimits(max_classes_per_sort=100)
     shapes = Counter()
-    for seed in range(150):
-        rng = random.Random(seed)
-        sch = random_path_schema(rng)
-        shapes[bool(sch.constraints), bool(sch.typeside.equations)] += 1
-        caps = PathCaps(max_depth=rng.randint(1, 5), max_paths=rng.choice([3, 40]))
-        for frm in sch.entities:
-            for to in [*sch.entities, INT, STRING]:
-                args = (sch, frm, to, caps, limits)
-                assert path_outcome(enumerate_paths, *args) == \
-                    path_outcome(reference_paths.enumerate_paths, *args), (seed, frm, to)
+    with max_rounds(20):
+        for seed in range(150):
+            rng = random.Random(seed)
+            sch = random_path_schema(rng)
+            shapes[bool(sch.constraints), bool(sch.typeside.equations)] += 1
+            max_depth, max_paths = rng.randint(1, 5), rng.choice([3, 40])
+            for frm in sch.entities:
+                for to in [*sch.entities, INT, STRING]:
+                    args = (sch, frm, to, max_depth, max_paths, limits)
+                    assert path_outcome(enumerate_paths, *args) == \
+                        path_outcome(reference_paths.enumerate_paths, *args), (seed, frm, to)
     assert len(shapes) == 4  # with and without constraints, with and without the typeside equation
 
 
@@ -712,18 +713,13 @@ def test_collapse_mapping_has_no_inverse(mapping_f):
     assert invert_mapping(mapping_f, InversionBounds(depth=3)) is None
 
 
-def test_invert_tries_only_the_inverse_entity_map(mapping_r, schema_s):
+def test_invert_tries_only_the_inverse_entity_map(mapping_r, schema_s, monkeypatch):
     # the entity map is forced, so R's inverse is the first candidate and a
     # cap of two candidates is not reached
-    inv = invert_mapping(mapping_r, InversionBounds(depth=3, max_candidates=2))
+    monkeypatch.setattr(migrate, "MAX_CANDIDATES", 2)
+    inv = invert_mapping(mapping_r, InversionBounds(depth=3))
     assert inv is not None
     assert mappings_equal(compose_mappings(mapping_r, inv), identity_mapping(schema_s))
-
-
-def test_inversion_bounds_reject_a_nonpositive_candidate_cap():
-    # a zero cap used to reach the path caps and fail there, under another name
-    with pytest.raises(ValueError, match="max_candidates must be a positive integer, got 0"):
-        InversionBounds(depth=2, max_candidates=0)
 
 
 def test_non_bijective_mapping_has_no_inverse_without_search(mapping_f, monkeypatch):
@@ -741,12 +737,13 @@ def lossy_mapping(schema_s):
                    {**ident.symbol_map, salary: ap(age, ap(f, Var("x", N1)))})
 
 
-def test_invert_raises_when_truncated(schema_s):
+def test_invert_raises_when_truncated(schema_s, monkeypatch):
     lossy = lossy_mapping(schema_s)
     assert validate_mapping(lossy) == []
     assert invert_mapping(lossy) is None
+    monkeypatch.setattr(migrate, "MAX_CANDIDATES", 1)
     with pytest.raises(ResourceLimit):
-        invert_mapping(lossy, InversionBounds(depth=3, max_candidates=1))
+        invert_mapping(lossy, InversionBounds(depth=3))
 
 
 def test_sigma_counit_and_transpose_verify_their_morphism_once(monkeypatch, mapping_f,

@@ -41,6 +41,7 @@ from conftest import (
     attr,
     count_calls,
     fkey,
+    max_rounds,
     merge_chain_instance,
     reversed_chain_instance,
 )
@@ -139,9 +140,10 @@ def chain_instance(k: int, gens: int) -> InstancePresentation:
 def test_round_limit_counts_worklist_generations():
     # one round per chain link, one for the attributes of E10, one that finds nothing new
     inst = chain_instance(10, 2)
-    with pytest.raises(ResourceLimit, match="exceeded 11 rounds"):
-        build_term_model(inst, limits=SaturationLimits(max_rounds=11))
-    m = build_term_model(inst, limits=SaturationLimits(max_rounds=12))
+    with max_rounds(11), pytest.raises(ResourceLimit, match="exceeded 11 rounds"):
+        build_term_model(inst)
+    with max_rounds(12):
+        m = build_term_model(inst)
     assert [len(m.carrier(e)) for e in inst.schema.entities] == [2] * 11
     assert len(m.carrier(INT)) == 22
 

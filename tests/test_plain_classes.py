@@ -19,7 +19,7 @@ from types import MappingProxyType
 import pytest
 
 import catq.cli  # noqa: F401  (what a `catq` process imports)
-from catq import INT, STRING, App, Var, generator, ground_eq, int_literal, replace
+from catq import INT, STRING, App, Var, builtin_typeside, enumerate_paths, generator, ground_eq, int_literal, replace
 from catq.elaborate import Environment
 from catq.mappings import InstanceMorphism, Mapping
 from catq.matcher import CandidateMapping, SimilarityConfig, SpanMatch
@@ -27,7 +27,6 @@ from catq.migrate import (
     DeltaResult,
     InversionBounds,
     MigrationResult,
-    PathCaps,
     PathSet,
     PiResult,
     SigmaResult,
@@ -90,7 +89,6 @@ SIGNATURES = [
     (App, [("sym", REQUIRED), ("args", ())], {"sym": int_literal(7).sym, "args": ()}),
     (Collision, [("sort", REQUIRED), ("lit1", REQUIRED), ("lit2", REQUIRED), ("class_id", REQUIRED)], {}),
     (InstanceMorphism, [("source", REQUIRED), ("target", REQUIRED), ("cmap", REQUIRED)], {}),
-    (PathCaps, [("max_depth", 6), ("max_paths", 256)], {"max_depth": 2, "max_paths": 5}),
     (PathSet, [("source", REQUIRED), ("target", REQUIRED), ("terms", REQUIRED), ("truncated", False)], {}),
     (MigrationResult, [("mapping", REQUIRED), ("input", REQUIRED), ("model", REQUIRED)], {}),
     (DeltaResult, [("mapping", REQUIRED), ("input", REQUIRED), ("model", REQUIRED),
@@ -100,8 +98,8 @@ SIGNATURES = [
     (PiResult, [("mapping", REQUIRED), ("input", REQUIRED), ("model", REQUIRED), ("index", REQUIRED),
                 ("families", REQUIRED), ("fam_class", REQUIRED), ("fam_of", REQUIRED),
                 ("ty_class", REQUIRED), ("ty_origin", REQUIRED)], {}),
-    (InversionBounds, [("depth", 3), ("max_candidates", 10 ** 6)], {"depth": 2, "max_candidates": 5}),
-    (SimilarityConfig, [("cutoff", 0.5), ("case_sensitive", False)], {"cutoff": 0.25, "case_sensitive": True}),
+    (InversionBounds, [("depth", 3)], {"depth": 2}),
+    (SimilarityConfig, [("cutoff", 0.5)], {"cutoff": 0.25}),
     (CandidateMapping, [("mapping", REQUIRED), ("scores", REQUIRED), ("validated", REQUIRED),
                         ("issues", [])], {}),
     (SpanMatch, [("apex", REQUIRED), ("left", REQUIRED), ("right", REQUIRED), ("scores", REQUIRED)], {}),
@@ -125,19 +123,18 @@ RECORDS = [
      {"generators": (), "equations": ()}),
     (Mapping, [("name", REQUIRED), ("source", REQUIRED), ("target", REQUIRED), ("entity_map", EMPTY),
                ("symbol_map", EMPTY)], {"entity_map": {N1: N1}, "symbol_map": {f: App(f, (x,))}}),
-    (SaturationLimits, [("max_classes_per_sort", 10000), ("max_rounds", 1000)],
-     {"max_classes_per_sort": 3, "max_rounds": 4}),
+    (SaturationLimits, [("max_classes_per_sort", 10000)], {"max_classes_per_sort": 3}),
     (RawTerm, [("name", REQUIRED), ("span", REQUIRED), ("args", []), ("quoted", False)], {}),
 ]
 SIGNATURES += RECORDS
-FROZEN = {App, Diagnostic, Issue, Collision, PathCaps, InversionBounds, SimilarityConfig} | \
+FROZEN = {App, Diagnostic, Issue, Collision, InversionBounds, SimilarityConfig} | \
     {cls for cls, _, _ in RECORDS if cls is not RawTerm}
 # fields a constructor stores as a read-only copy of the dict given, not as given
 COPIED = {(Mapping, "entity_map"), (Mapping, "symbol_map")}
 
 
 def test_the_table_covers_every_converted_class():
-    assert len(SIGNATURES) == 34
+    assert len(SIGNATURES) == 33
     assert not any(dataclasses.is_dataclass(cls) for cls, _, _ in SIGNATURES)
     assert [cls for cls, _, _ in SIGNATURES if issubclass(cls, Record)] == [cls for cls, _, _ in RECORDS]
 
@@ -163,12 +160,14 @@ def test_constructors_keep_their_order_keywords_and_defaults(cls, params, given)
                 assert getattr(first, name) is not getattr(second, name), name
 
 
+LOOP = Schema("L", builtin_typeside(), [N1], [], [fkey("nxt", N1, N1)])
+
+
 @pytest.mark.parametrize("build, message", [
-    (lambda: PathCaps(max_depth=0), "path caps must be strictly positive"),
-    (lambda: PathCaps(6, -1), "path caps must be strictly positive"),
+    (lambda: enumerate_paths(LOOP, N1, N1, max_depth=0), "path caps must be strictly positive"),
+    (lambda: enumerate_paths(LOOP, N1, N1, 6, -1), "path caps must be strictly positive"),
     (lambda: InversionBounds(depth=0), "depth must be a positive integer, got 0"),
-    (lambda: InversionBounds(0, 0), "depth must be a positive integer, got 0"),
-    (lambda: InversionBounds(max_candidates=-2), "max_candidates must be a positive integer, got -2"),
+    (lambda: InversionBounds(0), "depth must be a positive integer, got 0"),
     (lambda: SimilarityConfig(cutoff=1.5), "cutoff must lie in [0, 1], got 1.5"),
     (lambda: SimilarityConfig(-0.1), "cutoff must lie in [0, 1], got -0.1"),
 ])
@@ -207,9 +206,11 @@ def test_records_compare_hash_show_and_replace_by_their_fields(cls, params, give
     a, b = cls(**values), cls(**values)
     assert a is not b and a == b and not a != b
     assert a.__eq__(object()) is NotImplemented and a != object()
-    if cls in (Mapping, RawTerm):  # a field is a dict view or a list
+    if cls is RawTerm:  # a field is a list
         with pytest.raises(TypeError):
             hash(a)
+    elif cls is Mapping:  # its fields are dict views, hashed as sets of items
+        assert hash(a) == hash(b)
     else:
         assert hash(a) == hash(b) == hash(tuple(getattr(a, n) for n in cls._fields))
     if cls.__repr__ is Record.__repr__:
@@ -241,14 +242,20 @@ def test_theory_values_survive_copy_and_pickle(schema_s, mapping_f):
     nxt = fkey("nxt", N1, N1)
     constrained = replace(schema_s, foreign_keys=[f, nxt],
                           constraints=[Equation((x,), App(nxt, (App(nxt, (x,)),)), x)])
-    for v in (N1, f, Var("x", N1), schema_s.typeside, schema_s, inst, SaturationLimits(3, 4),
-              int_literal(7), eq.lhs, eq, with_eqs, constrained):
+    for v in (N1, f, Var("x", N1), schema_s.typeside, schema_s, inst, SaturationLimits(3),
+              int_literal(7), eq.lhs, eq, with_eqs, constrained, mapping_f):
         assert copy.copy(v) == v and copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
-        assert hash(copy.deepcopy(v)) == hash(v)
-    assert copy.copy(mapping_f) == mapping_f
+        assert hash(copy.deepcopy(v)) == hash(pickle.loads(pickle.dumps(v))) == hash(v)
+    # a mapping's maps stay read-only, and equal mappings hash equal whatever order their maps were given in
+    for c in (copy.deepcopy(mapping_f), pickle.loads(pickle.dumps(mapping_f))):
+        assert type(c.entity_map) is type(c.symbol_map) is MappingProxyType
+    reordered = Mapping(mapping_f.name, mapping_f.source, mapping_f.target,
+                        dict(reversed(mapping_f.entity_map.items())), dict(reversed(mapping_f.symbol_map.items())))
+    assert list(reordered.symbol_map) != list(mapping_f.symbol_map)
+    assert reordered == mapping_f and hash(reordered) == hash(mapping_f)
     # the slotted values compare by identity: their copies are built anew with equal fields
     for v in (Issue("E1", "m"), Collision(INT, "20", "30", 4), Diagnostic("error", "E2", "m"),
-              SimilarityConfig(0.3, True), PathCaps(2, 3), InversionBounds(2, 5)):
+              SimilarityConfig(0.3), InversionBounds(2)):
         for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert type(c) is type(v) and c is not v
             assert [getattr(c, n) for n in type(v).__slots__] == [getattr(v, n) for n in type(v).__slots__]

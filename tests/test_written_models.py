@@ -44,6 +44,7 @@ from catq import cli
 from catq.parser import InstanceDecl
 from catq.terms import App, free_vars, substitute
 
+from conftest import max_rounds
 from test_cli import CHAIN, COLLIDING, CYCLIC, IDEMPOTENT, write
 from test_dsl import EXAMPLE
 
@@ -333,11 +334,11 @@ def test_written_sigma_hits_the_limit_of_its_presentation():
     # W is infinite; sigma along the identity stops where saturating its presentation does
     sch = elaborate(parse(CYCLIC)[0])[0].schemas["L"]
     inst = InstancePresentation("W", sch, [generator("a", sch.entity_named("E"))])
-    ident, limits = identity_mapping(sch, "Id"), SaturationLimits(max_rounds=5)
-    with pytest.raises(ResourceLimit) as written:
-        sigma(ident, inst, limits)
-    with pytest.raises(ResourceLimit) as built:
-        build_term_model(translated(ident, inst, "sigma_Id_W"), limits=limits)
+    ident = identity_mapping(sch, "Id")
+    with max_rounds(5), pytest.raises(ResourceLimit) as written:
+        sigma(ident, inst)
+    with max_rounds(5), pytest.raises(ResourceLimit) as built:
+        build_term_model(translated(ident, inst, "sigma_Id_W"))
     assert str(written.value) == str(built.value) == "saturation of sigma_Id_W exceeded 5 rounds"
 
 
@@ -805,33 +806,33 @@ def test_fallback_output_is_pinned(tmp_path, capsys, monkeypatch):
     assert count == {"I": 1, "K": 1, "P": 1}
 
 
-LIMITED = {  # (program, functor, its mapping and input, limits) -> the message saturating the tables gave
-    ("EXAMPLE", "delta F J", SaturationLimits(max_classes_per_sort=2)):
+LIMITED = {  # (program, functor, its mapping and input, limits, round cap) -> the message saturating the tables gave
+    ("EXAMPLE", "delta F J", SaturationLimits(max_classes_per_sort=2), 1000):
         "carrier of N1 in X exceeded 2 classes (the term model may be infinite)",
-    ("EXAMPLE", "delta F J", SaturationLimits(max_classes_per_sort=3)):
+    ("EXAMPLE", "delta F J", SaturationLimits(max_classes_per_sort=3), 1000):
         "carrier of Int in X exceeded 3 classes (the term model may be infinite)",
-    ("EXAMPLE", "pi F I", SaturationLimits(max_classes_per_sort=2)): "family carrier at N exceeded limits",
-    ("EXAMPLE", "pi F I", SaturationLimits(max_classes_per_sort=4)):
+    ("EXAMPLE", "pi F I", SaturationLimits(max_classes_per_sort=2), 1000): "family carrier at N exceeded limits",
+    ("EXAMPLE", "pi F I", SaturationLimits(max_classes_per_sort=4), 1000):
         "carrier of Int in X exceeded 4 classes (the term model may be infinite)",
-    ("NULLS", "delta F J", SaturationLimits(max_classes_per_sort=1)):
+    ("NULLS", "delta F J", SaturationLimits(max_classes_per_sort=1), 1000):
         "carrier of Color in X exceeded 1 classes (the term model may be infinite)",
-    ("NULLS", "pi F I", SaturationLimits(max_classes_per_sort=2)):
+    ("NULLS", "pi F I", SaturationLimits(max_classes_per_sort=2), 1000):
         "carrier of Color in X exceeded 2 classes (the term model may be infinite)",
     # pi's nulls are made in the first round, so saturating them takes a second
-    ("NULLS", "pi F I", SaturationLimits(max_rounds=1)): "saturation of X exceeded 1 rounds",
+    ("NULLS", "pi F I", SaturationLimits(), 1): "saturation of X exceeded 1 rounds",
     # the fallbacks: saturate's first round merges the nulls, so a second must run; typeside equations
-    ("CONSTRAINED_NULLS", "pi F I", SaturationLimits(max_rounds=1)): "saturation of X exceeded 1 rounds",
-    ("TYPESIDE_EQUATIONS", "delta Id I", SaturationLimits(max_classes_per_sort=2)):
+    ("CONSTRAINED_NULLS", "pi F I", SaturationLimits(), 1): "saturation of X exceeded 1 rounds",
+    ("TYPESIDE_EQUATIONS", "delta Id I", SaturationLimits(max_classes_per_sort=2), 1000):
         "carrier of Color in X exceeded 2 classes (the term model may be infinite)",
 }
 
 
-@pytest.mark.parametrize("case", LIMITED, ids=lambda case: f"{case[0]}-{case[1]}-{case[2]}".replace(" ", "-"))
+@pytest.mark.parametrize("case", LIMITED, ids=lambda case: "-".join(map(str, case)).replace(" ", "-"))
 def test_delta_and_pi_raise_the_limits_of_saturation(differential, case):
-    program, call, limits = case
+    program, call, limits, rounds = case
     functor, mapping, arg = call.split()
     env, _ = derived(PROGRAMS[program])
-    with pytest.raises(ResourceLimit) as err:
+    with max_rounds(rounds), pytest.raises(ResourceLimit) as err:
         {"delta": delta, "pi": pi}[functor](env.mappings[mapping], env.models[arg], limits, name="X")
     assert str(err.value) == LIMITED[case]
 

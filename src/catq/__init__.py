@@ -55,8 +55,6 @@ from .schema import (
 )
 from .model import (
     Collision,
-    DEFAULT_LIMITS,
-    SaturationLimits,
     TermModel,
     build_term_model,
     check_consistency,

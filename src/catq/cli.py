@@ -13,11 +13,12 @@ import os
 import sys
 from pathlib import Path
 
+from . import model
 from .elaborate import Environment, elaborate
-from .errors import InvariantViolation, NoPathForSymbol, ResourceLimit
+from .errors import InvariantViolation, NoPathForSymbol, ResourceLimit, SchemaMismatch
 from .matcher import SimilarityConfig, match_mapping, match_span
 from .migrate import InversionBounds, invert_mapping
-from .model import DEFAULT_LIMITS, SaturationLimits, check_consistency
+from .model import check_consistency
 from .parser import Diagnostic, parse
 from .render import render_mapping, render_model
 
@@ -27,16 +28,23 @@ EXIT_RESOURCE = 2
 EXIT_INCONSISTENT = 3
 
 
-def _limits() -> SaturationLimits:
+def _limits() -> None:
+    """Set the class cap `model.MAX_CLASSES` from CATQ_MAX_CLASSES, if set; exit 1 unless it is a positive integer.
+
+    `main` puts the cap back when the run ends.
+    """
     raw = os.environ.get("CATQ_MAX_CLASSES")
     if raw is None:
-        return DEFAULT_LIMITS
+        return
     try:
-        return SaturationLimits(max_classes_per_sort=int(raw))
+        cap = int(raw)
+        if cap <= 0:
+            raise ValueError
     except ValueError:
         print(f"error: CATQ_MAX_CLASSES must be a positive integer, got {raw!r}",
               file=sys.stderr)
         raise SystemExit(EXIT_DIAGNOSTICS)
+    model.MAX_CLASSES = cap
 
 
 def _option(config, value):
@@ -53,11 +61,12 @@ def _option(config, value):
 def _load(path: str) -> tuple[Environment, list[Diagnostic]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(EXIT_DIAGNOSTICS)
     prog, diags = parse(text, path)
-    env, more = elaborate(prog, _limits())
+    _limits()
+    env, more = elaborate(prog)
     return env, diags + more
 
 
@@ -74,10 +83,10 @@ def _report(diags: list[Diagnostic]) -> int:
 
 def _inconsistency(env: Environment, names=None) -> int:
     code = EXIT_OK
-    for name, model in env.models.items():
+    for name, m in env.models.items():
         if names is not None and name not in names:
             continue
-        collision = check_consistency(model)
+        collision = check_consistency(m)
         if collision is not None:
             print(f"{name}: inconsistent: {collision}", file=sys.stderr)
             code = EXIT_INCONSISTENT
@@ -105,7 +114,7 @@ def _run_directives(env: Environment) -> int:
 
 def _do_invert(env: Environment, name: str, bounds: InversionBounds) -> int:
     try:
-        inv = invert_mapping(env.mappings[name], bounds, _limits())
+        inv = invert_mapping(env.mappings[name], bounds)
     except ResourceLimit as e:
         print(f"invert {name}: {e}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -119,9 +128,14 @@ def _do_invert(env: Environment, name: str, bounds: InversionBounds) -> int:
 
 def _do_match(env: Environment, src: str, tgt: str, span: bool, cfg: SimilarityConfig) -> int:
     s, t = env.schemas[src], env.schemas[tgt]
+    what = f"match span {src} {tgt}" if span else f"match {src} {tgt}"
+    try:
+        res = match_span(s, t, cfg) if span else match_mapping(s, t)
+    except (NoPathForSymbol, SchemaMismatch) as e:
+        print(f"{what}: failed: {e}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     if span:
-        res = match_span(s, t, cfg)
-        print(f"match span {src} {tgt}: apex with "
+        print(f"{what}: apex with "
               f"{len(res.apex.entities)} entities, {len(res.apex.symbols)} symbols")
         for e in res.apex.entities:
             print(f"  entity {e.name} (score {res.scores[e.name]:.3f})")
@@ -130,12 +144,7 @@ def _do_match(env: Environment, src: str, tgt: str, span: bool, cfg: SimilarityC
         if res.empty:
             print("  (empty apex)")
         return EXIT_OK
-    try:
-        res = match_mapping(s, t)
-    except NoPathForSymbol as e:
-        print(f"match {src} {tgt}: failed: {e}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    print(f"match {src} {tgt} (validated: {res.validated}):")
+    print(f"{what} (validated: {res.validated}):")
     print(render_mapping(res.mapping), end="")
     for k, v in res.scores.items():
         print(f"  score {k}: {v:.3f}")
@@ -197,14 +206,18 @@ def cmd_export(args) -> int:
     code = _report(diags)
     if code:
         return code
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for kind, name in env.order:
-        if kind != "instance":
-            continue
-        path = out / f"{name}.{args.format}"
-        path.write_text(render_model(env.models[name], args.format), encoding="utf-8")
-        print(f"wrote {path}")
+    path = out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for kind, name in env.order:
+            if kind != "instance":
+                continue
+            path = out / f"{name}.{args.format}"
+            path.write_text(render_model(env.models[name], args.format), encoding="utf-8")
+            print(f"wrote {path}")
+    except OSError as e:
+        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     return _inconsistency(env)
 
 
@@ -254,6 +267,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
+    cap = model.MAX_CLASSES  # CATQ_MAX_CLASSES sets it for this run only
     try:
         return args.fn(args)
     except ResourceLimit as e:
@@ -262,6 +276,8 @@ def main(argv=None) -> int:
     except InvariantViolation as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
+    finally:
+        model.MAX_CLASSES = cap
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .errors import CatqError, ResourceLimit
 from .mappings import Mapping, compose_mappings, identity_mapping, validate_mapping
 from .matcher import SimilarityConfig
 from .migrate import InversionBounds, coproduct, delta, pi, sigma
-from .model import DEFAULT_LIMITS, SaturationLimits, TermModel, build_term_model
+from .model import TermModel, build_term_model
 from .parser import (
     Diagnostic,
     Directive,
@@ -126,10 +126,9 @@ def _node_span(nodes, k: int) -> SourceSpan:
 
 
 class _Elaborator:
-    def __init__(self, limits: SaturationLimits):
+    def __init__(self):
         self.env = Environment()
         self.diags: list[Diagnostic] = []
-        self.limits = limits
         self.literals: dict[tuple[str, Sort], FunctionSymbol] = {}
 
     def error(self, code: str, message: str, span: Optional[SourceSpan] = None):
@@ -420,7 +419,7 @@ class _Elaborator:
         if self.issues_to_diags(validate_instance(pres), d):
             return
         try:
-            model = build_term_model(pres, [s for s in sides if s is not None], limits=self.limits)
+            model = build_term_model(pres, [s for s in sides if s is not None])
         except ResourceLimit as e:
             self.error("ResourceLimit", str(e), d.span)
             return
@@ -492,7 +491,7 @@ class _Elaborator:
                 syms[sym] = t
         f_map = Mapping(d.name, src, tgt, ent, syms)
         try:
-            issues = validate_mapping(f_map, self.limits)
+            issues = validate_mapping(f_map)
         except ResourceLimit as e:
             self.error("ResourceLimit", str(e), d.span)
             return
@@ -513,11 +512,11 @@ class _Elaborator:
                     self.error("NameResolution", f"unknown instance {inst_name}", d.span)
                     return
                 if d.op == "sigma":
-                    res = sigma(f_map, self.env.models[inst_name], self.limits, name=d.name)
+                    res = sigma(f_map, self.env.models[inst_name], name=d.name)
                 elif d.op == "delta":
-                    res = delta(f_map, self.env.models[inst_name], self.limits, name=d.name)
+                    res = delta(f_map, self.env.models[inst_name], name=d.name)
                 else:
-                    res = pi(f_map, self.env.models[inst_name], self.limits, name=d.name)
+                    res = pi(f_map, self.env.models[inst_name], name=d.name)
                 self.register_instance(d.name, res.model)
             elif d.op == "coproduct":
                 parts = []
@@ -527,14 +526,14 @@ class _Elaborator:
                         return
                     parts.append(self.env.models[a].instance)
                 pres = coproduct(parts[0], parts[1], name=d.name)
-                self.register_instance(d.name, build_term_model(pres, limits=self.limits))
+                self.register_instance(d.name, build_term_model(pres))
             elif d.op == "compose":
                 # `compose F G` is the pipeline: first F, then G
                 maps = [self.env.mappings.get(a) for a in d.args]
                 if any(m is None for m in maps):
                     self.error("NameResolution", f"unknown mapping among {d.args}", d.span)
                     return
-                h = compose_mappings(maps[0], maps[1], self.limits, name=d.name)
+                h = compose_mappings(maps[0], maps[1], name=d.name)
                 self.env.mappings[d.name] = h
                 self.env.order.append(("mapping", d.name))
             elif d.op == "identity":
@@ -602,9 +601,8 @@ class _Elaborator:
         return self.env
 
 
-def elaborate(prog: Program,
-              limits: SaturationLimits = DEFAULT_LIMITS) -> tuple[Environment, list[Diagnostic]]:
+def elaborate(prog: Program) -> tuple[Environment, list[Diagnostic]]:
     """Resolve, validate and evaluate a parsed program in order."""
-    elab = _Elaborator(limits)
+    elab = _Elaborator()
     env = elab.run(prog)
     return env, elab.diags

@@ -13,8 +13,9 @@ import functools
 from types import MappingProxyType
 from typing import Callable, Hashable, Optional
 
+from . import model as _model
 from .errors import NoMorphismExists, SchemaMismatch, SortMismatch
-from .model import DEFAULT_LIMITS, SaturationLimits, TermModel, build_term_model
+from .model import TermModel, build_term_model
 from .schema import InstancePresentation, Issue, Schema, generator
 from .terms import (
     GENERATOR,
@@ -112,20 +113,25 @@ def apply_mapping_term(f_map: Mapping, t: Term,
     return fold_chain(mapping_chain(f_map, term_chain(t), genmap))
 
 
-@functools.cache
-def probe_model(schema: Schema, entity: Sort,
-                limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
+def probe_model(schema: Schema, entity: Sort) -> TermModel:
     """Term model of the free instance on one generator `_x` at `entity`.
 
     Two one-variable terms are provably equal iff they agree on it.
-    Cached by value: schemas are frozen, so equal schemas share one probe.
+    Cached by value and by the class cap `model.MAX_CLASSES` at the call:
+    schemas are frozen, so equal schemas share one probe, and a probe
+    built under one cap is never read under another.
     """
+    return _probes(schema, entity, _model.MAX_CLASSES)
+
+
+@functools.cache
+def _probes(schema: Schema, entity: Sort, cap: int) -> TermModel:
+    """`probe_model`'s cache: `cap` only keys it, since saturation reads the cap itself."""
     probe = InstancePresentation(f"_probe_{schema.name}_{entity.name}", schema, [generator("_x", entity)])
-    return build_term_model(probe, limits=limits)
+    return build_term_model(probe)
 
 
-def path_key(schema: Schema, entity: Sort,
-             limits: SaturationLimits = DEFAULT_LIMITS) -> Callable[[tuple], Hashable]:
+def path_key(schema: Schema, entity: Sort) -> Callable[[tuple], Hashable]:
     """A key for each chain rooted at `entity`: two keys are equal iff the theory proves the terms equal.
 
     A chain here has no variable (`terms.open_chain`).  With no typeside
@@ -141,14 +147,13 @@ def path_key(schema: Schema, entity: Sort,
     x = generator("_x", entity)
 
     def key(chain: tuple) -> Hashable:
-        c = probe_model(schema, entity, limits).walk((x, *chain))
+        c = probe_model(schema, entity).walk((x, *chain))
         return chain if c is None else c
 
     return key
 
 
-def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term,
-                     limits: SaturationLimits = DEFAULT_LIMITS) -> bool:
+def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term) -> bool:
     """Provable equality of two one-variable terms rooted at `entity`: their `path_key`s agree.
 
     Each term's variable, whatever its name, stands for the same element
@@ -161,7 +166,7 @@ def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term,
         v = term_chain(t)[0]
         if isinstance(v, Var) and v.sort != entity:
             raise SortMismatch(f"binding for {v.name} has sort {entity.name}, expected {v.sort.name}")
-    key = path_key(schema, entity, limits)
+    key = path_key(schema, entity)
     return key(open_chain(t1)) == key(open_chain(t2))
 
 
@@ -176,7 +181,7 @@ def _constrained_from(schema: Schema, entity: Sort) -> bool:
     return any(v.sort in reached for con in schema.constraints for v in con.free)
 
 
-def validate_mapping(f_map: Mapping, limits: SaturationLimits = DEFAULT_LIMITS) -> list[Issue]:
+def validate_mapping(f_map: Mapping) -> list[Issue]:
     issues: list[Issue] = []
     src, tgt = f_map.source, f_map.target
     if src.typeside.name != tgt.typeside.name:
@@ -210,7 +215,7 @@ def validate_mapping(f_map: Mapping, limits: SaturationLimits = DEFAULT_LIMITS) 
     if issues:
         return issues
     for con in src.constraints:
-        key = path_key(tgt, f_map.entity_image(con.free[0].sort), limits)
+        key = path_key(tgt, f_map.entity_image(con.free[0].sort))
         if key(mapping_chain(f_map, open_chain(con.lhs))) != key(mapping_chain(f_map, open_chain(con.rhs))):
             issues.append(Issue(
                 "EqualityNotPreserved",
@@ -218,9 +223,7 @@ def validate_mapping(f_map: Mapping, limits: SaturationLimits = DEFAULT_LIMITS) 
     return issues
 
 
-def compose_mappings(f_map: Mapping, g_map: Mapping,
-                     limits: SaturationLimits = DEFAULT_LIMITS, *,
-                     name: Optional[str] = None) -> Mapping:
+def compose_mappings(f_map: Mapping, g_map: Mapping, *, name: Optional[str] = None) -> Mapping:
     """First f, then g."""
     if f_map.target != g_map.source:
         raise SchemaMismatch(
@@ -228,21 +231,20 @@ def compose_mappings(f_map: Mapping, g_map: Mapping,
     ent = {e: g_map.entity_map[t] for e, t in f_map.entity_map.items()}
     sym = {f: apply_mapping_term(g_map, t) for f, t in f_map.symbol_map.items()}
     out = Mapping(name or f"{g_map.name}.{f_map.name}", f_map.source, g_map.target, ent, sym)
-    bad = validate_mapping(out, limits)
+    bad = validate_mapping(out)
     if bad:
         raise SchemaMismatch(f"composite mapping invalid: {bad[0]}")
     return out
 
 
-def mappings_equal(f_map: Mapping, g_map: Mapping,
-                   limits: SaturationLimits = DEFAULT_LIMITS) -> bool:
+def mappings_equal(f_map: Mapping, g_map: Mapping) -> bool:
     """Same entity assignment and provably equal symbol images."""
     if f_map.source != g_map.source or f_map.target != g_map.target:
         return False
     if f_map.entity_map != g_map.entity_map:
         return False
     for f in f_map.source.symbols:
-        key = path_key(f_map.target, f_map.entity_image(f.arg_sorts[0]), limits)
+        key = path_key(f_map.target, f_map.entity_image(f.arg_sorts[0]))
         if key(f_map._image_chains[f]) != key(g_map._image_chains[f]):
             return False
     return True

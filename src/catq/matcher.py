@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .errors import NoPathForSymbol
+from .errors import NoPathForSymbol, SchemaMismatch
 from .mappings import Mapping, validate_mapping
 from .migrate import enumerate_paths
 from .schema import Issue, Schema
@@ -134,7 +134,7 @@ def match_span(src: Schema, tgt: Schema,
     endpoints are both paired and, for attributes, whose types agree.
     """
     if src.typeside.name != tgt.typeside.name:
-        raise ValueError("span matching requires a shared typeside")
+        raise SchemaMismatch("span matching requires a shared typeside")
     scores: dict[str, float] = {}
     pairs: dict[tuple[Sort, Sort], Sort] = {}
     for s in src.entities:

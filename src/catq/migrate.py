@@ -28,6 +28,7 @@ import itertools
 import weakref
 from typing import Optional
 
+from . import model as _model
 from .errors import InvariantViolation, NoMorphismExists, ResourceLimit, SchemaMismatch
 from .mappings import (  # open_terms_equal stays a name of this module: bench/spans.py wraps it here
     InstanceMorphism,
@@ -44,8 +45,6 @@ from .mappings import (  # open_terms_equal stays a name of this module: bench/s
     validate_mapping,
 )
 from .model import (  # build_term_model stays a name of this module: bench/spans.py wraps it here
-    DEFAULT_LIMITS,
-    SaturationLimits,
     TermModel,
     build_term_model,
     model_read_as,
@@ -81,8 +80,7 @@ class PathSet:
         self.source, self.target, self.terms, self.truncated = source, target, terms, truncated
 
 
-def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max_paths: int = 256,
-                    limits: SaturationLimits = DEFAULT_LIMITS) -> PathSet:
+def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max_paths: int = 256) -> PathSet:
     """All one-variable terms from `frm` to `to`, one for each class of provably equal ones.
 
     Breadth-first over foreign keys, at most `max_depth` of them, optionally
@@ -94,7 +92,7 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max
     """
     if max_depth <= 0 or max_paths <= 0:
         raise ValueError("path caps must be strictly positive")
-    key = path_key(schema, frm, limits)
+    key = path_key(schema, frm)
     seen: set = set()
     lone: dict[Sort, Optional[tuple]] = {frm: ()}  # sort -> its one path kept so far, None once keyed
 
@@ -192,8 +190,8 @@ class PiResult(MigrationResult):
         self.ty_origin = ty_origin
 
 
-# Results of sigma, delta and pi by (functor, id(mapping), id(input), limits,
-# name), kept only while someone holds them.  A result holds its
+# Results of sigma, delta and pi by (functor, id(mapping), id(input), class
+# cap, name), kept only while someone holds them.  A result holds its
 # mapping and its input, so neither id is reused while its entry exists;
 # mappings, presentations and term models are immutable, so a hit is
 # always what the call would compute again.  sigma keys a presentation
@@ -246,16 +244,14 @@ def _type_anchors(src: TermModel):
 # Delta
 
 
-def delta(f_map: Mapping, j: TermModel,
-          limits: SaturationLimits = DEFAULT_LIMITS, *,
-          name: Optional[str] = None) -> DeltaResult:
+def delta(f_map: Mapping, j: TermModel, *, name: Optional[str] = None) -> DeltaResult:
     """Model reduct: project a target model back along the mapping."""
     if j.schema != f_map.target:
         raise SchemaMismatch(f"{j.name} is not an instance of {f_map.target.name}")
     if j.collisions:
         raise SchemaMismatch(f"input of delta is inconsistent: {j.collisions[0]}")
     name = name or f"delta_{f_map.name}_{j.name}"
-    memo_key = ("delta", id(f_map), id(j), limits, name)
+    memo_key = ("delta", id(f_map), id(j), _model.MAX_CLASSES, name)
     hit = _results.get(memo_key)
     if hit is not None:
         return hit
@@ -275,7 +271,7 @@ def delta(f_map: Mapping, j: TermModel,
             for q in qs:
                 img = images[q][c]
                 rows.append((q, g, ent_gen[(q.out_sort.name, img)] if q.out_sort.is_entity else anchor[img]))
-    model = write_model(src, name, [*ent_gen.values(), *ty_gens], pins, rows, limits=limits)
+    model = write_model(src, name, [*ent_gen.values(), *ty_gens], pins, rows)
     ent_class = {key: model.class_of(g) for key, g in ent_gen.items()}
     ty_class = {c: model.class_of(sym) for c, sym in anchor.items()}
     to_target = {out: c for (_, c), out in ent_class.items()} | {out: c for c, out in ty_class.items()}
@@ -287,9 +283,7 @@ def delta(f_map: Mapping, j: TermModel,
 # Sigma
 
 
-def sigma(f_map: Mapping, inst: InstancePresentation | TermModel,
-          limits: SaturationLimits = DEFAULT_LIMITS, *,
-          name: Optional[str] = None) -> SigmaResult:
+def sigma(f_map: Mapping, inst: InstancePresentation | TermModel, *, name: Optional[str] = None) -> SigmaResult:
     """Push an instance, given as a presentation or as its model, across a mapping.
 
     Each equation's chains are translated symbol by symbol
@@ -302,7 +296,7 @@ def sigma(f_map: Mapping, inst: InstancePresentation | TermModel,
     if isinstance(inst, InstancePresentation):
         inst = model_read_as(inst) or inst
     name = name or f"sigma_{f_map.name}_{inst.name}"
-    memo_key = ("sigma", id(f_map), id(inst), limits, name)
+    memo_key = ("sigma", id(f_map), id(inst), _model.MAX_CLASSES, name)
     hit = _results.get(memo_key)
     if hit is not None:
         return hit
@@ -313,7 +307,7 @@ def sigma(f_map: Mapping, inst: InstancePresentation | TermModel,
         chains = [(term_chain(eq.lhs), term_chain(eq.rhs)) for eq in inst.equations]
     model = saturate(f_map.target, name, list(gen_map.values()),
                      [(mapping_chain(f_map, lhs, gen_map), mapping_chain(f_map, rhs, gen_map))
-                      for lhs, rhs in chains], limits=limits)
+                      for lhs, rhs in chains])
     res = _results[memo_key] = SigmaResult(f_map, inst, model, gen_map)
     return res
 
@@ -380,8 +374,7 @@ def _search(domains: list[list[int]], checks: list[tuple], apart: list[list[int]
 
 
 def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, tuple]],
-              cons: list[tuple[int, FunctionSymbol, int]],
-              limits: SaturationLimits) -> list[tuple[int, ...]]:
+              cons: list[tuple[int, FunctionSymbol, int]]) -> list[tuple[int, ...]]:
     """Every tuple x over the carriers of idx with x[j] == q(x[i]) for (i, q, j) in cons.
 
     In lexicographic order.  With i < j, x[j] is looked up in q's table,
@@ -390,22 +383,21 @@ def _families(i_model: TermModel, t_ent: Sort, idx: list[tuple[Sort, tuple]],
     tables = {q: i_model.column(q) for q in dict.fromkeys(q for _, q, _ in cons)}
     found = _search([i_model.carrier(s) for s, _ in idx],
                     [((j, None, ()), (i, None, (tables[q],))) for i, q, j in cons])
-    out = list(itertools.islice(found, limits.max_classes_per_sort + 1))
-    if len(out) > limits.max_classes_per_sort:
+    cap = _model.MAX_CLASSES
+    out = list(itertools.islice(found, cap + 1))
+    if len(out) > cap:
         raise ResourceLimit(f"family carrier at {t_ent.name} exceeded limits")
     return out
 
 
-def pi(f_map: Mapping, i_model: TermModel,
-       limits: SaturationLimits = DEFAULT_LIMITS, *,
-       name: Optional[str] = None) -> PiResult:
+def pi(f_map: Mapping, i_model: TermModel, *, name: Optional[str] = None) -> PiResult:
     """Limit-style migration: families over the input model, indexed by paths read as chains."""
     if i_model.schema != f_map.source:
         raise SchemaMismatch(f"{i_model.name} is not an instance of {f_map.source.name}")
     if i_model.collisions:
         raise SchemaMismatch(f"input of pi is inconsistent: {i_model.collisions[0]}")
     name = name or f"pi_{f_map.name}_{i_model.name}"
-    memo_key = ("pi", id(f_map), id(i_model), limits, name)
+    memo_key = ("pi", id(f_map), id(i_model), _model.MAX_CLASSES, name)
     hit = _results.get(memo_key)
     if hit is not None:
         return hit
@@ -416,7 +408,7 @@ def pi(f_map: Mapping, i_model: TermModel,
         # ResourceLimit, `truncated` formatted with the two sorts' names, when the caps cut the set
         k = (schema is src, frm, to)
         if k not in enumerated:
-            ps = enumerate_paths(schema, frm, to, limits=limits)
+            ps = enumerate_paths(schema, frm, to)
             if ps.truncated:
                 raise ResourceLimit(truncated.format(frm.name, to.name))
             enumerated[k] = [open_chain(p) for p in ps.terms]
@@ -427,7 +419,7 @@ def pi(f_map: Mapping, i_model: TermModel,
         index[t.name] = [(s, chain) for s in src.entities for chain in paths(
             tgt, t, f_map.entity_image(s), "path set {} -> {} truncated; pi is undefined under truncation")]
 
-    keys = {t: path_key(tgt, t, limits) for t in tgt.entities}
+    keys = {t: path_key(tgt, t) for t in tgt.entities}
     positions: dict[Sort, dict] = {}  # per target entity, (source entity, key) -> the first index position
 
     def position(t: Sort, s: Sort, chain: tuple) -> int:  # of the path `chain` from t to s's image
@@ -449,7 +441,7 @@ def pi(f_map: Mapping, i_model: TermModel,
                                for i, (s, chain) in enumerate(index[t.name])
                                for q in src.foreign_keys if q.arg_sorts == (s,)]
 
-    families = {t.name: _families(i_model, t, index[t.name], constraints[t.name], limits)
+    families = {t.name: _families(i_model, t, index[t.name], constraints[t.name])
                 for t in tgt.entities}
 
     # attribute factorizations through the mapping: (index position, source path) pairs
@@ -498,7 +490,7 @@ def pi(f_map: Mapping, i_model: TermModel,
                         f"attribute {att.name} is not well-defined across factorizations")
                 rows.append((att, fam_gen[(t.name, x)], anchor[val]))
 
-    model = write_model(tgt, name, [*fam_gen.values(), *ty_gens], pins, rows, limits=limits)
+    model = write_model(tgt, name, [*fam_gen.values(), *ty_gens], pins, rows)
     fam_class = {key: model.class_of(g) for key, g in fam_gen.items()}
     fam_of = {cls: key for key, cls in fam_class.items()}
     ty_class = {c: model.class_of(sym) for c, sym in anchor.items()}
@@ -620,44 +612,39 @@ def _held(m: InstanceMorphism, *built: MigrationResult) -> InstanceMorphism:
     return m
 
 
-def unit_sigma(f_map: Mapping, i_model: TermModel,
-               limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
+def unit_sigma(f_map: Mapping, i_model: TermModel) -> InstanceMorphism:
     """I -> delta(sigma(I)): the mate of the identity on sigma(I)."""
-    sres = sigma(f_map, i_model, limits)
-    return transpose_sigma_down(f_map, i_model, identity_morphism(sres.model), limits)
+    sres = sigma(f_map, i_model)
+    return transpose_sigma_down(f_map, i_model, identity_morphism(sres.model))
 
 
-def counit_sigma(f_map: Mapping, j_model: TermModel,
-                 limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
+def counit_sigma(f_map: Mapping, j_model: TermModel) -> InstanceMorphism:
     """sigma(delta(J)) -> J: the mate of the identity on delta(J)."""
-    dres = delta(f_map, j_model, limits)
-    return transpose_sigma_up(f_map, identity_morphism(dres.model), j_model, limits)
+    dres = delta(f_map, j_model)
+    return transpose_sigma_up(f_map, identity_morphism(dres.model), j_model)
 
 
-def unit_pi(f_map: Mapping, j_model: TermModel,
-            limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
+def unit_pi(f_map: Mapping, j_model: TermModel) -> InstanceMorphism:
     """J -> pi(delta(J)): the mate of the identity on delta(J)."""
-    dres = delta(f_map, j_model, limits)
-    return transpose_pi_down(f_map, j_model, identity_morphism(dres.model), limits)
+    dres = delta(f_map, j_model)
+    return transpose_pi_down(f_map, j_model, identity_morphism(dres.model))
 
 
-def counit_pi(f_map: Mapping, i_model: TermModel,
-              limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
+def counit_pi(f_map: Mapping, i_model: TermModel) -> InstanceMorphism:
     """delta(pi(I)) -> I: the mate of the identity on pi(I)."""
-    pires = pi(f_map, i_model, limits)
-    return transpose_pi_up(f_map, identity_morphism(pires.model), i_model, limits)
+    pires = pi(f_map, i_model)
+    return transpose_pi_up(f_map, identity_morphism(pires.model), i_model)
 
 
-def transpose_sigma_down(f_map: Mapping, i_model: TermModel, h: InstanceMorphism,
-                         limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
+def transpose_sigma_down(f_map: Mapping, i_model: TermModel, h: InstanceMorphism) -> InstanceMorphism:
     """Mate of h : sigma(I) -> J, namely I -> delta(J).
 
     h's source must be the model produced by sigma(f_map, i_model).
     Each generator of I goes to the copy, in delta(J), of where h sends
     the generator's image in sigma(I).
     """
-    dres = delta(f_map, h.target, limits)
-    sres = sigma(f_map, i_model, limits)
+    dres = delta(f_map, h.target)
+    sres = sigma(f_map, i_model)
     genmap: dict[FunctionSymbol, int] = {}
     for g in i_model.generators:
         c = h.apply(h.source.class_of(sres.gen_map[g]))
@@ -665,21 +652,19 @@ def transpose_sigma_down(f_map: Mapping, i_model: TermModel, h: InstanceMorphism
     return _held(morphism_from_genmap(i_model, dres.model, genmap), dres, sres)
 
 
-def transpose_sigma_up(f_map: Mapping, hp: InstanceMorphism, j_model: TermModel,
-                       limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
+def transpose_sigma_up(f_map: Mapping, hp: InstanceMorphism, j_model: TermModel) -> InstanceMorphism:
     """Mate of hp : I -> delta(J), namely sigma(I) -> J.
 
     hp's target must be the model produced by delta(f_map, j_model).
     """
-    dres = delta(f_map, j_model, limits)
-    sres = sigma(f_map, hp.source, limits)
+    dres = delta(f_map, j_model)
+    sres = sigma(f_map, hp.source)
     genmap = {sres.gen_map[g]: dres.to_target[hp.apply(hp.source.class_of(g))]
               for g in hp.source.generators}
     return _held(morphism_from_genmap(sres.model, j_model, genmap), dres, sres)
 
 
-def transpose_pi_down(f_map: Mapping, j_model: TermModel, h: InstanceMorphism,
-                      limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
+def transpose_pi_down(f_map: Mapping, j_model: TermModel, h: InstanceMorphism) -> InstanceMorphism:
     """Mate of h : delta(J) -> I, namely J -> pi(I).
 
     h's source must be the model produced by delta(f_map, j_model).  Each
@@ -687,8 +672,8 @@ def transpose_pi_down(f_map: Mapping, j_model: TermModel, h: InstanceMorphism,
     its values along its entity's index chains; a type one to the copy of
     its image.
     """
-    dres = delta(f_map, j_model, limits)
-    pires = pi(f_map, h.target, limits)
+    dres = delta(f_map, j_model)
+    pires = pi(f_map, h.target)
     genmap: dict[FunctionSymbol, int] = {}
     for g in j_model.generators:
         c, t = j_model.class_of(g), g.out_sort
@@ -703,16 +688,15 @@ def transpose_pi_down(f_map: Mapping, j_model: TermModel, h: InstanceMorphism,
     return _held(morphism_from_genmap(j_model, pires.model, genmap), dres, pires)
 
 
-def transpose_pi_up(f_map: Mapping, g: InstanceMorphism, i_model: TermModel,
-                    limits: SaturationLimits = DEFAULT_LIMITS) -> InstanceMorphism:
+def transpose_pi_up(f_map: Mapping, g: InstanceMorphism, i_model: TermModel) -> InstanceMorphism:
     """Mate of g : J -> pi(I), namely delta(J) -> I.
 
     g's target must be the model produced by pi(f_map, i_model).  Each
     generator of delta(J) goes where g sends its class of J: an entity one
     to its family's entry at its entity's identity path, a type one back to I.
     """
-    dres = delta(f_map, g.source, limits)
-    pires = pi(f_map, i_model, limits)
+    dres = delta(f_map, g.source)
+    pires = pi(f_map, i_model)
     ident = {s: pires.index[f_map.entity_image(s).name].index((s, ())) for s in f_map.source.entities}
     genmap: dict[FunctionSymbol, int] = {}
     for gen in dres.model.generators:
@@ -739,8 +723,7 @@ class InversionBounds(ReadOnly):
         object.__setattr__(self, "depth", depth)
 
 
-def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds(),
-                   limits: SaturationLimits = DEFAULT_LIMITS) -> Optional[Mapping]:
+def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds()) -> Optional[Mapping]:
     """A two-sided inverse mapping, or None when there is none.
 
     `mappings_equal` compares entity maps exactly, so an inverse's entity
@@ -759,7 +742,7 @@ def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds(),
     candidate_terms: list[list[Term]] = []
     for f in tgt.symbols:
         frm, to = ent[f.arg_sorts[0]], ent.get(f.out_sort, f.out_sort)
-        ps = enumerate_paths(src, frm, to, bounds.depth, MAX_CANDIDATES, limits)
+        ps = enumerate_paths(src, frm, to, bounds.depth, MAX_CANDIDATES)
         truncated = truncated or ps.truncated
         if not ps.terms:
             break
@@ -769,11 +752,11 @@ def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds(),
             if count > MAX_CANDIDATES:
                 raise ResourceLimit("inversion search exceeded the candidate cap")
             g_map = Mapping(f"{f_map.name}_inv", tgt, src, ent, dict(zip(tgt.symbols, combo)))
-            if validate_mapping(g_map, limits):
+            if validate_mapping(g_map):
                 continue
             try:
-                if mappings_equal(compose_mappings(f_map, g_map, limits), id_src, limits) and \
-                        mappings_equal(compose_mappings(g_map, f_map, limits), id_tgt, limits):
+                if mappings_equal(compose_mappings(f_map, g_map), id_src) and \
+                        mappings_equal(compose_mappings(g_map, f_map), id_tgt):
                     return g_map
             except SchemaMismatch:
                 continue

@@ -16,10 +16,11 @@ still the least node of its class, (a) applies every attribute and
 foreign key on its sort and (b) instantiates every schema constraint of
 its sort.  Nothing else needs revisiting: congruence carries both the
 closure and the constraint instances of a class across a merge.  One
-generation is one round for `MAX_ROUNDS`, and per-sort class counts are
-kept as nodes are added and merged; `_over` checks both limits at the end
-of each round.  With no schema constraint nothing merges after the
-seeding, so `_close` runs the generations on the class tables instead.
+generation is one round for `MAX_ROUNDS`, and per-sort class counts, for
+`MAX_CLASSES`, are kept as nodes are added and merged; `_over` checks both
+limits at the end of each round.  With no schema constraint nothing
+merges after the seeding, so `_close` runs the generations on the class
+tables instead.
 Finiteness of the term model is undecidable in general, so the limits
 turn potential divergence into an explicit ResourceLimit error.
 
@@ -80,7 +81,6 @@ from .terms import (
     App,
     FunctionSymbol,
     ReadOnly,
-    Record,
     Sort,
     Term,
     Var,
@@ -96,18 +96,7 @@ Chain = tuple[FunctionSymbol, ...]
 _NO_NODES: dict[int, int] = {}  # the table of a symbol the model never applied
 _name = attrgetter("name")
 MAX_ROUNDS = 1000  # saturation generations before a ResourceLimit
-
-
-class SaturationLimits(ReadOnly, Record):
-    _fields = ("max_classes_per_sort",)
-
-    def __init__(self, max_classes_per_sort: int = 10000):
-        if max_classes_per_sort <= 0:
-            raise ValueError("saturation limits must be strictly positive")
-        object.__setattr__(self, "max_classes_per_sort", max_classes_per_sort)
-
-
-DEFAULT_LIMITS = SaturationLimits()
+MAX_CLASSES = 10000  # classes of one sort before a ResourceLimit; `catq` sets it from CATQ_MAX_CLASSES
 
 
 class Collision(ReadOnly):
@@ -567,16 +556,15 @@ class TermModel:
         return f"TermModel({self.name}; {sizes})"
 
 
-def _over(name: str, rounds: int, more: bool, count: Mapping[int, int], sorts: Sequence[Sort],
-          limits: SaturationLimits) -> Optional[ResourceLimit]:
+def _over(name: str, rounds: int, more: bool, count: Mapping[int, int],
+          sorts: Sequence[Sort]) -> Optional[ResourceLimit]:
     """The limit that round `rounds` of saturating `name` ends over, or None.
 
-    The first sort of `count` (index into `sorts` -> classes) over the class cap, else MAX_ROUNDS if `more` are due.
+    The first sort of `count` (index into `sorts` -> classes) over MAX_CLASSES, else MAX_ROUNDS if `more` are due.
     """
-    cap = limits.max_classes_per_sort
     for s, k in count.items():
-        if k > cap:
-            return ResourceLimit(f"carrier of {sorts[s].name} in {name} exceeded {cap} classes"
+        if k > MAX_CLASSES:
+            return ResourceLimit(f"carrier of {sorts[s].name} in {name} exceeded {MAX_CLASSES} classes"
                                  " (the term model may be infinite)")
     if more and rounds >= MAX_ROUNDS:
         return ResourceLimit(f"saturation of {name} exceeded {MAX_ROUNDS} rounds")
@@ -584,7 +572,7 @@ def _over(name: str, rounds: int, more: bool, count: Mapping[int, int], sorts: S
 
 
 def _close(schema: Schema, name: str, tables: dict[FunctionSymbol, dict[int, int]], classes: Sequence[tuple[int, int]],
-           nodes: int, ids: _Engine, limits: SaturationLimits) -> tuple[int, Optional[ResourceLimit]]:
+           nodes: int, ids: _Engine) -> tuple[int, Optional[ResourceLimit]]:
     """Saturation's generations where nothing merges, written straight into the class-keyed `tables`.
 
     `classes` are the classes so far in node order, each with its sort's index as `ids` numbers the sorts.
@@ -604,7 +592,7 @@ def _close(schema: Schema, name: str, tables: dict[FunctionSymbol, dict[int, int
                     nodes += 1
                     fresh.append(t)
         count.update(fresh)
-        over = _over(name, rounds, bool(fresh), count, ids.sorts, limits)
+        over = _over(name, rounds, bool(fresh), count, ids.sorts)
         if over or not fresh:
             return nodes, over
         classes = zip(range(start, nodes), fresh)
@@ -612,8 +600,7 @@ def _close(schema: Schema, name: str, tables: dict[FunctionSymbol, dict[int, int
 
 def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
              chains: Sequence[tuple[Chain, Chain]],
-             presentation: Optional[InstancePresentation] = None, *,
-             limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
+             presentation: Optional[InstancePresentation] = None) -> TermModel:
     """The term model on `generators` of the equations l = r for (l, r) in `chains`.
 
     The typeside constants, the generators and the sides of the typeside
@@ -636,7 +623,7 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
     if not schema.constraints:  # nothing merges after the seeding, so `_close` closes the class tables
         tables, cls = eng.class_tables()
         classes = [(n, s) for n, (c, s) in enumerate(zip(cls, eng.sort_of)) if c == n]
-        nodes, over = _close(schema, name, tables, classes, len(cls), eng, limits)
+        nodes, over = _close(schema, name, tables, classes, len(cls), eng)
         if over:
             raise over
         return TermModel(schema, name, tables, nodes, tuple(generators), chains, presentation)
@@ -667,7 +654,7 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
                     eng.merge(a, b)
                     merged = True
         more = merged or bool(eng.created)
-        over = _over(name, rounds, more, eng.class_count, eng.sorts, limits)
+        over = _over(name, rounds, more, eng.class_count, eng.sorts)
         if over:
             raise over
         if not more:
@@ -678,8 +665,7 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
 
 def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
                 pins: Sequence[tuple[FunctionSymbol, FunctionSymbol]],
-                rows: Sequence[tuple[FunctionSymbol, FunctionSymbol, FunctionSymbol]], *,
-                limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
+                rows: Sequence[tuple[FunctionSymbol, FunctionSymbol, FunctionSymbol]]) -> TermModel:
     """The model `saturate` gives on `generators`, a = b for (a, b) in pins, then q(g) = v for (q, g, v) in rows.
 
     The equations are operation tables, as delta and pi compute them: a
@@ -698,7 +684,7 @@ def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
     chains = [((a,), (b,)) for a, b in pins]
     chains += [((g, q), (v,)) for q, g, v in rows]
     if schema.typeside.equations:
-        return saturate(schema, name, generators, chains, limits=limits)
+        return saturate(schema, name, generators, chains)
     leaves: dict[FunctionSymbol, int] = {}  # node ids in the order `saturate` adds the 0-ary symbols
     for sym in schema.typeside.constants:
         leaves.setdefault(sym, len(leaves))
@@ -731,7 +717,7 @@ def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
     nodes = len(leaves) + len(rows)  # saturate adds a node per row, which the row's value absorbs
     ids = _Engine()  # numbers the sorts as saturation does
     classes = [(n, ids.sort_id(sym.out_sort)) for sym, n in leaves.items() if cls[n] == n]
-    nodes, over = _close(schema, name, tables, classes, nodes, ids, limits)
+    nodes, over = _close(schema, name, tables, classes, nodes, ids)
 
     model = TermModel(schema, name, tables, nodes, tuple(generators), chains)
     for con in schema.constraints:
@@ -739,15 +725,14 @@ def write_model(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
         for c in model.carrier(con.free[0].sort):
             d = model.walk(lhs, None, c)
             if d is None or d != model.walk(rhs, None, c):
-                return saturate(schema, name, generators, chains, limits=limits)
+                return saturate(schema, name, generators, chains)
     if over:  # reported only once no fallback to `saturate` can report its own
         raise over
     return model
 
 
 def build_term_model(inst: InstancePresentation,
-                     chains: Sequence[tuple[Chain, Chain]] = (), *,
-                     limits: SaturationLimits = DEFAULT_LIMITS) -> TermModel:
+                     chains: Sequence[tuple[Chain, Chain]] = ()) -> TermModel:
     """Saturate an instance presentation, with `chains` as further equations, into its term model.
 
     Without further equations the model's `instance` is `inst` itself.
@@ -755,7 +740,7 @@ def build_term_model(inst: InstancePresentation,
     eqs = [(term_chain(eq.lhs), term_chain(eq.rhs)) for eq in inst.equations]
     eqs += chains
     return saturate(inst.schema, inst.name, inst.generators, eqs,
-                    None if chains else inst, limits=limits)
+                    None if chains else inst)
 
 
 def check_consistency(m: TermModel) -> Optional[Collision]:

@@ -53,9 +53,10 @@ class ReadOnly:
 class Record:
     """Equality, hash, repr and `__replace__` over the fields a class names in `_fields`.
 
-    `_fields` names the constructor's parameters in order, each stored
-    under its own name.  Two records are equal when they are of one class
-    and their fields are equal; the hash is that of the tuple of fields.
+    `_fields` names the constructor's parameters in order, at least two
+    (`attrgetter` of one name gives the bare value, not a tuple), each
+    stored under its own name.  Two records are equal when they are of one
+    class and their fields are equal; the hash is that of the tuple of fields.
     `__replace__` is the protocol of `copy.replace` (Python 3.13), and
     `replace` below calls it on any Python.
     """
@@ -65,9 +66,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        get = attrgetter(*cls._fields)  # a plain callable on the class: call it with the record
-        # the tuple of fields; `attrgetter` of one name gives the bare value, so a lone field is wrapped
-        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda record: (get(record),))
+        cls._values = attrgetter(*cls._fields)  # a plain callable on the class: call it with the record
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

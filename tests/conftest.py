@@ -32,7 +32,7 @@ from catq import (
     string_literal,
 )
 from catq import migrate, model
-from catq.mappings import probe_model
+from catq.mappings import _probes
 
 N1 = Sort("N1", ENTITY)
 N2 = Sort("N2", ENTITY)
@@ -203,16 +203,29 @@ def count_calls(monkeypatch, owner, name, run):
 def max_rounds(n):
     """Saturation stops after `n` rounds while the block runs.
 
-    The probe cache is keyed by the limits, which do not hold the round
-    cap, so it is cleared on the way in and on the way out.
+    The probe cache keys on the class cap's value, not on the round cap,
+    so it is cleared on the way in and on the way out.
     """
-    probe_model.cache_clear()
+    _probes.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "MAX_ROUNDS", n)
             yield
     finally:
-        probe_model.cache_clear()
+        _probes.cache_clear()
+
+
+@contextlib.contextmanager
+def max_classes(n):
+    """Saturation allows at most `n` classes of a sort, and pi `n` families, while the block runs.
+
+    The probe cache and the memo of migration results key on the class
+    cap's value, read at each call, so neither serves a result made under
+    another cap and neither is cleared.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "MAX_CLASSES", n)
+        yield
 
 
 @pytest.fixture()
@@ -224,7 +237,7 @@ def pi_ignores_foreign_keys(monkeypatch):
     """
     real = migrate._families
     monkeypatch.setattr(migrate, "_families",
-                        lambda m, t, idx, cons, limits: real(m, t, idx, [], limits))
+                        lambda m, t, idx, cons: real(m, t, idx, []))
 
 
 @pytest.fixture()

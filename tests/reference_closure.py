@@ -12,15 +12,14 @@ from typing import Optional, Sequence
 
 from catq.errors import ResourceLimit
 from catq import model
-from catq.model import DEFAULT_LIMITS, Chain, SaturationLimits, TermModel, _Engine
+from catq.model import Chain, TermModel, _Engine
 from catq.schema import InstancePresentation, Schema
 from catq.terms import FunctionSymbol, open_chain, term_chain
 
 
 def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
              chains: Sequence[tuple[Chain, Chain]],
-             presentation: Optional[InstancePresentation] = None, *,
-             limits: SaturationLimits = DEFAULT_LIMITS) -> tuple[TermModel, int]:
+             presentation: Optional[InstancePresentation] = None) -> tuple[TermModel, int]:
     """The term model of the equations l = r for (l, r) in `chains`, and its node count."""
     eng = _Engine()
     for c in schema.typeside.constants:
@@ -61,9 +60,9 @@ def saturate(schema: Schema, name: str, generators: Sequence[FunctionSymbol],
                     eng.merge(a, b)
                     merged = True
         for s, k in eng.class_count.items():
-            if k > limits.max_classes_per_sort:
+            if k > model.MAX_CLASSES:
                 raise ResourceLimit(
-                    f"carrier of {eng.sorts[s].name} in {name} exceeded {limits.max_classes_per_sort} classes"
+                    f"carrier of {eng.sorts[s].name} in {name} exceeded {model.MAX_CLASSES} classes"
                     " (the term model may be infinite)")
         if not (eng.created or merged):
             break

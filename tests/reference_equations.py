@@ -11,7 +11,6 @@ chains.
 from typing import Optional
 
 from catq.elaborate import _Elaborator
-from catq.model import DEFAULT_LIMITS
 from catq.parser import RawEquation, RawTerm, _Parser
 from catq.schema import Schema
 from catq.terms import INT, STRING, FunctionSymbol, Sort, Var, parse_int_literal
@@ -116,6 +115,6 @@ class TreeElaborator(_Elaborator):
         return tuple(lhs[0]), tuple(rhs[0])
 
 
-def elaborate(prog, limits=DEFAULT_LIMITS):
-    elab = TreeElaborator(limits)
+def elaborate(prog):
+    elab = TreeElaborator()
     return elab.run(prog), elab.diags

@@ -9,13 +9,11 @@ same truncated flag.
 
 from catq.mappings import _constrained_from, probe_model
 from catq.migrate import PathSet
-from catq.model import DEFAULT_LIMITS, SaturationLimits
 from catq.schema import Schema, generator
 from catq.terms import App, Sort, Term, Var, free_vars, substitute
 
 
-def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term,
-                     limits: SaturationLimits = DEFAULT_LIMITS) -> bool:
+def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term) -> bool:
     g = App(generator("_x", entity))
 
     def close(t: Term) -> Term:
@@ -23,12 +21,11 @@ def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term,
         return substitute(t, {vs[0].name: g}) if vs else t
 
     if schema.typeside.equations or (schema.constraints and _constrained_from(schema, entity)):
-        return probe_model(schema, entity, limits).decide_equal(close(t1), close(t2))
+        return probe_model(schema, entity).decide_equal(close(t1), close(t2))
     return close(t1) == close(t2)
 
 
-def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max_paths: int = 256,
-                    limits: SaturationLimits = DEFAULT_LIMITS) -> PathSet:
+def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max_paths: int = 256) -> PathSet:
     start: Term = Var("p", frm)
     entity_reps: list[Term] = [start]
     frontier: list[Term] = [start]
@@ -45,7 +42,7 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max
                 if fk.arg_sorts != (u.sort,):
                     continue
                 w = App(fk, (u,))
-                if not any(r.sort == w.sort and open_terms_equal(schema, frm, w, r, limits)
+                if not any(r.sort == w.sort and open_terms_equal(schema, frm, w, r)
                            for r in entity_reps):
                     entity_reps.append(w)
                     fresh.append(w)
@@ -59,7 +56,7 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max
             for att in schema.attributes:
                 if att.arg_sorts == (u.sort,) and att.out_sort == to:
                     w = App(att, (u,))
-                    if not any(open_terms_equal(schema, frm, w, r, limits) for r in terms):
+                    if not any(open_terms_equal(schema, frm, w, r) for r in terms):
                         terms.append(w)
     if len(terms) > max_paths:
         terms = terms[:max_paths]

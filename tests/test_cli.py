@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import catq.model
 from catq import InvariantViolation, cli, elaborate, parse, pretty_print
 from catq.cli import main
 from catq.terms import render_term
@@ -127,6 +128,22 @@ def test_missing_file_exits_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["check", str(tmp_path / "nope.catq")])
     assert e.value.code == 1
+
+
+def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.catq"
+    path.write_bytes(b"\xff typeside Ty = literal { }\n")
+    with pytest.raises(SystemExit) as e:
+        main(["check", str(path)])
+    assert e.value.code == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+
+
+def test_export_onto_an_existing_file_exits_1(example_file, capsys):
+    assert main(["export", example_file, "--out", example_file]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {example_file}: ") and "Traceback" not in err
 
 
 def test_resource_limit_exits_2(tmp_path, capsys, monkeypatch):
@@ -401,6 +418,53 @@ schema L = literal : Ty {
     assert capsys.readouterr() == ("", "error: saturation of _probe_L_E exceeded 1000 rounds\n")
 
 
+# nxt^3 = nxt: the probe at E holds three classes, x, nxt(x) and nxt(nxt(x))
+STUTTER = """\
+typeside Ty = literal { }
+schema S = literal : Ty {
+    entities E
+    foreign_keys nxt : E -> E
+    equations forall x:E. nxt(nxt(nxt(x))) = nxt(x)
+}
+schema T = literal : Ty {
+    entities E
+    foreign_keys nxt : E -> E
+    equations forall x:E. nxt(nxt(nxt(x))) = nxt(x)
+}
+"""
+
+STUTTER_MAPPING = STUTTER + """\
+mapping F = literal : S -> T {
+    entities E -> E
+    foreign_keys nxt -> lambda x:E. nxt(x)
+}
+"""
+
+
+def test_match_validates_its_candidate_under_the_class_cap(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, STUTTER)
+    assert main(["match", path, "--source", "S", "--target", "T"]) == 0
+    assert "(validated: True)" in capsys.readouterr().out
+    monkeypatch.setenv("CATQ_MAX_CLASSES", "2")
+    assert main(["match", path, "--source", "S", "--target", "T"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: carrier of E in _probe_T_E exceeded 2 classes (the term model may be infinite)\n")
+
+
+def test_in_process_runs_act_like_fresh_processes(tmp_path, capsys, monkeypatch):
+    # the cap a run sets from CATQ_MAX_CLASSES ends with the run, and no cached probe outlives its cap
+    path = write(tmp_path, STUTTER_MAPPING)
+    for cap, code in ((None, 0), ("2", 2), (None, 0)):
+        if cap is None:
+            monkeypatch.delenv("CATQ_MAX_CLASSES", raising=False)
+        else:
+            monkeypatch.setenv("CATQ_MAX_CLASSES", cap)
+        assert main(["check", path]) == code
+        assert catq.model.MAX_CLASSES == 10000
+    assert capsys.readouterr() == ("", f"{path}:12:1: error: ResourceLimit: carrier of E in _probe_T_E"
+                                       " exceeded 2 classes (the term model may be infinite)\n")
+
+
 def test_match_span_reports_an_empty_apex(tmp_path, capsys):
     path = write(tmp_path, """\
 typeside Ty = literal { }
@@ -524,6 +588,14 @@ schema B = literal : Ty { entities F attributes n : F -> Int }
 """
 
 
+TWO_TYPESIDES = """\
+typeside Ty = literal { }
+typeside Uy = literal { }
+schema S = literal : Ty { entities E }
+schema T = literal : Uy { entities E }
+"""
+
+
 @pytest.mark.parametrize("text, argv, code, err", [
     (SWAP, ["invert", "--mapping", "Swap", "--depth", "1"], 2,
      "invert Swap: inversion search space truncated by depth bound\n"),
@@ -532,7 +604,12 @@ schema B = literal : Ty { entities F attributes n : F -> Int }
      "match A B: failed: no symbol or path from F to String for s\n"),
     (COLLIDING + "check B\n", ["eval"], 3,
      "check B: inconsistent: Collision(20, 30) at sort Int\nB: inconsistent: Collision(20, 30) at sort Int\n"),
-], ids=["invert-truncated", "invert-unknown-mapping", "match-failed", "eval-check-inconsistent"])
+    (TWO_TYPESIDES, ["match", "--source", "S", "--target", "T", "--span"], 1,
+     "match span S T: failed: span matching requires a shared typeside\n"),
+    (TWO_TYPESIDES + "match span S T\n", ["eval"], 1,
+     "match span S T: failed: span matching requires a shared typeside\n"),
+], ids=["invert-truncated", "invert-unknown-mapping", "match-failed", "eval-check-inconsistent",
+        "match-span-two-typesides", "eval-match-span-two-typesides"])
 def test_failing_commands_exit_with_their_code(tmp_path, capsys, text, argv, code, err):
     assert main([argv[0], write(tmp_path, text), *argv[1:]]) == code
     assert capsys.readouterr().err == err

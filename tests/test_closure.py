@@ -16,7 +16,6 @@ from catq import (
     App,
     Equation,
     ResourceLimit,
-    SaturationLimits,
     Schema,
     Sort,
     Var,
@@ -30,7 +29,7 @@ from catq import (
 from catq.model import TermModel, _Engine, saturate
 from catq.terms import ENTITY
 
-from conftest import attr, count_calls, fkey, max_rounds
+from conftest import attr, count_calls, fkey, max_classes, max_rounds
 from test_written_models import bench_gen
 
 
@@ -78,7 +77,7 @@ def assert_same(got, expected):
 @st.composite
 def free_schemas(draw):
     """A constraint-free schema, its foreign keys drawn between any two entities, cycles and loops included;
-    generators; equations between chains of depth at most 2; and small limits."""
+    generators; equations between chains of depth at most 2; and small class and round caps."""
     ents = [Sort(f"E{i}", ENTITY) for i in range(draw(st.integers(1, 3)))]
     pick = st.sampled_from(range(len(ents)))
     fks = [fkey(f"k{n}", ents[draw(pick)], ents[draw(pick)]) for n in range(draw(st.integers(0, 3)))]
@@ -94,16 +93,15 @@ def free_schemas(draw):
     for _ in range(draw(st.integers(0, 4))):
         lhs = draw(st.sampled_from(terms))
         chains.append((lhs, draw(st.sampled_from([t for t in terms if t[-1].out_sort == lhs[-1].out_sort]))))
-    return sch, gens, chains, SaturationLimits(draw(st.integers(1, 40))), draw(st.integers(1, 12))
+    return sch, gens, chains, draw(st.integers(1, 40)), draw(st.integers(1, 12))
 
 
 @settings(max_examples=300, deadline=None)
 @given(free_schemas())
 def test_closure_agrees_with_the_engine_generations(case):
-    sch, gens, chains, limits, rounds = case
-    with max_rounds(rounds):
-        assert_same(saturated(sch, "I", gens, chains, limits=limits),
-                    referenced(sch, "I", gens, chains, limits=limits))
+    sch, gens, chains, cap, rounds = case
+    with max_rounds(rounds), max_classes(cap):
+        assert_same(saturated(sch, "I", gens, chains), referenced(sch, "I", gens, chains))
 
 
 def cyclic_schema():
@@ -111,18 +109,17 @@ def cyclic_schema():
     return Schema("C", builtin_typeside(), [e], [attr("v", e, INT)], [fkey("nxt", e, e)]), e
 
 
-# each case is the limits and the round cap
-@pytest.mark.parametrize("limits", [(SaturationLimits(), 1000), (SaturationLimits(50), 1000),
-                                    (SaturationLimits(3), 1000), (SaturationLimits(), 1), (SaturationLimits(), 2)])
+# each case is the class cap and the round cap
+@pytest.mark.parametrize("limits", [(10000, 1000), (50, 1000), (3, 1000), (10000, 1), (10000, 2)])
 def test_a_cyclic_schema_stops_where_the_engine_stops(limits):
-    limits, rounds = limits
+    cap, rounds = limits
     sch, e = cyclic_schema()
     gens = [generator("a", e), generator("b", e)]
     chains = [((gens[0], sch.symbol_named("v")), (int_literal(3).sym,))]
-    with max_rounds(rounds):
-        got = saturated(sch, "I", gens, chains, limits=limits)
+    with max_rounds(rounds), max_classes(cap):
+        got = saturated(sch, "I", gens, chains)
         assert isinstance(got, ResourceLimit)
-        assert_same(got, referenced(sch, "I", gens, chains, limits=limits))
+        assert_same(got, referenced(sch, "I", gens, chains))
 
 
 def test_of_two_sorts_over_the_limit_the_one_with_the_first_class_is_reported():
@@ -130,10 +127,11 @@ def test_of_two_sorts_over_the_limit_the_one_with_the_first_class_is_reported():
     e1, e2 = Sort("E1", ENTITY), Sort("E2", ENTITY)
     sch = Schema("R", builtin_typeside(), [e1, e2],
                  [attr("a1", e1, INT), attr("b1", e1, INT), attr("a2", e2, STRING), attr("b2", e2, STRING)], [])
-    gens, limits = [generator("g2", e2), generator("g1", e1)], SaturationLimits(1)
-    got = saturated(sch, "I", gens, [], limits=limits)
-    assert str(got) == "carrier of String in I exceeded 1 classes (the term model may be infinite)"
-    assert_same(got, referenced(sch, "I", gens, [], limits=limits))
+    gens = [generator("g2", e2), generator("g1", e1)]
+    with max_classes(1):
+        got = saturated(sch, "I", gens, [])
+        assert str(got) == "carrier of String in I exceeded 1 classes (the term model may be infinite)"
+        assert_same(got, referenced(sch, "I", gens, []))
 
 
 def test_only_a_schema_with_constraints_runs_the_engine_generations(monkeypatch):
@@ -149,8 +147,8 @@ def test_only_a_schema_with_constraints_runs_the_engine_generations(monkeypatch)
     assert len(saturate(constrained, "I", gens, []).carrier(e)) == 2
     free = Schema("A", sch.typeside, sch.entities, sch.attributes, [])
     assert count_calls(monkeypatch, model_module, "_close", lambda: saturate(free, "I", gens, [])) == 1
-    with pytest.raises(ResourceLimit, match="carrier of E in I exceeded 5 classes"):
-        saturate(sch, "I", gens, [], limits=SaturationLimits(5))
+    with max_classes(5), pytest.raises(ResourceLimit, match="carrier of E in I exceeded 5 classes"):
+        saturate(sch, "I", gens, [])
 
 
 @pytest.mark.parametrize("length", [3, 12])
@@ -191,9 +189,9 @@ def test_both_loops_stop_at_the_same_limit_in_the_same_round(monkeypatch, loop, 
         assert count_calls(monkeypatch, model_module, "_close", lambda: saturated(sch, "I", gens, [])) == \
             (loop == "_close")
     for rounds in range(1, 6):
-        with max_rounds(rounds):
-            got = saturated(sch, "I", gens, [], limits=SaturationLimits(cap))
-            assert_same(got, referenced(sch, "I", gens, [], limits=SaturationLimits(cap)))
+        with max_rounds(rounds), max_classes(cap):
+            got = saturated(sch, "I", gens, [])
+            assert_same(got, referenced(sch, "I", gens, []))
         if cap == 3 and rounds >= 3:
             assert str(got) == "carrier of E in I exceeded 3 classes (the term model may be infinite)"
         else:

@@ -15,7 +15,6 @@ import pytest
 from catq import (
     InstancePresentation,
     ResourceLimit,
-    SaturationLimits,
     build_term_model,
     enumerate_morphisms,
     generator,
@@ -26,9 +25,8 @@ from catq import (
     string_literal,
 )
 from catq import migrate
-from catq.model import DEFAULT_LIMITS
 
-from conftest import N1, ap, count_calls
+from conftest import N1, ap, count_calls, max_classes
 from test_model import random_instance
 
 # the reference's work is the size of the product it filters
@@ -45,9 +43,9 @@ def families_args(monkeypatch, f_map, model):
     calls = []
     real = migrate._families
 
-    def recording(m, t, idx, cons, limits):
+    def recording(m, t, idx, cons):
         calls.append((t, idx, cons))
-        return real(m, t, idx, cons, limits)
+        return real(m, t, idx, cons)
 
     with monkeypatch.context() as mp:
         mp.setattr(migrate, "_families", recording)
@@ -68,7 +66,7 @@ def permuted(idx, cons, rng):
 def assert_families_match(m, t, idx, cons):
     if math.prod(len(m.carrier(s)) for s, _ in idx) > MAX_PRODUCT:
         return False
-    assert migrate._families(m, t, idx, cons, DEFAULT_LIMITS) == reference_families(m, idx, cons)
+    assert migrate._families(m, t, idx, cons) == reference_families(m, idx, cons)
     return True
 
 
@@ -95,7 +93,7 @@ def test_families_match_on_the_running_example(monkeypatch, mapping_f, model_i,
             assert assert_families_match(m, t, *permuted(idx, cons, random.Random(0)))
     # criterion 2: with no foreign key, pi is the full N1 x N2 product
     ((t, idx, cons),) = families_args(monkeypatch, mapping_f0, model_i0)
-    assert cons == [] and len(migrate._families(model_i0, t, idx, cons, DEFAULT_LIMITS)) == 9
+    assert cons == [] and len(migrate._families(model_i0, t, idx, cons)) == 9
 
 
 def wide_model(schema_s, n):
@@ -123,9 +121,10 @@ def test_pi_work_grows_linearly(monkeypatch, schema_s, mapping_f):
 
 def test_pi_family_carrier_is_bounded(mapping_f0, model_i0):
     # nine families in N1 x N2; eight is the most the output may hold
-    with pytest.raises(ResourceLimit, match="family carrier at N exceeded limits"):
-        pi(mapping_f0, model_i0, SaturationLimits(max_classes_per_sort=8))
-    assert len(pi(mapping_f0, model_i0, SaturationLimits(max_classes_per_sort=9)).families["N"]) == 9
+    with max_classes(8), pytest.raises(ResourceLimit, match="family carrier at N exceeded limits"):
+        pi(mapping_f0, model_i0)
+    with max_classes(9):
+        assert len(pi(mapping_f0, model_i0).families["N"]) == 9
 
 
 def test_morphism_enumeration_is_capped(schema_s, model_i, monkeypatch):

@@ -33,7 +33,7 @@ from catq.parser import (
     lex,
 )
 
-from conftest import N, N1, N2, attr, count_calls
+from conftest import N, N1, N2, attr, count_calls, max_classes
 
 
 EXAMPLE = textwrap.dedent("""\
@@ -616,12 +616,11 @@ def test_elaborate_flags_unannotated_constraint_variables():
 
 
 def test_elaborate_resource_limit_is_a_diagnostic():
-    from catq import SaturationLimits
-    env, diags = elaborate(parse_ok(
-        "typeside Ty = literal { }\n"
-        "schema L = literal : Ty { entities E  foreign_keys nxt : E -> E }\n"
-        "instance W = literal : L { generators a : E }\n"),
-        limits=SaturationLimits(max_classes_per_sort=20))
+    with max_classes(20):
+        env, diags = elaborate(parse_ok(
+            "typeside Ty = literal { }\n"
+            "schema L = literal : Ty { entities E  foreign_keys nxt : E -> E }\n"
+            "instance W = literal : L { generators a : E }\n"))
     assert any(d.code == "ResourceLimit" for d in diags)
 
 

@@ -123,13 +123,13 @@ def test_probe_models_are_shared_by_equal_schemas(monkeypatch):
         builds[inst.name] += 1
         return real(inst, **kwargs)
 
-    catq.mappings.probe_model.cache_clear()
+    catq.mappings._probes.cache_clear()
     monkeypatch.setattr(catq.mappings, "build_term_model", counting)
     for _ in range(20):
         env, diags = elaborate(parse(IDEMPOTENT)[0])
         assert not diags
     assert builds == {"_probe_S_A": 1, "_probe_S_B": 1}
-    assert catq.mappings.probe_model.cache_info().currsize == 2
+    assert catq.mappings._probes.cache_info().currsize == 2
 
 
 def test_compose_and_identity(mapping_f, mapping_r, schema_s):

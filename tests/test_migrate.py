@@ -48,7 +48,7 @@ from catq import (
     validate_mapping,
 )
 from catq import migrate
-from catq.model import SaturationLimits, TermModel, model_read_as, saturate
+from catq.model import TermModel, model_read_as, saturate
 from catq.schema import Schema, builtin_typeside
 from catq.terms import ENTITY, TYPESIDE, Equation, FunctionSymbol, Sort, ground_eq, render_term
 
@@ -62,6 +62,7 @@ from conftest import (
     employees_instance,
     fkey,
     joined_instance,
+    max_classes,
     max_rounds,
     split_instance,
 )
@@ -158,9 +159,8 @@ def path_outcome(enumerate_paths, *args):
 def test_enumerate_paths_matches_the_pairwise_reference():
     # keys in a set must keep what comparing each path with every kept one kept
     import reference_paths
-    limits = SaturationLimits(max_classes_per_sort=100)
     shapes = Counter()
-    with max_rounds(20):
+    with max_rounds(20), max_classes(100):
         for seed in range(150):
             rng = random.Random(seed)
             sch = random_path_schema(rng)
@@ -168,7 +168,7 @@ def test_enumerate_paths_matches_the_pairwise_reference():
             max_depth, max_paths = rng.randint(1, 5), rng.choice([3, 40])
             for frm in sch.entities:
                 for to in [*sch.entities, INT, STRING]:
-                    args = (sch, frm, to, max_depth, max_paths, limits)
+                    args = (sch, frm, to, max_depth, max_paths)
                     assert path_outcome(enumerate_paths, *args) == \
                         path_outcome(reference_paths.enumerate_paths, *args), (seed, frm, to)
     assert len(shapes) == 4  # with and without constraints, with and without the typeside equation

@@ -15,7 +15,6 @@ from catq import (
     InstancePresentation,
     ResourceLimit,
     STRING,
-    SaturationLimits,
     Schema,
     Sort,
     SortMismatch,
@@ -41,6 +40,7 @@ from conftest import (
     attr,
     count_calls,
     fkey,
+    max_classes,
     max_rounds,
     merge_chain_instance,
     reversed_chain_instance,
@@ -123,8 +123,8 @@ def test_resource_limit_on_infinite_model():
     nxt = fkey("nxt", e, e)
     sch = Schema("L", ts, [e], [], [nxt])
     inst = InstancePresentation("W", sch, [generator("a", e)], [])
-    with pytest.raises(ResourceLimit):
-        build_term_model(inst, limits=SaturationLimits(max_classes_per_sort=40))
+    with max_classes(40), pytest.raises(ResourceLimit):
+        build_term_model(inst)
 
 
 def chain_instance(k: int, gens: int) -> InstancePresentation:

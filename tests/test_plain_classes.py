@@ -32,7 +32,7 @@ from catq.migrate import (
     SigmaResult,
     _held,
 )
-from catq.model import Collision, SaturationLimits
+from catq.model import Collision
 from catq.parser import (
     DerivedDecl,
     Diagnostic,
@@ -123,7 +123,6 @@ RECORDS = [
      {"generators": (), "equations": ()}),
     (Mapping, [("name", REQUIRED), ("source", REQUIRED), ("target", REQUIRED), ("entity_map", EMPTY),
                ("symbol_map", EMPTY)], {"entity_map": {N1: N1}, "symbol_map": {f: App(f, (x,))}}),
-    (SaturationLimits, [("max_classes_per_sort", 10000)], {"max_classes_per_sort": 3}),
     (RawTerm, [("name", REQUIRED), ("span", REQUIRED), ("args", []), ("quoted", False)], {}),
 ]
 SIGNATURES += RECORDS
@@ -134,7 +133,7 @@ COPIED = {(Mapping, "entity_map"), (Mapping, "symbol_map")}
 
 
 def test_the_table_covers_every_converted_class():
-    assert len(SIGNATURES) == 33
+    assert len(SIGNATURES) == 32
     assert not any(dataclasses.is_dataclass(cls) for cls, _, _ in SIGNATURES)
     assert [cls for cls, _, _ in SIGNATURES if issubclass(cls, Record)] == [cls for cls, _, _ in RECORDS]
 
@@ -242,7 +241,7 @@ def test_theory_values_survive_copy_and_pickle(schema_s, mapping_f):
     nxt = fkey("nxt", N1, N1)
     constrained = replace(schema_s, foreign_keys=[f, nxt],
                           constraints=[Equation((x,), App(nxt, (App(nxt, (x,)),)), x)])
-    for v in (N1, f, Var("x", N1), schema_s.typeside, schema_s, inst, SaturationLimits(3),
+    for v in (N1, f, Var("x", N1), schema_s.typeside, schema_s, inst,
               int_literal(7), eq.lhs, eq, with_eqs, constrained, mapping_f):
         assert copy.copy(v) == v and copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
         assert hash(copy.deepcopy(v)) == hash(pickle.loads(pickle.dumps(v))) == hash(v)

@@ -23,7 +23,6 @@ from catq import (
     FunctionSymbol,
     InstancePresentation,
     ResourceLimit,
-    SaturationLimits,
     Sort,
     TermModel,
     UnknownSymbol,
@@ -44,7 +43,7 @@ from catq import cli
 from catq.parser import InstanceDecl
 from catq.terms import App, free_vars, substitute
 
-from conftest import max_rounds
+from conftest import max_classes, max_rounds
 from test_cli import CHAIN, COLLIDING, CYCLIC, IDEMPOTENT, write
 from test_dsl import EXAMPLE
 
@@ -610,15 +609,15 @@ def differential(monkeypatch):
         count["saturated"] += bool(inside)
         return real_saturate(*args, **kwargs)
 
-    def write_model(schema, name, generators, pins, rows, *, limits):
+    def write_model(schema, name, generators, pins, rows):
         chains = [((a,), (b,)) for a, b in pins] + [((g, q), (v,)) for q, g, v in rows]
         try:
-            expected = real_saturate(schema, name, generators, chains, limits=limits)
+            expected = real_saturate(schema, name, generators, chains)
         except ResourceLimit as e:
             expected = e
         inside.append(name)
         try:
-            got = real_write(schema, name, generators, pins, rows, limits=limits)
+            got = real_write(schema, name, generators, pins, rows)
         except ResourceLimit as e:
             got = e
         finally:
@@ -806,34 +805,34 @@ def test_fallback_output_is_pinned(tmp_path, capsys, monkeypatch):
     assert count == {"I": 1, "K": 1, "P": 1}
 
 
-LIMITED = {  # (program, functor, its mapping and input, limits, round cap) -> the message saturating the tables gave
-    ("EXAMPLE", "delta F J", SaturationLimits(max_classes_per_sort=2), 1000):
+LIMITED = {  # (program, functor, its mapping and input, class cap, round cap) -> the message saturating the tables gave
+    ("EXAMPLE", "delta F J", 2, 1000):
         "carrier of N1 in X exceeded 2 classes (the term model may be infinite)",
-    ("EXAMPLE", "delta F J", SaturationLimits(max_classes_per_sort=3), 1000):
+    ("EXAMPLE", "delta F J", 3, 1000):
         "carrier of Int in X exceeded 3 classes (the term model may be infinite)",
-    ("EXAMPLE", "pi F I", SaturationLimits(max_classes_per_sort=2), 1000): "family carrier at N exceeded limits",
-    ("EXAMPLE", "pi F I", SaturationLimits(max_classes_per_sort=4), 1000):
+    ("EXAMPLE", "pi F I", 2, 1000): "family carrier at N exceeded limits",
+    ("EXAMPLE", "pi F I", 4, 1000):
         "carrier of Int in X exceeded 4 classes (the term model may be infinite)",
-    ("NULLS", "delta F J", SaturationLimits(max_classes_per_sort=1), 1000):
+    ("NULLS", "delta F J", 1, 1000):
         "carrier of Color in X exceeded 1 classes (the term model may be infinite)",
-    ("NULLS", "pi F I", SaturationLimits(max_classes_per_sort=2), 1000):
+    ("NULLS", "pi F I", 2, 1000):
         "carrier of Color in X exceeded 2 classes (the term model may be infinite)",
     # pi's nulls are made in the first round, so saturating them takes a second
-    ("NULLS", "pi F I", SaturationLimits(), 1): "saturation of X exceeded 1 rounds",
+    ("NULLS", "pi F I", 10000, 1): "saturation of X exceeded 1 rounds",
     # the fallbacks: saturate's first round merges the nulls, so a second must run; typeside equations
-    ("CONSTRAINED_NULLS", "pi F I", SaturationLimits(), 1): "saturation of X exceeded 1 rounds",
-    ("TYPESIDE_EQUATIONS", "delta Id I", SaturationLimits(max_classes_per_sort=2), 1000):
+    ("CONSTRAINED_NULLS", "pi F I", 10000, 1): "saturation of X exceeded 1 rounds",
+    ("TYPESIDE_EQUATIONS", "delta Id I", 2, 1000):
         "carrier of Color in X exceeded 2 classes (the term model may be infinite)",
 }
 
 
 @pytest.mark.parametrize("case", LIMITED, ids=lambda case: "-".join(map(str, case)).replace(" ", "-"))
 def test_delta_and_pi_raise_the_limits_of_saturation(differential, case):
-    program, call, limits, rounds = case
+    program, call, cap, rounds = case
     functor, mapping, arg = call.split()
     env, _ = derived(PROGRAMS[program])
-    with max_rounds(rounds), pytest.raises(ResourceLimit) as err:
-        {"delta": delta, "pi": pi}[functor](env.mappings[mapping], env.models[arg], limits, name="X")
+    with max_rounds(rounds), max_classes(cap), pytest.raises(ResourceLimit) as err:
+        {"delta": delta, "pi": pi}[functor](env.mappings[mapping], env.models[arg], name="X")
     assert str(err.value) == LIMITED[case]
 
 
@@ -841,7 +840,8 @@ def test_a_fallback_to_saturate_comes_before_the_written_closures_limit(differen
     # the written tables hold three Int nulls, over the limit; a(x) = b(h(x)) merges them into one, within it
     env, _ = derived(PROGRAMS["CONSTRAINED_NULLS"])
     differential.clear()
-    p = pi(env.mappings["F"], env.models["I"], SaturationLimits(max_classes_per_sort=2), name="X").model
+    with max_classes(2):
+        p = pi(env.mappings["F"], env.models["I"], name="X").model
     assert len(p.carrier(p.schema.symbol_named("a").out_sort)) == 1
     assert differential == {"written": 1, "saturated": 1}
 

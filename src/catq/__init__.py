@@ -62,7 +62,6 @@ from .model import (
 from .mappings import (
     InstanceMorphism,
     Mapping,
-    apply_mapping_term,
     compose_mappings,
     identity_mapping,
     identity_morphism,

@@ -177,6 +177,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_match(args) -> int:
+    if args.cutoff is not None and not args.span:
+        print("error: --cutoff applies only with --span", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     cfg = _option(SimilarityConfig, args.cutoff)
     env, diags = _load(args.file)
     code = _report(diags)

@@ -8,11 +8,12 @@ then the unary symbols innermost first.  A side of a scanned equation
 (`RawEquation.chains`) resolves from its token texts (`resolve_scanned`),
 without its tree; both join `resolve_path`, which resolves the leaf, once
 per distinct leaf of a declaration, and checks the sorts.  A literal
-instance's equations go into saturation as those chains, so elaborating
-it builds no term objects.  The environment keeps each instance's term
-model; `Environment.instances` reads the presentations from the models,
-so the presentation of any instance is built only if something reads it
-(a later coproduct of it does; a later sigma reads the model's chains).
+instance's equations go into saturation as those chains and a mapping
+keeps its images as chains, so elaborating either builds no term
+objects.  The environment keeps each instance's term model;
+`Environment.instances` reads the presentations from the models, so the
+presentation of any instance is built only if something reads it (a
+later coproduct of it does; a later sigma reads the model's chains).
 Directives are resolved but not executed here; the CLI runs them against
 the returned environment.
 """
@@ -61,7 +62,6 @@ from .terms import (
     Equation,
     FunctionSymbol,
     Sort,
-    Term,
     Var,
     fold_chain,
     literal_symbol,
@@ -277,13 +277,6 @@ class _Elaborator:
             sym = self.literals[(text, sort)] = literal_symbol(text, sort)
         return sym
 
-    def resolve_term(self, raw: RawTerm, schema: Schema,
-                     bound: dict[str, Sort],
-                     expected: Optional[Sort]) -> Optional[Term]:
-        """The term a raw application tree resolves to: the fold of its chain."""
-        resolved = self.resolve_chain(raw, schema, {}, bound, expected)
-        return None if resolved is None else fold_chain(resolved[0])
-
     def resolve_sides(self, raw: RawEquation, schema: Schema,
                       gens: dict[str, FunctionSymbol],
                       bound: dict[str, Sort],
@@ -425,41 +418,43 @@ class _Elaborator:
             return
         self.register_instance(d.name, model)
 
-    def resolve_image(self, img: RawImage, tgt: Schema, arg_sort: Sort) -> Optional[Term]:
-        """Resolve a mapping image over `tgt`, in lambda or shorthand form.
+    def resolve_image(self, img: RawImage, tgt: Schema, arg_sort: Sort) -> Optional[tuple]:
+        """Resolve a mapping image over `tgt`, in lambda or shorthand form, to its chain.
 
         The bound variable has sort `arg_sort`.  In shorthand form a bare
         target symbol `g` stands for `g(x)`; any other body is a term whose
         single unresolved leaf is taken to be the bound variable.
         """
+        body = img.body
         if img.var is not None:
             if img.var_sort is not None and img.var_sort != arg_sort.name:
                 self.error("SortMismatch",
                            f"lambda variable must have sort {arg_sort.name}", img.span)
                 return None
-            return self.resolve_term(img.body, tgt, {img.var: arg_sort}, None)
-        body = img.body
-        if not body.args and not body.quoted and tgt.symbol_named(body.name) is not None:
+            bound = {img.var: arg_sort}
+        elif not body.args and not body.quoted and tgt.symbol_named(body.name) is not None:
             body = RawTerm(body.name, body._span, [RawTerm("x", body._span)])
-            return self.resolve_term(body, tgt, {"x": arg_sort}, None)
+            bound = {"x": arg_sort}
+        else:
+            # shorthand: find the variable leaf (the one unknown identifier)
+            leaves: set[str] = set()
 
-        # shorthand: find the variable leaf (the one unknown identifier)
-        leaves: set[str] = set()
+            def scan(r: RawTerm):
+                if r.args:
+                    for a in r.args:
+                        scan(a)
+                elif not r.quoted and tgt.typeside.constant_named(r.name) is None \
+                        and parse_int_literal(r.name) is None:
+                    leaves.add(r.name)
 
-        def scan(r: RawTerm):
-            if r.args:
-                for a in r.args:
-                    scan(a)
-            elif not r.quoted and tgt.typeside.constant_named(r.name) is None \
-                    and parse_int_literal(r.name) is None:
-                leaves.add(r.name)
-
-        scan(body)
-        if len(leaves) > 1:
-            self.error("NameResolution",
-                       f"mapping image has several candidate variables: {sorted(leaves)}", img.span)
-            return None
-        return self.resolve_term(body, tgt, {name: arg_sort for name in leaves}, None)
+            scan(body)
+            if len(leaves) > 1:
+                self.error("NameResolution",
+                           f"mapping image has several candidate variables: {sorted(leaves)}", img.span)
+                return None
+            bound = {name: arg_sort for name in leaves}
+        resolved = self.resolve_chain(body, tgt, {}, bound, None)
+        return None if resolved is None else resolved[0]
 
     def do_mapping(self, d: MappingDecl):
         src = self.env.schemas.get(d.source_ref)
@@ -475,7 +470,7 @@ class _Elaborator:
                 self.error("UnknownSort", f"unknown entity in {a} -> {b}", d.span)
                 continue
             ent[ea] = eb
-        syms: dict[FunctionSymbol, Term] = {}
+        syms: dict[FunctionSymbol, tuple] = {}
         for fname, img in d.foreign_keys + d.attributes:
             sym = src.symbol_named(fname)
             if sym is None:
@@ -486,9 +481,9 @@ class _Elaborator:
                            f"entity {sym.arg_sorts[0].name} has no image yet (declare it first)",
                            img.span)
                 continue
-            t = self.resolve_image(img, tgt, ent[sym.arg_sorts[0]])
-            if t is not None:
-                syms[sym] = t
+            chain = self.resolve_image(img, tgt, ent[sym.arg_sorts[0]])
+            if chain is not None:
+                syms[sym] = chain
         f_map = Mapping(d.name, src, tgt, ent, syms)
         try:
             issues = validate_mapping(f_map)
@@ -565,6 +560,9 @@ class _Elaborator:
                 if a not in self.env.schemas:
                     self.error("NameResolution", f"unknown schema {a}", d.span)
                     return
+            if d.cutoff is not None and not d.span_match:
+                self.error("BadOption", "match takes a cutoff only with span", d.span)
+                return
             if not self.option_in_range(SimilarityConfig, d.cutoff, d):
                 return
         self.env.directives.append(d)

@@ -4,7 +4,9 @@ A mapping F : S -> T sends each entity to an entity and each attribute
 or foreign key f : s -> s' to an open term over T with one free
 variable of sort F(s).  It must respect provable equality: the image of
 each constraint must be provable in T.  A one-variable term is a path,
-and every decision of path equality compares the paths' `path_key`s.
+and `Mapping.symbol_map` holds each image as its chain (`terms.term_chain`:
+the variable, then the symbols, innermost first); every decision of path
+equality compares the `path_key`s of chains without their variable.
 """
 
 from __future__ import annotations
@@ -20,29 +22,27 @@ from .schema import InstancePresentation, Issue, Schema, generator
 from .terms import (
     GENERATOR,
     LITERAL,
-    App,
     FunctionSymbol,
     ReadOnly,
     Record,
     Sort,
     Term,
     Var,
-    fold_chain,
-    free_vars,
     open_chain,
+    render_chain,
     render_term,
     term_chain,
 )
 
 
 class Mapping(ReadOnly, Record):
-    """A frozen value; `entity_map` and `symbol_map` are read-only copies of the dicts given."""
+    """A frozen value; `entity_map` and `symbol_map` (each symbol's image as a chain) are read-only copies."""
 
     _fields = ("name", "source", "target", "entity_map", "symbol_map")
 
     def __init__(self, name: str, source: Schema, target: Schema,
                  entity_map: Optional[dict[Sort, Sort]] = None,
-                 symbol_map: Optional[dict[FunctionSymbol, Term]] = None):
+                 symbol_map: Optional[dict[FunctionSymbol, tuple]] = None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -57,11 +57,6 @@ class Mapping(ReadOnly, Record):
         """Copy and pickle by the constructor, the maps given as plain dicts."""
         return type(self), (self.name, self.source, self.target, dict(self.entity_map), dict(self.symbol_map))
 
-    @functools.cached_property
-    def _image_chains(self) -> dict[FunctionSymbol, tuple]:
-        """Symbol -> the chain of its image, without the variable of an open image."""
-        return {f: open_chain(image) for f, image in self.symbol_map.items()}
-
     def entity_image(self, e: Sort) -> Sort:
         return self.entity_map[e]
 
@@ -75,7 +70,7 @@ class Mapping(ReadOnly, Record):
 
 def identity_mapping(s: Schema, name: Optional[str] = None) -> Mapping:
     ent = {e: e for e in s.entities}
-    sym = {f: App(f, (Var("x", f.arg_sorts[0]),)) for f in s.symbols}
+    sym = {f: (Var("x", f.arg_sorts[0]), f) for f in s.symbols}
     return Mapping(name or f"id_{s.name}", s, s, ent, sym)
 
 
@@ -88,16 +83,15 @@ def mapping_chain(f_map: Mapping, chain: tuple,
     term anew.  A variable is re-sorted along the entity map, a generator
     re-routed through `genmap`, and a literal or typeside constant kept.
     """
-    images = f_map._image_chains
     out: list = []
     for x in chain:
         if isinstance(x, Var):
             out.append(Var(x.name, f_map.sort_image(x.sort)))
         elif x.arg_sorts:
-            image = images.get(x)
+            image = f_map.symbol_map.get(x)
             if image is None:
                 raise SchemaMismatch(f"mapping {f_map.name} has no image for symbol {x.name}")
-            out += image
+            out += image[1:] if isinstance(image[0], Var) else image
         elif x.flavor == GENERATOR:
             if genmap is None or x not in genmap:
                 raise SchemaMismatch(f"no translation for generator {x.name}")
@@ -105,12 +99,6 @@ def mapping_chain(f_map: Mapping, chain: tuple,
         else:
             out.append(x)  # a literal or a typeside constant
     return tuple(out)
-
-
-def apply_mapping_term(f_map: Mapping, t: Term,
-                       genmap: Optional[dict[FunctionSymbol, FunctionSymbol]] = None) -> Term:
-    """Homomorphic extension of a mapping to terms over its source: the fold of `mapping_chain`."""
-    return fold_chain(mapping_chain(f_map, term_chain(t), genmap))
 
 
 def probe_model(schema: Schema, entity: Sort) -> TermModel:
@@ -181,6 +169,16 @@ def _constrained_from(schema: Schema, entity: Sort) -> bool:
     return any(v.sort in reached for con in schema.constraints for v in con.free)
 
 
+def _path_sort(chain: tuple) -> Optional[Sort]:
+    """The sort a chain from its variable reaches, or None unless each symbol takes the sort reached before it."""
+    sort = chain[0].sort
+    for sym in chain[1:]:
+        if isinstance(sym, Var) or sym.arg_sorts != (sort,):
+            return None
+        sort = sym.out_sort
+    return sort
+
+
 def validate_mapping(f_map: Mapping) -> list[Issue]:
     issues: list[Issue] = []
     src, tgt = f_map.source, f_map.target
@@ -198,20 +196,24 @@ def validate_mapping(f_map: Mapping) -> list[Issue]:
         if image is None:
             issues.append(Issue("MissingImage", f"symbol {f.name} has no image"))
             continue
-        vs = free_vars(image)
-        if len(vs) != 1:
+        v = image[0]
+        if not isinstance(v, Var):
             issues.append(Issue("BadImage", f"image of {f.name} must have exactly one variable"))
+            continue
+        out = _path_sort(image)
+        if out is None:
+            issues.append(Issue("BadImage", f"image of {f.name} is not a path from its variable"))
             continue
         want_arg = f_map.sort_image(f.arg_sorts[0])
         want_out = f_map.sort_image(f.out_sort)
-        if vs[0].sort != want_arg:
+        if v.sort != want_arg:
             issues.append(Issue(
                 "SortMismatch",
-                f"image of {f.name}: variable has sort {vs[0].sort.name}, expected {want_arg.name}"))
-        if image.sort != want_out:
+                f"image of {f.name}: variable has sort {v.sort.name}, expected {want_arg.name}"))
+        if out != want_out:
             issues.append(Issue(
                 "SortMismatch",
-                f"image of {f.name} has sort {image.sort.name}, expected {want_out.name}"))
+                f"image of {f.name} has sort {out.name}, expected {want_out.name}"))
     if issues:
         return issues
     for con in src.constraints:
@@ -229,7 +231,7 @@ def compose_mappings(f_map: Mapping, g_map: Mapping, *, name: Optional[str] = No
         raise SchemaMismatch(
             f"cannot compose {f_map.name} : ..->{f_map.target.name} with {g_map.name} : {g_map.source.name}->..")
     ent = {e: g_map.entity_map[t] for e, t in f_map.entity_map.items()}
-    sym = {f: apply_mapping_term(g_map, t) for f, t in f_map.symbol_map.items()}
+    sym = {f: mapping_chain(g_map, image) for f, image in f_map.symbol_map.items()}
     out = Mapping(name or f"{g_map.name}.{f_map.name}", f_map.source, g_map.target, ent, sym)
     bad = validate_mapping(out)
     if bad:
@@ -245,14 +247,15 @@ def mappings_equal(f_map: Mapping, g_map: Mapping) -> bool:
         return False
     for f in f_map.source.symbols:
         key = path_key(f_map.target, f_map.entity_image(f.arg_sorts[0]))
-        if key(f_map._image_chains[f]) != key(g_map._image_chains[f]):
+        if key(f_map.symbol_map[f][1:]) != key(g_map.symbol_map[f][1:]):
             return False
     return True
 
 
-def render_open_term(t: Term) -> str:
-    v = term_chain(t)[0]
-    return f"lambda {v.name}:{v.sort.name}. {render_term(t)}" if isinstance(v, Var) else render_term(t)
+def render_open_term(chain: tuple) -> str:
+    """An image's chain as `lambda v:S. f(v)`, or as its term when it has no variable."""
+    v, text = chain[0], render_chain(chain)
+    return f"lambda {v.name}:{v.sort.name}. {text}" if isinstance(v, Var) else text
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from .errors import NoPathForSymbol, SchemaMismatch
 from .mappings import Mapping, validate_mapping
 from .migrate import enumerate_paths
 from .schema import Issue, Schema
-from .terms import ATTRIBUTE, ENTITY, FOREIGN_KEY, App, FunctionSymbol, ReadOnly, Sort, Term, Var
+from .terms import ATTRIBUTE, ENTITY, FOREIGN_KEY, FunctionSymbol, ReadOnly, Sort, Var
 
 
 class SimilarityConfig(ReadOnly):
@@ -103,22 +103,21 @@ def match_mapping(src: Schema, tgt: Schema) -> CandidateMapping:
             raise NoPathForSymbol(f"target schema {tgt.name} has no entities")
         ent_map[s] = t
         scores[s.name] = sc
-    sym_map: dict[FunctionSymbol, Term] = {}
+    sym_map: dict[FunctionSymbol, tuple] = {}
     for f in src.symbols:
         frm = ent_map[f.arg_sorts[0]]
         to = ent_map[f.out_sort] if f.out_sort.is_entity else f.out_sort
-        var = Var("x", frm)
         xs = [g for g in tgt.symbols if g.arg_sorts == (frm,) and g.out_sort == to]
         if xs:
             g, sc = _argmax(xs, lambda g: similarity(f.name, g.name))
-            sym_map[f] = App(g, (var,))
+            sym_map[f] = (Var("x", frm), g)
             scores[f.name] = sc
         else:
             ps = enumerate_paths(tgt, frm, to)
-            if not ps.terms:
+            if not ps.chains:
                 raise NoPathForSymbol(
                     f"no symbol or path from {frm.name} to {to.name} for {f.name}")
-            sym_map[f] = ps.terms[0]
+            sym_map[f] = ps.chains[0]
             scores[f.name] = 0.0
     cand = Mapping(f"match_{src.name}_{tgt.name}", src, tgt, ent_map, sym_map)
     issues = validate_mapping(cand)
@@ -148,8 +147,8 @@ def match_span(src: Schema, tgt: Schema,
     ent_r = {e: t for (s, t), e in pairs.items()}
     fks: list[FunctionSymbol] = []
     atts: list[FunctionSymbol] = []
-    sym_l: dict[FunctionSymbol, Term] = {}
-    sym_r: dict[FunctionSymbol, Term] = {}
+    sym_l: dict[FunctionSymbol, tuple] = {}
+    sym_r: dict[FunctionSymbol, tuple] = {}
     for f in src.symbols:
         for g in tgt.symbols:
             if f.flavor != g.flavor:
@@ -172,13 +171,10 @@ def match_span(src: Schema, tgt: Schema,
             h = FunctionSymbol(f"{f.name}_{g.name}", (frm,), out,
                                FOREIGN_KEY if f.flavor == FOREIGN_KEY else ATTRIBUTE)
             (fks if f.flavor == FOREIGN_KEY else atts).append(h)
-            sym_l[h] = App(f, (Var("x", f.arg_sorts[0]),))
-            sym_r[h] = App(g, (Var("x", g.arg_sorts[0]),))
+            sym_l[h] = (Var("x", f.arg_sorts[0]), f)
+            sym_r[h] = (Var("x", g.arg_sorts[0]), g)
             scores[h.name] = sc
     apex = Schema(f"span_{src.name}_{tgt.name}", src.typeside, list(pairs.values()), atts, fks)
-    # projection images must be typed over the apex variable's image sort
-    left = Mapping(f"{apex.name}_left", apex, src, ent_l,
-                   {h: App(t.sym, (Var("x", ent_l[h.arg_sorts[0]]),)) for h, t in sym_l.items()})
-    right = Mapping(f"{apex.name}_right", apex, tgt, ent_r,
-                    {h: App(t.sym, (Var("x", ent_r[h.arg_sorts[0]]),)) for h, t in sym_r.items()})
+    left = Mapping(f"{apex.name}_left", apex, src, ent_l, sym_l)
+    right = Mapping(f"{apex.name}_right", apex, tgt, ent_r, sym_r)
     return SpanMatch(apex, left, right, scores)

@@ -3,12 +3,12 @@
 delta projects a target model back along a mapping (model reduct),
 sigma pushes an instance forward by translating its equations, and pi
 builds the limit-style migration from families indexed by paths, each
-path a chain (`terms.open_chain`).  The adjunctions sigma -| delta -| pi
-are constructed explicitly as their hom-set bijections (the transposes,
-or mates): each transpose assigns the generators of its source and
-proves the assignment with `morphism_from_genmap`, and each unit and
-counit is the mate of an identity, which is what makes round-tripping
-checkable at desk scale.
+a chain rooted at its variable, as a mapping image is.  The adjunctions
+sigma -| delta -| pi are constructed explicitly as their hom-set
+bijections (the transposes, or mates): each transpose assigns the
+generators of its source and proves the assignment with
+`morphism_from_genmap`, and each unit and counit is the mate of an
+identity, which is what makes round-tripping checkable at desk scale.
 
 No functor saturates a presentation of its output.  delta and pi compute
 their output's operation tables, a row per class or family and each
@@ -33,7 +33,6 @@ from .errors import InvariantViolation, NoMorphismExists, ResourceLimit, SchemaM
 from .mappings import (  # open_terms_equal stays a name of this module: bench/spans.py wraps it here
     InstanceMorphism,
     Mapping,
-    apply_mapping_term,
     compose_mappings,
     identity_mapping,
     identity_morphism,
@@ -52,19 +51,7 @@ from .model import (  # build_term_model stays a name of this module: bench/span
     write_model,
 )
 from .schema import InstancePresentation, Schema, generator
-from .terms import (
-    App,
-    Equation,
-    FunctionSymbol,
-    ReadOnly,
-    Sort,
-    Term,
-    Var,
-    fold_chain,
-    open_chain,
-    render_term,
-    term_chain,
-)
+from .terms import Equation, FunctionSymbol, ReadOnly, Sort, Var, fold_chain, render_chain, term_chain
 
 MAX_MORPHISMS = 100000  # morphisms one search finds before a ResourceLimit
 MAX_CANDIDATES = 10 ** 6  # paths per symbol, and inverse mappings tried, before inversion gives up
@@ -74,21 +61,23 @@ MAX_CANDIDATES = 10 ** 6  # paths per symbol, and inverse mappings tried, before
 
 
 class PathSet:
-    __slots__ = ("source", "target", "terms", "truncated")
+    """Paths from `source` to `target`, each the chain of a one-variable term rooted at `Var("p", source)`."""
 
-    def __init__(self, source: Sort, target: Sort, terms: list[Term], truncated: bool = False):
-        self.source, self.target, self.terms, self.truncated = source, target, terms, truncated
+    __slots__ = ("source", "target", "chains", "truncated")
+
+    def __init__(self, source: Sort, target: Sort, chains: list[tuple], truncated: bool = False):
+        self.source, self.target, self.chains, self.truncated = source, target, chains, truncated
 
 
 def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max_paths: int = 256) -> PathSet:
-    """All one-variable terms from `frm` to `to`, one for each class of provably equal ones.
+    """The chains of all one-variable terms from `frm` to `to`, one for each class of provably equal ones.
 
     Breadth-first over foreign keys, at most `max_depth` of them, optionally
     terminated by a single attribute when `to` is a type.  A path is kept
     when its `path_key` is new; the first path of a sort is keyed only when
     a second one arrives, so no probe is built unless two paths can meet.
     The truncated flag is set when the caps cut the search short: the depth,
-    or more than `max_paths` entity paths kept or terms found.
+    or more than `max_paths` entity paths kept or paths found.
     """
     if max_depth <= 0 or max_paths <= 0:
         raise ValueError("path caps must be strictly positive")
@@ -108,7 +97,7 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max
         seen.add(k)
         return fresh
 
-    reps: list[tuple[Term, tuple]] = [(Var("p", frm), ())]  # each kept entity path and its chain
+    reps: list[tuple[Sort, tuple]] = [(frm, ())]  # each kept entity path: its sort, its chain without variable
     frontier = reps[:]
     truncated = False
     depth = 0
@@ -118,22 +107,23 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max
             break
         depth += 1
         fresh = []
-        for u, chain in frontier:
+        for sort, chain in frontier:
             for fk in schema.foreign_keys:
-                if fk.arg_sorts == (u.sort,) and new(chain + (fk,), fk.out_sort):
-                    fresh.append((App(fk, (u,)), chain + (fk,)))
+                if fk.arg_sorts == (sort,) and new(chain + (fk,), fk.out_sort):
+                    fresh.append((fk.out_sort, chain + (fk,)))
         reps += fresh
         frontier = fresh
 
+    p = Var("p", frm)
     if to.is_entity:
-        terms = [u for u, _ in reps if u.sort == to]
+        chains = [(p, *chain) for sort, chain in reps if sort == to]
     else:
-        terms = [App(att, (u,)) for u, chain in reps for att in schema.attributes
-                 if att.arg_sorts == (u.sort,) and att.out_sort == to and new(chain + (att,), to)]
-    if len(terms) > max_paths:
-        terms = terms[:max_paths]
+        chains = [(p, *chain, att) for sort, chain in reps for att in schema.attributes
+                  if att.arg_sorts == (sort,) and att.out_sort == to and new(chain + (att,), to)]
+    if len(chains) > max_paths:
+        chains = chains[:max_paths]
         truncated = True
-    return PathSet(frm, to, terms, truncated)
+    return PathSet(frm, to, chains, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +252,7 @@ def delta(f_map: Mapping, j: TermModel, *, name: Optional[str] = None) -> DeltaR
             ent_gen[(e.name, c)] = generator(f"{e.name}_{j.id_label[c]}", e)
     anchor, ty_gens, pins = _type_anchors(j)
     # q(row) = value: q's image in j at the row's class, as a generator or an anchor
-    images = {q: j.table(f_map.sort_image(q.arg_sorts[0]), f_map._image_chains[q]) for q in src.symbols}
+    images = {q: j.table(f_map.sort_image(q.arg_sorts[0]), f_map.symbol_map[q][1:]) for q in src.symbols}
     rows = []
     for e in src.entities:
         qs = src.symbols_on(e)
@@ -411,7 +401,7 @@ def pi(f_map: Mapping, i_model: TermModel, *, name: Optional[str] = None) -> PiR
             ps = enumerate_paths(schema, frm, to)
             if ps.truncated:
                 raise ResourceLimit(truncated.format(frm.name, to.name))
-            enumerated[k] = [open_chain(p) for p in ps.terms]
+            enumerated[k] = [chain[1:] for chain in ps.chains]
         return enumerated[k]
 
     index: dict[str, list[tuple[Sort, tuple]]] = {}
@@ -431,13 +421,13 @@ def pi(f_map: Mapping, i_model: TermModel, *, name: Optional[str] = None) -> PiR
         i = at.get((s, keys[t](chain)))
         if i is None:
             raise InvariantViolation(
-                f"path {render_term(fold_chain((Var('p', t), *chain)))} missing from the enumerated index at {t.name}")
+                f"path {render_chain((Var('p', t), *chain))} missing from the enumerated index at {t.name}")
         return i
 
     # foreign-key naturality constraints: x[j] == q(x[i]) in the input model
     constraints: dict[str, list[tuple[int, FunctionSymbol, int]]] = {}
     for t in tgt.entities:
-        constraints[t.name] = [(i, q, position(t, q.out_sort, chain + f_map._image_chains[q]))
+        constraints[t.name] = [(i, q, position(t, q.out_sort, chain + f_map.symbol_map[q][1:]))
                                for i, (s, chain) in enumerate(index[t.name])
                                for q in src.foreign_keys if q.arg_sorts == (s,)]
 
@@ -511,8 +501,8 @@ def coproduct(i1: InstancePresentation, i2: InstancePresentation,
         raise SchemaMismatch("coproduct requires instances on the same schema")
     gm1 = {g: generator(f"l_{g.name}", g.out_sort) for g in i1.generators}
     gm2 = {g: generator(f"r_{g.name}", g.out_sort) for g in i2.generators}
-    ident = identity_mapping(i1.schema)  # renames the generators of a term along gm, iteratively
-    eqs = [Equation((), apply_mapping_term(ident, eq.lhs, gm), apply_mapping_term(ident, eq.rhs, gm))
+    # each side's generators renamed along its instance's map, inside the side's chain
+    eqs = [Equation((), *(fold_chain([gm.get(x, x) for x in term_chain(side)]) for side in (eq.lhs, eq.rhs)))
            for inst, gm in ((i1, gm1), (i2, gm2)) for eq in inst.equations]
     return InstancePresentation(name or f"{i1.name}_plus_{i2.name}", i1.schema,
                                 list(gm1.values()) + list(gm2.values()), eqs)
@@ -739,16 +729,16 @@ def invert_mapping(f_map: Mapping, bounds: InversionBounds = InversionBounds()) 
     ent = {t: back[t] for t in tgt.entities}
     id_src, id_tgt = identity_mapping(src), identity_mapping(tgt)
     truncated = False
-    candidate_terms: list[list[Term]] = []
+    candidates: list[list[tuple]] = []
     for f in tgt.symbols:
         frm, to = ent[f.arg_sorts[0]], ent.get(f.out_sort, f.out_sort)
         ps = enumerate_paths(src, frm, to, bounds.depth, MAX_CANDIDATES)
         truncated = truncated or ps.truncated
-        if not ps.terms:
+        if not ps.chains:
             break
-        candidate_terms.append(ps.terms)
+        candidates.append(ps.chains)
     else:
-        for count, combo in enumerate(itertools.product(*candidate_terms), 1):
+        for count, combo in enumerate(itertools.product(*candidates), 1):
             if count > MAX_CANDIDATES:
                 raise ResourceLimit("inversion search exceeded the candidate cap")
             g_map = Mapping(f"{f_map.name}_inv", tgt, src, ent, dict(zip(tgt.symbols, combo)))

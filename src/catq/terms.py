@@ -290,6 +290,12 @@ def fold_chain(chain) -> Term:
     return t
 
 
+def render_chain(chain) -> str:
+    """`render_term` of the term a chain spells, without building it: its last leaf under the symbols after it."""
+    k = max(i for i, x in enumerate(chain) if isinstance(x, Var) or not x.arg_sorts)
+    return "".join(f"{s.name}(" for s in reversed(chain[k + 1:])) + chain[k].name + ")" * (len(chain) - k - 1)
+
+
 def render_tree(root, split) -> str:
     """`head(kid, ...)`, or `head` for a leaf, where split(node) = (head, kids); no recursion."""
     out: list[str] = []

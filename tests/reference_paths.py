@@ -10,7 +10,7 @@ same truncated flag.
 from catq.mappings import _constrained_from, probe_model
 from catq.migrate import PathSet
 from catq.schema import Schema, generator
-from catq.terms import App, Sort, Term, Var, free_vars, substitute
+from catq.terms import App, Sort, Term, Var, free_vars, substitute, term_chain
 
 
 def open_terms_equal(schema: Schema, entity: Sort, t1: Term, t2: Term) -> bool:
@@ -61,4 +61,4 @@ def enumerate_paths(schema: Schema, frm: Sort, to: Sort, max_depth: int = 6, max
     if len(terms) > max_paths:
         terms = terms[:max_paths]
         truncated = True
-    return PathSet(frm, to, terms, truncated)
+    return PathSet(frm, to, [term_chain(t) for t in terms], truncated)

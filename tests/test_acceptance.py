@@ -160,10 +160,10 @@ def test_criterion_6_matcher_reproduces_the_worked_mapping(
     assert cand.validated and validate_mapping(cand.mapping) == []
     assert cand.mapping.entity_map == {N1: N, N2: N}
     f = schema_s.symbol_named("f")
-    assert isinstance(cand.mapping.symbol_map[f], Var)  # identity path for f
+    assert cand.mapping.symbol_map[f] == (Var("p", N),)  # identity path for f
     for name in ("name", "salary", "age"):
         img = cand.mapping.symbol_map[schema_s.symbol_named(name)]
-        assert img.sym.name == name  # same-named attribute
+        assert img == (Var("x", N), schema_t.symbol_named(name))  # same-named attribute
     assert mappings_equal(cand.mapping, mapping_f)
 
 

@@ -532,7 +532,7 @@ def test_invert_finds_the_identity_its_own_inverse_on_a_cyclic_schema(tmp_path, 
 @pytest.mark.parametrize("argv,message", [
     (["invert", "--mapping", "F", "--depth", "-1"], "depth must be a positive integer, got -1"),
     (["invert", "--mapping", "F", "--depth", "0"], "depth must be a positive integer, got 0"),
-    (["match", "--source", "S", "--target", "T", "--cutoff", "2"], "cutoff must lie in [0, 1], got 2.0"),
+    (["match", "--source", "S", "--target", "T", "--span", "--cutoff", "2"], "cutoff must lie in [0, 1], got 2.0"),
 ])
 def test_out_of_range_search_flags_exit_1(example_file, capsys, argv, message):
     with pytest.raises(SystemExit) as e:
@@ -542,11 +542,22 @@ def test_out_of_range_search_flags_exit_1(example_file, capsys, argv, message):
 
 
 def test_out_of_range_search_directives_are_diagnostics(tmp_path, capsys):
-    path = write(tmp_path, EXAMPLE + "invert F depth -2\nmatch S T cutoff 1.5\n")
+    path = write(tmp_path, EXAMPLE + "invert F depth -2\nmatch span S T cutoff 1.5\n")
     assert main(["check", path]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"{path}:52:1: error: BadOption: depth must be a positive integer, got -2",
         f"{path}:53:1: error: BadOption: cutoff must lie in [0, 1], got 1.5"]
+
+
+def test_cutoff_applies_only_with_span(example_file, tmp_path, capsys):
+    # only a span reads the cutoff: without one it is refused, in range or not
+    for cutoff in ("0.9", "2"):
+        assert main(["match", example_file, "--source", "S", "--target", "T", "--cutoff", cutoff]) == 1
+        assert capsys.readouterr() == ("", "error: --cutoff applies only with --span\n")
+    path = write(tmp_path, EXAMPLE + "match S T cutoff 0.9\nmatch span S T cutoff 0.9\n")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}:52:1: error: BadOption: match takes a cutoff only with span"]
 
 
 def test_invert_ignores_constraints_that_its_symbols_cannot_reach(tmp_path, capsys):

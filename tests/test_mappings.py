@@ -29,7 +29,7 @@ from catq import (
     validate_mapping,
 )
 from catq.errors import NoMorphismExists
-from catq.mappings import apply_mapping_term, open_terms_equal, render_open_term
+from catq.mappings import mapping_chain, open_terms_equal, render_open_term
 
 from conftest import N, N1, N2, ap, attr, employees_instance, fkey
 
@@ -45,12 +45,17 @@ def test_missing_and_ill_sorted_images(schema_s, schema_t):
     assert {"MissingImage"} == {i.code for i in validate_mapping(bad)}
     x = Var("x", N)
     wrong = Mapping("wrong", schema_s, schema_t, {N1: N, N2: N}, {
-        schema_s.symbol_named("f"): x,
-        schema_s.symbol_named("name"): ap(schema_t.symbol_named("age"), x),  # Int, not String
-        schema_s.symbol_named("salary"): ap(schema_t.symbol_named("salary"), x),
-        schema_s.symbol_named("age"): ap(schema_t.symbol_named("age"), x),
+        schema_s.symbol_named("f"): (x,),
+        schema_s.symbol_named("name"): (x, schema_t.symbol_named("age")),  # Int, not String
+        schema_s.symbol_named("salary"): (x, schema_t.symbol_named("salary")),
+        schema_s.symbol_named("age"): (x, schema_t.symbol_named("age")),
     })
     assert "SortMismatch" in {i.code for i in validate_mapping(wrong)}
+    # a chain whose symbols do not compose is no path, whatever its ends
+    salary, age = schema_t.symbol_named("salary"), schema_t.symbol_named("age")
+    broken = replace(wrong, symbol_map={**wrong.symbol_map, schema_s.symbol_named("salary"): (x, age, salary)})
+    assert [(i.code, i.message) for i in validate_mapping(broken) if i.code == "BadImage"] == [
+        ("BadImage", "image of salary is not a path from its variable")]
 
 
 def test_constraint_preservation_is_checked(schema_s, schema_t):
@@ -62,10 +67,10 @@ def test_constraint_preservation_is_checked(schema_s, schema_t):
                          [Equation((x_src,), App(age, (App(f, (x_src,)),)), int_literal(30))])
     x = Var("x", N)
     cand = Mapping("c", constrained, schema_t, {N1: N, N2: N}, {
-        f: x,
-        constrained.symbol_named("name"): ap(schema_t.symbol_named("name"), x),
-        constrained.symbol_named("salary"): ap(schema_t.symbol_named("salary"), x),
-        age: ap(schema_t.symbol_named("age"), x),
+        f: (x,),
+        constrained.symbol_named("name"): (x, schema_t.symbol_named("name")),
+        constrained.symbol_named("salary"): (x, schema_t.symbol_named("salary")),
+        age: (x, schema_t.symbol_named("age")),
     })
     assert "EqualityNotPreserved" in {i.code for i in validate_mapping(cand)}
 
@@ -101,11 +106,11 @@ def test_open_terms_equal_without_constraints_builds_no_probe(monkeypatch):
         open_terms_equal(free, e, App(nxt, (x,)), int_literal(1))
     with pytest.raises(SortMismatch, match="binding for x has sort E, expected F"):
         open_terms_equal(free, e, Var("x", Sort("F", ENTITY)), Var("y", Sort("F", ENTITY)))
-    assert len(enumerate_paths(free, e, e, max_depth=3).terms) == 4
-    assert len(enumerate_paths(free, e, INT, max_depth=3).terms) == 4
+    assert len(enumerate_paths(free, e, e, max_depth=3).chains) == 4
+    assert len(enumerate_paths(free, e, INT, max_depth=3).chains) == 4
     ident = identity_mapping(free)
     twice = Mapping("twice", free, free, ident.entity_map,
-                    {nxt: App(nxt, (App(nxt, (x,)),)), free.symbol_named("a"): ap(free.symbol_named("a"), x)})
+                    {nxt: (x, nxt, nxt), free.symbol_named("a"): (x, free.symbol_named("a"))})
     assert validate_mapping(ident) == [] and validate_mapping(twice) == []
     assert mappings_equal(ident, identity_mapping(free, "other"))
     assert not mappings_equal(ident, twice)
@@ -144,10 +149,10 @@ def test_composition_translates_images(mapping_r, mapping_f, schema_s, schema_s2
     y1, y2 = Var("y", N1), Var("y", N2)
     back = Mapping("back", schema_s2, schema_s,
                    {schema_s2.entity_named("M1"): N1, schema_s2.entity_named("M2"): N2}, {
-                       schema_s2.symbol_named("g"): ap(schema_s.symbol_named("f"), y1),
-                       schema_s2.symbol_named("who"): ap(schema_s.symbol_named("name"), y1),
-                       schema_s2.symbol_named("pay"): ap(schema_s.symbol_named("salary"), y1),
-                       schema_s2.symbol_named("years"): ap(schema_s.symbol_named("age"), y2),
+                       schema_s2.symbol_named("g"): (y1, schema_s.symbol_named("f")),
+                       schema_s2.symbol_named("who"): (y1, schema_s.symbol_named("name")),
+                       schema_s2.symbol_named("pay"): (y1, schema_s.symbol_named("salary")),
+                       schema_s2.symbol_named("years"): (y2, schema_s.symbol_named("age")),
                    })
     assert validate_mapping(back) == []
     assert mappings_equal(compose_mappings(mapping_r, back), identity_mapping(schema_s))
@@ -160,16 +165,17 @@ def test_mappings_equal_modulo_provability(mapping_f, schema_s, schema_t):
     assert mappings_equal(mapping_f, same)
     x = Var("z", N)
     renamed = replace(same, symbol_map={**same.symbol_map,
-                                        schema_s.symbol_named("f"): x})  # alpha-renamed variable
+                                        schema_s.symbol_named("f"): (x,)})  # alpha-renamed variable
     assert mappings_equal(mapping_f, renamed)
 
 
-def test_apply_mapping_term(mapping_f, schema_s, schema_t):
+def test_mapping_chain_translates_terms(mapping_f, schema_s, schema_t):
+    # age(f(v)) along F: f's image is the identity path, and the variable is re-sorted
     v = Var("v", N1)
-    t = App(schema_s.symbol_named("age"), (App(schema_s.symbol_named("f"), (v,)),))
-    out = apply_mapping_term(mapping_f, t)
-    assert out == App(schema_t.symbol_named("age"), (Var("v", N),))
+    out = mapping_chain(mapping_f, (v, schema_s.symbol_named("f"), schema_s.symbol_named("age")))
+    assert out == (Var("v", N), schema_t.symbol_named("age"))
     assert render_open_term(out) == "lambda v:N. age(v)"
+    assert render_open_term((int_literal(30).sym,)) == "30"
 
 
 # ---------------------------------------------------------------------------

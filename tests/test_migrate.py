@@ -50,7 +50,7 @@ from catq import (
 from catq import migrate
 from catq.model import TermModel, model_read_as, saturate
 from catq.schema import Schema, builtin_typeside
-from catq.terms import ENTITY, TYPESIDE, Equation, FunctionSymbol, Sort, ground_eq, render_term
+from catq.terms import ENTITY, TYPESIDE, Equation, FunctionSymbol, Sort, ground_eq, render_chain
 
 from conftest import (
     N,
@@ -79,13 +79,12 @@ def row_labels(m, entity, cols):
 
 
 def test_enumerate_paths_includes_identity_and_composites(schema_s):
-    from catq.terms import render_term
     ps = enumerate_paths(schema_s, N1, N2)
-    assert [render_term(t) for t in ps.terms] == ["f(p)"]
+    assert [render_chain(c) for c in ps.chains] == ["f(p)"]
     ent = enumerate_paths(schema_s, N1, N1)
-    assert [render_term(t) for t in ent.terms] == ["p"]
+    assert ent.chains == [(Var("p", N1),)]
     ints = enumerate_paths(schema_s, N1, INT)
-    assert {render_term(t) for t in ints.terms} == {"salary(p)", "age(f(p))"}
+    assert {render_chain(c) for c in ints.chains} == {"salary(p)", "age(f(p))"}
     assert not ints.truncated
 
 
@@ -93,8 +92,8 @@ def test_enumerate_paths_compares_paths_of_one_sort():
     # the constraint makes the probe decide equality; paths of other sorts are skipped
     sch = elaborate(parse(IDEMPOTENT)[0])[0].schemas["S"]
     a, b = sch.entity_named("A"), sch.entity_named("B")
-    assert [render_term(t) for t in enumerate_paths(sch, a, b).terms] == ["f(p)", "g(f(p))"]
-    assert [render_term(t) for t in enumerate_paths(sch, b, b).terms] == ["p", "g(p)"]
+    assert [render_chain(c) for c in enumerate_paths(sch, a, b).chains] == ["f(p)", "g(f(p))"]
+    assert [render_chain(c) for c in enumerate_paths(sch, b, b).chains] == ["p", "g(p)"]
 
 
 def test_enumerate_paths_truncates_on_cycles():
@@ -104,7 +103,7 @@ def test_enumerate_paths_truncates_on_cycles():
     e = Sort("E", ENTITY)
     sch = Schema("L", builtin_typeside(), [e], [], [fkey("nxt", e, e)])
     ps = enumerate_paths(sch, e, e, max_depth=3)
-    assert ps.truncated and len(ps.terms) == 4
+    assert ps.truncated and len(ps.chains) == 4
 
 
 def test_enumerate_paths_dedups_modulo_constraints():
@@ -116,9 +115,8 @@ def test_enumerate_paths_dedups_modulo_constraints():
     x = Var("x", e)
     sch = Schema("C2", builtin_typeside(), [e], [], [nxt],
                  [Equation((x,), App(nxt, (App(nxt, (x,)),)), x)])
-    from catq.terms import render_term
     ps = enumerate_paths(sch, e, e, max_depth=6)
-    assert [render_term(t) for t in ps.terms] == ["p", "nxt(p)"]
+    assert ps.chains == [(Var("p", e),), (Var("p", e), nxt)]
     assert not ps.truncated
 
 
@@ -153,7 +151,7 @@ def path_outcome(enumerate_paths, *args):
         ps = enumerate_paths(*args)
     except ResourceLimit as exc:
         return str(exc)
-    return ps.terms, ps.truncated
+    return ps.chains, ps.truncated
 
 
 def test_enumerate_paths_matches_the_pairwise_reference():
@@ -186,7 +184,7 @@ def test_enumerate_paths_keys_each_path_once(monkeypatch):
                       [*(fkey(f"f{k}", a, b) for k in range(n)), g],
                       [Equation((y,), ap(g, ap(g, y)), ap(g, y))])
         walks[n] = count_calls(monkeypatch, TermModel, "walk", lambda: enumerate_paths(star, a, b))
-        assert len(enumerate_paths(star, a, b).terms) == 2 * n
+        assert len(enumerate_paths(star, a, b).chains) == 2 * n
     assert walks[16] <= 2 * walks[8] + 1
 
 
@@ -553,7 +551,7 @@ def test_migration_inputs_cannot_change(mapping_f, model_i):
     with pytest.raises(TypeError):
         mapping_f.entity_map[N1] = N
     with pytest.raises(TypeError):
-        mapping_f.symbol_map[f_sym] = Var("x", N)
+        mapping_f.symbol_map[f_sym] = (Var("x", N),)
     with pytest.raises(TypeError):
         del mapping_f.entity_map[N1]
     # a mapping copies the dicts it is built from
@@ -572,7 +570,7 @@ def test_mutated_mapping_is_migrated_again(builds, mapping_f, model_j, schema_t)
     first = delta(g, model_j)
     salary = g.source.symbol_named("salary")
     sym = dict(g.symbol_map)
-    sym[salary] = ap(schema_t.symbol_named("age"), Var("x", N))
+    sym[salary] = (Var("x", N), schema_t.symbol_named("age"))
     g2 = Mapping("G", g.source, g.target, dict(g.entity_map), sym)
     second = delta(g2, model_j)
     assert second is not first and builds["builds"] == 2
@@ -615,9 +613,9 @@ def rename_t(ty):
 def g_rename(schema_t, rename_t):
     x = Var("x", rename_t.entity_named("P"))
     return Mapping("G", schema_t, rename_t, {N: rename_t.entity_named("P")}, {
-        schema_t.symbol_named("name"): ap(rename_t.symbol_named("label"), x),
-        schema_t.symbol_named("salary"): ap(rename_t.symbol_named("pay2"), x),
-        schema_t.symbol_named("age"): ap(rename_t.symbol_named("years2"), x),
+        schema_t.symbol_named("name"): (x, rename_t.symbol_named("label")),
+        schema_t.symbol_named("salary"): (x, rename_t.symbol_named("pay2")),
+        schema_t.symbol_named("age"): (x, rename_t.symbol_named("years2")),
     })
 
 
@@ -628,10 +626,10 @@ def composable_pairs(schema_s, schema_t, schema_s2, rename_t,
     m1, m2 = schema_s2.entity_named("M1"), schema_s2.entity_named("M2")
     x = Var("x", N)
     collapse = Mapping("C", schema_s2, schema_t, {m1: N, m2: N}, {
-        schema_s2.symbol_named("g"): x,
-        schema_s2.symbol_named("who"): ap(schema_t.symbol_named("name"), x),
-        schema_s2.symbol_named("pay"): ap(schema_t.symbol_named("salary"), x),
-        schema_s2.symbol_named("years"): ap(schema_t.symbol_named("age"), x),
+        schema_s2.symbol_named("g"): (x,),
+        schema_s2.symbol_named("who"): (x, schema_t.symbol_named("name")),
+        schema_s2.symbol_named("pay"): (x, schema_t.symbol_named("salary")),
+        schema_s2.symbol_named("years"): (x, schema_t.symbol_named("age")),
     })
     assert validate_mapping(collapse) == []
     return [(mapping_f, g), (mapping_f0, g), (mapping_r, collapse)]
@@ -734,7 +732,7 @@ def lossy_mapping(schema_s):
     ident = identity_mapping(schema_s)
     f, salary, age = (schema_s.symbol_named(n) for n in ("f", "salary", "age"))
     return Mapping("L", schema_s, schema_s, ident.entity_map,
-                   {**ident.symbol_map, salary: ap(age, ap(f, Var("x", N1)))})
+                   {**ident.symbol_map, salary: (Var("x", N1), f, age)})
 
 
 def test_invert_raises_when_truncated(schema_s, monkeypatch):

@@ -89,7 +89,7 @@ SIGNATURES = [
     (App, [("sym", REQUIRED), ("args", ())], {"sym": int_literal(7).sym, "args": ()}),
     (Collision, [("sort", REQUIRED), ("lit1", REQUIRED), ("lit2", REQUIRED), ("class_id", REQUIRED)], {}),
     (InstanceMorphism, [("source", REQUIRED), ("target", REQUIRED), ("cmap", REQUIRED)], {}),
-    (PathSet, [("source", REQUIRED), ("target", REQUIRED), ("terms", REQUIRED), ("truncated", False)], {}),
+    (PathSet, [("source", REQUIRED), ("target", REQUIRED), ("chains", REQUIRED), ("truncated", False)], {}),
     (MigrationResult, [("mapping", REQUIRED), ("input", REQUIRED), ("model", REQUIRED)], {}),
     (DeltaResult, [("mapping", REQUIRED), ("input", REQUIRED), ("model", REQUIRED),
                    ("ent_class", REQUIRED), ("ty_class", REQUIRED), ("to_target", REQUIRED)], {}),
@@ -122,7 +122,7 @@ RECORDS = [
     (InstancePresentation, [("name", REQUIRED), ("schema", REQUIRED), ("generators", ()), ("equations", ())],
      {"generators": (), "equations": ()}),
     (Mapping, [("name", REQUIRED), ("source", REQUIRED), ("target", REQUIRED), ("entity_map", EMPTY),
-               ("symbol_map", EMPTY)], {"entity_map": {N1: N1}, "symbol_map": {f: App(f, (x,))}}),
+               ("symbol_map", EMPTY)], {"entity_map": {N1: N1}, "symbol_map": {f: (x, f)}}),
     (RawTerm, [("name", REQUIRED), ("span", REQUIRED), ("args", []), ("quoted", False)], {}),
 ]
 SIGNATURES += RECORDS

@@ -41,9 +41,10 @@ from catq import (
 )
 from catq import cli
 from catq.parser import InstanceDecl
-from catq.terms import App, free_vars, substitute
+from catq.terms import App
 
 from conftest import max_classes, max_rounds
+from reference_images import extend
 from test_cli import CHAIN, COLLIDING, CYCLIC, IDEMPOTENT, write
 from test_dsl import EXAMPLE
 
@@ -267,19 +268,10 @@ PROGRAMS = {
 }
 
 
-def pushed(f_map, t, gen_map):
-    """t translated along f_map by substituting symbol images, generators renamed by gen_map."""
-    if not t.args:
-        return App(gen_map.get(t.sym, t.sym))
-    image = f_map.symbol_map[t.sym]
-    (v,) = free_vars(image)
-    return substitute(image, {v.name: pushed(f_map, t.args[0], gen_map)})
-
-
 def translated(f_map, inst, name):
     """The presentation of sigma(f_map, inst), built eagerly by substitution."""
     gen_map = {g: generator(g.name, f_map.sort_image(g.out_sort)) for g in inst.generators}
-    eqs = [Equation((), pushed(f_map, eq.lhs, gen_map), pushed(f_map, eq.rhs, gen_map))
+    eqs = [Equation((), extend(f_map, eq.lhs, gen_map), extend(f_map, eq.rhs, gen_map))
            for eq in inst.equations]
     return InstancePresentation(name, f_map.target, list(gen_map.values()), eqs)
 
